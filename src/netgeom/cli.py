@@ -25,6 +25,7 @@ import numpy as np
 
 from . import __version__
 from .crawl import (
+    TraceParseError,
     estimate_size,
     fit_rational,
     read_trace_csv,
@@ -32,7 +33,13 @@ from .crawl import (
     solve_acquisition_ode,
     write_trace_csv,
 )
-from .embedding import Embedding, build_cover_matrix, embed_full, reduce_references
+from .embedding import (
+    Embedding,
+    _check_max_pairs,
+    build_cover_matrix,
+    embed_full,
+    reduce_references,
+)
 from .generators import (
     AppendageSpec,
     DoubleParetoSpec,
@@ -126,15 +133,13 @@ def _load_graph(path: str) -> Graph:
         return load_edge_list(fh)
 
 
-def _label_map(g: Graph) -> dict[str, int]:
-    return {g.label_of(v): v for v in range(g.node_count)}
-
-
-def _resolve_node(g: Graph, token: str) -> int:
+def _resolve_nodes(g: Graph, tokens: Sequence[str]) -> tuple[int, ...]:
+    """Node ids of the given label tokens, building the label map once."""
+    ids = {g.label_of(v): v for v in range(g.node_count)}
     try:
-        return _label_map(g)[token]
-    except KeyError:
-        raise CliError(f"node {token!r} not present in the graph") from None
+        return tuple(ids[t] for t in tokens)
+    except KeyError as e:
+        raise CliError(f"node {e.args[0]!r} not present in the graph") from None
 
 
 def _edges_text(g: Graph) -> str:
@@ -246,6 +251,8 @@ def _cmd_generate(args) -> int:
 def _cmd_stats(args) -> int:
     out = _out_dir(args)
     g = _load_graph(args.graph)
+    if g.node_count == 0:
+        raise ValueError("statistics of an empty graph are undefined")
     lab = components(g)
     report: dict = {
         "graph": {
@@ -473,8 +480,7 @@ def _cmd_embed(args) -> int:
     g = _load_graph(args.graph)
     e = embed_full(g)
     if args.refs:
-        refs = tuple(_resolve_node(g, t) for t in args.refs.split(","))
-        e = e.subset(refs)
+        e = e.subset(_resolve_nodes(g, args.refs.split(",")))
     _write_text(os.path.join(out, "coords.csv"), _coords_csv(g, e))
     _write_json(
         os.path.join(out, "embedding.json"),
@@ -489,6 +495,7 @@ def _cmd_reduce(args) -> int:
     if args.tolerance < 0:
         raise CliError("--tolerance must be >= 0")
     g = _load_graph(args.graph)
+    _check_max_pairs(g.node_count, args.max_pairs)  # before embed_full allocates n x n
     e = embed_full(g)
     cm = build_cover_matrix(e, tolerance=args.tolerance)
     r = reduce_references(cm, max_pairs=args.max_pairs)
@@ -519,7 +526,7 @@ def _cmd_reduce(args) -> int:
 def _cmd_crawl_sim(args) -> int:
     out = _out_dir(args)
     g = _load_graph(args.graph)
-    start = 0 if args.start is None else _resolve_node(g, args.start)
+    start = 0 if args.start is None else _resolve_nodes(g, (args.start,))[0]
     trace = simulate_crawl(g, start=start, policy=args.policy, stride=args.stride, seed=args.seed)
     write_trace_csv(trace, os.path.join(out, "trace.csv"))
     _write_json(
@@ -726,13 +733,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except CliError as e:
-        print(f"netgeom: error: {e}", file=sys.stderr)
-        return 1
-    except EdgeListParseError as e:
-        print(f"netgeom: error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+    except (CliError, EdgeListParseError, TraceParseError, OSError) as e:
         print(f"netgeom: error: {e}", file=sys.stderr)
         return 1
     except ValueError as e:

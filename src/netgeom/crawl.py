@@ -36,10 +36,19 @@ __all__ = [
     "solve_acquisition_ode",
     "write_trace_csv",
     "read_trace_csv",
+    "TraceParseError",
     "default_window",
 ]
 
 POLICIES = ("fifo", "random")
+
+
+class TraceParseError(ValueError):
+    """Raised for malformed trace CSV rows; carries the 1-based line number."""
+
+    def __init__(self, line_no: int, message: str):
+        super().__init__(f"line {line_no}: {message}")
+        self.line_no = line_no
 
 
 @dataclass(frozen=True)
@@ -494,12 +503,16 @@ def write_trace_csv(trace: CrawlTrace, path: str) -> None:
 
 
 def read_trace_csv(path: str) -> CrawlTrace:
-    """Read a trace written by write_trace_csv."""
+    """Read a trace written by write_trace_csv.
+
+    Raises TraceParseError (with the line number) for data rows with fewer
+    than 3 cells or a non-integer P or D cell.
+    """
     meta = {"policy": "fifo", "stride": "1", "seed": "0", "start": "0", "true_size": "0", "complete": "1"}
     ps: list[int] = []
     ds: list[int] = []
     with open(path, newline="") as fh:
-        for raw in fh:
+        for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
                 continue
@@ -513,8 +526,13 @@ def read_trace_csv(path: str) -> CrawlTrace:
             cells = line.split(",")
             if cells[0] == "sample_index":
                 continue
-            ps.append(int(cells[1]))
-            ds.append(int(cells[2]))
+            if len(cells) < 3:
+                raise TraceParseError(line_no, f"expected at least 3 cells, got {len(cells)}: {line!r}")
+            try:
+                ps.append(int(cells[1]))
+                ds.append(int(cells[2]))
+            except ValueError:
+                raise TraceParseError(line_no, f"P and D must be integers: {line!r}") from None
     return CrawlTrace(
         p=tuple(ps),
         d=tuple(ds),

@@ -4,8 +4,13 @@ Every node gets a coordinate vector of BFS distances to a set of reference
 nodes; the Chebyshev (max-component) distance between two coordinate vectors
 never exceeds the true hop distance, and with the full reference set it equals
 it exactly. Reduction trims the reference set while keeping every pairwise
-Chebyshev distance within a hop tolerance of the truth, via a set-cover pass:
-essential references (only cover of some pair) first, then greedy selection.
+Chebyshev distance within a hop tolerance of the truth. That is a landmark set
+cover (Khuller, Raghavachari and Rosenfeld, *Landmarks in Graphs*, 1996), solved
+by one incremental greedy pass: per-reference cover counts are built once over
+blocks of node pairs, and each round subtracts only the pairs it newly covers.
+The cover table is over the full embedding, where pair (p, q) is always covered
+by both column p and column q, so no reference is ever a pair's sole cover and
+greedy selection alone decides the kept set.
 """
 from __future__ import annotations
 
@@ -29,9 +34,6 @@ __all__ = [
     "reduce_references",
     "embedding_distortion",
 ]
-
-# cache the full pair/reference cover table only while it fits this many cells
-_DENSE_CELL_BUDGET = 100_000_000
 
 
 @dataclass(frozen=True)
@@ -116,8 +118,9 @@ class CoverMatrix:
     tolerance: int
 
     def __post_init__(self):
-        if not self.embedding.full:
-            raise ValueError("cover matrix needs the full embedding (true distances)")
+        e = self.embedding
+        if not e.full or e.references != tuple(range(e.node_count)):
+            raise ValueError("cover matrix needs the full embedding, references in node order")
         if self.tolerance < 0:
             raise ValueError("tolerance must be >= 0")
 
@@ -155,7 +158,12 @@ class CoverMatrix:
 
 @dataclass(frozen=True)
 class ReductionResult:
-    """Outcome of reference reduction, with its verified distortion profile."""
+    """Outcome of reference reduction, with its verified distortion profile.
+
+    ``essential`` is always empty: every pair has at least two covering
+    references (its own endpoints), so none is a sole cover. The field stays
+    for compatibility; ``greedy`` equals ``kept``.
+    """
 
     kept: tuple[int, ...]
     essential: tuple[int, ...]
@@ -175,98 +183,93 @@ def _pair_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
     return iu[0].astype(np.int32), iu[1].astype(np.int32)
 
 
-def reduce_references(cm: CoverMatrix, max_pairs: int | None = None) -> ReductionResult:
-    """Shrink the reference set while covering every node pair.
+def _check_max_pairs(n: int, max_pairs: int | None) -> None:
+    pairs = n * (n - 1) // 2
+    if max_pairs is not None and pairs > max_pairs:
+        raise ValueError(f"pair count {pairs} exceeds max_pairs={max_pairs}")
 
-    Loop: every reference that is the sole cover of some uncovered pair is
-    essential and enters the kept set; when no new essentials exist, the
-    reference covering the most uncovered pairs is taken greedily (ties to the
-    smallest node index). Terminates because each pair is always covered by its
-    own two endpoints. The final max distortion is verified against the
-    tolerance before returning.
+
+def _cover_counts(coords: np.ndarray, I: np.ndarray, J: np.ndarray, thresh: np.ndarray) -> np.ndarray:
+    """Per-reference count of the pairs (I[r], J[r]) that each column covers.
+
+    Walks the pairs in row blocks of about 1 M cells, so no pair x reference
+    table is ever held whole.
+    """
+    n = coords.shape[1]
+    counts = np.zeros(n, dtype=np.int64)
+    block = max(1, (1 << 20) // n)
+    for s in range(0, I.size, block):
+        t = s + block
+        diff = coords[I[s:t]]
+        np.subtract(diff, coords[J[s:t]], out=diff)
+        np.abs(diff, out=diff)
+        counts += (diff >= thresh[s:t, None]).sum(axis=0)
+    return counts
+
+
+def _pair_distances(coords: np.ndarray, columns: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """True distance and Chebyshev estimate of every pair p < q, in row-major order.
+
+    ``coords`` must be the full distance matrix; the estimate uses only the
+    given reference columns.
+    """
+    n = coords.shape[0]
+    sub = coords[:, list(columns)]
+    true = np.concatenate([coords[p, p + 1:] for p in range(n)])
+    estimate = np.concatenate(
+        [np.abs(sub[p + 1:] - sub[p]).max(axis=1, initial=0) for p in range(n)]
+    )
+    return true, estimate
+
+
+def _shortfall_histogram(shortfall: np.ndarray) -> Histogram:
+    return Histogram({int(v): int(c) for v, c in enumerate(np.bincount(shortfall)) if c > 0})
+
+
+def reduce_references(cm: CoverMatrix, max_pairs: int | None = None) -> ReductionResult:
+    """Shrink the reference set while covering every node pair (greedy set cover).
+
+    One blocked pass over the pairs counts, per reference, the pairs it
+    covers. Each round then keeps the reference with the largest count (ties
+    to the smallest node index), finds the still-uncovered pairs it covers and
+    subtracts only those pairs' rows from the counts. Terminates because each
+    pair is always covered by its own two endpoints. No reference is ever the
+    sole cover of a pair for the same reason, so there is no essential phase
+    and ``essential`` is always empty. The final max distortion is verified
+    against the tolerance before returning.
 
     ``max_pairs`` aborts up front when the pair count exceeds the budget.
     """
     n = cm.node_count
-    if max_pairs is not None and cm.pair_count > max_pairs:
-        raise ValueError(f"pair count {cm.pair_count} exceeds max_pairs={max_pairs}")
-    coords = cm.embedding.coords
+    _check_max_pairs(n, max_pairs)
+    # hop distances are small and non-negative, so int32 differences cannot overflow
+    coords = np.asarray(cm.embedding.coords, dtype=np.int32)
     I, J = _pair_arrays(n)
-    thresh = np.maximum(coords[I, J].astype(np.int64) - cm.tolerance, 0)
+    thresh = np.maximum(coords[I, J] - cm.tolerance, 0)
+    counts = _cover_counts(coords, I, J, thresh)
 
-    dense = cm.pair_count * n <= _DENSE_CELL_BUDGET
-    z: np.ndarray | None = None
-    if dense and cm.pair_count:
-        z = np.empty((cm.pair_count, n), dtype=bool)
-        block = max(1, (1 << 22) // max(n, 1))
-        for s in range(0, cm.pair_count, block):
-            t = min(s + block, cm.pair_count)
-            diff = np.abs(coords[I[s:t], :].astype(np.int64) - coords[J[s:t], :])
-            z[s:t] = diff >= thresh[s:t, None]
-
-    def cover_of(col: int, idx_i: np.ndarray, idx_j: np.ndarray, th: np.ndarray) -> np.ndarray:
-        return np.abs(coords[idx_i, col].astype(np.int64) - coords[idx_j, col]) >= th
-
-    kept: list[int] = []
-    essential: list[int] = []
     greedy: list[int] = []
     while I.size:
-        if z is not None:
-            sole = z.sum(axis=1) == 1
-            if sole.any():
-                new = [int(c) for c in np.unique(np.argmax(z[sole], axis=1))]
-                is_essential = True
-            else:
-                new = [int(np.argmax(z.sum(axis=0)))]
-                is_essential = False
-            covered = z[:, new].any(axis=1) if len(new) > 1 else z[:, new[0]].copy()
-        else:
-            # streamed pass over row blocks
-            block = max(1, (1 << 22) // max(n, 1))
-            col_counts = np.zeros(n, dtype=np.int64)
-            sole_cols: set[int] = set()
-            for s in range(0, I.size, block):
-                t = min(s + block, I.size)
-                zb = np.abs(coords[I[s:t], :].astype(np.int64) - coords[J[s:t], :]) >= thresh[s:t, None]
-                col_counts += zb.sum(axis=0)
-                for r in np.nonzero(zb.sum(axis=1) == 1)[0]:
-                    sole_cols.add(int(np.argmax(zb[r])))
-            if sole_cols:
-                new = sorted(sole_cols)
-                is_essential = True
-            else:
-                new = [int(np.argmax(col_counts))]
-                is_essential = False
-            covered = np.zeros(I.size, dtype=bool)
-            for col in new:
-                covered |= cover_of(col, I, J, thresh)
-        (essential if is_essential else greedy).extend(new)
-        kept.extend(new)
-        keep_rows = ~covered
-        I, J, thresh = I[keep_rows], J[keep_rows], thresh[keep_rows]
-        if z is not None:
-            z = z[keep_rows]
+        col = int(np.argmax(counts))
+        greedy.append(col)
+        hit = np.abs(coords[I, col] - coords[J, col]) >= thresh
+        counts -= _cover_counts(coords, I[hit], J[hit], thresh[hit])
+        miss = ~hit
+        I, J, thresh = I[miss], J[miss], thresh[miss]
 
-    kept_sorted = tuple(sorted(kept))
-    # verify achieved distortion against the tolerance
-    I, J = _pair_arrays(n)
-    dm = coords[I, J].astype(np.int64)
-    dv = np.zeros(I.size, dtype=np.int64)
-    for col in kept_sorted:
-        np.maximum(dv, np.abs(coords[I, col].astype(np.int64) - coords[J, col]), out=dv)
-    distortion = dm - dv
+    kept = tuple(sorted(greedy))
+    true, estimate = _pair_distances(coords, kept)
+    distortion = true - estimate
     max_d = int(distortion.max()) if distortion.size else 0
     if max_d > cm.tolerance:
         raise AssertionError(f"reduction exceeded tolerance: {max_d} > {cm.tolerance}")
-    counts = np.bincount(distortion) if distortion.size else np.array([], dtype=np.int64)
-    hist = Histogram({int(v): int(c) for v, c in enumerate(counts) if c > 0})
     return ReductionResult(
-        kept=kept_sorted,
-        essential=tuple(sorted(essential)),
-        greedy=tuple(sorted(greedy)),
+        kept=kept,
+        essential=(),
+        greedy=kept,
         tolerance=cm.tolerance,
         max_distortion=max_d,
-        distortion_histogram=hist,
+        distortion_histogram=_shortfall_histogram(distortion),
     )
 
 
@@ -288,19 +291,13 @@ def embedding_distortion(g: Graph, references: Sequence[int]) -> DistortionRepor
     """
     full = embed_full(g)
     sub = full.subset(tuple(references))
-    n = g.node_count
-    I, J = _pair_arrays(n)
-    dm = full.coords[I, J].astype(np.int64)
-    dv = np.zeros(I.size, dtype=np.int64)
-    for r in sub.references:
-        col = full.coords[:, r].astype(np.int64)
-        np.maximum(dv, np.abs(col[I] - col[J]), out=dv)
+    dm, dv = _pair_distances(full.coords, sub.references)
     distortion = dm - dv
     if distortion.size and distortion.min() < 0:
         raise AssertionError("estimate exceeded true distance; embedding is corrupt")
     max_hops = int(distortion.max()) if distortion.size else 0
-    counts = np.bincount(distortion) if distortion.size else np.array([], dtype=np.int64)
-    hist = Histogram({int(v): int(c) for v, c in enumerate(counts) if c > 0})
     nz = dv > 0
     max_rel = float(np.max(dm[nz] / dv[nz] - 1.0)) if nz.any() else None
-    return DistortionReport(max_hops=max_hops, histogram=hist, max_relative=max_rel)
+    return DistortionReport(
+        max_hops=max_hops, histogram=_shortfall_histogram(distortion), max_relative=max_rel
+    )

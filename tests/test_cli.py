@@ -236,6 +236,64 @@ class TestExitCodes:
                    "--out", str(tmp_path)) == 1
 
 
+def error_lines(capsys) -> list[str]:
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1, lines
+    assert lines[0].startswith("netgeom: error: ")
+    return lines
+
+
+class TestErrorLines:
+    def test_max_pairs_is_checked_before_the_embedding(self, tmp_path, capsys,
+                                                       monkeypatch):
+        src = tmp_path / "p6.txt"
+        src.write_text("0 1\n1 2\n2 3\n3 4\n4 5\n")
+
+        def no_embedding(g):
+            raise AssertionError("embed_full ran before the max-pairs check")
+
+        monkeypatch.setattr("netgeom.cli.embed_full", no_embedding)
+        assert run("reduce", "--graph", str(src), "--max-pairs", "10",
+                   "--out", str(tmp_path / "r")) == 2
+        [line] = error_lines(capsys)
+        assert line.endswith("pair count 15 exceeds max_pairs=10")
+
+    def test_short_trace_row_is_1_with_line_number(self, tmp_path, capsys):
+        trace = tmp_path / "short.csv"
+        trace.write_text("# policy=fifo\nsample_index,P,D\n0,1,1\n1,2\n")
+        assert run("estimate", "--trace", str(trace),
+                   "--out", str(tmp_path / "e")) == 1
+        [line] = error_lines(capsys)
+        assert "line 4:" in line
+
+    def test_non_integer_trace_cell_is_1_with_line_number(self, tmp_path, capsys):
+        trace = tmp_path / "nonint.csv"
+        trace.write_text("sample_index,P,D\n0,1,x\n")
+        assert run("fit-rational", "--trace", str(trace),
+                   "--out", str(tmp_path / "f")) == 1
+        [line] = error_lines(capsys)
+        assert "line 2:" in line
+
+    def test_stats_on_empty_edge_list_is_2(self, tmp_path, capsys):
+        empty = tmp_path / "empty.txt"
+        empty.write_text("# no edges\n")
+        assert run("stats", "--graph", str(empty),
+                   "--out", str(tmp_path / "s")) == 2
+        error_lines(capsys)
+
+    def test_embed_refs_resolves_every_token(self, tmp_path, capsys):
+        src = write_p5(tmp_path)
+        out = tmp_path / "emb"
+        assert run("embed", "--graph", str(src), "--refs", "4,0,2",
+                   "--out", str(out)) == 0
+        info = read_json(out / "embedding.json")
+        assert info["references"] == ["4", "0", "2"]
+        assert run("embed", "--graph", str(src), "--refs", "4,zz",
+                   "--out", str(out)) == 1
+        [line] = error_lines(capsys)
+        assert "'zz'" in line
+
+
 class TestOutputLocation:
     def test_environment_variable_sets_default_out_dir(self, tmp_path, monkeypatch):
         src = write_p5(tmp_path)

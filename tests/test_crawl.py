@@ -9,6 +9,7 @@ import pytest
 
 from netgeom.crawl import (
     CrawlTrace,
+    TraceParseError,
     default_window,
     estimate_derivative,
     estimate_size,
@@ -188,6 +189,14 @@ class TestTraceCsv:
         assert lines[0].startswith("# policy=fifo")
         assert lines[1] == "sample_index,P,D"
         assert lines[2] == "0,1,1"
+
+    def test_malformed_rows_name_their_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        for body, line_no in (("0,1,1\n\n1,2\n", 4), ("0,1,1\n1,two,1\n", 3)):
+            path.write_text("sample_index,P,D\n" + body)
+            with pytest.raises(TraceParseError, match=f"^line {line_no}: ") as info:
+                read_trace_csv(str(path))
+            assert info.value.line_no == line_no
 
 
 class TestRationalFit:

@@ -21,6 +21,7 @@ from util import (
     cycle_graph,
     from_edges,
     fw_distances,
+    greedy_cover,
     path_graph,
     random_connected,
     star_graph,
@@ -108,6 +109,13 @@ class TestCoverMatrix:
         with pytest.raises(ValueError):
             build_cover_matrix(e.subset((0, 1)), 0)
 
+    def test_permuted_full_embedding_rejected(self):
+        # coords[p, q] is only the true distance when column q is node q
+        e = embed_full(path_graph(4)).subset((3, 2, 1, 0))
+        assert e.full
+        with pytest.raises(ValueError, match="node order"):
+            build_cover_matrix(e, 0)
+
 
 class TestReduction:
     def test_path_needs_a_single_end_reference(self):
@@ -180,6 +188,26 @@ class TestReduction:
         e = embed_full(path_graph(30))
         with pytest.raises(ValueError, match="max_pairs"):
             reduce_references(build_cover_matrix(e, 0), max_pairs=100)
+
+
+class TestGreedyOracle:
+    def test_reduction_matches_plain_greedy_set_cover(self):
+        rng = random.Random(21)
+        for trial in range(20):
+            n = rng.randrange(4, 41)
+            g = random_connected(n, rng.randrange(0, 3 * n), rng)
+            e = embed_full(g)
+            for tol in (0, 1, 2):
+                cm = build_cover_matrix(e, tol)
+                picks = tuple(sorted(greedy_cover(cm.rows())))
+                r = reduce_references(cm)
+                assert r.kept == picks, (trial, tol)
+                assert r.greedy == picks, (trial, tol)
+                assert r.essential == ()
+
+    def test_oracle_breaks_ties_to_the_lowest_reference(self):
+        rows = [((0, 1), (3, 5)), ((0, 2), (5, 3)), ((1, 2), (2, 4))]
+        assert greedy_cover(rows) == [3, 2]
 
 
 class TestDistortionReport:

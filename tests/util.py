@@ -138,3 +138,22 @@ def brute_force_min_cover(coords, tolerance: int) -> int:
             ):
                 return size
     raise AssertionError("full reference set must always cover")
+
+
+def greedy_cover(rows) -> list[int]:
+    """Plain greedy set cover over ((p, q), covering references) rows.
+
+    Each round picks the reference covering the most still-uncovered rows,
+    ties to the lowest reference; returns the picks in order.
+    """
+    uncovered = [set(cols) for _, cols in rows]
+    picks: list[int] = []
+    while uncovered:
+        counts: dict[int, int] = {}
+        for cols in uncovered:
+            for c in cols:
+                counts[c] = counts.get(c, 0) + 1
+        best = min(counts, key=lambda c: (-counts[c], c))
+        picks.append(best)
+        uncovered = [cols for cols in uncovered if best not in cols]
+    return picks

@@ -7,9 +7,15 @@ Design notes:
 - Every run writes meta.json: tool version, subcommand, config echo, seed and
   a content digest per input file. No timestamps, so identical (config,
   inputs, seed) runs are byte-identical.
-- Exit codes: 0 success, 1 parse/config error (bad flags, malformed input
-  files, invalid generator recipes), 2 analysis precondition violation
-  (disconnected graph for depth/embed, too few samples to fit, ...).
+- Every subcommand takes one run path through ``main``: open the out dir,
+  read the one input it declares (``--graph`` edge list, ``--trace`` CSV or
+  none), run the ``_cmd_*`` function, which writes its own reports, and write
+  meta.json last.
+- Exit codes: 0 success, 1 parse/config error (bad flags, out-of-range flag
+  values, malformed edge lists, malformed trace headers or rows, invalid
+  generator recipes), 2 analysis precondition violation (disconnected graph
+  for depth/embed, too few samples to fit, ...). Flag values are checked
+  before any input is read.
 """
 from __future__ import annotations
 
@@ -25,6 +31,7 @@ import numpy as np
 
 from . import __version__
 from .crawl import (
+    CrawlTrace,
     TraceParseError,
     estimate_size,
     fit_rational,
@@ -92,21 +99,19 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def _write_json(path: str, obj) -> None:
-    with open(path, "w") as fh:
+def _write_json(out: str, name: str, obj) -> None:
+    with open(os.path.join(out, name), "w") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w") as fh:
+def _write_text(out: str, name: str, text: str) -> None:
+    with open(os.path.join(out, name), "w") as fh:
         fh.write(text)
 
 
-def _out_dir(args) -> str:
-    out = args.out or os.environ.get(OUT_DIR_ENV) or "."
-    os.makedirs(out, exist_ok=True)
-    return out
+def _write_hist(out: str, name: str, header: str, hist: Histogram) -> None:
+    _write_text(out, name, f"# {header}\n" + hist.to_text())
 
 
 def _write_meta(out: str, args, input_paths: Sequence[str]) -> None:
@@ -120,17 +125,12 @@ def _write_meta(out: str, args, input_paths: Sequence[str]) -> None:
     meta = {
         "tool": "netgeom",
         "version": __version__,
-        "subcommand": args.func.__name__.removeprefix("_cmd_").replace("_", "-"),
+        "subcommand": args.subcommand,
         "config": config,
         "seed": getattr(args, "seed", None),
         "inputs": {os.path.basename(p): _sha256(p) for p in input_paths},
     }
-    _write_json(os.path.join(out, "meta.json"), meta)
-
-
-def _load_graph(path: str) -> Graph:
-    with open(path) as fh:
-        return load_edge_list(fh)
+    _write_json(out, "meta.json", meta)
 
 
 def _resolve_nodes(g: Graph, tokens: Sequence[str]) -> tuple[int, ...]:
@@ -140,6 +140,11 @@ def _resolve_nodes(g: Graph, tokens: Sequence[str]) -> tuple[int, ...]:
         return tuple(ids[t] for t in tokens)
     except KeyError as e:
         raise CliError(f"node {e.args[0]!r} not present in the graph") from None
+
+
+def _fields(obj, *names: str) -> dict:
+    """``{name: obj.name}`` for a JSON report section (json.dump sorts the keys)."""
+    return {name: getattr(obj, name) for name in names}
 
 
 def _edges_text(g: Graph) -> str:
@@ -158,6 +163,32 @@ def _parse_kv(tokens: Sequence[str], allowed: Sequence[str]) -> dict[str, str]:
             raise CliError(f"duplicate key {k!r}")
         out[k] = v
     return out
+
+
+class _Sampling(str):
+    """argparse type for ``exact`` or ``sampled:K`` (K >= 1). It stays the flag's
+    text, which meta.json records, and carries the parsed ``mode`` and ``k``."""
+
+    def __new__(cls, text: str):
+        mode, _, k = text.partition(":")
+        if text != "exact" and not (mode == "sampled" and k.isdigit() and int(k) >= 1):
+            raise argparse.ArgumentTypeError(f"must be exact or sampled:K with K >= 1, got {text!r}")
+        self = super().__new__(cls, text)
+        self.mode, self.k = mode, int(k) if k else None
+        return self
+
+
+def _at_least(kind, low, strict: bool = False):
+    """argparse type: a ``kind`` value that is >= low (> low when strict)."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not (value > low if strict else value >= low):
+            raise argparse.ArgumentTypeError(f"must be {'>' if strict else '>='} {low}, got {text!r}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value: 'x'"
+    return parse
 
 
 def _int_list(text: str, what: str) -> tuple[int, ...]:
@@ -219,38 +250,28 @@ def _double_pareto_spec(tokens: Sequence[str], seed: int) -> DoubleParetoSpec:
         raise CliError(str(e)) from None
 
 
-def _cmd_generate(args) -> int:
-    out = _out_dir(args)
+def _cmd_generate(args, out: str, _) -> None:
     if args.appendage:
         spec = _appendage_spec(args.appendage, args.seed)
         g, roles = generate_appendage_graph(spec)
-        _write_text(os.path.join(out, "edges.txt"), _edges_text(g))
+        _write_text(out, "edges.txt", _edges_text(g))
         _write_text(
-            os.path.join(out, "roles.txt"),
-            "".join(f"{g.label_of(v)} {roles[v]}\n" for v in range(g.node_count)),
+            out, "roles.txt", "".join(f"{g.label_of(v)} {roles[v]}\n" for v in range(g.node_count))
         )
     else:
         spec = _double_pareto_spec(args.double_pareto, args.seed)
         degrees = generate_double_pareto_degrees(spec)
         g = configuration_model(degrees, seed=args.seed)
-        _write_text(os.path.join(out, "edges.txt"), _edges_text(g))
-        _write_text(os.path.join(out, "degrees.txt"), "".join(f"{d}\n" for d in degrees))
-        hist = degree_histogram(g)
-        _write_text(
-            os.path.join(out, "degree_hist.txt"),
-            "# realized degree, node count\n" + hist.to_text(),
-        )
-    _write_meta(out, args, ())
-    return 0
+        _write_text(out, "edges.txt", _edges_text(g))
+        _write_text(out, "degrees.txt", "".join(f"{d}\n" for d in degrees))
+        _write_hist(out, "degree_hist.txt", "realized degree, node count", degree_histogram(g))
 
 
 # ---------------------------------------------------------------------------
 # stats
 
 
-def _cmd_stats(args) -> int:
-    out = _out_dir(args)
-    g = _load_graph(args.graph)
+def _cmd_stats(args, out: str, g: Graph) -> None:
     if g.node_count == 0:
         raise ValueError("statistics of an empty graph are undefined")
     lab = components(g)
@@ -271,93 +292,51 @@ def _cmd_stats(args) -> int:
 
     if args.degrees:
         hist = degree_histogram(target)
-        _write_text(
-            os.path.join(out, "degree_hist.txt"),
-            "# degree, node count\n" + hist.to_text(),
-        )
+        _write_hist(out, "degree_hist.txt", "degree, node count", hist)
         section: dict = {"histogram": hist.as_dict(), "max": hist.max_value}
         if args.fit:
             fit = fit_double_pareto(hist)
-            section["double_pareto"] = {
-                "alpha_left": fit.alpha_left,
-                "alpha_right": fit.alpha_right,
-                "break_degree": fit.break_degree,
-                "sse": fit.sse,
-                "weighted": fit.weighted,
-            }
+            section["double_pareto"] = _fields(
+                fit, "alpha_left", "alpha_right", "break_degree", "sse", "weighted"
+            )
         report["degrees"] = section
 
     if args.paths:
-        mode, _, k = args.paths.partition(":")
-        if mode == "exact":
-            pl = path_length_report(target, mode="exact")
-        elif mode == "sampled":
-            if not k.isdigit() or int(k) < 1:
-                raise CliError("--paths sampled needs a source count, e.g. sampled:200")
-            pl = path_length_report(target, mode="sampled", sources=int(k), seed=args.seed)
-        else:
-            raise CliError(f"--paths must be exact or sampled:K, got {args.paths!r}")
-        _write_text(
-            os.path.join(out, "paths_hist.txt"),
-            "# path length, pair count\n" + pl.histogram.to_text(),
+        pl = path_length_report(target, mode=args.paths.mode, sources=args.paths.k, seed=args.seed)
+        _write_hist(out, "paths_hist.txt", "path length, pair count", pl.histogram)
+        report["paths"] = _fields(
+            pl, "mean", "diameter", "mode", "total_pairs", "source_count", "seed"
         )
-        report["paths"] = {
-            "mean": pl.mean,
-            "diameter": pl.diameter,
-            "mode": pl.mode,
-            "total_pairs": pl.total_pairs,
-            "source_count": pl.source_count,
-            "seed": pl.seed,
-        }
 
     if args.seniors is not None:
         sr = senior_stats(target, threshold=args.seniors)
-        _write_text(
-            os.path.join(out, "senior_neighbor_hist.txt"),
-            "# senior neighbors, senior node count\n" + sr.neighbor_histogram.to_text(),
+        _write_hist(out, "senior_neighbor_hist.txt", "senior neighbors, senior node count",
+                    sr.neighbor_histogram)
+        report["seniors"] = _fields(
+            sr, "threshold", "count", "fraction", "no_senior_neighbor_count", "mean_senior_neighbors"
         )
-        report["seniors"] = {
-            "threshold": sr.threshold,
-            "count": sr.count,
-            "fraction": sr.fraction,
-            "no_senior_neighbor_count": sr.no_senior_neighbor_count,
-            "mean_senior_neighbors": sr.mean_senior_neighbors,
-        }
 
-    _write_json(os.path.join(out, "report.json"), report)
-    _write_meta(out, args, (args.graph,))
-    return 0
+    _write_json(out, "report.json", report)
 
 
 # ---------------------------------------------------------------------------
 # decompose
 
 
-def _cmd_decompose(args) -> int:
-    out = _out_dir(args)
-    g = _load_graph(args.graph)
-    if args.giant:
-        g = giant_core(g)
+def _cmd_decompose(args, out: str, g: Graph) -> None:
     d = decompose(g)
     labels = d.node_labels()
     _write_text(
-        os.path.join(out, "roles.txt"),
-        "".join(f"{g.label_of(v)} {labels[v]}\n" for v in range(g.node_count)),
+        out, "roles.txt", "".join(f"{g.label_of(v)} {labels[v]}\n" for v in range(g.node_count))
     )
     t_hist, t_fit = tentacle_histogram(d)
     f_hist, f_fit = fiber_histogram(d)
-    _write_text(
-        os.path.join(out, "tentacle_hist.txt"),
-        "# tentacle hop length, count\n" + t_hist.to_text(),
-    )
-    _write_text(
-        os.path.join(out, "fiber_hist.txt"),
-        "# fiber inner node count, count\n" + f_hist.to_text(),
-    )
-    _write_text(os.path.join(out, "dense_core_edges.txt"), _edges_text(d.dense_core))
+    _write_hist(out, "tentacle_hist.txt", "tentacle hop length, count", t_hist)
+    _write_hist(out, "fiber_hist.txt", "fiber inner node count, count", f_hist)
+    _write_text(out, "dense_core_edges.txt", _edges_text(d.dense_core))
 
     def fit_dict(fit):
-        return None if fit is None else {"p": fit.p, "mean": fit.mean, "count": fit.count}
+        return None if fit is None else _fields(fit, "p", "mean", "count")
 
     summary = {
         "nodes": g.node_count,
@@ -372,31 +351,17 @@ def _cmd_decompose(args) -> int:
         "tentacle_geometric_fit": fit_dict(t_fit),
         "fiber_geometric_fit": fit_dict(f_fit),
     }
-    _write_json(os.path.join(out, "summary.json"), summary)
-    _write_meta(out, args, (args.graph,))
-    return 0
+    _write_json(out, "summary.json", summary)
 
 
 # ---------------------------------------------------------------------------
 # depth
 
 
-def _cmd_depth(args) -> int:
-    out = _out_dir(args)
-    g = _load_graph(args.graph)
-    if args.giant:
-        g = giant_core(g)
-    mode, _, k = args.mode.partition(":")
-    if mode == "exact":
-        dm = depth_map(g, mode="exact")
-    elif mode == "sampled":
-        if not k.isdigit() or int(k) < 1:
-            raise CliError("--mode sampled needs an anchor count, e.g. sampled:64")
-        dm = depth_map(g, mode="sampled", anchors=int(k), seed=args.seed)
-    else:
-        raise CliError(f"--mode must be exact or sampled:K, got {args.mode!r}")
+def _cmd_depth(args, out: str, g: Graph) -> None:
+    dm = depth_map(g, mode=args.mode.mode, anchors=args.mode.k, seed=args.seed)
     _write_text(
-        os.path.join(out, "depth.csv"),
+        out, "depth.csv",
         "node,depth\n"
         + "".join(f"{g.label_of(v)},{dm.depths[v]!r}\n" for v in range(g.node_count)),
     )
@@ -409,34 +374,24 @@ def _cmd_depth(args) -> int:
         "seed": dm.seed,
     }
     if args.profile_bin is not None:
-        if args.profile_bin <= 0:
-            raise CliError("--profile-bin must be > 0")
         rows = depth_density_profile(g, dm, bin_width=args.profile_bin)
         _write_text(
-            os.path.join(out, "profile.txt"),
+            out, "profile.txt",
             "# depth bin start, mean degree, node count\n"
             + "".join(f"{b!r} {m!r} {c}\n" for b, m, c in rows),
         )
         summary["profile_bin"] = args.profile_bin
-    _write_json(os.path.join(out, "summary.json"), summary)
-    _write_meta(out, args, (args.graph,))
-    return 0
+    _write_json(out, "summary.json", summary)
 
 
 # ---------------------------------------------------------------------------
 # personality
 
 
-def _cmd_personality(args) -> int:
-    out = _out_dir(args)
-    g = _load_graph(args.graph)
-    if args.giant:
-        g = giant_core(g)
-    if args.tau < 0:
-        raise CliError("--tau must be >= 0")
+def _cmd_personality(args, out: str, g: Graph) -> None:
     pr = personality_report(g, tau=args.tau)
     _write_text(
-        os.path.join(out, "personality.csv"),
+        out, "personality.csv",
         "node,degree,neighbor_mean_degree,score,class\n"
         + "".join(
             f"{g.label_of(v)},{pr.degree[v]},{pr.neighbor_mean_degree[v]!r},"
@@ -451,15 +406,8 @@ def _cmd_personality(args) -> int:
             lines.append(f"{cls},,,\n")
         else:
             lines.append(f"{cls}," + ",".join(f"{100 * x:.1f}" for x in row) + "\n")
-    _write_text(os.path.join(out, "mixing.csv"), "".join(lines))
-    summary = {
-        "tau": pr.tau,
-        "class_counts": pr.class_counts,
-        "marginal_popular_ratio": pr.marginal_popular_ratio,
-    }
-    _write_json(os.path.join(out, "summary.json"), summary)
-    _write_meta(out, args, (args.graph,))
-    return 0
+    _write_text(out, "mixing.csv", "".join(lines))
+    _write_json(out, "summary.json", _fields(pr, "tau", "class_counts", "marginal_popular_ratio"))
 
 
 # ---------------------------------------------------------------------------
@@ -475,37 +423,24 @@ def _coords_csv(g: Graph, e: Embedding) -> str:
     return head + body
 
 
-def _cmd_embed(args) -> int:
-    out = _out_dir(args)
-    g = _load_graph(args.graph)
+def _cmd_embed(args, out: str, g: Graph) -> None:
     e = embed_full(g)
     if args.refs:
         e = e.subset(_resolve_nodes(g, args.refs.split(",")))
-    _write_text(os.path.join(out, "coords.csv"), _coords_csv(g, e))
+    _write_text(out, "coords.csv", _coords_csv(g, e))
     _write_json(
-        os.path.join(out, "embedding.json"),
+        out, "embedding.json",
         {"nodes": e.node_count, "references": [g.label_of(r) for r in e.references], "full": e.full},
     )
-    _write_meta(out, args, (args.graph,))
-    return 0
 
 
-def _cmd_reduce(args) -> int:
-    out = _out_dir(args)
-    if args.tolerance < 0:
-        raise CliError("--tolerance must be >= 0")
-    g = _load_graph(args.graph)
+def _cmd_reduce(args, out: str, g: Graph) -> None:
     _check_max_pairs(g.node_count, args.max_pairs)  # before embed_full allocates n x n
     e = embed_full(g)
     cm = build_cover_matrix(e, tolerance=args.tolerance)
     r = reduce_references(cm, max_pairs=args.max_pairs)
-    _write_text(
-        os.path.join(out, "refs.txt"), "".join(f"{g.label_of(v)}\n" for v in r.kept)
-    )
-    _write_text(
-        os.path.join(out, "distortion_hist.txt"),
-        "# hop shortfall, pair count\n" + r.distortion_histogram.to_text(),
-    )
+    _write_text(out, "refs.txt", "".join(f"{g.label_of(v)}\n" for v in r.kept))
+    _write_hist(out, "distortion_hist.txt", "hop shortfall, pair count", r.distortion_histogram)
     summary = {
         "initial_references": e.node_count,
         "kept": len(r.kept),
@@ -514,40 +449,23 @@ def _cmd_reduce(args) -> int:
         "tolerance": r.tolerance,
         "max_distortion": r.max_distortion,
     }
-    _write_json(os.path.join(out, "reduction.json"), summary)
-    _write_meta(out, args, (args.graph,))
-    return 0
+    _write_json(out, "reduction.json", summary)
 
 
 # ---------------------------------------------------------------------------
 # crawl family
 
 
-def _cmd_crawl_sim(args) -> int:
-    out = _out_dir(args)
-    g = _load_graph(args.graph)
+def _cmd_crawl_sim(args, out: str, g: Graph) -> None:
     start = 0 if args.start is None else _resolve_nodes(g, (args.start,))[0]
     trace = simulate_crawl(g, start=start, policy=args.policy, stride=args.stride, seed=args.seed)
     write_trace_csv(trace, os.path.join(out, "trace.csv"))
-    _write_json(
-        os.path.join(out, "crawl.json"),
-        {
-            "policy": trace.policy,
-            "stride": trace.stride,
-            "seed": trace.seed,
-            "start": g.label_of(trace.start),
-            "samples": trace.samples,
-            "true_size": trace.true_size,
-            "complete": trace.complete,
-        },
-    )
-    _write_meta(out, args, (args.graph,))
-    return 0
+    info = _fields(trace, "policy", "stride", "seed", "samples", "true_size", "complete")
+    info["start"] = g.label_of(trace.start)
+    _write_json(out, "crawl.json", info)
 
 
-def _cmd_estimate(args) -> int:
-    out = _out_dir(args)
-    trace = read_trace_csv(args.trace)
+def _cmd_estimate(args, out: str, trace: CrawlTrace) -> None:
     est = estimate_size(trace, window=args.window)
     rows = ["sample_index,P,D,dprime,L_hat,S_hat,clamped_flag\n"]
     for i in range(est.p.size):
@@ -558,7 +476,7 @@ def _cmd_estimate(args) -> int:
             )
         else:
             rows.append(f"{i},{int(est.p[i])},{int(est.d[i])},nan,nan,nan,0\n")
-    _write_text(os.path.join(out, "estimate.csv"), "".join(rows))
+    _write_text(out, "estimate.csv", "".join(rows))
     summary = {
         "window": est.window,
         "samples": int(est.p.size),
@@ -568,48 +486,29 @@ def _cmd_estimate(args) -> int:
     }
     if trace.true_size > 0:
         summary["final_relative_error"] = abs(est.final - trace.true_size) / trace.true_size
-    _write_json(os.path.join(out, "estimate.json"), summary)
-    _write_meta(out, args, (args.trace,))
-    return 0
+    _write_json(out, "estimate.json", summary)
 
 
-def _cmd_fit_rational(args) -> int:
-    out = _out_dir(args)
-    trace = read_trace_csv(args.trace)
+def _cmd_fit_rational(args, out: str, trace: CrawlTrace) -> None:
     fit = fit_rational(trace)
     d_max = max(trace.d)
-    _write_json(
-        os.path.join(out, "rational.json"),
-        {
-            "a0": fit.a0,
-            "a1": fit.a1,
-            "a2": fit.a2,
-            "a3": fit.a3,
-            "a4": fit.a4,
-            "rmse": fit.rmse,
-            "p_min": fit.p_min,
-            "p_max": fit.p_max,
-            "max_d": d_max,
-            "rmse_over_max_d": fit.rmse / d_max if d_max else None,
-        },
-    )
+    summary = _fields(fit, "a0", "a1", "a2", "a3", "a4", "rmse", "p_min", "p_max")
+    summary.update(max_d=d_max, rmse_over_max_d=fit.rmse / d_max if d_max else None)
+    _write_json(out, "rational.json", summary)
     curve = fit.evaluate(trace.p)
     _write_text(
-        os.path.join(out, "curve.txt"),
+        out, "curve.txt",
         "# P, D observed, D fitted\n"
         + "".join(f"{p} {d} {float(c)!r}\n" for p, d, c in zip(trace.p, trace.d, curve)),
     )
-    _write_meta(out, args, (args.trace,))
-    return 0
 
 
-def _cmd_solve_ode(args) -> int:
-    out = _out_dir(args)
+def _cmd_solve_ode(args, out: str, _) -> None:
     sol = solve_acquisition_ode(
         p0=args.p0, d0=args.d0, dprime0=args.dprime0, step=args.step, p_max=args.pmax
     )
     _write_text(
-        os.path.join(out, "ode.csv"),
+        out, "ode.csv",
         "P,D,dprime\n"
         + "".join(
             f"{float(p)!r},{float(d)!r},{float(v)!r}\n"
@@ -618,7 +517,7 @@ def _cmd_solve_ode(args) -> int:
     )
     implied = sol.implied_size()
     _write_json(
-        os.path.join(out, "ode.json"),
+        out, "ode.json",
         {
             "steps": int(sol.p.size),
             "final_p": float(sol.p[-1]),
@@ -629,12 +528,10 @@ def _cmd_solve_ode(args) -> int:
             "implied_size_max_drift": float(np.max(np.abs(implied - implied[0]))),
         },
     )
-    _write_meta(out, args, ())
-    return 0
 
 
 # ---------------------------------------------------------------------------
-# parser assembly
+# parser assembly and the one run path
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -642,9 +539,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"netgeom {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add(name: str, func, help_text: str) -> argparse.ArgumentParser:
+    def add(name: str, func, help_text: str, reads: str | None = None,
+            giant: bool = False) -> argparse.ArgumentParser:
+        """A subcommand, its one input for main to read (``--graph``, ``--trace`` or
+        none) and, when ``giant``, the ``--giant`` flag."""
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--out", default=None, help=f"output directory (default ${OUT_DIR_ENV} or .)")
+        if reads == "graph":
+            p.add_argument("--graph", required=True, help="edge list file")
+        elif reads == "trace":
+            p.add_argument("--trace", required=True, help="trace.csv from crawl-sim")
+        if giant:
+            p.add_argument("--giant", action="store_true", help="analyze the giant component only")
         p.set_defaults(func=func)
         return p
 
@@ -664,75 +570,83 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, default=0, help="generator seed (recorded in meta.json)")
 
-    p = add("stats", _cmd_stats, "whole-graph statistics report")
-    p.add_argument("--graph", required=True, help="edge list file")
+    p = add("stats", _cmd_stats, "whole-graph statistics report", "graph", giant=True)
     p.add_argument("--degrees", action="store_true", help="emit the degree histogram")
     p.add_argument("--fit", action="store_true", help="fit a two-segment power law to the degrees")
-    p.add_argument("--paths", default=None, help="path-length stats: exact or sampled:K")
-    p.add_argument("--seniors", type=int, default=None, metavar="N",
+    p.add_argument("--paths", type=_Sampling, default=None,
+                   help="path-length stats: exact or sampled:K")
+    p.add_argument("--seniors", type=_at_least(int, 0), default=None, metavar="N",
                    help="high-degree cohort report at degree threshold N")
-    p.add_argument("--giant", action="store_true", help="analyze the giant component only")
     p.add_argument("--seed", type=int, default=0, help="seed for sampled path sources")
 
-    p = add("decompose", _cmd_decompose, "split into dense core, tentacles and fibers")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--giant", action="store_true", help="decompose the giant component only")
+    add("decompose", _cmd_decompose, "split into dense core, tentacles and fibers", "graph", giant=True)
 
-    p = add("depth", _cmd_depth, "per-node depth (mean hop distance to the rest)")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--mode", default="exact", help="exact or sampled:K anchors")
-    p.add_argument("--profile-bin", type=float, default=None, metavar="W",
+    p = add("depth", _cmd_depth, "per-node depth (mean hop distance to the rest)", "graph", giant=True)
+    p.add_argument("--mode", type=_Sampling, default="exact", help="exact or sampled:K anchors")
+    p.add_argument("--profile-bin", type=_at_least(float, 0, strict=True), default=None, metavar="W",
                    help="also emit mean degree per depth bin of width W")
-    p.add_argument("--giant", action="store_true")
     p.add_argument("--seed", type=int, default=0, help="seed for sampled anchors")
 
-    p = add("personality", _cmd_personality, "classify nodes by neighbor-degree balance")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--tau", type=float, default=0.05,
+    p = add("personality", _cmd_personality, "classify nodes by neighbor-degree balance", "graph",
+            giant=True)
+    p.add_argument("--tau", type=_at_least(float, 0), default=0.05,
                    help="neutral band half-width on the log10 score (default 0.05)")
-    p.add_argument("--giant", action="store_true")
 
-    p = add("embed", _cmd_embed, "hop-distance coordinates against reference nodes")
-    p.add_argument("--graph", required=True)
+    p = add("embed", _cmd_embed, "hop-distance coordinates against reference nodes", "graph")
     p.add_argument("--refs", default=None,
                    help="comma-separated node tokens to embed against (default: all nodes)")
 
-    p = add("reduce", _cmd_reduce, "shrink the reference set under a distortion budget")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--tolerance", type=int, default=0, metavar="T",
+    p = add("reduce", _cmd_reduce, "shrink the reference set under a distortion budget", "graph")
+    p.add_argument("--tolerance", type=_at_least(int, 0), default=0, metavar="T",
                    help="max allowed hop-distance shortfall (default 0)")
     p.add_argument("--max-pairs", type=int, default=None,
                    help="abort if the pair table would exceed this size")
 
-    p = add("crawl-sim", _cmd_crawl_sim, "simulate a frontier crawl and record its trace")
-    p.add_argument("--graph", required=True)
+    p = add("crawl-sim", _cmd_crawl_sim, "simulate a frontier crawl and record its trace", "graph")
     p.add_argument("--policy", choices=("fifo", "random"), default="fifo")
-    p.add_argument("--stride", type=int, default=1, help="record every Nth processed node")
+    p.add_argument("--stride", type=_at_least(int, 1), default=1, help="record every Nth processed node")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--start", default=None, help="start node token (default: first node)")
 
-    p = add("estimate", _cmd_estimate, "online size estimates along a recorded trace")
-    p.add_argument("--trace", required=True, help="trace.csv from crawl-sim")
-    p.add_argument("--window", type=int, default=None,
+    p = add("estimate", _cmd_estimate, "online size estimates along a recorded trace", "trace")
+    p.add_argument("--window", type=_at_least(int, 2), default=None,
                    help="smoothing window in samples (default max(25, samples/100))")
 
-    p = add("fit-rational", _cmd_fit_rational, "fit the rational acquisition curve to a trace")
-    p.add_argument("--trace", required=True)
+    add("fit-rational", _cmd_fit_rational, "fit the rational acquisition curve to a trace", "trace")
 
     p = add("solve-ode", _cmd_solve_ode, "integrate the discovery balance equation")
     p.add_argument("--p0", type=float, default=0.0)
     p.add_argument("--d0", type=float, required=True)
     p.add_argument("--dprime0", type=float, required=True)
-    p.add_argument("--step", type=float, required=True)
+    p.add_argument("--step", type=_at_least(float, 0, strict=True), required=True)
     p.add_argument("--pmax", type=float, required=True)
 
     return parser
 
 
+def _read_input(args) -> tuple[Graph | CrawlTrace | None, tuple[str, ...]]:
+    """The subcommand's one input and the paths to digest into meta.json."""
+    if hasattr(args, "graph"):
+        with open(args.graph) as fh:
+            g = load_edge_list(fh)
+        # stats counts the whole graph before it takes the giant core itself
+        if getattr(args, "giant", False) and args.func is not _cmd_stats:
+            g = giant_core(g)
+        return g, (args.graph,)
+    if hasattr(args, "trace"):
+        return read_trace_csv(args.trace), (args.trace,)
+    return None, ()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        out = args.out or os.environ.get(OUT_DIR_ENV) or "."
+        os.makedirs(out, exist_ok=True)
+        data, inputs = _read_input(args)
+        args.func(args, out, data)
+        _write_meta(out, args, inputs)
+        return 0
     except (CliError, EdgeListParseError, TraceParseError, OSError) as e:
         print(f"netgeom: error: {e}", file=sys.stderr)
         return 1

@@ -505,10 +505,11 @@ def write_trace_csv(trace: CrawlTrace, path: str) -> None:
 def read_trace_csv(path: str) -> CrawlTrace:
     """Read a trace written by write_trace_csv.
 
-    Raises TraceParseError (with the line number) for data rows with fewer
-    than 3 cells or a non-integer P or D cell.
+    Raises TraceParseError (with the line number) for a non-integer value of
+    an integer ``# key=value`` header, a data row with fewer than 3 cells, a
+    non-integer P or D cell, or a P that does not exceed the previous row's.
     """
-    meta = {"policy": "fifo", "stride": "1", "seed": "0", "start": "0", "true_size": "0", "complete": "1"}
+    meta: dict = {"policy": "fifo", "stride": 1, "seed": 0, "start": 0, "true_size": 0, "complete": 1}
     ps: list[int] = []
     ds: list[int] = []
     with open(path, newline="") as fh:
@@ -518,10 +519,15 @@ def read_trace_csv(path: str) -> CrawlTrace:
                 continue
             if line.startswith("#"):
                 for token in line[1:].split():
-                    if "=" in token:
-                        k, v = token.split("=", 1)
-                        if k in meta:
-                            meta[k] = v
+                    k, sep, v = token.partition("=")
+                    if not sep or k not in meta:
+                        continue
+                    if k != "policy":
+                        try:
+                            v = int(v)
+                        except ValueError:
+                            raise TraceParseError(line_no, f"header {token!r} is not an integer") from None
+                    meta[k] = v
                 continue
             cells = line.split(",")
             if cells[0] == "sample_index":
@@ -529,17 +535,20 @@ def read_trace_csv(path: str) -> CrawlTrace:
             if len(cells) < 3:
                 raise TraceParseError(line_no, f"expected at least 3 cells, got {len(cells)}: {line!r}")
             try:
-                ps.append(int(cells[1]))
-                ds.append(int(cells[2]))
+                p, d = int(cells[1]), int(cells[2])
             except ValueError:
                 raise TraceParseError(line_no, f"P and D must be integers: {line!r}") from None
+            if ps and p <= ps[-1]:
+                raise TraceParseError(line_no, f"P must be strictly increasing, got {p} after {ps[-1]}")
+            ps.append(p)
+            ds.append(d)
     return CrawlTrace(
         p=tuple(ps),
         d=tuple(ds),
         policy=meta["policy"],
-        stride=int(meta["stride"]),
-        seed=int(meta["seed"]),
-        start=int(meta["start"]),
-        true_size=int(meta["true_size"]),
-        complete=bool(int(meta["complete"])),
+        stride=meta["stride"],
+        seed=meta["seed"],
+        start=meta["start"],
+        true_size=meta["true_size"],
+        complete=bool(meta["complete"]),
     )

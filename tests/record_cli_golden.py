@@ -1,0 +1,108 @@
+"""Record the SHA-256 of every file the golden CLI run writes into cli_golden_sha256.json.
+
+Run from the repository root, only when a change is meant to alter reports:
+
+    python3 tests/record_cli_golden.py
+
+The golden run calls ``netgeom.cli.main`` in-process once per case in CASES,
+on small seeded inputs: the 5-node path, the same path plus a separate
+2-node component, and the graphs of the two ``generate`` cases.
+``tests/test_cli.py::TestGolden`` repeats the run and compares every digest,
+``meta.json`` included.
+"""
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+GOLDEN_PATH = HERE / "cli_golden_sha256.json"
+
+INPUTS = {
+    "p5.txt": "0 1\n1 2\n2 3\n3 4\n",
+    "p5_plus_pair.txt": "0 1\n1 2\n2 3\n3 4\na b\n",
+}
+
+# (case name, argv); "{root}" is the run's directory, and each case writes
+# into {root}/<case name>. Later cases read the outputs of earlier ones.
+P5, TWO = "{root}/p5.txt", "{root}/p5_plus_pair.txt"
+APP, DP = "{root}/gen-appendage/edges.txt", "{root}/gen-double-pareto/edges.txt"
+FIFO, RANDOM = "{root}/crawl-fifo/trace.csv", "{root}/crawl-random/trace.csv"
+CASES: list[tuple[str, list[str]]] = [
+    ("gen-appendage", ["generate", "--appendage", "core=K8", "tentacles=1,2,3,1",
+                       "fibers=2,1", "loops=1", "--seed", "7"]),
+    ("gen-double-pareto", ["generate", "--double-pareto", "n=300", "alpha-left=1",
+                           "alpha-right=3", "break=10", "min=2", "--seed", "3"]),
+    ("stats-p5", ["stats", "--graph", P5, "--degrees", "--paths", "exact"]),
+    ("stats-giant", ["stats", "--graph", TWO, "--giant", "--degrees", "--paths", "exact",
+                     "--seniors", "2"]),
+    ("stats-dp-exact", ["stats", "--graph", DP, "--giant", "--degrees", "--fit",
+                        "--paths", "exact", "--seniors", "10"]),
+    ("stats-dp-sampled", ["stats", "--graph", DP, "--paths", "sampled:16", "--seed", "5",
+                          "--seniors", "0"]),
+    ("stats-appendage", ["stats", "--graph", APP, "--degrees", "--paths", "sampled:4",
+                         "--seed", "2"]),
+    ("decompose-appendage", ["decompose", "--graph", APP]),
+    ("decompose-giant", ["decompose", "--graph", TWO, "--giant"]),
+    ("decompose-dp", ["decompose", "--graph", DP, "--giant"]),
+    ("depth-p5", ["depth", "--graph", P5, "--profile-bin", "0.5"]),
+    ("depth-giant", ["depth", "--graph", TWO, "--giant"]),
+    ("depth-appendage", ["depth", "--graph", APP, "--mode", "exact", "--profile-bin", "0.25"]),
+    ("depth-dp-sampled", ["depth", "--graph", DP, "--giant", "--mode", "sampled:8",
+                          "--seed", "4", "--profile-bin", "0.25"]),
+    ("personality-appendage", ["personality", "--graph", APP]),
+    ("personality-dp", ["personality", "--graph", DP, "--giant", "--tau", "0.1"]),
+    ("personality-giant", ["personality", "--graph", TWO, "--giant", "--tau", "0"]),
+    ("embed-p5", ["embed", "--graph", P5]),
+    ("embed-appendage-refs", ["embed", "--graph", APP, "--refs", "3,0,11"]),
+    ("reduce-p5", ["reduce", "--graph", P5]),
+    ("reduce-appendage", ["reduce", "--graph", APP, "--tolerance", "1", "--max-pairs", "10000"]),
+    ("crawl-fifo", ["crawl-sim", "--graph", DP, "--policy", "fifo"]),
+    ("crawl-random", ["crawl-sim", "--graph", DP, "--policy", "random", "--stride", "2",
+                      "--seed", "9", "--start", "17"]),
+    ("estimate-fifo", ["estimate", "--trace", FIFO]),
+    ("estimate-random", ["estimate", "--trace", RANDOM, "--window", "5"]),
+    ("fit-fifo", ["fit-rational", "--trace", FIFO]),
+    ("fit-random", ["fit-rational", "--trace", RANDOM]),
+    ("solve-ode", ["solve-ode", "--d0", "100", "--dprime0", "-0.5", "--step", "0.5",
+                   "--pmax", "50"]),
+]
+
+
+def run_cases(root: Path) -> dict[str, str]:
+    """Run every case under ``root``; return ``{"<case>/<file>": sha256}``.
+
+    Raises AssertionError naming the first case whose exit code is not 0."""
+    from netgeom.cli import main
+
+    for name, text in INPUTS.items():
+        (root / name).write_text(text)
+    digests = {}
+    for case, argv in CASES:
+        out = root / case
+        argv = [a.format(root=root) for a in argv]
+        code = main([*argv, "--out", str(out)])
+        assert code == 0, f"{case}: exit {code}"
+        for path in sorted(out.iterdir()):
+            digests[f"{case}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return digests
+
+
+def main() -> int:
+    import tempfile
+
+    sys.path.insert(0, str(HERE.parent / "src"))
+    with tempfile.TemporaryDirectory() as tmp:
+        digests = run_cases(Path(tmp))
+    with open(GOLDEN_PATH, "w") as fh:
+        json.dump(digests, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    print(f"{len(digests)} digests written to {os.path.relpath(GOLDEN_PATH)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -16,6 +16,7 @@ import netgeom
 from netgeom.cli import main
 from netgeom.graph import load_edge_list
 from netgeom.stats import Histogram, degree_histogram
+from record_cli_golden import GOLDEN_PATH, run_cases
 
 
 def run(*argv: str) -> int:
@@ -274,6 +275,22 @@ class TestErrorLines:
         [line] = error_lines(capsys)
         assert "line 2:" in line
 
+    def test_non_integer_trace_header_is_1_with_line_number(self, tmp_path, capsys):
+        trace = tmp_path / "header.csv"
+        trace.write_text("# policy=fifo stride=x\nsample_index,P,D\n0,1,1\n1,2,1\n")
+        assert run("estimate", "--trace", str(trace),
+                   "--out", str(tmp_path / "e")) == 1
+        [line] = error_lines(capsys)
+        assert "line 1:" in line and "stride=x" in line
+
+    def test_non_increasing_trace_is_1_with_line_number(self, tmp_path, capsys):
+        trace = tmp_path / "unordered.csv"
+        trace.write_text("sample_index,P,D\n0,2,1\n1,1,1\n")
+        assert run("estimate", "--trace", str(trace),
+                   "--out", str(tmp_path / "e")) == 1
+        [line] = error_lines(capsys)
+        assert "line 3:" in line
+
     def test_stats_on_empty_edge_list_is_2(self, tmp_path, capsys):
         empty = tmp_path / "empty.txt"
         empty.write_text("# no edges\n")
@@ -292,6 +309,61 @@ class TestErrorLines:
                    "--out", str(out)) == 1
         [line] = error_lines(capsys)
         assert "'zz'" in line
+
+
+class TestFlagValues:
+    """Out-of-range flag values exit 1 at parse time: the input named here does
+    not exist, so an error about anything but the flag means it was read."""
+
+    BAD = {
+        "--seniors": ["stats", "--graph", "{missing}", "--seniors", "-1"],
+        "--paths": ["stats", "--graph", "{missing}", "--paths", "sampled:0"],
+        "--mode": ["depth", "--graph", "{missing}", "--mode", "fast"],
+        "--profile-bin": ["depth", "--graph", "{missing}", "--profile-bin", "0"],
+        "--tau": ["personality", "--graph", "{missing}", "--tau", "-0.5"],
+        "--tolerance": ["reduce", "--graph", "{missing}", "--tolerance", "-1"],
+        "--stride": ["crawl-sim", "--graph", "{missing}", "--stride", "0"],
+        "--window": ["estimate", "--trace", "{missing}", "--window", "1"],
+        "--step": ["solve-ode", "--d0", "100", "--dprime0", "-0.5", "--pmax", "50",
+                   "--step", "0"],
+    }
+
+    @pytest.mark.parametrize("flag", sorted(BAD))
+    def test_out_of_range_value_is_1_before_input(self, tmp_path, capsys, flag):
+        argv = [a.format(missing=tmp_path / "missing.txt") for a in self.BAD[flag]]
+        assert run(*argv, "--out", str(tmp_path / "o")) == 1
+        [line] = error_lines(capsys)
+        assert f"argument {flag}: " in line
+        assert not (tmp_path / "o").exists()
+
+    def test_profile_bin_is_rejected_before_the_depth_map(self, tmp_path, capsys,
+                                                          monkeypatch):
+        src = write_p5(tmp_path)
+
+        def no_depth_map(*args, **kwargs):
+            raise AssertionError("depth_map ran before --profile-bin was checked")
+
+        monkeypatch.setattr("netgeom.cli.depth_map", no_depth_map)
+        assert run("depth", "--graph", str(src), "--profile-bin", "0",
+                   "--out", str(tmp_path / "d")) == 1
+        [line] = error_lines(capsys)
+        assert line.endswith("argument --profile-bin: must be > 0, got '0'")
+
+    def test_boundary_values_are_accepted(self, tmp_path):
+        src = write_p5(tmp_path)
+        out = str(tmp_path / "b")
+        assert run("reduce", "--graph", str(src), "--tolerance", "0", "--out", out) == 0
+        assert run("crawl-sim", "--graph", str(src), "--stride", "1", "--out", out) == 0
+        assert run("estimate", "--trace", os.path.join(out, "trace.csv"),
+                   "--window", "2", "--out", out) == 0
+
+
+class TestGolden:
+    def test_every_output_file_matches_its_recorded_digest(self, tmp_path):
+        expected = json.loads(GOLDEN_PATH.read_text())
+        got = run_cases(tmp_path)
+        assert sorted(got) == sorted(expected)
+        assert [name for name in got if got[name] != expected[name]] == []
 
 
 class TestOutputLocation:

@@ -198,6 +198,21 @@ class TestTraceCsv:
                 read_trace_csv(str(path))
             assert info.value.line_no == line_no
 
+    def test_non_integer_header_value_names_its_line(self, tmp_path):
+        path = tmp_path / "bad_header.csv"
+        path.write_text("# policy=fifo stride=x\nsample_index,P,D\n0,1,1\n")
+        with pytest.raises(TraceParseError, match="^line 1: header 'stride=x'") as info:
+            read_trace_csv(str(path))
+        assert info.value.line_no == 1
+
+    def test_non_increasing_p_names_its_line(self, tmp_path):
+        path = tmp_path / "unordered.csv"
+        for body, line_no in (("0,2,1\n1,1,1\n", 3), ("0,1,1\n1,2,1\n\n2,2,0\n", 5)):
+            path.write_text("sample_index,P,D\n" + body)
+            with pytest.raises(TraceParseError, match=f"^line {line_no}: P must be strictly") as info:
+                read_trace_csv(str(path))
+            assert info.value.line_no == line_no
+
 
 class TestRationalFit:
     PLANTED = (2.0, -30.0, 500.0, 40.0, 3000.0)

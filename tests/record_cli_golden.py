@@ -6,7 +6,8 @@ Run from the repository root, only when a change is meant to alter reports:
 
 The golden run calls ``netgeom.cli.main`` in-process once per case in CASES,
 on small seeded inputs: the 5-node path, the same path plus a separate
-2-node component, and the graphs of the two ``generate`` cases.
+2-node component, and the graphs of the three ``generate`` cases. The
+88-node appendage graph takes more than one 64-source traversal block.
 ``tests/test_cli.py::TestGolden`` repeats the run and compares every digest,
 ``meta.json`` included.
 """
@@ -30,10 +31,13 @@ INPUTS = {
 # into {root}/<case name>. Later cases read the outputs of earlier ones.
 P5, TWO = "{root}/p5.txt", "{root}/p5_plus_pair.txt"
 APP, DP = "{root}/gen-appendage/edges.txt", "{root}/gen-double-pareto/edges.txt"
+APP88 = "{root}/gen-appendage88/edges.txt"
 FIFO, RANDOM = "{root}/crawl-fifo/trace.csv", "{root}/crawl-random/trace.csv"
 CASES: list[tuple[str, list[str]]] = [
     ("gen-appendage", ["generate", "--appendage", "core=K8", "tentacles=1,2,3,1",
                        "fibers=2,1", "loops=1", "--seed", "7"]),
+    ("gen-appendage88", ["generate", "--appendage", "core=K8", "tentacles=30,30,20",
+                         "--seed", "7"]),
     ("gen-double-pareto", ["generate", "--double-pareto", "n=300", "alpha-left=1",
                            "alpha-right=3", "break=10", "min=2", "--seed", "3"]),
     ("stats-p5", ["stats", "--graph", P5, "--degrees", "--paths", "exact"]),
@@ -43,6 +47,7 @@ CASES: list[tuple[str, list[str]]] = [
                         "--paths", "exact", "--seniors", "10"]),
     ("stats-dp-sampled", ["stats", "--graph", DP, "--paths", "sampled:16", "--seed", "5",
                           "--seniors", "0"]),
+    ("stats-appendage88", ["stats", "--graph", APP88, "--paths", "sampled:80", "--seed", "3"]),
     ("stats-appendage", ["stats", "--graph", APP, "--degrees", "--paths", "sampled:4",
                          "--seed", "2"]),
     ("decompose-appendage", ["decompose", "--graph", APP]),
@@ -51,6 +56,7 @@ CASES: list[tuple[str, list[str]]] = [
     ("depth-p5", ["depth", "--graph", P5, "--profile-bin", "0.5"]),
     ("depth-giant", ["depth", "--graph", TWO, "--giant"]),
     ("depth-appendage", ["depth", "--graph", APP, "--mode", "exact", "--profile-bin", "0.25"]),
+    ("depth-appendage88", ["depth", "--graph", APP88, "--mode", "exact"]),
     ("depth-dp-sampled", ["depth", "--graph", DP, "--giant", "--mode", "sampled:8",
                           "--seed", "4", "--profile-bin", "0.25"]),
     ("personality-appendage", ["personality", "--graph", APP]),
@@ -58,8 +64,10 @@ CASES: list[tuple[str, list[str]]] = [
     ("personality-giant", ["personality", "--graph", TWO, "--giant", "--tau", "0"]),
     ("embed-p5", ["embed", "--graph", P5]),
     ("embed-appendage-refs", ["embed", "--graph", APP, "--refs", "3,0,11"]),
+    ("embed-appendage88", ["embed", "--graph", APP88]),
     ("reduce-p5", ["reduce", "--graph", P5]),
     ("reduce-appendage", ["reduce", "--graph", APP, "--tolerance", "1", "--max-pairs", "10000"]),
+    ("reduce-appendage88", ["reduce", "--graph", APP88, "--tolerance", "1"]),
     ("crawl-fifo", ["crawl-sim", "--graph", DP, "--policy", "fifo"]),
     ("crawl-random", ["crawl-sim", "--graph", DP, "--policy", "random", "--stride", "2",
                       "--seed", "9", "--start", "17"]),

@@ -19,7 +19,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .graph import Graph, _distances
+from .graph import Graph, _distance_blocks
 from .stats import Histogram
 
 __all__ = [
@@ -79,9 +79,10 @@ def embed_full(g: Graph) -> Embedding:
     if n == 0:
         raise ValueError("cannot embed an empty graph")
     coords = np.empty((n, n), dtype=np.int32)
-    for v in range(n):
-        row = _distances(g, v)
-        coords[v] = row
+    row = 0
+    for block in _distance_blocks(g, range(n)):
+        coords[row : row + len(block)] = block
+        row += len(block)
     if (coords < 0).any():
         raise ValueError("graph is disconnected; embed one component at a time")
     return Embedding(references=tuple(range(n)), coords=coords, full=True)

@@ -3,12 +3,21 @@
 Nodes are dense integer ids 0..n-1. Graphs loaded from edge-list text keep the
 original string labels in first-appearance order; graphs derived from other
 graphs keep a mapping back to their parent's indices in ``origin_nodes``.
+
+Every hop distance comes from one kernel, ``_distance_blocks``: a
+level-synchronous BFS that runs 64 sources at once, one bit per source in a
+uint64 word per node (Then et al., *The More the Merrier: Efficient Multi-Source
+Graph Traversal*, PVLDB 8(4), 2014). ``bfs``, depth, path lengths and the full
+embedding are folds over its blocks of distance rows.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 __all__ = [
     "Graph",
@@ -58,12 +67,19 @@ class Graph:
     ):
         self._adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(nbrs)) for nbrs in adjacency)
         n = len(self._adj)
-        for v, nbrs in enumerate(self._adj):
-            for w in nbrs:
-                if not 0 <= w < n:
-                    raise ValueError(f"neighbor {w} of node {v} out of range 0..{n - 1}")
-                if w == v:
-                    raise ValueError(f"self-loop at node {v} in adjacency")
+        deg, v = _csr(self._adj)
+        u = np.repeat(np.arange(n), deg)
+        fwd = u * n + v
+        for bad, what in (((v < 0) | (v >= n), f"out of range 0..{n - 1}"), (u == v, "a self-loop"),
+                          (np.r_[False, fwd[1:] <= fwd[:-1]], "repeated")):  # rows are sorted
+            if bad.any():
+                i = np.argmax(bad)
+                raise ValueError(f"neighbor {v[i]} of node {u[i]} is {what}")
+        rev = v * n + u
+        rev.sort()
+        if not np.array_equal(fwd, rev):
+            a, b = divmod(int(np.setxor1d(fwd, rev)[0]), n)
+            raise ValueError(f"edge ({a}, {b}) is listed by only one of its end nodes")
         if labels is not None and len(labels) != n:
             raise ValueError("labels length does not match node count")
         if origin_nodes is not None and len(origin_nodes) != n:
@@ -101,6 +117,7 @@ class Graph:
             seen.add(key)
             adj[u].append(v)
             adj[v].append(u)
+        del seen  # free it before the constructor's invariant check allocates
         return cls(
             adj,
             labels=labels,
@@ -188,7 +205,6 @@ def load_edge_list(lines: Iterable[str]) -> Graph:
     exactly two tokens.
     """
     index: dict[str, int] = {}
-    labels: list[str] = []
     pairs: list[tuple[int, int]] = []
     for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -197,40 +213,63 @@ def load_edge_list(lines: Iterable[str]) -> Graph:
         tokens = line.split()
         if len(tokens) != 2:
             raise EdgeListParseError(line_no, f"expected 2 tokens, got {len(tokens)}: {raw.rstrip()!r}")
-        uv = []
-        for tok in tokens:
-            i = index.get(tok)
-            if i is None:
-                i = len(labels)
-                index[tok] = i
-                labels.append(tok)
-            uv.append(i)
-        pairs.append((uv[0], uv[1]))
-    return Graph.from_edges(len(labels), pairs, labels=tuple(labels))
+        pairs.append((index.setdefault(tokens[0], len(index)), index.setdefault(tokens[1], len(index))))
+    return Graph.from_edges(len(index), pairs, labels=tuple(index))
 
 
-def _distances(g: Graph, source: int) -> list[int]:
-    """BFS distance list from source; UNREACHABLE for nodes not reached."""
+def _csr(adj: tuple[tuple[int, ...], ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Degrees and the concatenated neighbour lists of an adjacency tuple."""
+    deg = np.fromiter(map(len, adj), dtype=np.int64, count=len(adj))
+    return deg, np.fromiter(chain.from_iterable(adj), dtype=np.int64, count=int(deg.sum()))
+
+
+def _sources(n: int, mode: str, k: int | None, seed: int, name: str) -> Sequence[int]:
+    """Every node for mode "exact"; for "sampled", ``k`` distinct nodes drawn with ``seed``, sorted."""
+    if mode == "exact":
+        return range(n)
+    if mode != "sampled":
+        raise ValueError(f"unknown mode {mode!r}")
+    if k is None or k < 1:
+        raise ValueError(f"sampled mode needs {name} >= 1")
+    return tuple(sorted(np.random.default_rng(seed).choice(n, size=min(k, n), replace=False).tolist()))
+
+
+def _distance_blocks(g: Graph, sources: Sequence[int]) -> Iterator[np.ndarray]:
+    """Yield hop distances from ``sources`` in order, as int32 blocks of up to 64 rows.
+
+    Bit i of ``frontier[v]`` marks node v as reached at the current level from
+    the block's source i. A level ORs the words of each node's neighbours with
+    one ``reduceat`` over the CSR rows of the nodes that have neighbours.
+    """
     n = g.node_count
-    dist = [UNREACHABLE] * n
-    dist[source] = 0
-    queue: deque[int] = deque((source,))
-    adj = g._adj
-    while queue:
-        u = queue.popleft()
-        du = dist[u] + 1
-        for w in adj[u]:
-            if dist[w] == UNREACHABLE:
-                dist[w] = du
-                queue.append(w)
-    return dist
+    deg, nbrs = _csr(g._adj)
+    linked = np.flatnonzero(deg)
+    starts = (np.cumsum(deg) - deg)[linked]
+    for b in range(0, len(sources), 64):
+        block = np.asarray(sources[b : b + 64], dtype=np.intp)
+        dist = np.full((len(block), n), UNREACHABLE, dtype=np.int32)
+        frontier = np.zeros(n, dtype=np.uint64)
+        np.bitwise_or.at(frontier, block, np.uint64(1) << np.arange(len(block), dtype=np.uint64))
+        seen, level = frontier.copy(), 0
+        while (hit := np.flatnonzero(frontier)).size:
+            # new[i, j] is bit i, least significant first, of hit node j's word
+            words = frontier[hit].astype("<u8").view(np.uint8)
+            new = np.unpackbits(words, bitorder="little").reshape(-1, 64).T[: len(block)]
+            dist[:, hit] = np.where(new, level, dist[:, hit])
+            reach = np.zeros(n, dtype=np.uint64)
+            reach[linked] = np.bitwise_or.reduceat(frontier[nbrs], starts)
+            frontier = reach & ~seen
+            seen |= frontier
+            level += 1
+        yield dist
 
 
 def bfs(g: Graph, source: int) -> DistanceMap:
     """Breadth-first hop distances from ``source``."""
     if not 0 <= source < g.node_count:
         raise ValueError(f"source {source} out of range 0..{g.node_count - 1}")
-    return DistanceMap(source=source, dist=tuple(_distances(g, source)))
+    (dist,) = next(_distance_blocks(g, [source]))
+    return DistanceMap(source=source, dist=tuple(dist.tolist()))
 
 
 def components(g: Graph) -> ComponentLabeling:

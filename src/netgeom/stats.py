@@ -9,7 +9,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .graph import Graph, components, _distances
+from .graph import Graph, _distance_blocks, _sources, components
 
 __all__ = [
     "Histogram",
@@ -292,10 +292,6 @@ def senior_stats(g: Graph, threshold: int = 25) -> SeniorReport:
     )
 
 
-def _hist_from_counts(counts: np.ndarray) -> Histogram:
-    return Histogram({int(v): int(c) for v, c in enumerate(counts) if c > 0})
-
-
 def path_length_report(
     g: Graph,
     mode: str = "exact",
@@ -316,32 +312,14 @@ def path_length_report(
     lab = components(g)
     if lab.count != 1:
         raise ValueError(f"graph is disconnected ({lab.count} components); reduce to one component first")
-    counts = np.zeros(n, dtype=np.int64)
-    if mode == "exact":
-        for u in range(n - 1):
-            dist = np.array(_distances(g, u), dtype=np.int64)
-            counts += np.bincount(dist[u + 1 :], minlength=n)
-        total = n * (n - 1) // 2
-        src_count = None
-        used_seed = None
-    elif mode == "sampled":
-        if sources is None or sources < 1:
-            raise ValueError("sampled mode needs sources >= 1")
-        k = min(sources, n)
-        rng = np.random.default_rng(seed)
-        chosen = rng.choice(n, size=k, replace=False)
-        for u in sorted(int(u) for u in chosen):
-            dist = np.array(_distances(g, u), dtype=np.int64)
-            dist[u] = 0
-            row = np.bincount(dist, minlength=n)
-            row[0] -= 1  # drop the source itself
-            counts += row
-        total = k * (n - 1)
-        src_count = k
-        used_seed = seed
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    hist = _hist_from_counts(counts)
+    chosen = _sources(n, mode, sources, seed, "sources")
+    counts = sum(np.bincount(block.ravel(), minlength=n) for block in _distance_blocks(g, chosen))
+    counts[0] -= len(chosen)  # drop each source's zero distance to itself
+    total = len(chosen) * (n - 1)
+    if mode == "exact":  # every unordered pair was counted from both ends
+        counts //= 2
+        total //= 2
+    hist = Histogram(dict(enumerate(counts.tolist())))
     mean = float(np.dot(np.arange(n), counts) / total)
     return PathLengthReport(
         histogram=hist,
@@ -349,6 +327,6 @@ def path_length_report(
         diameter=hist.max_value,
         mode=mode,
         total_pairs=int(total),
-        source_count=src_count,
-        seed=used_seed,
+        source_count=None if mode == "exact" else len(chosen),
+        seed=None if mode == "exact" else seed,
     )

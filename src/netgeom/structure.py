@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, components, induced_subgraph, _distances
+from .graph import Graph, _distance_blocks, _sources, components, induced_subgraph
 from .stats import Histogram
 
 __all__ = [
@@ -327,31 +327,12 @@ def depth_map(g: Graph, mode: str = "exact", anchors: int | None = None, seed: i
     lab = components(g)
     if lab.count != 1:
         raise ValueError(f"graph is disconnected ({lab.count} components); see depth_map_per_component")
-    if mode == "exact":
-        if n == 1:
-            depths = [0.0]
-        else:
-            sums = [0] * n
-            for u in range(n):
-                dist = _distances(g, u)
-                for v, dv in enumerate(dist):
-                    sums[v] += dv
-            depths = [s / (n - 1) for s in sums]
-        return DepthMap(depths=tuple(depths), mean_depth=sum(depths) / n, mode="exact")
-    if mode == "sampled":
-        if anchors is None or anchors < 1:
-            raise ValueError("sampled mode needs anchors >= 1")
-        k = min(anchors, n)
-        rng = np.random.default_rng(seed)
-        chosen = tuple(sorted(int(a) for a in rng.choice(n, size=k, replace=False)))
-        sums = [0] * n
-        for a in chosen:
-            dist = _distances(g, a)
-            for v, dv in enumerate(dist):
-                sums[v] += dv
-        depths = [s / k for s in sums]
-        return DepthMap(depths=tuple(depths), mean_depth=sum(depths) / n, mode="sampled", anchors=chosen, seed=seed)
-    raise ValueError(f"unknown mode {mode!r}")
+    chosen = _sources(n, mode, anchors, seed, "anchors")
+    sums = sum(block.sum(axis=0, dtype=np.int64) for block in _distance_blocks(g, chosen))
+    exact = mode == "exact"
+    depths = tuple((sums / (max(n - 1, 1) if exact else len(chosen))).tolist())
+    return DepthMap(depths=depths, mean_depth=sum(depths) / n, mode=mode,
+                    anchors=None if exact else chosen, seed=None if exact else seed)
 
 
 def depth_map_per_component(

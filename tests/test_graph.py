@@ -3,10 +3,14 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from netgeom.graph import (
     UNREACHABLE,
+    _distance_blocks,
     EdgeListParseError,
     Graph,
     bfs,
@@ -102,6 +106,17 @@ class TestGraphBasics:
         with pytest.raises(ValueError):
             Graph([(1,), (1,)])
 
+    def test_adjacency_constructor_rejects_asymmetry(self):
+        # node 0 lists 1 but node 1 does not list 0: edge_count and edges() would disagree
+        with pytest.raises(ValueError, match=r"edge \(0, 1\)"):
+            Graph([[1], []])
+        with pytest.raises(ValueError, match=r"edge \(1, 2\)"):
+            Graph([[2], [], [0, 1]])
+
+    def test_adjacency_constructor_rejects_duplicate_neighbors(self):
+        with pytest.raises(ValueError, match="neighbor 1 of node 0 is repeated"):
+            Graph([[1, 1], [0, 0]])
+
     def test_equality_ignores_origin_nodes(self):
         g = from_edges([(0, 1), (1, 2)])
         h = induced_subgraph(g, [0, 1, 2])
@@ -141,6 +156,46 @@ class TestBfs:
                 for v in range(n):
                     for w in range(n):
                         assert dist[u][w] <= dist[u][v] + dist[v][w]
+
+
+@st.composite
+def graphs_with_sources(draw):
+    """A graph of up to 40 nodes (isolated ones included, possibly with no edge
+    at all or with isolated nodes at the end of the CSR rows) and 1, 63, 64, 65
+    or 129 sources, drawn with repetition."""
+    n = draw(st.integers(1, 40))
+    node = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(node, node), max_size=2 * n))
+    trailing = draw(st.integers(0, 3))
+    g = Graph.from_edges(n + trailing, edges)
+    count = draw(st.sampled_from([1, 63, 64, 65, 129]))
+    sources = draw(st.lists(st.integers(0, n + trailing - 1), min_size=count, max_size=count))
+    return g, sources
+
+
+def oracle_rows(g: Graph) -> list[list[int]]:
+    return [[UNREACHABLE if d == INF else int(d) for d in row] for row in fw_distances(g)]
+
+
+class TestDistanceKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(graphs_with_sources())
+    @example((Graph([[1], [0], []]), [2, 0, 2, 2]))  # trailing isolated node, repeats
+    @example((Graph([[], [], []]), [1] * 65))  # no edges; a repeated source in two blocks
+    def test_blocks_match_floyd_warshall(self, case):
+        g, sources = case
+        blocks = list(_distance_blocks(g, sources))
+        assert [len(b) for b in blocks] == [min(64, len(sources) - i) for i in range(0, len(sources), 64)]
+        assert all(b.dtype == np.int32 for b in blocks)
+        oracle = oracle_rows(g)
+        assert np.concatenate(blocks).tolist() == [oracle[s] for s in sources]
+
+    @settings(max_examples=30, deadline=None)
+    @given(graphs_with_sources())
+    def test_bfs_matches_floyd_warshall(self, case):
+        g, _ = case
+        oracle = oracle_rows(g)
+        assert [list(bfs(g, s).dist) for s in range(g.node_count)] == oracle
 
 
 class TestComponents:

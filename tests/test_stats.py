@@ -111,12 +111,15 @@ class TestPathLengthReport:
 
     def test_sampling_every_node_doubles_the_exact_histogram(self):
         rng = random.Random(29)
-        g = random_connected(35, 40, rng)
-        n = g.node_count
-        exact = path_length_report(g)
-        sampled = path_length_report(g, mode="sampled", sources=n, seed=0)
-        assert sampled.histogram.bins == {k: 2 * c for k, c in exact.histogram.bins.items()}
-        assert sampled.mean == pytest.approx(exact.mean, rel=1e-12)
+        # the 150-node graph's sources fill three 64-source traversal blocks
+        for size, extra in ((35, 40), (150, 120)):
+            g = random_connected(size, extra, rng)
+            n = g.node_count
+            exact = path_length_report(g)
+            sampled = path_length_report(g, mode="sampled", sources=n, seed=0)
+            assert sampled.histogram.bins == {k: 2 * c for k, c in exact.histogram.bins.items()}
+            assert sampled.total_pairs == 2 * exact.total_pairs
+            assert sampled.mean == pytest.approx(exact.mean, rel=1e-12)
 
     def test_tiny_and_invalid_inputs(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from netgeom.graph import (
     UNREACHABLE,
-    _distance_blocks,
     EdgeListParseError,
     Graph,
     bfs,
@@ -18,6 +17,7 @@ from netgeom.graph import (
     giant_core,
     induced_subgraph,
     load_edge_list,
+    _distance_blocks,
 )
 
 from util import (

@@ -148,7 +148,12 @@ def _fields(obj, *names: str) -> dict:
 
 
 def _edges_text(g: Graph) -> str:
-    return "".join(f"{g.label_of(u)} {g.label_of(v)}\n" for u, v in g.edges())
+    """One "u v" line per edge, from tables of each label followed by a space and by a newline."""
+    names = g.labels if g.labels is not None else [str(v) for v in range(g.node_count)]
+    left = np.array([name + " " for name in names], dtype=object)
+    right = np.array([name + "\n" for name in names], dtype=object)
+    lo, hi = g._ends()
+    return "".join(np.stack((left[lo], right[hi]), axis=1).ravel().tolist())
 
 
 def _parse_kv(tokens: Sequence[str], allowed: Sequence[str]) -> dict[str, str]:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import random
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -80,6 +79,35 @@ class CrawlTrace:
         return len(self.p)
 
 
+def _fifo_discoveries(g: Graph, start: int) -> np.ndarray:
+    """Nodes each processed node discovers, in the order a FIFO crawl from ``start`` processes them.
+
+    The FIFO crawl is a BFS that scans each row in increasing order, so it runs
+    a level at a time: the next level is the unseen targets of the current
+    level's rows, read in order, each at its first occurrence, and that is also
+    the order in which they are queued and later processed.
+    """
+    indptr, indices = g.indptr, g.indices
+    seen = np.zeros(g.node_count, dtype=bool)
+    seen[start] = True
+    level = np.array([start])
+    found = []
+    while level.size:
+        lens = indptr[level + 1] - indptr[level]
+        ends = np.cumsum(lens)
+        nbrs = indices[np.arange(ends[-1]) + np.repeat(indptr[level] - ends + lens, lens)]
+        owner = np.repeat(np.arange(level.size), lens)
+        fresh = ~seen[nbrs]
+        target, owner = nbrs[fresh], owner[fresh]
+        by_target = np.argsort(target, kind="stable")
+        ordered = target[by_target]
+        first = np.sort(by_target[np.r_[True, ordered[1:] != ordered[:-1]]]) if ordered.size else by_target
+        found.append(np.bincount(owner[first], minlength=level.size))
+        level = target[first]
+        seen[level] = True
+    return np.concatenate(found)
+
+
 def simulate_crawl(
     g: Graph,
     start: int = 0,
@@ -100,36 +128,33 @@ def simulate_crawl(
         raise ValueError(f"unknown policy {policy!r}; choose from {POLICIES}")
     if stride < 1:
         raise ValueError("stride must be >= 1")
-    rng = random.Random(seed)
-    seen = bytearray(n)
-    seen[start] = 1
-    processed = 0
-    ps: list[int] = []
-    ds: list[int] = []
-    adj = g._adj
     if policy == "fifo":
-        queue: deque[int] = deque((start,))
-        while queue:
-            u = queue.popleft()
-            processed += 1
-            for w in adj[u]:
-                if not seen[w]:
-                    seen[w] = 1
-                    queue.append(w)
-            if processed % stride == 0:
-                ps.append(processed)
-                ds.append(len(queue))
+        found = _fifo_discoveries(g, start)
+        processed = len(found)
+        queued = 1 + np.cumsum(found) - np.arange(1, processed + 1)  # D after each processed node
+        ps = list(range(stride, processed + 1, stride))
+        ds = queued[stride - 1 :: stride].tolist()
     else:
+        rng = random.Random(seed)
+        seen = bytearray(n)
+        seen[start] = 1
+        processed = 0
+        ps, ds = [], []
+        # one int object per node, shared by all rows: quicker to make and to walk than indices.tolist()
+        ptr, nbrs = g.indptr.tolist(), np.arange(n).astype(object)[g.indices].tolist()
+        unseen = n - 1
         pool: list[int] = [start]
         while pool:
             i = rng.randrange(len(pool))
             pool[i], pool[-1] = pool[-1], pool[i]
             u = pool.pop()
             processed += 1
-            for w in adj[u]:
-                if not seen[w]:
-                    seen[w] = 1
-                    pool.append(w)
+            if unseen:  # once every node is found, no row can add to the pool
+                for w in nbrs[ptr[u] : ptr[u + 1]]:
+                    if not seen[w]:
+                        seen[w] = 1
+                        pool.append(w)
+                        unseen -= 1
             if processed % stride == 0:
                 ps.append(processed)
                 ds.append(len(pool))

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, _sorted_unique
 
 __all__ = [
     "ROLE_CORE",
@@ -252,7 +252,6 @@ def configuration_model(degrees: list[int], seed: int = 0) -> Graph:
     n = len(degrees)
     rng = np.random.default_rng(seed)
     stubs = np.repeat(np.arange(n, dtype=np.int64), degrees)
-    best_keys: np.ndarray | None = None
     for _ in range(_MATCHING_ATTEMPTS):
         rng.shuffle(stubs)
         u = stubs[0::2]
@@ -260,13 +259,8 @@ def configuration_model(degrees: list[int], seed: int = 0) -> Graph:
         lo = np.minimum(u, v)
         hi = np.maximum(u, v)
         nonself = lo != hi
-        keys = np.unique(lo[nonself] * np.int64(n) + hi[nonself])
+        keys = _sorted_unique(lo[nonself] * np.int64(n) + hi[nonself])
         bad = int(len(u) - len(keys))
-        best_keys = keys
         if bad == 0 or bad > _MATCHING_HOPELESS:
             break
-    assert best_keys is not None or total == 0
-    edges: list[tuple[int, int]] = []
-    if best_keys is not None:
-        edges = [(int(k) // n, int(k) % n) for k in best_keys]
-    return Graph.from_edges(n, edges)
+    return Graph._from_keys(n, keys)

@@ -4,6 +4,12 @@ Nodes are dense integer ids 0..n-1. Graphs loaded from edge-list text keep the
 original string labels in first-appearance order; graphs derived from other
 graphs keep a mapping back to their parent's indices in ``origin_nodes``.
 
+A graph is stored as CSR arrays (``indptr``, ``indices``), made by one
+builder, ``Graph._fill``, from sorted unique edge keys ``min * n + max``.
+Parsing, ``from_edges``, the configuration model and induced subgraphs all
+reduce their input to such keys with numpy, so no per-edge Python object is
+made on the way in.
+
 Every hop distance comes from one kernel, ``_distance_blocks``: a
 level-synchronous BFS that runs 64 sources at once, one bit per source in a
 uint64 word per node (Then et al., *The More the Merrier: Efficient Multi-Source
@@ -12,9 +18,8 @@ embedding are folds over its blocks of distance rows.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -43,10 +48,22 @@ class EdgeListParseError(ValueError):
 
 
 class Graph:
-    """Undirected simple graph. Adjacency is sorted and immutable after construction.
+    """Undirected simple graph in CSR form, immutable after construction.
+
+    The neighbours of node v are ``indices[indptr[v]:indptr[v + 1]]``, in
+    increasing order. Both arrays are read-only int64. Loops that walk
+    neighbours node by node read them as lists (``indptr.tolist()``,
+    ``indices.tolist()``) and slice those.
+
+    ``Graph(adjacency)`` takes one neighbour list per node and rejects ids out
+    of range, self-loops, repeats and asymmetric lists with ``ValueError``.
+    ``from_edges`` and ``load_edge_list`` take raw edges instead, dropping and
+    counting self-loops and duplicates.
 
     Attributes
     ----------
+    indptr, indices : np.ndarray
+        CSR row offsets (length n + 1) and concatenated sorted neighbour rows.
     labels : tuple[str, ...] | None
         External node labels (edge-list token per node), if known.
     origin_nodes : tuple[int, ...] | None
@@ -55,7 +72,7 @@ class Graph:
         Counts of input edges discarded during construction.
     """
 
-    __slots__ = ("_adj", "labels", "origin_nodes", "self_loops_dropped", "duplicate_edges_dropped")
+    __slots__ = ("indptr", "indices", "labels", "origin_nodes", "self_loops_dropped", "duplicate_edges_dropped")
 
     def __init__(
         self,
@@ -65,13 +82,18 @@ class Graph:
         self_loops_dropped: int = 0,
         duplicate_edges_dropped: int = 0,
     ):
-        self._adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(nbrs)) for nbrs in adjacency)
-        n = len(self._adj)
-        deg, v = _csr(self._adj)
-        u = np.repeat(np.arange(n), deg)
-        fwd = u * n + v
-        for bad, what in (((v < 0) | (v >= n), f"out of range 0..{n - 1}"), (u == v, "a self-loop"),
-                          (np.r_[False, fwd[1:] <= fwd[:-1]], "repeated")):  # rows are sorted
+        rows = [tuple(row) for row in adjacency]
+        n = len(rows)
+        flat = list(chain.from_iterable(rows))
+        if flat and not (0 <= min(flat) and max(flat) < n):  # checked before any int64 conversion
+            for u, row in enumerate(rows):
+                if bad := [w for w in row if not 0 <= w < n]:
+                    raise ValueError(f"neighbor {min(bad)} of node {u} is out of range 0..{n - 1}")
+        deg = np.fromiter(map(len, rows), dtype=np.int64, count=n)
+        fwd = np.repeat(np.arange(n, dtype=np.int64), deg) * n + np.array(flat, dtype=np.int64)
+        fwd.sort()  # sorts each row
+        u, v = np.divmod(fwd, n)
+        for bad, what in ((u == v, "a self-loop"), (np.r_[False, fwd[1:] == fwd[:-1]], "repeated")):
             if bad.any():
                 i = np.argmax(bad)
                 raise ValueError(f"neighbor {v[i]} of node {u[i]} is {what}")
@@ -80,14 +102,39 @@ class Graph:
         if not np.array_equal(fwd, rev):
             a, b = divmod(int(np.setxor1d(fwd, rev)[0]), n)
             raise ValueError(f"edge ({a}, {b}) is listed by only one of its end nodes")
+        self._fill(n, fwd[u < v], labels, origin_nodes, self_loops_dropped, duplicate_edges_dropped)
+
+    def _fill(
+        self,
+        n: int,
+        keys: np.ndarray,
+        labels: tuple[str, ...] | None = None,
+        origin_nodes: tuple[int, ...] | None = None,
+        self_loops_dropped: int = 0,
+        duplicate_edges_dropped: int = 0,
+    ) -> None:
+        """The one CSR builder: ``keys`` are the sorted unique edge keys ``min * n + max``."""
         if labels is not None and len(labels) != n:
             raise ValueError("labels length does not match node count")
         if origin_nodes is not None and len(origin_nodes) != n:
             raise ValueError("origin_nodes length does not match node count")
+        lo, hi = np.divmod(keys, n)
+        arcs = np.concatenate((keys, hi * n + lo))
+        arcs.sort()
+        src, self.indices = np.divmod(arcs, n)
+        self.indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=n), out=self.indptr[1:])
+        self.indptr.flags.writeable = self.indices.flags.writeable = False
         self.labels = labels
         self.origin_nodes = origin_nodes
         self.self_loops_dropped = self_loops_dropped
         self.duplicate_edges_dropped = duplicate_edges_dropped
+
+    @classmethod
+    def _from_keys(cls, n: int, keys: np.ndarray, *args) -> "Graph":
+        g = cls.__new__(cls)
+        g._fill(n, keys, *args)
+        return g
 
     @classmethod
     def from_edges(
@@ -100,55 +147,49 @@ class Graph:
         """Build a graph from (u, v) pairs, dropping and counting self-loops and duplicates."""
         if node_count < 0:
             raise ValueError("node_count must be >= 0")
-        seen: set[tuple[int, int]] = set()
-        self_loops = 0
-        duplicates = 0
-        adj: list[list[int]] = [[] for _ in range(node_count)]
-        for u, v in edges:
-            if not (0 <= u < node_count and 0 <= v < node_count):
-                raise ValueError(f"edge ({u}, {v}) out of range 0..{node_count - 1}")
-            if u == v:
-                self_loops += 1
-                continue
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                duplicates += 1
-                continue
-            seen.add(key)
-            adj[u].append(v)
-            adj[v].append(u)
-        del seen  # free it before the constructor's invariant check allocates
-        return cls(
-            adj,
-            labels=labels,
-            origin_nodes=origin_nodes,
-            self_loops_dropped=self_loops,
-            duplicate_edges_dropped=duplicates,
-        )
+        edges = list(edges)
+        if any(len(e) != 2 for e in edges):
+            raise ValueError("edges must be (u, v) pairs")
+        try:
+            flat = np.fromiter(chain.from_iterable(edges), dtype=np.int64, count=2 * len(edges))
+            fits = flat.size == 0 or (flat.min() >= 0 and flat.max() < node_count)
+        except OverflowError:
+            fits = False
+        if not fits:
+            for u, v in edges:
+                if not (0 <= u < node_count and 0 <= v < node_count):
+                    raise ValueError(f"edge ({u}, {v}) out of range 0..{node_count - 1}")
+        return _from_pairs(node_count, flat[0::2], flat[1::2], labels, origin_nodes)
 
     @property
     def node_count(self) -> int:
-        return len(self._adj)
+        return len(self.indptr) - 1
 
     @property
     def edge_count(self) -> int:
-        return sum(len(nbrs) for nbrs in self._adj) // 2
+        return len(self.indices) // 2
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        v = range(self.node_count)[v]  # sequence indexing: negative ids count from the end
+        return int(self.indptr[v + 1] - self.indptr[v])
 
     def degrees(self) -> list[int]:
-        return [len(nbrs) for nbrs in self._adj]
+        return np.diff(self.indptr).tolist()
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return self._adj[v]
+        v = range(self.node_count)[v]
+        return tuple(self.indices[self.indptr[v] : self.indptr[v + 1]].tolist())
+
+    def _ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """The end nodes (u, v) of every edge, u < v, as two arrays in sorted edge order."""
+        src = np.repeat(np.arange(self.node_count), np.diff(self.indptr))
+        up = src < self.indices
+        return src[up], self.indices[up]
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield each undirected edge once, as (u, v) with u < v, in sorted order."""
-        for u, nbrs in enumerate(self._adj):
-            for v in nbrs:
-                if u < v:
-                    yield (u, v)
+        lo, hi = self._ends()
+        yield from zip(lo.tolist(), hi.tolist())
 
     def label_of(self, v: int) -> str:
         return self.labels[v] if self.labels is not None else str(v)
@@ -156,13 +197,38 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self._adj == other._adj and self.labels == other.labels
+        return (np.array_equal(self.indptr, other.indptr) and np.array_equal(self.indices, other.indices)
+                and self.labels == other.labels)
 
     def __hash__(self) -> int:
-        return hash((self._adj, self.labels))
+        return hash((self.indptr.tobytes(), self.indices.tobytes(), self.labels))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.node_count}, m={self.edge_count})"
+
+
+def _sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """Sort ``keys`` in place and return its distinct values.
+
+    Not ``np.unique``: on int64 keys it takes a hash path that is about 40x
+    slower than one sort plus an adjacent-difference mask.
+    """
+    keys.sort()
+    return keys[np.r_[True, keys[1:] != keys[:-1]]] if keys.size else keys
+
+
+def _from_pairs(
+    n: int,
+    u: np.ndarray,
+    v: np.ndarray,
+    labels: tuple[str, ...] | None = None,
+    origin_nodes: tuple[int, ...] | None = None,
+) -> Graph:
+    """Graph on ``n`` nodes from edge endpoint arrays, counting dropped self-loops and duplicates."""
+    loop = u == v
+    keys = np.minimum(u, v)[~loop] * n + np.maximum(u, v)[~loop]
+    unique = _sorted_unique(keys)
+    return Graph._from_keys(n, unique, labels, origin_nodes, int(loop.sum()), len(keys) - len(unique))
 
 
 @dataclass(frozen=True)
@@ -194,6 +260,9 @@ class DistanceMap:
         return sum(1 for d in self.dist if d != UNREACHABLE)
 
 
+_CHUNK_LINES = 1 << 16  # lines parsed per step; bounds the token strings alive at once
+
+
 def load_edge_list(lines: Iterable[str]) -> Graph:
     """Parse whitespace-separated edge-list text into a Graph.
 
@@ -205,22 +274,50 @@ def load_edge_list(lines: Iterable[str]) -> Graph:
     exactly two tokens.
     """
     index: dict[str, int] = {}
-    pairs: list[tuple[int, int]] = []
-    for line_no, raw in enumerate(lines, start=1):
+    ids: list[np.ndarray] = []
+    lines = iter(lines)
+    done = 0
+    while chunk := list(islice(lines, _CHUNK_LINES)):
+        tokens = _fast_tokens(chunk)
+        if tokens is None:  # some data line lacks two tokens: the line loop names it
+            tokens = _line_tokens(chunk, first_line=done + 1)
+        done += len(chunk)
+        for label in dict.fromkeys(tokens):
+            index.setdefault(label, len(index))
+        ids.append(np.fromiter(map(index.__getitem__, tokens), dtype=np.int64, count=len(tokens)))
+    flat = np.concatenate(ids) if ids else np.zeros(0, dtype=np.int64)
+    return _from_pairs(len(index), flat[0::2], flat[1::2], labels=tuple(index))
+
+
+def _fast_tokens(lines: list[str]) -> list[str] | None:
+    """Every data token in order, or None unless each data line has exactly two."""
+    text = "\n".join(lines)  # "\n" is whitespace, so no token spans two lines
+    if "#" in text:
+        lines = [line for line in lines if not line.lstrip().startswith("#")]
+        text = "\n".join(lines)
+    if not set(map(len, map(str.split, lines))) <= {0, 2}:
+        return None
+    return text.split()
+
+
+def _line_tokens(lines: Iterable[str], first_line: int = 1) -> list[str]:
+    """The line-by-line reading of ``_fast_tokens``, raising EdgeListParseError at the first bad line."""
+    tokens: list[str] = []
+    for line_no, raw in enumerate(lines, start=first_line):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        tokens = line.split()
-        if len(tokens) != 2:
-            raise EdgeListParseError(line_no, f"expected 2 tokens, got {len(tokens)}: {raw.rstrip()!r}")
-        pairs.append((index.setdefault(tokens[0], len(index)), index.setdefault(tokens[1], len(index))))
-    return Graph.from_edges(len(index), pairs, labels=tuple(index))
+        pair = line.split()
+        if len(pair) != 2:
+            raise EdgeListParseError(line_no, f"expected 2 tokens, got {len(pair)}: {raw.rstrip()!r}")
+        tokens += pair
+    return tokens
 
 
-def _csr(adj: tuple[tuple[int, ...], ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Degrees and the concatenated neighbour lists of an adjacency tuple."""
-    deg = np.fromiter(map(len, adj), dtype=np.int64, count=len(adj))
-    return deg, np.fromiter(chain.from_iterable(adj), dtype=np.int64, count=int(deg.sum()))
+def _row_sums(g: Graph, values: np.ndarray) -> np.ndarray:
+    """Per node, the sum of ``values[w]`` over its neighbours w (0 for an isolated node)."""
+    total = np.concatenate(([0], np.cumsum(values[g.indices])))
+    return total[g.indptr[1:]] - total[g.indptr[:-1]]
 
 
 def _sources(n: int, mode: str, k: int | None, seed: int, name: str) -> Sequence[int]:
@@ -242,9 +339,9 @@ def _distance_blocks(g: Graph, sources: Sequence[int]) -> Iterator[np.ndarray]:
     one ``reduceat`` over the CSR rows of the nodes that have neighbours.
     """
     n = g.node_count
-    deg, nbrs = _csr(g._adj)
-    linked = np.flatnonzero(deg)
-    starts = (np.cumsum(deg) - deg)[linked]
+    nbrs = g.indices
+    linked = np.flatnonzero(np.diff(g.indptr))
+    starts = g.indptr[linked]
     for b in range(0, len(sources), 64):
         block = np.asarray(sources[b : b + 64], dtype=np.intp)
         dist = np.full((len(block), n), UNREACHABLE, dtype=np.int32)
@@ -272,33 +369,54 @@ def bfs(g: Graph, source: int) -> DistanceMap:
     return DistanceMap(source=source, dist=tuple(dist.tolist()))
 
 
+def _component_ids(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Component id per node, numbered by each component's smallest node, and the sizes.
+
+    Min-label hooking with pointer jumping: every round points each tree root
+    at the smallest root across its edges, then shortcuts every node to its
+    root. A tree either hooks or is hooked within two rounds, so the number of
+    trees per component at least halves every two rounds. Roots only ever point
+    to smaller nodes, so a component's root is its smallest node.
+    """
+    n = g.node_count
+    root = np.arange(n)
+    lo, hi = g._ends()
+    while True:
+        while not np.array_equal(jumped := root[root], root):
+            root = jumped
+        a, b = root[lo], root[hi]
+        apart = a != b
+        if not apart.any():
+            break
+        lo, hi, a, b = lo[apart], hi[apart], a[apart], b[apart]
+        np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
+    first = root == np.arange(n)
+    cid = (np.cumsum(first) - 1)[root]
+    return cid, np.bincount(cid, minlength=int(first.sum()))
+
+
 def components(g: Graph) -> ComponentLabeling:
     """Label connected components; the giant index picks the largest component.
 
     Ties on size resolve to the component containing the smallest node index
     (which is also the first-appearing component id).
     """
-    n = g.node_count
-    comp = [-1] * n
-    sizes: list[int] = []
-    adj = g._adj
-    for start in range(n):
-        if comp[start] != -1:
-            continue
-        cid = len(sizes)
-        comp[start] = cid
-        size = 1
-        queue: deque[int] = deque((start,))
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                if comp[w] == -1:
-                    comp[w] = cid
-                    size += 1
-                    queue.append(w)
-        sizes.append(size)
-    giant = max(range(len(sizes)), key=lambda i: (sizes[i], -i)) if sizes else -1
-    return ComponentLabeling(component_id=tuple(comp), sizes=tuple(sizes), giant_index=giant)
+    cid, sizes = _component_ids(g)
+    giant = int(np.argmax(sizes)) if sizes.size else -1  # argmax takes the first of equal sizes
+    return ComponentLabeling(component_id=tuple(cid.tolist()), sizes=tuple(sizes.tolist()), giant_index=giant)
+
+
+def _induced(g: Graph, keep: np.ndarray) -> Graph:
+    """Subgraph induced on the sorted distinct node ids ``keep``."""
+    k = len(keep)
+    new = np.full(g.node_count, -1, dtype=np.int64)
+    new[keep] = np.arange(k)
+    lo, hi = (new[ends] for ends in g._ends())
+    inside = (lo >= 0) & (hi >= 0)
+    keep_list = keep.tolist()
+    labels = tuple([g.labels[v] for v in keep_list]) if g.labels is not None else None
+    # the renumbering keeps node order, so the surviving keys stay sorted
+    return Graph._from_keys(k, lo[inside] * k + hi[inside], labels, tuple(keep_list))
 
 
 def induced_subgraph(g: Graph, nodes: Sequence[int]) -> Graph:
@@ -311,10 +429,7 @@ def induced_subgraph(g: Graph, nodes: Sequence[int]) -> Graph:
     for v in keep:
         if not 0 <= v < g.node_count:
             raise ValueError(f"node {v} out of range 0..{g.node_count - 1}")
-    remap = {old: new for new, old in enumerate(keep)}
-    adj = [[remap[w] for w in g.neighbors(old) if w in remap] for old in keep]
-    labels = tuple(g.labels[v] for v in keep) if g.labels is not None else None
-    return Graph(adj, labels=labels, origin_nodes=tuple(keep))
+    return _induced(g, np.array(keep, dtype=np.int64))
 
 
 def giant_core(g: Graph) -> Graph:
@@ -325,6 +440,5 @@ def giant_core(g: Graph) -> Graph:
     """
     if g.node_count == 0:
         raise ValueError("giant_core of an empty graph is undefined")
-    lab = components(g)
-    keep = [v for v in range(g.node_count) if lab.component_id[v] == lab.giant_index]
-    return induced_subgraph(g, keep)
+    cid, sizes = _component_ids(g)
+    return _induced(g, np.flatnonzero(cid == np.argmax(sizes)))

@@ -9,7 +9,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .graph import Graph, _distance_blocks, _sources, components
+from .graph import Graph, _distance_blocks, _row_sums, _sources, components
 
 __all__ = [
     "Histogram",
@@ -277,11 +277,9 @@ def senior_stats(g: Graph, threshold: int = 25) -> SeniorReport:
         raise ValueError("threshold must be >= 0")
     if g.node_count == 0:
         raise ValueError("senior stats of an empty graph are undefined")
-    degs = g.degrees()
-    senior = [v for v in range(g.node_count) if degs[v] >= threshold]
-    is_senior = [d >= threshold for d in degs]
-    neighbor_counts = [sum(1 for w in g.neighbors(v) if is_senior[w]) for v in senior]
-    count = len(senior)
+    is_senior = np.diff(g.indptr) >= threshold
+    neighbor_counts = _row_sums(g, is_senior)[is_senior].tolist()
+    count = len(neighbor_counts)
     return SeniorReport(
         threshold=threshold,
         count=count,

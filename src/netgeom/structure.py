@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, _distance_blocks, _sources, components, induced_subgraph
+from .graph import Graph, _distance_blocks, _row_sums, _sources, components, induced_subgraph
 from .stats import Histogram
 
 __all__ = [
@@ -200,8 +200,10 @@ def _split_chains(
 
 def _find_fibers(g: Graph, core_nodes: list[int]) -> tuple[list[Fiber], list[tuple[int, ...]]]:
     """Locate degree-2 chains and pure cycles inside the core subgraph."""
-    core_set = set(core_nodes)
-    cdeg = {v: sum(1 for w in g.neighbors(v) if w in core_set) for v in core_nodes}
+    in_core = np.zeros(g.node_count, dtype=bool)
+    in_core[core_nodes] = True
+    cdeg_array = _row_sums(g, in_core)
+    cdeg, core = cdeg_array.tolist(), in_core.tolist()
     seen: set[int] = set()
     fibers: list[Fiber] = []
     cycles: list[tuple[int, ...]] = []
@@ -214,14 +216,14 @@ def _find_fibers(g: Graph, core_nodes: list[int]) -> tuple[list[Fiber], list[tup
             if cur == start:  # closed a pure cycle
                 return run, None
             run.append(cur)
-            nxts = [w for w in g.neighbors(cur) if w in core_set and w != prev]
+            nxts = [w for w in g.neighbors(cur) if core[w] and w != prev]
             prev, cur = cur, nxts[0]
         return run, cur
 
-    for v in sorted(core_nodes):
-        if cdeg[v] != 2 or v in seen:
+    for v in np.flatnonzero(in_core & (cdeg_array == 2)).tolist():
+        if v in seen:
             continue
-        nbrs = [w for w in g.neighbors(v) if w in core_set]
+        nbrs = [w for w in g.neighbors(v) if core[w]]
         left_run, left_end = walk(v, nbrs[0])
         if left_end is None:
             cycle = tuple(left_run)
@@ -364,10 +366,10 @@ def depth_density_profile(
     if len(dm.depths) != g.node_count:
         raise ValueError("depth map does not match graph")
     acc: dict[int, tuple[int, int]] = {}
-    for v, depth in enumerate(dm.depths):
+    for depth, deg in zip(dm.depths, g.degrees()):
         b = int(math.floor(depth / bin_width))
         s, c = acc.get(b, (0, 0))
-        acc[b] = (s + g.degree(v), c + 1)
+        acc[b] = (s + deg, c + 1)
     return [(b * bin_width, s / c, c) for b, (s, c) in sorted(acc.items())]
 
 
@@ -405,16 +407,17 @@ def personality_report(g: Graph, tau: float = 0.05) -> PersonalityReport:
     n = g.node_count
     if n == 0:
         raise ValueError("personality of an empty graph is undefined")
-    degs = g.degrees()
-    if any(d == 0 for d in degs):
+    deg = np.diff(g.indptr)
+    if not deg.all():
         raise ValueError("isolated node present; every node needs degree >= 1")
 
+    degs, sums = deg.tolist(), _row_sums(g, deg).tolist()
     nmd: list[float] = []
     ratio: list[float] = []
     score: list[float] = []
     classes: list[str] = []
     for v in range(n):
-        m = sum(degs[w] for w in g.neighbors(v)) / degs[v]
+        m = sums[v] / degs[v]
         nmd.append(m)
         ratio.append(m / degs[v])
         s = math.log10(m) - math.log10(degs[v])
@@ -431,15 +434,12 @@ def personality_report(g: Graph, tau: float = 0.05) -> PersonalityReport:
         counts[c] += 1
     mp_ratio = counts["marginal"] / counts["popular"] if counts["popular"] else None
 
-    pool = {c: [0, 0, 0] for c in PERSONALITY_CLASSES}
     idx = {c: i for i, c in enumerate(PERSONALITY_CLASSES)}
-    for v in range(n):
-        row = pool[classes[v]]
-        for w in g.neighbors(v):
-            row[idx[classes[w]]] += 1
+    code = np.array([idx[c] for c in classes])
+    # pool[i][j]: neighbour endpoints of class j seen from the nodes of class i
+    pool = np.bincount(np.repeat(code, deg) * 3 + code[g.indices], minlength=9).reshape(3, 3).tolist()
     mixing: dict[str, tuple[float, float, float] | None] = {}
-    for c in PERSONALITY_CLASSES:
-        row = pool[c]
+    for c, row in zip(PERSONALITY_CLASSES, pool):
         t = sum(row)
         mixing[c] = tuple(x / t for x in row) if t else None
 

@@ -449,3 +449,20 @@ class TestConsoleScript:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("netgeom: error: ")
+
+
+class TestRuntimeDependencies:
+    def test_stats_imports_neither_scipy_nor_networkx(self, tmp_path, child_env):
+        # numpy is the only runtime dependency, even where scipy and networkx are
+        # installed; -X importtime lists every module the process imports
+        src = tmp_path / "g.txt"
+        src.write_text("0 1\n1 2\n2 0\n3 4\n5 5\n")
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "netgeom.cli", "stats", "--graph", str(src),
+             "--giant", "--degrees", "--paths", "exact", "--seniors", "2", "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=child_env)
+        assert proc.returncode == 0, proc.stderr
+        imported = {line.rsplit("|", 1)[-1].strip().split(".")[0]
+                    for line in proc.stderr.splitlines() if line.startswith("import time:")}
+        assert {"netgeom", "numpy"} <= imported
+        assert not imported & {"scipy", "networkx"}

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from netgeom.crawl import (
+    POLICIES,
     CrawlTrace,
     TraceParseError,
     default_window,
@@ -24,9 +25,9 @@ from netgeom.generators import (
     configuration_model,
     generate_double_pareto_degrees,
 )
-from netgeom.graph import giant_core
+from netgeom.graph import Graph, giant_core
 
-from util import complete_graph, path_graph, star_graph
+from util import complete_graph, crawl_oracle, path_graph, random_connected, star_graph
 
 
 def synthetic_trace(p, d, true_size=10**9):
@@ -312,3 +313,19 @@ class TestAcquisitionOde:
             solve_acquisition_ode(p0=0, d0=1, dprime0=-1, step=0, p_max=1)
         with pytest.raises(ValueError):
             solve_acquisition_ode(p0=5, d0=1, dprime0=-1, step=0.1, p_max=1)
+
+
+class TestCrawlReference:
+    def test_traces_match_the_plain_loop(self):
+        # connected graphs, and graphs with isolated nodes and several components
+        rng = random.Random(11)
+        for i in range(60):
+            n = rng.randrange(2, 60)
+            if i % 2:
+                g = random_connected(n, rng.randrange(2 * n), rng)
+            else:
+                g = Graph.from_edges(n + 2, [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randrange(3 * n))])
+            for policy in POLICIES:
+                start, stride, seed = rng.randrange(g.node_count), rng.randrange(1, 5), rng.randrange(100)
+                tr = simulate_crawl(g, start=start, policy=policy, stride=stride, seed=seed)
+                assert (list(tr.p), list(tr.d)) == crawl_oracle(g, start, policy, stride, seed)

@@ -1,6 +1,7 @@
 """Graph construction, parsing, BFS, and component extraction."""
 from __future__ import annotations
 
+import io
 import random
 
 import numpy as np
@@ -8,6 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import netgeom.graph as graph_module
+from netgeom.generators import configuration_model
 from netgeom.graph import (
     UNREACHABLE,
     EdgeListParseError,
@@ -18,14 +21,18 @@ from netgeom.graph import (
     induced_subgraph,
     load_edge_list,
     _distance_blocks,
+    _fast_tokens,
+    _line_tokens,
 )
 
 from util import (
     INF,
     from_edges,
     fw_distances,
+    parse_edge_list_oracle,
     random_connected,
     random_graph,
+    restrict,
     uf_components,
 )
 
@@ -90,13 +97,117 @@ class TestParsing:
         assert got == want
 
 
+LEAD = st.sampled_from(["", " ", "\t", "\u3000"])
+LABEL = st.text(alphabet="ab1#", min_size=1, max_size=3)  # '#' inside or leading a second token
+FIRST = LABEL.filter(lambda t: not t.startswith("#"))
+GAP = st.sampled_from([" ", "\t", "  ", " \t ", "\u3000"])
+EDGE_LINE = st.builds("{}{}{}{}{}".format, LEAD, FIRST, GAP, LABEL, LEAD)
+COMMENT_LINE = st.builds("{}#{}".format, LEAD, st.text(alphabet="ab #\t", max_size=6))
+BLANK_LINE = st.sampled_from(["", " ", "\t"])
+BAD_LINE = st.builds("{}{}".format, LEAD, st.lists(FIRST, min_size=1, max_size=4)
+                     .filter(lambda t: len(t) != 2).map(" ".join))
+
+
+@st.composite
+def edge_list_text(draw, bad: bool = False):
+    """Edge-list text of data, comment and blank lines with LF or CRLF endings,
+    with or without a final newline; ``bad`` puts in at least one malformed line."""
+    lines = draw(st.lists(st.one_of(EDGE_LINE, EDGE_LINE, COMMENT_LINE, BLANK_LINE), max_size=30))
+    if bad:
+        for _ in range(draw(st.integers(1, 2))):
+            lines.insert(draw(st.integers(0, len(lines))), draw(BAD_LINE))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + (end if lines and draw(st.booleans()) else "")
+
+
+def line_readings(text: str) -> list[list[str]]:
+    """The lines of ``text`` as a text-mode file yields them, and split at LF only."""
+    return [list(io.StringIO(text, newline=None)), text.split("\n")]
+
+
+def oracle_graph(lines) -> Graph:
+    """The graph ``parse_edge_list_oracle`` reads, through the adjacency constructor."""
+    labels, edges, loops, dups = parse_edge_list_oracle(lines)
+    adj: list[list[int]] = [[] for _ in labels]
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    return Graph(adj, labels=labels, self_loops_dropped=loops, duplicate_edges_dropped=dups)
+
+
+def same_graph(g: Graph, want: Graph) -> bool:
+    return (g.labels == want.labels and np.array_equal(g.indptr, want.indptr)
+            and np.array_equal(g.indices, want.indices)
+            and g.self_loops_dropped == want.self_loops_dropped
+            and g.duplicate_edges_dropped == want.duplicate_edges_dropped)
+
+
+class TestParsingPaths:
+    @settings(max_examples=150, deadline=None)
+    @given(edge_list_text())
+    @example("a b\r\n# c d\r\n\r\n  a#b\t#a \r\nb a")
+    def test_fast_path_equals_the_line_loop(self, text):
+        for lines in line_readings(text):
+            assert _fast_tokens(lines) == _line_tokens(lines)
+            assert same_graph(load_edge_list(iter(lines)), oracle_graph(lines))
+
+    @settings(max_examples=100, deadline=None)
+    @given(edge_list_text(bad=True))
+    @example("a b\n# x y z\nc")
+    def test_malformed_line_raises_the_line_loop_error(self, text):
+        for lines in line_readings(text):
+            assert _fast_tokens(lines) is None
+            with pytest.raises(EdgeListParseError) as got:
+                load_edge_list(iter(lines))
+            with pytest.raises(EdgeListParseError) as want:
+                parse_edge_list_oracle(lines)
+            assert (got.value.line_no, str(got.value)) == (want.value.line_no, str(want.value))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(edge_list_text(), edge_list_text(bad=True)))
+    def test_chunks_of_three_lines_read_like_one(self, text):
+        # labels keep first-appearance order and errors their line number across chunks
+        lines = text.split("\n")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph_module, "_CHUNK_LINES", 3)
+            try:
+                g = load_edge_list(lines)
+            except EdgeListParseError as e:
+                with pytest.raises(EdgeListParseError) as want:
+                    parse_edge_list_oracle(lines)
+                assert (e.line_no, str(e)) == (want.value.line_no, str(want.value))
+            else:
+                assert same_graph(g, oracle_graph(lines))
+
+
 class TestGraphBasics:
+    def test_huge_neighbor_id_is_out_of_range(self):
+        # ids are range-checked before any int64 conversion, so no OverflowError
+        with pytest.raises(ValueError, match=rf"neighbor {2**70} of node 0 is out of range 0\.\.0"):
+            Graph([[2**70]])
+        with pytest.raises(ValueError, match=r"neighbor -1 of node 1 is out of range 0\.\.1"):
+            Graph([[1], [5, 0, -1]])
+        with pytest.raises(ValueError, match=rf"edge \(0, {2**70}\) out of range 0\.\.1"):
+            Graph.from_edges(2, [(0, 1), (0, 2**70)])
+
+    def test_csr_arrays_are_read_only_sorted_rows(self):
+        g = Graph([[2, 1], [0], [0]])
+        assert g.indptr.tolist() == [0, 2, 3, 4]
+        assert g.indices.tolist() == [1, 2, 0, 0]
+        assert g.indptr.dtype == g.indices.dtype == np.int64
+        for a in (g.indptr, g.indices):
+            with pytest.raises(ValueError):
+                a[0] = 7
+
     def test_adjacency_is_sorted_and_degree_coherent(self):
         g = Graph.from_edges(4, [(0, 3), (0, 1), (0, 2), (2, 3)])
         assert g.neighbors(0) == (1, 2, 3)
         assert g.degree(0) == 3
         assert g.degrees() == [3, 1, 2, 2]
         assert list(g.edges()) == [(0, 1), (0, 2), (0, 3), (2, 3)]
+        assert (g.degree(-1), g.neighbors(-1)) == (2, (0, 2))  # indexed like a sequence
+        with pytest.raises(IndexError):
+            g.neighbors(4)
 
     def test_from_edges_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -241,3 +352,124 @@ class TestSubgraphs:
     def test_giant_core_of_empty_graph_raises(self):
         with pytest.raises(ValueError):
             giant_core(Graph([]))
+
+
+@st.composite
+def small_graphs(draw):
+    """Up to 30 nodes with random edges (loops and repeats dropped), 0-3
+    trailing isolated nodes, sometimes labelled; possibly empty."""
+    n = draw(st.integers(0, 30))
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n)) if n else []
+    n += draw(st.integers(0, 3))
+    labels = tuple(f"v{i}" for i in range(n)) if draw(st.booleans()) else None
+    return Graph.from_edges(n, edges, labels=labels)
+
+
+def giant_group(g: Graph) -> set[int]:
+    """The largest union-find component, ties to the one holding the smallest node."""
+    return max(uf_components(g), key=lambda group: (len(group), -min(group)))
+
+
+def restricted_graph(g: Graph, nodes) -> Graph:
+    adj, keep = restrict(g, nodes)
+    labels = tuple(g.labels[v] for v in keep) if g.labels is not None else None
+    return Graph(adj, labels=labels, origin_nodes=keep)
+
+
+TIES = Graph.from_edges(8, [(4, 5), (5, 6), (1, 2), (2, 3)])  # isolated 0 and 7, equal paths
+
+
+class TestComponentsOnCsr:
+    @settings(max_examples=100, deadline=None)
+    @given(small_graphs())
+    @example(Graph([]))
+    @example(TIES)
+    @example(Graph.from_edges(4, []))
+    def test_components_match_union_find(self, g):
+        lab = components(g)
+        groups = uf_components(g)
+        assert lab.count == len(groups)
+        for group in groups:
+            assert len({lab.component_id[v] for v in group}) == 1
+        # ids in order of first appearance, sizes per id
+        assert list(dict.fromkeys(lab.component_id)) == list(range(lab.count))
+        assert list(lab.sizes) == [lab.component_id.count(c) for c in range(lab.count)]
+        if g.node_count:
+            assert lab.giant_index == lab.component_id[min(giant_group(g))]
+        else:
+            assert lab.giant_index == -1
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_graphs())
+    @example(TIES)
+    def test_giant_core_is_the_plain_restriction(self, g):
+        if g.node_count == 0:
+            with pytest.raises(ValueError):
+                giant_core(g)
+            return
+        core = giant_core(g)
+        want = restricted_graph(g, giant_group(g))
+        assert core == want
+        assert core.origin_nodes == want.origin_nodes
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_graphs(), st.data())
+    def test_induced_subgraph_is_the_plain_restriction(self, g, data):
+        nodes = data.draw(st.lists(st.integers(0, g.node_count - 1), max_size=40)) if g.node_count else []
+        sub = induced_subgraph(g, nodes)
+        want = restricted_graph(g, nodes)
+        assert sub == want
+        assert sub.origin_nodes == want.origin_nodes
+
+
+def adjacency_of(n: int, edges) -> tuple[list[list[int]], int, int]:
+    """Neighbour lists (in reverse order, so the constructor must sort them),
+    self-loop count and duplicate count of raw edges, by plain sets."""
+    nbrs: list[set[int]] = [set() for _ in range(n)]
+    loops = dups = 0
+    for a, b in edges:
+        if a == b:
+            loops += 1
+        elif b in nbrs[a]:
+            dups += 1
+        else:
+            nbrs[a].add(b)
+            nbrs[b].add(a)
+    return [sorted(row, reverse=True) for row in nbrs], loops, dups
+
+
+RAW_EDGES = st.integers(1, 25).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=60)))
+
+
+class TestOneBuilder:
+    @settings(max_examples=100, deadline=None)
+    @given(RAW_EDGES)
+    def test_from_edges_equals_the_adjacency_constructor(self, case):
+        n, edges = case
+        adj, loops, dups = adjacency_of(n, edges)
+        g = Graph.from_edges(n, iter(edges))
+        assert g == Graph(adj)
+        assert (g.self_loops_dropped, g.duplicate_edges_dropped) == (loops, dups)
+
+    @settings(max_examples=100, deadline=None)
+    @given(RAW_EDGES)
+    def test_load_edge_list_equals_the_adjacency_constructor(self, case):
+        _, edges = case
+        order = list(dict.fromkeys(v for e in edges for v in e))  # first-appearance ids
+        new = {v: i for i, v in enumerate(order)}
+        adj, loops, dups = adjacency_of(len(order), [(new[a], new[b]) for a, b in edges])
+        g = load_edge_list(f"{a} {b}" for a, b in edges)
+        assert g == Graph(adj, labels=tuple(map(str, order)))
+        assert (g.self_loops_dropped, g.duplicate_edges_dropped) == (loops, dups)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, 8), max_size=30), st.integers(0, 2**32 - 1))
+    def test_configuration_model_equals_the_adjacency_constructor(self, degrees, seed):
+        if sum(degrees) % 2:
+            degrees = [degrees[0] + 1] + degrees[1:]
+        g = configuration_model(degrees, seed=seed)
+        adj, loops, dups = adjacency_of(len(degrees), list(g.edges()))
+        assert g == Graph(adj)
+        assert (loops, dups, g.self_loops_dropped, g.duplicate_edges_dropped) == (0, 0, 0, 0)
+        assert all(d <= want for d, want in zip(g.degrees(), degrees))

@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 
 from netgeom.generators import DoubleParetoSpec, generate_double_pareto_degrees
+from netgeom.graph import Graph
 from netgeom.stats import (
     Histogram,
     degree_histogram,
@@ -21,6 +22,7 @@ from util import (
     fw_distances,
     path_graph,
     random_connected,
+    senior_neighbor_counts,
     star_graph,
 )
 
@@ -208,3 +210,18 @@ class TestDoubleParetoFit:
         fit = fit_double_pareto(Histogram(bins))
         assert fit.alpha_left == pytest.approx(2.0, abs=0.05)
         assert fit.alpha_right == pytest.approx(2.0, abs=0.05)
+
+
+class TestSeniorReference:
+    def test_neighbor_counts_match_the_plain_loop(self):
+        rng = random.Random(21)
+        for _ in range(30):
+            n = rng.randrange(1, 50)
+            g = Graph.from_edges(n + 2, [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randrange(4 * n))])
+            threshold = rng.randrange(0, 8)
+            counts = senior_neighbor_counts(g, threshold)
+            rep = senior_stats(g, threshold=threshold)
+            assert rep.count == len(counts)
+            assert rep.no_senior_neighbor_count == counts.count(0)
+            assert rep.mean_senior_neighbors == (sum(counts) / len(counts) if counts else 0.0)
+            assert rep.neighbor_histogram.bins == Histogram.from_values(counts).bins

@@ -28,6 +28,7 @@ from util import (
     from_edges,
     oracle_two_core,
     path_graph,
+    personality_oracle,
     random_connected,
     random_graph,
     star_graph,
@@ -339,3 +340,18 @@ class TestPersonality:
 
     def test_class_order_constant(self):
         assert PERSONALITY_CLASSES == ("popular", "neutral", "marginal")
+
+
+class TestPersonalityReference:
+    def test_report_matches_the_plain_loop(self):
+        rng = random.Random(31)
+        for _ in range(30):
+            n = rng.randrange(2, 60)
+            g = giant_core(random_graph(n, rng.randrange(1, 3 * n), rng))
+            tau = rng.choice([0.0, 0.05, 0.2])
+            rep = personality_report(g, tau=tau)
+            nmd, classes, pool = personality_oracle(g, tau)
+            assert list(rep.neighbor_mean_degree) == nmd
+            assert list(rep.classes) == classes
+            for c, row in zip(PERSONALITY_CLASSES, pool):
+                assert rep.mixing[c] == (tuple(x / sum(row) for x in row) if sum(row) else None)

@@ -8,9 +8,11 @@ implementation.
 from __future__ import annotations
 
 import itertools
+import math
 import random
+from collections import deque
 
-from netgeom.graph import Graph, load_edge_list
+from netgeom.graph import EdgeListParseError, Graph, load_edge_list
 
 INF = float("inf")
 
@@ -105,6 +107,43 @@ def uf_components(g: Graph) -> list[set[int]]:
     return list(groups.values())
 
 
+def parse_edge_list_oracle(lines) -> tuple[tuple[str, ...], set[tuple[int, int]], int, int]:
+    """The line-by-line edge-list reader as a plain loop over sets: labels in
+    first-appearance order, the edge set (u < v), self-loops and duplicates.
+    Raises EdgeListParseError with the parser's line number and message."""
+    index: dict[str, int] = {}
+    edges: set[tuple[int, int]] = set()
+    loops = dups = 0
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        tokens = line.split()
+        if len(tokens) != 2:
+            raise EdgeListParseError(line_no, f"expected 2 tokens, got {len(tokens)}: {raw.rstrip()!r}")
+        a, b = (index.setdefault(t, len(index)) for t in tokens)
+        if a == b:
+            loops += 1
+        elif (min(a, b), max(a, b)) in edges:
+            dups += 1
+        else:
+            edges.add((min(a, b), max(a, b)))
+    return tuple(index), edges, loops, dups
+
+
+def restrict(g: Graph, nodes) -> tuple[list[list[int]], tuple[int, ...]]:
+    """Adjacency lists of the subgraph induced on ``nodes`` (renumbered in
+    increasing order) and the kept node ids, by plain set filtering."""
+    keep = sorted(set(nodes))
+    new = {v: i for i, v in enumerate(keep)}
+    adj: list[list[int]] = [[] for _ in keep]
+    for a, b in g.edges():
+        if a in new and b in new:
+            adj[new[a]].append(new[b])
+            adj[new[b]].append(new[a])
+    return adj, tuple(keep)
+
+
 def oracle_two_core(g: Graph) -> set[int]:
     """Maximal subgraph of minimum degree two, by naive repeated removal."""
     alive = set(range(g.node_count))
@@ -157,3 +196,54 @@ def greedy_cover(rows) -> list[int]:
         picks.append(best)
         uncovered = [cols for cols in uncovered if best not in cols]
     return picks
+
+
+def crawl_oracle(g: Graph, start: int, policy: str, stride: int, seed: int) -> tuple[list[int], list[int]]:
+    """P and D samples of a crawl, as one plain loop over neighbour tuples."""
+    rng = random.Random(seed)
+    seen = {start}
+    frontier: deque[int] | list[int] = deque([start]) if policy == "fifo" else [start]
+    processed = 0
+    ps: list[int] = []
+    ds: list[int] = []
+    while frontier:
+        if policy == "fifo":
+            u = frontier.popleft()
+        else:
+            i = rng.randrange(len(frontier))
+            frontier[i], frontier[-1] = frontier[-1], frontier[i]
+            u = frontier.pop()
+        processed += 1
+        for w in g.neighbors(u):
+            if w not in seen:
+                seen.add(w)
+                frontier.append(w)
+        if processed % stride == 0:
+            ps.append(processed)
+            ds.append(len(frontier))
+    if not ps or ps[-1] != processed:
+        ps.append(processed)
+        ds.append(0)
+    return ps, ds
+
+
+def senior_neighbor_counts(g: Graph, threshold: int) -> list[int]:
+    """Senior neighbours of each senior node (degree >= threshold), in node order."""
+    senior = [g.degree(v) >= threshold for v in range(g.node_count)]
+    return [sum(senior[w] for w in g.neighbors(v)) for v in range(g.node_count) if senior[v]]
+
+
+def personality_oracle(g: Graph, tau: float) -> tuple[list[float], list[str], list[list[int]]]:
+    """Neighbour mean degrees, classes and the class-to-class endpoint counts, by plain loops."""
+    deg = [g.degree(v) for v in range(g.node_count)]
+    nmd = [sum(deg[w] for w in g.neighbors(v)) / deg[v] for v in range(g.node_count)]
+    classes = []
+    for m, d in zip(nmd, deg):
+        score = math.log10(m) - math.log10(d)
+        classes.append("popular" if score < -tau else "marginal" if score > tau else "neutral")
+    order = ("popular", "neutral", "marginal")
+    pool = [[0, 0, 0] for _ in order]
+    for v in range(g.node_count):
+        for w in g.neighbors(v):
+            pool[order.index(classes[v])][order.index(classes[w])] += 1
+    return nmd, classes, pool

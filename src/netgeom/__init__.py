@@ -61,6 +61,7 @@ from .embedding import (
     CoverMatrix,
     ReductionResult,
     DistortionReport,
+    embed,
     embed_full,
     chebyshev_distance,
     chebyshev_matrix,

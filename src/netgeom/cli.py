@@ -44,6 +44,7 @@ from .embedding import (
     Embedding,
     _check_max_pairs,
     build_cover_matrix,
+    embed,
     embed_full,
     reduce_references,
 )
@@ -147,9 +148,14 @@ def _fields(obj, *names: str) -> dict:
     return {name: getattr(obj, name) for name in names}
 
 
+def _names(g: Graph) -> Sequence[str]:
+    """Every node's label, by node id."""
+    return g.labels if g.labels is not None else [str(v) for v in range(g.node_count)]
+
+
 def _edges_text(g: Graph) -> str:
     """One "u v" line per edge, from tables of each label followed by a space and by a newline."""
-    names = g.labels if g.labels is not None else [str(v) for v in range(g.node_count)]
+    names = _names(g)
     left = np.array([name + " " for name in names], dtype=object)
     right = np.array([name + "\n" for name in names], dtype=object)
     lo, hi = g._ends()
@@ -420,18 +426,25 @@ def _cmd_personality(args, out: str, g: Graph) -> None:
 
 
 def _coords_csv(g: Graph, e: Embedding) -> str:
-    head = "node," + ",".join(g.label_of(r) for r in e.references) + "\n"
-    body = "".join(
-        f"{g.label_of(v)}," + ",".join(str(int(x)) for x in e.coords[v]) + "\n"
-        for v in range(e.node_count)
-    )
-    return head + body
+    """One "label,d1,...,dk" line per node, from a table of ",d" strings indexed
+    by the coordinates. Rows are joined 64 at a time: indexing the whole n x k
+    matrix at once holds n*k object references, a 119 MiB peak against 68 MiB
+    for the full embedding at n=1 997."""
+    names = _names(g)
+    cells = np.array([f",{d}" for d in range(int(e.coords.max(initial=0)) + 1)], dtype=object)
+    parts = ["node," + ",".join(names[r] for r in e.references) + "\n"]
+    for s in range(0, e.node_count, 64):
+        block = np.empty((min(64, e.node_count - s), len(e.references) + 2), dtype=object)
+        block[:, 0] = names[s : s + 64]
+        block[:, 1:-1] = cells[e.coords[s : s + 64]]
+        block[:, -1] = "\n"
+        parts.append("".join(block.ravel().tolist()))
+    return "".join(parts)
 
 
 def _cmd_embed(args, out: str, g: Graph) -> None:
-    e = embed_full(g)
-    if args.refs:
-        e = e.subset(_resolve_nodes(g, args.refs.split(",")))
+    # --refs is resolved before any traversal, which then runs from the references only
+    e = embed(g, _resolve_nodes(g, args.refs.split(","))) if args.refs else embed_full(g)
     _write_text(out, "coords.csv", _coords_csv(g, e))
     _write_json(
         out, "embedding.json",
@@ -604,7 +617,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("reduce", _cmd_reduce, "shrink the reference set under a distortion budget", "graph")
     p.add_argument("--tolerance", type=_at_least(int, 0), default=0, metavar="T",
                    help="max allowed hop-distance shortfall (default 0)")
-    p.add_argument("--max-pairs", type=int, default=None,
+    p.add_argument("--max-pairs", type=_at_least(int, 0), default=None,
                    help="abort if the pair table would exceed this size")
 
     p = add("crawl-sim", _cmd_crawl_sim, "simulate a frontier crawl and record its trace", "graph")

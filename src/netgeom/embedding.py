@@ -11,6 +11,13 @@ blocks of node pairs, and each round subtracts only the pairs it newly covers.
 The cover table is over the full embedding, where pair (p, q) is always covered
 by both column p and column q, so no reference is ever a pair's sole cover and
 greedy selection alone decides the kept set.
+
+The pass runs on a copy of the distance matrix in the narrowest signed dtype
+that holds the diameter (int8 up to 127 hops, then int16), where a coordinate
+difference cannot overflow, and counts covers by summing the 0/1 bytes of each
+block into int32. Pair index arrays use the smallest unsigned dtype that holds
+n - 1. One blocked max-abs-difference kernel serves the cover counts, the
+closing distortion check, ``chebyshev_matrix`` and ``embedding_distortion``.
 """
 from __future__ import annotations
 
@@ -27,6 +34,7 @@ __all__ = [
     "CoverMatrix",
     "ReductionResult",
     "DistortionReport",
+    "embed",
     "embed_full",
     "chebyshev_distance",
     "chebyshev_matrix",
@@ -69,23 +77,38 @@ class Embedding:
         )
 
 
+def embed(g: Graph, references: Sequence[int]) -> Embedding:
+    """Embedding of a connected graph against the given reference nodes.
+
+    References keep their order and repeats; the embedding is full when they
+    name every node. One traversal runs from each reference, so no n x n
+    matrix is built for a short list. Raises ValueError if the graph is empty
+    or disconnected.
+    """
+    n = g.node_count
+    if n == 0:
+        raise ValueError("cannot embed an empty graph")
+    refs = tuple(int(r) for r in references)
+    for r in refs:
+        if not 0 <= r < n:
+            raise ValueError(f"reference {r} out of range 0..{n - 1}")
+    coords = np.empty((n, len(refs)), dtype=np.int32)
+    col = 0
+    for block in _distance_blocks(g, refs):
+        coords[:, col : col + len(block)] = block.T
+        col += len(block)
+    if (coords < 0).any():
+        raise ValueError("graph is disconnected; embed one component at a time")
+    return Embedding(references=refs, coords=coords, full=set(refs) == set(range(n)))
+
+
 def embed_full(g: Graph) -> Embedding:
     """Full embedding of a connected graph: every node is a reference.
 
     coords is the complete hop-distance matrix. Raises ValueError if the graph
     is empty or disconnected.
     """
-    n = g.node_count
-    if n == 0:
-        raise ValueError("cannot embed an empty graph")
-    coords = np.empty((n, n), dtype=np.int32)
-    row = 0
-    for block in _distance_blocks(g, range(n)):
-        coords[row : row + len(block)] = block
-        row += len(block)
-    if (coords < 0).any():
-        raise ValueError("graph is disconnected; embed one component at a time")
-    return Embedding(references=tuple(range(n)), coords=coords, full=True)
+    return embed(g, range(g.node_count))
 
 
 def chebyshev_distance(e: Embedding, p: int, q: int) -> int:
@@ -99,9 +122,9 @@ def chebyshev_distance(e: Embedding, p: int, q: int) -> int:
 def chebyshev_matrix(e: Embedding) -> np.ndarray:
     """All-pairs Chebyshev distances under the embedding's reference set."""
     n = e.node_count
-    out = np.empty((n, n), dtype=e.coords.dtype)
-    for v in range(n):
-        np.abs(e.coords - e.coords[v]).max(axis=1, out=out[v])
+    I, J = _pair_arrays(n)
+    out = np.zeros((n, n), dtype=e.coords.dtype)
+    out[I, J] = out[J, I] = _chebyshev_pairs(_narrow(e.coords), I, J)
     return out
 
 
@@ -179,9 +202,23 @@ def build_cover_matrix(e: Embedding, tolerance: int) -> CoverMatrix:
     return CoverMatrix(embedding=e, tolerance=tolerance)
 
 
+def _narrow(coords: np.ndarray) -> np.ndarray:
+    """Copy of integer coordinates in the narrowest signed dtype (int8 up) that
+    holds every value and every difference of two values.
+
+    For hop distances that bound is the largest distance, so a graph of diameter
+    at most 127 is compared in int8, a quarter of the memory traffic of int32.
+    """
+    span = int(coords.max(initial=0)) - min(int(coords.min(initial=0)), 0)
+    dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64) if span <= np.iinfo(t).max)
+    return coords.astype(dtype)
+
+
 def _pair_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
-    iu = np.triu_indices(n, k=1)
-    return iu[0].astype(np.int32), iu[1].astype(np.int32)
+    """Pairs p < q of n nodes in row-major order, in the smallest unsigned dtype holding n - 1."""
+    idx = np.arange(n, dtype=np.min_scalar_type(max(n - 1, 0)))
+    upper = idx[:, None] < idx
+    return np.broadcast_to(idx[:, None], (n, n))[upper], np.broadcast_to(idx, (n, n))[upper]
 
 
 def _check_max_pairs(n: int, max_pairs: int | None) -> None:
@@ -190,37 +227,47 @@ def _check_max_pairs(n: int, max_pairs: int | None) -> None:
         raise ValueError(f"pair count {pairs} exceeds max_pairs={max_pairs}")
 
 
-def _cover_counts(coords: np.ndarray, I: np.ndarray, J: np.ndarray, thresh: np.ndarray) -> np.ndarray:
-    """Per-reference count of the pairs (I[r], J[r]) that each column covers.
+def _abs_diff_blocks(coords: np.ndarray, I: np.ndarray, J: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (s, |coords[I[s:t]] - coords[J[s:t]]|) over row blocks of about 256 K cells.
 
-    Walks the pairs in row blocks of about 1 M cells, so no pair x reference
-    table is ever held whole.
+    ``coords`` must come from ``_narrow``, so the differences cannot overflow.
+    Blocks this small stay in cache, and no pair x column table is held whole.
     """
-    n = coords.shape[1]
-    counts = np.zeros(n, dtype=np.int64)
-    block = max(1, (1 << 20) // n)
+    block = max(1, (1 << 18) // max(1, coords.shape[1]))
     for s in range(0, I.size, block):
-        t = s + block
-        diff = coords[I[s:t]]
-        np.subtract(diff, coords[J[s:t]], out=diff)
+        diff = coords[I[s : s + block]]
+        np.subtract(diff, coords[J[s : s + block]], out=diff)
         np.abs(diff, out=diff)
-        counts += (diff >= thresh[s:t, None]).sum(axis=0)
+        yield s, diff
+
+
+def _cover_counts(coords: np.ndarray, I: np.ndarray, J: np.ndarray, thresh: np.ndarray) -> np.ndarray:
+    """Per-reference count of the pairs (I[r], J[r]) that each column covers."""
+    counts = np.zeros(coords.shape[1], dtype=np.int64)
+    for s, diff in _abs_diff_blocks(coords, I, J):
+        covered = diff >= thresh[s : s + len(diff), None]
+        # summing the 0/1 bytes into int32 is about twice as fast as bool.sum
+        counts += np.add.reduce(covered.view(np.int8), axis=0, dtype=np.int32)
     return counts
+
+
+def _chebyshev_pairs(coords: np.ndarray, I: np.ndarray, J: np.ndarray) -> np.ndarray:
+    """Chebyshev distance max_k |coords[I[r], k] - coords[J[r], k]| of every pair r."""
+    out = np.empty(I.size, dtype=coords.dtype)
+    for s, diff in _abs_diff_blocks(coords, I, J):
+        diff.max(axis=1, initial=0, out=out[s : s + len(diff)])
+    return out
 
 
 def _pair_distances(coords: np.ndarray, columns: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """True distance and Chebyshev estimate of every pair p < q, in row-major order.
 
-    ``coords`` must be the full distance matrix; the estimate uses only the
-    given reference columns.
+    ``coords`` must be the full distance matrix from ``_narrow``; the estimate
+    uses only the given reference columns.
     """
-    n = coords.shape[0]
-    sub = coords[:, list(columns)]
-    true = np.concatenate([coords[p, p + 1:] for p in range(n)])
-    estimate = np.concatenate(
-        [np.abs(sub[p + 1:] - sub[p]).max(axis=1, initial=0) for p in range(n)]
-    )
-    return true, estimate
+    I, J = _pair_arrays(coords.shape[0])
+    sub = np.ascontiguousarray(coords[:, list(columns)])  # a column gather is laid out F-order
+    return coords[I, J], _chebyshev_pairs(sub, I, J)
 
 
 def _shortfall_histogram(shortfall: np.ndarray) -> Histogram:
@@ -237,23 +284,28 @@ def reduce_references(cm: CoverMatrix, max_pairs: int | None = None) -> Reductio
     pair is always covered by its own two endpoints. No reference is ever the
     sole cover of a pair for the same reason, so there is no essential phase
     and ``essential`` is always empty. The final max distortion is verified
-    against the tolerance before returning.
+    against the tolerance before returning. All of it runs on a narrow copy of
+    the coordinates (see the module docstring); ``cm.embedding`` is unchanged.
 
     ``max_pairs`` aborts up front when the pair count exceeds the budget.
     """
     n = cm.node_count
     _check_max_pairs(n, max_pairs)
-    # hop distances are small and non-negative, so int32 differences cannot overflow
-    coords = np.asarray(cm.embedding.coords, dtype=np.int32)
+    coords = _narrow(cm.embedding.coords)
+    # A tolerance beyond the diameter changes nothing, and clamped it fits the
+    # narrow dtype: under numpy 2 casting, int8 - 1000 raises OverflowError.
+    tolerance = min(cm.tolerance, int(coords.max()))
     I, J = _pair_arrays(n)
-    thresh = np.maximum(coords[I, J] - cm.tolerance, 0)
+    thresh = np.maximum(coords[I, J] - tolerance, 0)
     counts = _cover_counts(coords, I, J, thresh)
 
     greedy: list[int] = []
     while I.size:
         col = int(np.argmax(counts))
         greedy.append(col)
-        hit = np.abs(coords[I, col] - coords[J, col]) >= thresh
+        # the table is symmetric, so column col is read as the contiguous row col
+        row = coords[col]
+        hit = np.abs(row[I] - row[J]) >= thresh
         counts -= _cover_counts(coords, I[hit], J[hit], thresh[hit])
         miss = ~hit
         I, J, thresh = I[miss], J[miss], thresh[miss]
@@ -292,7 +344,7 @@ def embedding_distortion(g: Graph, references: Sequence[int]) -> DistortionRepor
     """
     full = embed_full(g)
     sub = full.subset(tuple(references))
-    dm, dv = _pair_distances(full.coords, sub.references)
+    dm, dv = _pair_distances(_narrow(full.coords), sub.references)
     distortion = dm - dv
     if distortion.size and distortion.min() < 0:
         raise AssertionError("estimate exceeded true distance; embedding is corrupt")

@@ -194,6 +194,17 @@ class TestPipeline:
         assert [rows[0][c] for c in ("0", "1", "2", "3", "4")] == \
             ["0", "1", "2", "3", "4"]
 
+    def test_reduce_beyond_the_diameter_keeps_one_reference(self, tmp_path):
+        src = write_p5(tmp_path)  # diameter 4
+        for tol in ("4", "200", "1000"):
+            out = tmp_path / f"red{tol}"
+            assert run("reduce", "--graph", str(src), "--tolerance", tol,
+                       "--out", str(out)) == 0
+            assert (out / "refs.txt").read_text() == "0\n"
+            reduction = read_json(out / "reduction.json")
+            assert reduction["kept"] == 1
+            assert reduction["tolerance"] == int(tol)
+
     def test_solve_ode_conserves_implied_size(self, tmp_path):
         out = tmp_path / "ode"
         assert run("solve-ode", "--d0", "100", "--dprime0", "-0.5",
@@ -298,13 +309,19 @@ class TestErrorLines:
                    "--out", str(tmp_path / "s")) == 2
         error_lines(capsys)
 
-    def test_embed_refs_resolves_every_token(self, tmp_path, capsys):
+    def test_embed_refs_resolves_every_token(self, tmp_path, capsys, monkeypatch):
         src = write_p5(tmp_path)
         out = tmp_path / "emb"
         assert run("embed", "--graph", str(src), "--refs", "4,0,2",
                    "--out", str(out)) == 0
         info = read_json(out / "embedding.json")
         assert info["references"] == ["4", "0", "2"]
+
+        def no_traversal(*args):
+            raise AssertionError("a traversal ran before --refs was resolved")
+
+        monkeypatch.setattr("netgeom.cli.embed_full", no_traversal)
+        monkeypatch.setattr("netgeom.embedding._distance_blocks", no_traversal)
         assert run("embed", "--graph", str(src), "--refs", "4,zz",
                    "--out", str(out)) == 1
         [line] = error_lines(capsys)
@@ -322,6 +339,7 @@ class TestFlagValues:
         "--profile-bin": ["depth", "--graph", "{missing}", "--profile-bin", "0"],
         "--tau": ["personality", "--graph", "{missing}", "--tau", "-0.5"],
         "--tolerance": ["reduce", "--graph", "{missing}", "--tolerance", "-1"],
+        "--max-pairs": ["reduce", "--graph", "{missing}", "--max-pairs", "-1"],
         "--stride": ["crawl-sim", "--graph", "{missing}", "--stride", "0"],
         "--window": ["estimate", "--trace", "{missing}", "--window", "1"],
         "--step": ["solve-ode", "--d0", "100", "--dprime0", "-0.5", "--pmax", "50",

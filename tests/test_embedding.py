@@ -10,6 +10,7 @@ from netgeom.embedding import (
     build_cover_matrix,
     chebyshev_distance,
     chebyshev_matrix,
+    embed,
     embed_full,
     embedding_distortion,
     reduce_references,
@@ -59,6 +60,39 @@ class TestEmbedding:
         cm = chebyshev_matrix(sub)
         assert (cm <= np.asarray(e.coords)).all()
         assert chebyshev_distance(sub, 3, 17) == cm[3, 17]
+
+    def test_chebyshev_matrix_matches_the_pairwise_distance(self):
+        # a path of 200 nodes has differences beyond int8
+        for g, refs in ((random_connected(30, 40, random.Random(13)), (4, 0, 17, 4)),
+                        (path_graph(200), (150, 3, 199))):
+            sub = embed_full(g).subset(refs)
+            cm = chebyshev_matrix(sub)
+            assert cm.dtype == sub.coords.dtype
+            n = sub.node_count
+            assert [[int(x) for x in r] for r in cm] == [
+                [chebyshev_distance(sub, p, q) for q in range(n)] for p in range(n)
+            ]
+
+    def test_reference_embedding_equals_the_full_subset(self):
+        rng = random.Random(11)
+        for _ in range(10):
+            n = rng.randrange(2, 90)
+            g = random_connected(n, rng.randrange(0, 2 * n), rng)
+            full = embed_full(g)
+            for refs in (rng.choices(range(n), k=rng.randrange(1, 70)),  # repeats, any order
+                         rng.sample(range(n), n)):
+                e = embed(g, refs)
+                sub = full.subset(refs)
+                assert e.references == sub.references
+                assert e.full == sub.full
+                assert e.coords.dtype == np.int32
+                assert np.array_equal(e.coords, sub.coords)
+
+    def test_reference_embedding_rejects_bad_input(self):
+        with pytest.raises(ValueError, match="graph is disconnected; embed one component at a time"):
+            embed(from_edges([(0, 1), (2, 3)]), [0])
+        with pytest.raises(ValueError, match="out of range"):
+            embed(path_graph(3), [3])
 
     def test_subset_rejects_unknown_reference(self):
         e = embed_full(path_graph(4))
@@ -150,8 +184,12 @@ class TestReduction:
         g = random_connected(30, 45, rng)
         e = embed_full(g)
         diameter = int(np.asarray(e.coords).max())
-        r = reduce_references(build_cover_matrix(e, diameter))
-        assert len(r.kept) == 1
+        # tolerances past the int8 range are clamped to the diameter, not cast
+        for tol in (diameter, diameter + 1, 200, 1000):
+            r = reduce_references(build_cover_matrix(e, tol))
+            assert r.kept == (0,)
+            assert r.tolerance == tol
+            assert r.max_distortion <= diameter
 
     def test_greedy_result_is_within_reach_of_the_true_minimum(self):
         rng = random.Random(14)
@@ -188,6 +226,43 @@ class TestReduction:
         e = embed_full(path_graph(30))
         with pytest.raises(ValueError, match="max_pairs"):
             reduce_references(build_cover_matrix(e, 0), max_pairs=100)
+
+
+def pendant_triangle_path(diameter: int):
+    """A path of diameter + 1 nodes with a triangle hanging off its middle node."""
+    mid, a, b = diameter // 2, diameter + 1, diameter + 2
+    return from_edges([(i, i + 1) for i in range(diameter)] + [(mid, a), (mid, b), (a, b)])
+
+
+class TestNarrowDtype:
+    """reduce_references counts in int8 up to diameter 127 and in int16 above."""
+
+    @pytest.mark.parametrize("diameter", [127, 128])
+    def test_reduction_across_the_int8_boundary(self, diameter):
+        g = pendant_triangle_path(diameter)
+        e = embed_full(g)
+        coords = e.coords.copy()
+        assert int(coords.max()) == diameter
+        for tol in (0, 1, 2):
+            cm = build_cover_matrix(e, tol)
+            picks = tuple(sorted(greedy_cover(cm.rows())))
+            r = reduce_references(cm)
+            assert r.kept == r.greedy == picks, tol
+            # distortion in plain int64, independent of the narrow kernels
+            d = coords.astype(np.int64)
+            cols = d[:, list(r.kept)]
+            estimate = np.abs(cols[:, None, :] - cols[None, :, :]).max(axis=2)
+            upper = np.triu_indices(g.node_count, k=1)
+            shortfall = (d - estimate)[upper]
+            assert r.max_distortion == int(shortfall.max()) <= tol
+            assert r.distortion_histogram.bins == {
+                int(v): int(c) for v, c in zip(*np.unique(shortfall, return_counts=True))
+            }
+            report = embedding_distortion(g, r.kept)
+            assert report.max_hops == r.max_distortion
+            assert report.histogram == r.distortion_histogram
+        assert e.coords.dtype == np.int32
+        assert np.array_equal(e.coords, coords)
 
 
 class TestGreedyOracle:

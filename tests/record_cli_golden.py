@@ -73,6 +73,7 @@ CASES: list[tuple[str, list[str]]] = [
                       "--seed", "9", "--start", "17"]),
     ("estimate-fifo", ["estimate", "--trace", FIFO]),
     ("estimate-random", ["estimate", "--trace", RANDOM, "--window", "5"]),
+    ("estimate-fifo-w2", ["estimate", "--trace", FIFO, "--window", "2"]),
     ("fit-fifo", ["fit-rational", "--trace", FIFO]),
     ("fit-random", ["fit-rational", "--trace", RANDOM]),
     ("solve-ode", ["solve-ode", "--d0", "100", "--dprime0", "-0.5", "--step", "0.5",

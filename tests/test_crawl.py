@@ -123,6 +123,43 @@ class TestDerivativeAndWindow:
         assert np.isnan(estimate_derivative(tr, window=50)).all()
 
 
+def pinned_trace() -> CrawlTrace:
+    """30 seeded samples with p up to ~1.5e8, so p*p and the prefix sums round."""
+    rng = random.Random(8)
+    p, d, acc = [], [], 0
+    for _ in range(30):
+        acc += rng.randrange(1, 10**7)
+        p.append(acc)
+        d.append(rng.randrange(0, 10**7))
+    return synthetic_trace(p, d)
+
+
+# finite slopes as float.hex, recorded from the prefix-sum rolling fit
+PINNED_SLOPES = {
+    2: ["-0x1.4cec80cda2cc2p-1", "-0x1.b5bbda43638dcp-2", "0x1.17adc93b75c82p+0", "0x1.7e4c8cf041827p+0",
+        "-0x1.02537539400fep-1", "0x1.edb67f78ccea3p+0", "-0x1.9378704c77787p-7", "0x1.b6ff3f6d7329cp-4",
+        "-0x1.0e7675f881db4p-1", "-0x1.0512458d34335p-2", "0x1.31461bc6a36bcp-2", "0x1.a1431d12ef200p+0",
+        "0x1.155cd53086fa3p-2", "-0x1.edbf9e05f0211p-5", "-0x1.0fba99d72badcp+0", "-0x1.013ad0fec929ep+1",
+        "0x1.a040f52bcc276p-1", "-0x1.7b3461cfb150ep+1", "0x1.0acf6567c5744p-1", "0x1.876e9adb7b5e2p+1",
+        "-0x1.1ef7b5964ebdbp-1", "-0x1.cf4dd240f58b4p-4", "0x1.8b4551d938ef3p+2", "-0x1.5cd25f78a4247p+0",
+        "-0x1.c19a8f90920ecp+0", "0x1.106d188c73952p-1", "-0x1.37f2b7ca17df8p-6", "0x1.92267dad08a91p-2",
+        "-0x1.78a5bff5d0896p-2"],
+    None: ["0x1.e9bed59385268p-9", "0x1.0698cccf29600p-9", "0x1.08f89b9504c36p-9",
+           "-0x1.77e088ef65d2bp-10", "0x1.df801b1716b6bp-14", "0x1.179ecad787ae6p-7"],
+    31: [],
+}
+
+
+class TestPinnedDerivative:
+    @pytest.mark.parametrize("window", [2, None, 31], ids=["w2", "default", "longer-than-trace"])
+    def test_slopes_match_their_recorded_bits(self, window):
+        der = estimate_derivative(pinned_trace(), window)
+        finite = PINNED_SLOPES[window]
+        assert der.shape == (30,)
+        assert np.isnan(der[: 30 - len(finite)]).all()
+        assert [float(x).hex() for x in der[30 - len(finite):]] == finite
+
+
 class TestSizeEstimate:
     def test_complete_graph_is_estimated_exactly(self):
         tr = simulate_crawl(complete_graph(101), start=0)

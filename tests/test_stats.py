@@ -212,6 +212,71 @@ class TestDoubleParetoFit:
         assert fit.alpha_right == pytest.approx(2.0, abs=0.05)
 
 
+def noisy_power_law(seed: int) -> dict[int, int]:
+    """Seeded two-slope histogram with multiplicative noise and ~10% empty bins."""
+    rng = random.Random(seed)
+    a1, a2, brk = rng.uniform(0.5, 2.0), rng.uniform(1.5, 3.5), rng.randrange(5, 40)
+    bins = {}
+    for v in range(1, rng.randrange(60, 400)):
+        base = v ** -a1 if v <= brk else brk ** (a2 - a1) * v ** -a2
+        c = int(1e6 * base * rng.uniform(0.5, 1.5))
+        if c and rng.random() < 0.9:
+            bins[v] = c
+    return bins
+
+
+PINNED_HISTOGRAMS = {
+    **{f"seed{s}": noisy_power_law(s) for s in range(4)},
+    # the tail floor keeps one bin, so it is relaxed to keep all six
+    "relaxed-floor": {1: 10**6, **{v: 1 for v in range(2, 7)}},
+    # no break leaves 3% of the mass on the right, so every break is swept
+    "no-massive-break": {1: 10**6, **{v: 100 for v in range(2, 9)}},
+}
+
+# (alpha_left, alpha_right, break_degree, intercept_left, intercept_right,
+# sse_left, sse_right), floats as float.hex, recorded from the per-segment
+# prefix-sum fitter; any change of rounding shows up here.
+PINNED_FITS = {
+    ("seed0", True): ("0x1.92a7ed7d997cdp+0", "0x1.f6b668c6837bbp+0", 6, "0x1.b141ce1ed9d77p+3",
+                      "0x1.cfa1606f55e50p+3", "0x1.9bc44e83b8800p-9", "0x1.09145443ac800p-7"),
+    ("seed0", False): ("0x1.7c71fa0199973p+0", "0x1.026442e3ee3bdp+1", 10, "0x1.af3160f89d414p+3",
+                       "0x1.d1faa35a86d35p+3", "0x1.7dada36370000p-4", "0x1.49819407d5800p+1"),
+    ("seed1", True): ("0x1.4ed4056abb92fp-2", "0x1.4c33eb5a6e2b4p+1", 7, "0x1.ac813b855e832p+3",
+                      "0x1.19adcf2f3eed5p+4", "0x1.64a0c0cb13e80p-6", "0x1.5136fcd7ad400p-6"),
+    ("seed1", False): ("0x1.56ae01e0ff511p-2", "0x1.63a8b0da6c50dp+1", 7, "0x1.abe888638ee39p+3",
+                       "0x1.205fb770f62d7p+4", "0x1.8b43b74519b00p-3", "0x1.fa5dfb2475000p+0"),
+    ("seed2", True): ("0x1.5ba85650840f6p+0", "0x1.4460283bb2bdbp+1", 4, "0x1.ab078db3f0bb9p+3",
+                      "0x1.d67c44a3ae87ap+3", "0x1.3ac3cbf2a4700p-5", "0x1.2033de91e0200p-7"),
+    ("seed2", False): ("0x1.e4b55a69a3682p+0", "0x1.5aa158b75a70cp+1", 9, "0x1.b2e4c422b6dffp+3",
+                       "0x1.de828290410f0p+3", "0x1.0f734e3484100p-1", "0x1.5a93e1f14ce00p+0"),
+    ("seed3", True): ("0x1.b9e8dc1b5b1c8p-1", "0x1.2bfb8c12ed6f3p+1", 28, "0x1.b896abe02bd93p+3",
+                      "0x1.28e8fca1625efp+4", "0x1.824d19ed3d500p-5", "0x1.3d0a8958c3800p-7"),
+    ("seed3", False): ("0x1.cd5eea663aa75p-1", "0x1.1857fa6a8df6bp+1", 33, "0x1.b82955807e2edp+3",
+                       "0x1.1ddb3a49ea457p+4", "0x1.258a8b3c00d00p+1", "0x1.cc50d2b712000p+1"),
+    ("relaxed-floor", True): ("0x1.d57011c975bcap+3", "-0x0.0p+0", 3, "0x1.ba18a6c65ac67p+3",
+                              "0x0.0p+0", "0x1.37fd501800000p-16", "0x0.0p+0"),
+    ("relaxed-floor", False): ("0x1.abc2ed2f6f719p+3", "-0x0.0p+0", 3, "0x1.92d8e96309a8bp+3",
+                               "0x0.0p+0", "0x1.0f1f675eed500p+4", "0x0.0p+0"),
+    ("no-massive-break", True): ("0x1.38f49b5d334dcp+3", "0x1.d91cc3dd1cf0ep-34", 3,
+                                 "0x1.ba17ed691c301p+3", "0x1.26bb1bbb88278p+2",
+                                 "0x1.b1037d59b6630p-11", "0x0.0p+0"),
+    ("no-massive-break", False): ("0x1.1d2c9e1f9fa13p+3", "0x1.7fa6f4acfa240p-45", 3,
+                                  "0x1.9fee2975066e8p+3", "0x1.26bb1bbb55567p+2",
+                                  "0x1.e1fef0a8c24f0p+2", "0x0.0p+0"),
+}
+
+
+class TestPinnedFits:
+    @pytest.mark.parametrize("case", sorted(PINNED_FITS), ids=lambda c: f"{c[0]}-{'w' if c[1] else 'u'}")
+    def test_fit_matches_its_recorded_bits(self, case):
+        name, weighted = case
+        f = fit_double_pareto(Histogram(PINNED_HISTOGRAMS[name]), weighted=weighted)
+        got = (f.alpha_left.hex(), f.alpha_right.hex(), f.break_degree, f.intercept_left.hex(),
+               f.intercept_right.hex(), float(f.sse_left).hex(), float(f.sse_right).hex())
+        assert got == PINNED_FITS[case]
+        assert f.weighted is weighted
+
+
 class TestSeniorReference:
     def test_neighbor_counts_match_the_plain_loop(self):
         rng = random.Random(21)

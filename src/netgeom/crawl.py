@@ -22,6 +22,7 @@ from typing import Iterable
 import numpy as np
 
 from .graph import Graph
+from .stats import _line_fits
 
 __all__ = [
     "CrawlTrace",
@@ -193,19 +194,8 @@ def estimate_derivative(trace: CrawlTrace, window: int | None = None) -> np.ndar
     out = np.full(m, np.nan)
     if m < w:
         return out
-    # rolling sums over the trailing window via prefix sums
-    def prefix(q: np.ndarray) -> np.ndarray:
-        return np.concatenate(([0.0], np.cumsum(q)))
-
-    px, py = prefix(p), prefix(d)
-    pxx, pxy = prefix(p * p), prefix(p * d)
-    idx = np.arange(w - 1, m)
-    sx = px[idx + 1] - px[idx + 1 - w]
-    sy = py[idx + 1] - py[idx + 1 - w]
-    sxx = pxx[idx + 1] - pxx[idx + 1 - w]
-    sxy = pxy[idx + 1] - pxy[idx + 1 - w]
-    denom = w * sxx - sx * sx
-    out[idx] = (w * sxy - sx * sy) / denom
+    ends = np.arange(w - 1, m)
+    out[ends] = _line_fits(p, d, np.ones(m), ends - (w - 1), ends)[0]
     return out
 
 

@@ -163,17 +163,27 @@ def degree_histogram(g: Graph) -> Histogram:
     return Histogram.from_values(g.degrees())
 
 
-def _segment_stats(prefix: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Sum of each prefixed quantity over point indices [lo, hi]."""
-    return prefix[hi + 1] - prefix[lo]
+_TAIL_FRACTION = 5e-4
+_MIN_SEGMENT_MASS = 0.03
 
 
-def fit_double_pareto(
-    h: Histogram,
-    weighted: bool = True,
-    tail_fraction: float = 5e-4,
-    min_segment_mass: float = 0.03,
-) -> DoubleParetoFit:
+def _line_fits(x, y, w, lo, hi) -> tuple:
+    """Weighted least-squares lines ``y ~ intercept + slope * x`` over points lo..hi.
+
+    ``lo`` and ``hi`` are inclusive point indices, scalars or equal-length
+    arrays. One prefix-sum table over (w, wx, wy, wxx, wxy, wyy) serves every
+    segment. Returns (slope, intercept, weighted residual sum of squares), the
+    last clamped at 0 against rounding.
+    """
+    cols = np.stack([w, w * x, w * y, w * x * x, w * x * y, w * y * y], axis=1)
+    table = np.concatenate((np.zeros((1, 6)), np.cumsum(cols, axis=0)))
+    sw, sx, sy, sxx, sxy, syy = (table[np.add(hi, 1)] - table[lo]).T
+    slope = (sw * sxy - sx * sy) / (sw * sxx - sx * sx)
+    intercept = (sy - slope * sx) / sw
+    return slope, intercept, np.maximum(syy - intercept * sy - slope * sxy, 0.0)
+
+
+def fit_double_pareto(h: Histogram, weighted: bool = True) -> DoubleParetoFit:
     """Fit two power-law segments to a degree histogram on log-log axes.
 
     Every admissible break degree is swept (each segment keeps at least 3
@@ -184,13 +194,13 @@ def fit_double_pareto(
 
     Three guards keep the near-empty far tail (whose log-counts sit on the
     count >= 1 floor and carry no slope information) from hijacking a segment:
-    bins with a count below ``tail_fraction`` of the positive-degree total are
-    dropped (relaxed as needed so at least 6 bins always remain); breaks that
-    would leave either segment with less than ``min_segment_mass`` of the kept
-    sample mass are skipped (unless no break qualifies); and with
-    ``weighted=True`` (default) every remaining point is weighted by its
-    count. All guards are invariant under uniform scaling of all counts, and
-    so is the whole fit.
+    bins with a count below ``_TAIL_FRACTION`` (5e-4) of the positive-degree
+    total are dropped (relaxed as needed so at least 6 bins always remain);
+    breaks that would leave either segment with less than
+    ``_MIN_SEGMENT_MASS`` (3%) of the kept sample mass are skipped (unless no
+    break qualifies); and with ``weighted=True`` (default) every remaining
+    point is weighted by its count. All guards are invariant under uniform
+    scaling of all counts, and so is the whole fit.
 
     Raises ValueError when fewer than 6 distinct positive-degree bins exist.
     """
@@ -198,7 +208,7 @@ def fit_double_pareto(
     if len(all_points) < 6:
         raise ValueError(f"need at least 6 distinct positive-degree bins, got {len(all_points)}")
     total = sum(c for _, c in all_points)
-    floor = max(1, int(tail_fraction * total))
+    floor = max(1, int(_TAIL_FRACTION * total))
     points = [(v, c) for v, c in all_points if c >= floor]
     if len(points) < 6:
         floor = sorted((c for _, c in all_points), reverse=True)[5]
@@ -211,54 +221,29 @@ def fit_double_pareto(
     if weighted:
         w = w / w.sum()  # scale invariance, and keeps the sums well conditioned
 
-    def prefix(q: np.ndarray) -> np.ndarray:
-        return np.concatenate(([0.0], np.cumsum(q)))
-
-    pw, pwx, pwy = prefix(w), prefix(w * x), prefix(w * y)
-    pwxx, pwxy, pwyy = prefix(w * x * x), prefix(w * x * y), prefix(w * y * y)
-
-    def line(lo: int, hi: int) -> tuple[float, float, float]:
-        sw = _segment_stats(pw, lo, hi)
-        sx = _segment_stats(pwx, lo, hi)
-        sy = _segment_stats(pwy, lo, hi)
-        sxx = _segment_stats(pwxx, lo, hi)
-        sxy = _segment_stats(pwxy, lo, hi)
-        syy = _segment_stats(pwyy, lo, hi)
-        denom = sw * sxx - sx * sx
-        slope = (sw * sxy - sx * sy) / denom
-        intercept = (sy - slope * sx) / sw
-        sse = max(syy - intercept * sy - slope * sxy, 0.0)
-        return slope, intercept, sse
-
     last = len(points) - 1
     # A segment whose bins hold almost none of the sample carries no slope
     # signal; restrict the sweep to breaks where both sides keep a real share
     # of the mass. When nothing qualifies, fall back to the full range.
-    pc = prefix(cnt)
-    kept_total = pc[-1]
-    candidates = [
-        b
-        for b in range(2, last - 1)
-        if _segment_stats(pc, 0, b) >= min_segment_mass * kept_total
-        and _segment_stats(pc, b, last) >= min_segment_mass * kept_total
-    ]
-    if not candidates:
-        candidates = list(range(2, last - 1))
-    best: tuple[float, int] | None = None
-    for b in candidates:
-        _, _, sse_l = line(0, b)
-        _, _, sse_r = line(b, last)
-        sse_total = sse_l + sse_r
-        if best is None or sse_total < best[0] - 1e-15:
-            best = (sse_total, b)
-    assert best is not None
-    b = best[1]
-    slope_l, icpt_l, sse_l = line(0, b)
-    slope_r, icpt_r, sse_r = line(b, last)
+    breaks = np.arange(2, last - 1)
+    mass = np.cumsum(cnt)
+    need = _MIN_SEGMENT_MASS * mass[-1]
+    heavy = (mass[breaks] >= need) & (mass[-1] - mass[breaks - 1] >= need)
+    if heavy.any():
+        breaks = breaks[heavy]
+    left = _line_fits(x, y, w, 0, breaks)
+    right = _line_fits(x, y, w, breaks, last)
+    totals = (left[2] + right[2]).tolist()
+    best = 0
+    for i, sse_total in enumerate(totals):
+        if sse_total < totals[best] - 1e-15:
+            best = i
+    slope_l, icpt_l, sse_l = (a[best] for a in left)
+    slope_r, icpt_r, sse_r = (a[best] for a in right)
     return DoubleParetoFit(
         alpha_left=-slope_l,
         alpha_right=-slope_r,
-        break_degree=int(deg[b]),
+        break_degree=int(deg[breaks[best]]),
         intercept_left=icpt_l,
         intercept_right=icpt_r,
         sse_left=sse_l,

@@ -10,7 +10,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, _distance_blocks, _row_sums, _sources, components, induced_subgraph
+from .graph import (
+    Graph,
+    _component_ids,
+    _distance_blocks,
+    _induced,
+    _row_sums,
+    _sources,
+    components,
+    induced_subgraph,
+)
 from .stats import Histogram
 
 __all__ = [
@@ -344,11 +353,12 @@ def depth_map_per_component(
 
     Each subgraph's ``origin_nodes`` maps its indices back to ``g``.
     """
-    lab = components(g)
+    cid, sizes = _component_ids(g)
+    # a stable sort keeps each component's nodes ascending; the last piece is empty
+    groups = np.split(np.argsort(cid, kind="stable"), np.cumsum(sizes))[:-1]
     out: list[tuple[Graph, DepthMap]] = []
-    for cid in range(lab.count):
-        nodes = [v for v in range(g.node_count) if lab.component_id[v] == cid]
-        sub = induced_subgraph(g, nodes)
+    for nodes in groups:
+        sub = _induced(g, nodes)
         out.append((sub, depth_map(sub, mode=mode, anchors=anchors, seed=seed)))
     return out
 

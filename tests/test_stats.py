@@ -1,10 +1,17 @@
 """Histograms, path-length reports, senior cohorts, and the two-segment fit."""
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from netgeom.crawl import CrawlTrace, estimate_derivative
 
 from netgeom.generators import DoubleParetoSpec, generate_double_pareto_degrees
 from netgeom.graph import Graph
@@ -20,6 +27,7 @@ from util import (
     complete_graph,
     from_edges,
     fw_distances,
+    line_fit_oracle,
     path_graph,
     random_connected,
     senior_neighbor_counts,
@@ -275,6 +283,62 @@ class TestPinnedFits:
                f.intercept_right.hex(), float(f.sse_left).hex(), float(f.sse_right).hex())
         assert got == PINNED_FITS[case]
         assert f.weighted is weighted
+
+
+def admissible_points_and_breaks(bins: dict[int, int]) -> tuple[list[tuple[int, int]], list[int]]:
+    """The fit's kept (degree, count) points and the breaks it may pick, restated by plain loops."""
+    points = sorted((v, c) for v, c in bins.items() if v >= 1)
+    total = sum(c for _, c in points)
+    kept = [(v, c) for v, c in points if c >= max(1, int(5e-4 * total))]
+    if len(kept) < 6:
+        sixth = sorted((c for _, c in points), reverse=True)[5]
+        kept = [(v, c) for v, c in points if c >= sixth]
+    counts = [c for _, c in kept]
+    need = 0.03 * sum(counts)
+    every = list(range(2, len(kept) - 2))
+    heavy = [b for b in every if sum(counts[: b + 1]) >= need and sum(counts[b:]) >= need]
+    return kept, heavy or every
+
+
+class TestLineFitOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 10**4), st.integers(0, 10**5)), min_size=1, max_size=60),
+           st.integers(2, 70))
+    def test_windowed_slope_matches_direct_sums(self, steps, window):
+        # p stays below 6e5, so every prefix sum is an exact integer in float64
+        p = list(itertools.accumulate(s for s, _ in steps))
+        d = [v for _, v in steps]
+        trace = CrawlTrace(p=tuple(p), d=tuple(d), policy="fifo", stride=1, seed=0, start=0,
+                           true_size=10**9, complete=False)
+        der = estimate_derivative(trace, window)
+        filled = max(0, len(p) - window + 1)
+        assert np.isnan(der[: len(p) - filled]).all()
+        expected = [line_fit_oracle(p[e - window + 1: e + 1], d[e - window + 1: e + 1], [1] * window)[0]
+                    for e in range(window - 1, len(p))]
+        np.testing.assert_allclose(der[len(p) - filled:], expected, rtol=1e-9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.dictionaries(st.integers(1, 500), st.integers(1, 10**6), min_size=6, max_size=18),
+           st.booleans())
+    def test_picked_break_has_the_least_total_error(self, bins, weighted):
+        kept, breaks = admissible_points_and_breaks(bins)
+        x = [math.log(v) for v, _ in kept]
+        y = [math.log(c) for _, c in kept]
+        w = [c for _, c in kept] if weighted else [1] * len(kept)
+
+        def total_sse(b: int) -> float:
+            return line_fit_oracle(x[: b + 1], y[: b + 1], w[: b + 1])[2] + line_fit_oracle(x[b:], y[b:], w[b:])[2]
+
+        fit = fit_double_pareto(Histogram(bins), weighted=weighted)
+        picked = [v for v, _ in kept].index(fit.break_degree)
+        assert picked in breaks
+        sse = {b: total_sse(b) for b in breaks}
+        # the fitter's error is a difference of prefix sums over every point,
+        # so it carries rounding of order epsilon times these whole-table sums
+        slack = 1e-10 * sum(a * (1 + abs(b) + abs(c)) ** 2 for a, b, c in zip(w, x, y))
+        assert sse[picked] <= min(sse.values()) * (1 + 1e-9) + slack
+        scale = sum(w) if weighted else 1  # the fitter normalises the weights to sum 1
+        assert fit.sse * scale == pytest.approx(sse[picked], rel=1e-9, abs=slack)
 
 
 class TestSeniorReference:

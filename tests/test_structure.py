@@ -7,7 +7,7 @@ import random
 import pytest
 
 from netgeom.generators import AppendageSpec, generate_appendage_graph
-from netgeom.graph import giant_core, load_edge_list
+from netgeom.graph import Graph, giant_core, induced_subgraph, load_edge_list
 from netgeom.stats import path_length_report
 from netgeom.structure import (
     PERSONALITY_CLASSES,
@@ -32,6 +32,7 @@ from util import (
     random_connected,
     random_graph,
     star_graph,
+    uf_components,
 )
 
 
@@ -223,6 +224,22 @@ class TestDepth:
         assert covered == list(range(5))
         sub, dm = pieces[1]
         assert dm.depths == (1.0, 1.0)
+        # 150 paths of 1-4 nodes and one 40-node component, node ids shuffled
+        rng = random.Random(5)
+        edges, n = list(random_connected(40, 30, rng).edges()), 40
+        for _ in range(150):
+            size = rng.randrange(1, 5)
+            edges += [(n + i, n + i + 1) for i in range(size - 1)]
+            n += size
+        perm = rng.sample(range(n), n)
+        g = Graph.from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+        pieces = depth_map_per_component(g)
+        comps = sorted(uf_components(g), key=min)
+        assert len(pieces) == len(comps) == 151
+        for (sub, dm), comp in zip(pieces, comps):
+            want = induced_subgraph(g, comp)
+            assert sub == want and sub.origin_nodes == want.origin_nodes
+            assert dm == depth_map(want)
 
     def test_invalid_modes_and_anchors(self):
         g = path_graph(4)

@@ -11,6 +11,7 @@ import itertools
 import math
 import random
 from collections import deque
+from fractions import Fraction
 
 from netgeom.graph import EdgeListParseError, Graph, load_edge_list
 
@@ -247,3 +248,22 @@ def personality_oracle(g: Graph, tau: float) -> tuple[list[float], list[str], li
         for w in g.neighbors(v):
             pool[order.index(classes[v])][order.index(classes[w])] += 1
     return nmd, classes, pool
+
+
+def line_fit_oracle(x, y, w) -> tuple[float, float, float]:
+    """Weighted least-squares line through one window or segment: (slope, intercept, sse).
+
+    Sums are taken directly over the given points, about the weighted means,
+    in exact rational arithmetic (a float converts to a Fraction exactly), so
+    only the three returned values are rounded.
+    """
+    xs, ys, ws = ([Fraction(v) for v in col] for col in (x, y, w))
+    sw = sum(ws)
+    mx = sum(a * b for a, b in zip(ws, xs)) / sw
+    my = sum(a * b for a, b in zip(ws, ys)) / sw
+    sxx = sum(a * (b - mx) ** 2 for a, b in zip(ws, xs))
+    sxy = sum(a * (b - mx) * (c - my) for a, b, c in zip(ws, xs, ys))
+    slope = sxy / sxx
+    intercept = my - slope * mx
+    sse = sum(a * (c - intercept - slope * b) ** 2 for a, b, c in zip(ws, xs, ys))
+    return float(slope), float(intercept), float(sse)

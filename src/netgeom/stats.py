@@ -167,7 +167,7 @@ _TAIL_FRACTION = 5e-4
 _MIN_SEGMENT_MASS = 0.03
 
 
-def _line_fits(x, y, w, lo, hi) -> tuple:
+def _line_fits(x: np.ndarray, y: np.ndarray, w: np.ndarray, lo, hi) -> tuple:
     """Weighted least-squares lines ``y ~ intercept + slope * x`` over points lo..hi.
 
     ``lo`` and ``hi`` are inclusive point indices, scalars or equal-length

@@ -25,7 +25,8 @@ import json
 import os
 import re
 import sys
-from typing import Sequence
+from contextlib import contextmanager
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -101,13 +102,13 @@ def _sha256(path: str) -> str:
 
 
 def _write_json(out: str, name: str, obj) -> None:
-    with open(os.path.join(out, name), "w") as fh:
+    with open(os.path.join(out, name), "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def _write_text(out: str, name: str, text: str) -> None:
-    with open(os.path.join(out, name), "w") as fh:
+    with open(os.path.join(out, name), "w", encoding="utf-8") as fh:
         fh.write(text)
 
 
@@ -645,15 +646,29 @@ def build_parser() -> argparse.ArgumentParser:
 def _read_input(args) -> tuple[Graph | CrawlTrace | None, tuple[str, ...]]:
     """The subcommand's one input and the paths to digest into meta.json."""
     if hasattr(args, "graph"):
-        with open(args.graph) as fh:
+        with _decoded(args.graph), open(args.graph, encoding="utf-8-sig") as fh:
             g = load_edge_list(fh)
         # stats counts the whole graph before it takes the giant core itself
         if getattr(args, "giant", False) and args.func is not _cmd_stats:
             g = giant_core(g)
         return g, (args.graph,)
     if hasattr(args, "trace"):
-        return read_trace_csv(args.trace), (args.trace,)
+        with _decoded(args.trace):
+            return read_trace_csv(args.trace), (args.trace,)
     return None, ()
+
+
+@contextmanager
+def _decoded(path: str) -> Iterator[None]:
+    """Report input that is not UTF-8 as an input error naming ``path``.
+
+    Inputs are read as UTF-8 whatever the locale, so a report does not depend
+    on the machine; a leading byte-order mark is not part of the first label.
+    """
+    try:
+        yield
+    except UnicodeDecodeError as e:
+        raise CliError(f"{path}: not UTF-8 text ({e.reason})") from None
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -504,9 +504,9 @@ def solve_acquisition_ode(
 
 
 def write_trace_csv(trace: CrawlTrace, path: str) -> None:
-    """Write a trace as CSV (columns sample_index, P, D) with a commented
-    header line carrying the run parameters."""
-    with open(path, "w", newline="") as fh:
+    """Write a trace as UTF-8 CSV (columns sample_index, P, D) with a
+    commented header line carrying the run parameters."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(
             f"# policy={trace.policy} stride={trace.stride} seed={trace.seed} "
             f"start={trace.start} true_size={trace.true_size} complete={int(trace.complete)}\n"
@@ -518,7 +518,8 @@ def write_trace_csv(trace: CrawlTrace, path: str) -> None:
 
 
 def read_trace_csv(path: str) -> CrawlTrace:
-    """Read a trace written by write_trace_csv.
+    """Read a trace written by write_trace_csv, as UTF-8 whatever the locale
+    (a leading byte-order mark is skipped).
 
     Raises TraceParseError (with the line number) for a non-integer value of
     an integer ``# key=value`` header, a data row with fewer than 3 cells, a
@@ -527,7 +528,7 @@ def read_trace_csv(path: str) -> CrawlTrace:
     meta: dict = {"policy": "fifo", "stride": 1, "seed": 0, "start": 0, "true_size": 0, "complete": 1}
     ps: list[int] = []
     ds: list[int] = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:

@@ -10,6 +10,14 @@ Parsing, ``from_edges``, the configuration model and induced subgraphs all
 reduce their input to such keys with numpy, so no per-edge Python object is
 made on the way in.
 
+Edge-list text is parsed a chunk of lines at a time. A chunk of ASCII text
+whose data tokens have at most 8 bytes, with no NUL, is tokenized in numpy and
+its labels are told apart by a uint64 key of each token's bytes, so only a
+label not seen before becomes a Python string. Any other chunk (non-ASCII
+text, a NUL, a longer token, a malformed line) is split as Python strings.
+Both paths number labels in first-appearance order through one table, so
+they may alternate within a file.
+
 Every hop distance comes from one kernel, ``_distance_blocks``: a
 level-synchronous BFS that runs 64 sources at once, one bit per source in a
 uint64 word per node (Then et al., *The More the Merrier: Efficient Multi-Source
@@ -262,6 +270,12 @@ class DistanceMap:
 
 _CHUNK_LINES = 1 << 16  # lines parsed per step; bounds the token strings alive at once
 
+# translation of a chunk's bytes to 0 where a token cannot be: ASCII whitespace as
+# str.split() sees it (\x1c-\x1f included) and NUL, which joins the lines of a chunk
+_IN_TOKEN = bytes(0 if c == 0 or (c < 128 and chr(c).isspace()) else 1 for c in range(256))
+# _LOW_BYTES[k] keeps the k low bytes of a little-endian key
+_LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+
 
 def load_edge_list(lines: Iterable[str]) -> Graph:
     """Parse whitespace-separated edge-list text into a Graph.
@@ -270,23 +284,110 @@ def load_edge_list(lines: Iterable[str]) -> Graph:
     ignored. Node labels map to dense integer ids in first-appearance order.
     Self-loop lines and duplicate edges are dropped but counted on the result.
 
+    Lines are read ``_CHUNK_LINES`` at a time. A chunk of ASCII text with no NUL
+    whose data tokens have at most 8 bytes is tokenized in numpy, and each token
+    is read as one uint64 key (``_byte_tokens``), so only labels not seen before
+    become Python strings. Any other chunk, and a chunk with a malformed line,
+    is split as Python strings (``_fast_tokens``, then the line loop
+    ``_line_tokens`` if some data line lacks two tokens). Both paths number
+    labels through one ``_Labels``, so they can alternate within a file.
+
     Raises EdgeListParseError (with the line number) for lines that do not have
     exactly two tokens.
     """
-    index: dict[str, int] = {}
+    labels = _Labels()
     ids: list[np.ndarray] = []
     lines = iter(lines)
     done = 0
     while chunk := list(islice(lines, _CHUNK_LINES)):
-        tokens = _fast_tokens(chunk)
-        if tokens is None:  # some data line lacks two tokens: the line loop names it
-            tokens = _line_tokens(chunk, first_line=done + 1)
+        text = "\0".join(chunk)
+        if (keyed := _byte_tokens(text, len(chunk))) is not None:
+            ids.append(labels.of_keys(text, *keyed))
+        else:
+            tokens = _fast_tokens(chunk)
+            if tokens is None:  # some data line lacks two tokens: the line loop names it
+                tokens = _line_tokens(chunk, first_line=done + 1)
+            ids.append(labels.of_tokens(tokens))
         done += len(chunk)
-        for label in dict.fromkeys(tokens):
-            index.setdefault(label, len(index))
-        ids.append(np.fromiter(map(index.__getitem__, tokens), dtype=np.int64, count=len(tokens)))
     flat = np.concatenate(ids) if ids else np.zeros(0, dtype=np.int64)
-    return _from_pairs(len(index), flat[0::2], flat[1::2], labels=tuple(index))
+    return _from_pairs(len(labels.index), flat[0::2], flat[1::2], labels=tuple(labels.index))
+
+
+class _Labels:
+    """Label -> id numbering in first-appearance order, shared by both chunk paths.
+
+    ``index`` holds every label. ``keys`` (sorted) and ``ids`` cache the ids of
+    the labels the byte path has met, by their uint64 key.
+    """
+
+    def __init__(self) -> None:
+        self.index: dict[str, int] = {}
+        self.keys = np.zeros(0, dtype=np.uint64)
+        self.ids = np.zeros(0, dtype=np.int64)
+
+    def of_tokens(self, tokens: list[str]) -> np.ndarray:
+        for label in dict.fromkeys(tokens):
+            self.index.setdefault(label, len(self.index))
+        return np.fromiter(map(self.index.__getitem__, tokens), dtype=np.int64, count=len(tokens))
+
+    def of_keys(self, text: str, keys: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+        """Ids of the tokens ``text[starts[i]:ends[i]]``, whose keys are ``keys``."""
+        if not keys.size:
+            return np.zeros(0, dtype=np.int64)
+        order = np.argsort(keys)
+        ranked = keys[order]
+        head = np.r_[True, ranked[1:] != ranked[:-1]]
+        heads = np.flatnonzero(head)
+        distinct, first = ranked[heads], np.minimum.reduceat(order, heads)  # first token of each key
+        at = np.searchsorted(self.keys, distinct)
+        known = np.zeros(len(distinct), dtype=bool)
+        if self.keys.size:
+            known = self.keys[np.minimum(at, len(self.keys) - 1)] == distinct
+        uid = np.zeros(len(distinct), dtype=np.int64)
+        uid[known] = self.ids[at[known]]
+        if (new := np.flatnonzero(~known)).size:
+            seen = new[np.argsort(first[new])]  # in first-appearance order
+            spans = zip(starts[first[seen]].tolist(), ends[first[seen]].tolist())
+            # a str-path chunk may have numbered the label already
+            uid[seen] = [self.index.setdefault(text[a:b], len(self.index)) for a, b in spans]
+            table = np.concatenate((self.keys, distinct[new]))
+            by_key = np.argsort(table)
+            self.keys, self.ids = table[by_key], np.concatenate((self.ids, uid[new]))[by_key]
+        out = np.empty(len(keys), dtype=np.int64)
+        out[order] = uid[np.cumsum(head) - 1]
+        return out
+
+
+def _byte_tokens(text: str, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The data tokens of ``count`` lines joined by NUL in ``text``, as uint64
+    keys with their start and end offsets; None unless the text is ASCII with
+    no NUL inside a line, every data token has at most 8 bytes and each data
+    line has exactly two tokens.
+
+    A key is the token's bytes read little-endian from a zero-padded 8-byte
+    window, so distinct tokens of 1 to 8 non-NUL bytes have distinct keys.
+    """
+    if not text.isascii() or text.count("\0") != count - 1:
+        return None
+    data = text.encode("ascii")
+    inside = np.frombuffer(b"\0" + data.translate(_IN_TOKEN) + b"\0", dtype=bool)
+    flips = np.flatnonzero(inside[1:] != inside[:-1])
+    starts, ends = flips[0::2], flips[1::2]
+    raw = np.frombuffer(data + bytes(8), dtype=np.uint8)
+    breaks = np.flatnonzero(raw[: len(data)] == 0)
+    tokens = np.diff(np.searchsorted(starts, breaks), prepend=0, append=len(starts))  # per line
+    if "#" in text:  # drop the lines whose first token starts with '#'
+        has = tokens > 0
+        lead = (np.cumsum(tokens) - tokens)[has]  # the first token of each line that has one
+        comment = np.zeros(count, dtype=bool)
+        comment[has] = raw[starts[lead]] == ord("#")
+        keep = ~np.repeat(comment, tokens)
+        starts, ends, tokens = starts[keep], ends[keep], np.where(comment, 0, tokens)
+    width = ends - starts
+    if not ((tokens == 0) | (tokens == 2)).all() or (width.size and width.max() > 8):
+        return None
+    windows = np.ndarray(len(data), dtype="<u8", buffer=raw, strides=(1,))
+    return windows[starts] & _LOW_BYTES[width], starts, ends
 
 
 def _fast_tokens(lines: list[str]) -> list[str] | None:
@@ -406,17 +507,29 @@ def components(g: Graph) -> ComponentLabeling:
     return ComponentLabeling(component_id=tuple(cid.tolist()), sizes=tuple(sizes.tolist()), giant_index=giant)
 
 
-def _induced(g: Graph, keep: np.ndarray) -> Graph:
-    """Subgraph induced on the sorted distinct node ids ``keep``."""
+def _induced(g: Graph, keep: np.ndarray, ends: tuple[np.ndarray, np.ndarray] | None = None) -> Graph:
+    """Subgraph induced on the sorted distinct node ids ``keep``.
+
+    ``ends``, if given, are the end arrays (as ``g._ends()``) of exactly the
+    edges inside ``keep``, so the cost is that of the subgraph, not of ``g``.
+    """
     k = len(keep)
-    new = np.full(g.node_count, -1, dtype=np.int64)
-    new[keep] = np.arange(k)
-    lo, hi = (new[ends] for ends in g._ends())
-    inside = (lo >= 0) & (hi >= 0)
+    if k == g.node_count:  # every node: the read-only CSR arrays carry over
+        sub = Graph.__new__(Graph)
+        sub.indptr, sub.indices, sub.labels, sub.origin_nodes = g.indptr, g.indices, g.labels, tuple(range(k))
+        sub.self_loops_dropped = sub.duplicate_edges_dropped = 0
+        return sub
+    if ends is None:
+        kept = np.zeros(g.node_count, dtype=bool)
+        kept[keep] = True
+        lo, hi = g._ends()
+        inside = kept[lo] & kept[hi]
+        ends = lo[inside], hi[inside]
+    lo, hi = (np.searchsorted(keep, e) for e in ends)  # new ids, in the same order
     keep_list = keep.tolist()
     labels = tuple([g.labels[v] for v in keep_list]) if g.labels is not None else None
     # the renumbering keeps node order, so the surviving keys stay sorted
-    return Graph._from_keys(k, lo[inside] * k + hi[inside], labels, tuple(keep_list))
+    return Graph._from_keys(k, lo * k + hi, labels, tuple(keep_list))
 
 
 def induced_subgraph(g: Graph, nodes: Sequence[int]) -> Graph:

@@ -354,11 +354,16 @@ def depth_map_per_component(
     Each subgraph's ``origin_nodes`` maps its indices back to ``g``.
     """
     cid, sizes = _component_ids(g)
-    # a stable sort keeps each component's nodes ascending; the last piece is empty
+    lo, hi = g._ends()
+    # stable sorts keep each component's nodes ascending and its edges in sorted
+    # order, so the edges are split once for every component; the last pieces are empty
     groups = np.split(np.argsort(cid, kind="stable"), np.cumsum(sizes))[:-1]
+    by_edge = np.argsort(cid[lo], kind="stable")
+    cuts = np.cumsum(np.bincount(cid[lo], minlength=len(sizes)))
+    los, his = np.split(lo[by_edge], cuts)[:-1], np.split(hi[by_edge], cuts)[:-1]
     out: list[tuple[Graph, DepthMap]] = []
-    for nodes in groups:
-        sub = _induced(g, nodes)
+    for nodes, ends in zip(groups, zip(los, his)):
+        sub = _induced(g, nodes, ends)
         out.append((sub, depth_map(sub, mode=mode, anchors=anchors, seed=seed)))
     return out
 

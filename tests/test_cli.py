@@ -248,6 +248,46 @@ class TestExitCodes:
                    "--out", str(tmp_path)) == 1
 
 
+# a locale whose preferred encoding is ASCII, so any text I/O that follows the locale fails on
+# non-ASCII bytes
+C_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+
+
+class TestTextEncoding:
+    def test_byte_order_mark_is_not_part_of_the_first_label(self, tmp_path):
+        ring = "".join(f"{i} {(i + 1) % 60}\n" for i in range(60)) + "".join(f"{i} {(i + 7) % 60}\n" for i in range(60))
+        src = tmp_path / "bom.txt"
+        src.write_bytes(b"\xef\xbb\xbf" + ring.encode())
+        assert run("depth", "--graph", str(src), "--out", str(tmp_path / "d")) == 0
+        rows = (tmp_path / "d" / "depth.csv").read_bytes().splitlines()
+        assert [row.split(b",")[0] for row in rows] == [b"node"] + [b"%d" % i for i in range(60)]
+        assert run("crawl-sim", "--graph", str(src), "--out", str(tmp_path / "c")) == 0
+        trace = tmp_path / "c" / "trace.csv"
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + trace.read_bytes())  # before the '#' header line
+        for path, out in ((trace, "e"), (bom, "e-bom")):
+            assert run("estimate", "--trace", str(path), "--out", str(tmp_path / out)) == 0
+        assert (tmp_path / "e" / "estimate.csv").read_bytes() == (tmp_path / "e-bom" / "estimate.csv").read_bytes()
+
+    def test_non_ascii_label_round_trips_under_an_ascii_locale(self, tmp_path, child_env):
+        src = tmp_path / "cafe.txt"
+        src.write_bytes("café b\nb c\n".encode())
+        out = tmp_path / "d"
+        proc = subprocess.run([sys.executable, "-m", "netgeom.cli", "depth", "--graph", str(src),
+                               "--out", str(out)], capture_output=True, env={**child_env, **C_LOCALE})
+        assert proc.returncode == 0, proc.stderr
+        rows = (out / "depth.csv").read_bytes().splitlines()
+        assert [row.split(b",")[0] for row in rows] == [b"node", "café".encode(), b"b", b"c"]
+
+    @pytest.mark.parametrize("argv", [("stats", "--graph"), ("estimate", "--trace")])
+    def test_input_that_is_not_utf8_is_1_naming_the_path(self, tmp_path, capsys, argv):
+        src = tmp_path / "latin1.txt"
+        src.write_bytes("café b\n".encode("latin-1"))
+        assert run(*argv, str(src), "--out", str(tmp_path / "o")) == 1
+        [line] = error_lines(capsys)
+        assert line.startswith(f"netgeom: error: {src}: not UTF-8 text")
+
+
 def error_lines(capsys) -> list[str]:
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1, lines

@@ -20,6 +20,7 @@ from netgeom.graph import (
     giant_core,
     induced_subgraph,
     load_edge_list,
+    _byte_tokens,
     _distance_blocks,
     _fast_tokens,
     _line_tokens,
@@ -97,25 +98,43 @@ class TestParsing:
         assert got == want
 
 
-LEAD = st.sampled_from(["", " ", "\t", "\u3000"])
-LABEL = st.text(alphabet="ab1#", min_size=1, max_size=3)  # '#' inside or leading a second token
-FIRST = LABEL.filter(lambda t: not t.startswith("#"))
-GAP = st.sampled_from([" ", "\t", "  ", " \t ", "\u3000"])
-EDGE_LINE = st.builds("{}{}{}{}{}".format, LEAD, FIRST, GAP, LABEL, LEAD)
-COMMENT_LINE = st.builds("{}#{}".format, LEAD, st.text(alphabet="ab #\t", max_size=6))
-BLANK_LINE = st.sampled_from(["", " ", "\t"])
-BAD_LINE = st.builds("{}{}".format, LEAD, st.lists(FIRST, min_size=1, max_size=4)
-                     .filter(lambda t: len(t) != 2).map(" ".join))
+# ASCII separators str.split() knows besides "\n" and "\r"; the mixed texts add non-ASCII ones
+SPACES = [" ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f"]
+WIDE_SPACES = SPACES + ["\u3000", "\x85"]
+KEYED = st.text(alphabet="ab1#", min_size=1, max_size=8)  # '#' inside or leading a second token
+LONG = st.text(alphabet="ab1#", min_size=9, max_size=12)  # too long for one 8-byte key
+ODD = st.builds("{}{}{}".format, st.text(alphabet="ab1#", max_size=5), st.sampled_from(["é", "\x00"]),
+                st.text(alphabet="ab1#", max_size=5))
+
+
+def line_kinds(label, space):
+    """Edge, comment, blank and malformed line strategies over ``label`` tokens and ``space`` separators."""
+    lead = st.one_of(st.just(""), space)
+    first = label.filter(lambda t: not t.startswith("#"))
+    edge = st.builds("{}{}{}{}{}".format, lead, first, st.lists(space, min_size=1, max_size=3).map("".join),
+                     label, lead)
+    comment = st.builds("{}#{}".format, lead, st.text(alphabet="ab #\t\x0b", max_size=12))
+    blank = st.one_of(st.just(""), space)
+    bad = st.builds("{}{}".format, lead, st.lists(first, min_size=1, max_size=4)
+                    .filter(lambda t: len(t) != 2).map(" ".join))
+    return edge, comment, blank, bad
+
+
+KEYED_LINES = line_kinds(KEYED, st.sampled_from(SPACES))  # every chunk can take the byte path
+MIXED_LINES = line_kinds(st.one_of(*[KEYED] * 8, LONG, ODD), st.sampled_from(WIDE_SPACES))
 
 
 @st.composite
 def edge_list_text(draw, bad: bool = False):
     """Edge-list text of data, comment and blank lines with LF or CRLF endings,
-    with or without a final newline; ``bad`` puts in at least one malformed line."""
-    lines = draw(st.lists(st.one_of(EDGE_LINE, EDGE_LINE, COMMENT_LINE, BLANK_LINE), max_size=30))
+    with or without a final newline; ``bad`` puts in at least one malformed line.
+    Either every token is a key of the byte path, or some lines carry long,
+    non-ASCII or NUL labels or non-ASCII separators."""
+    edge, comment, blank, malformed = draw(st.sampled_from([KEYED_LINES, MIXED_LINES]))
+    lines = draw(st.lists(st.one_of(edge, edge, comment, blank), max_size=30))
     if bad:
         for _ in range(draw(st.integers(1, 2))):
-            lines.insert(draw(st.integers(0, len(lines))), draw(BAD_LINE))
+            lines.insert(draw(st.integers(0, len(lines))), draw(malformed))
     end = draw(st.sampled_from(["\n", "\r\n"]))
     return end.join(lines) + (end if lines and draw(st.booleans()) else "")
 
@@ -142,14 +161,30 @@ def same_graph(g: Graph, want: Graph) -> bool:
             and g.duplicate_edges_dropped == want.duplicate_edges_dropped)
 
 
+def keyable(lines: list[str]) -> bool:
+    """Whether the byte path must read these lines: a chunk (never empty) of ASCII with no NUL and
+    data tokens of at most 8 bytes."""
+    text = "".join(lines)
+    return bool(lines) and text.isascii() and "\0" not in text and all(len(t) <= 8 for t in _line_tokens(lines))
+
+
 class TestParsingPaths:
     @settings(max_examples=150, deadline=None)
     @given(edge_list_text())
     @example("a b\r\n# c d\r\n\r\n  a#b\t#a \r\nb a")
+    @example("12345678\x1fa#b\n\x1c# 123456789 x\n\x0cb\x0b123456789\nbé\x00 a\x85")
     def test_fast_path_equals_the_line_loop(self, text):
         for lines in line_readings(text):
             assert _fast_tokens(lines) == _line_tokens(lines)
             assert same_graph(load_edge_list(iter(lines)), oracle_graph(lines))
+            joined = "\0".join(lines)
+            keyed = _byte_tokens(joined, len(lines))
+            assert (keyed is not None) == keyable(lines)
+            if keyed is not None:
+                keys, starts, ends = (a.tolist() for a in keyed)
+                tokens = [joined[a:b] for a, b in zip(starts, ends)]
+                assert tokens == _line_tokens(lines)
+                assert len(set(keys)) == len(set(tokens)) == len(set(zip(keys, tokens)))
 
     @settings(max_examples=100, deadline=None)
     @given(edge_list_text(bad=True))
@@ -157,6 +192,7 @@ class TestParsingPaths:
     def test_malformed_line_raises_the_line_loop_error(self, text):
         for lines in line_readings(text):
             assert _fast_tokens(lines) is None
+            assert _byte_tokens("\0".join(lines), len(lines)) is None
             with pytest.raises(EdgeListParseError) as got:
                 load_edge_list(iter(lines))
             with pytest.raises(EdgeListParseError) as want:
@@ -178,6 +214,20 @@ class TestParsingPaths:
                 assert (e.line_no, str(e)) == (want.value.line_no, str(want.value))
             else:
                 assert same_graph(g, oracle_graph(lines))
+
+    def test_byte_and_str_chunks_share_one_numbering(self, monkeypatch):
+        lines = ["c b", "b a", "# a comment with long words",  # byte path
+                 "d 123456789", "é e", "e a",                   # str path: a 9-byte and a non-ASCII label
+                 "e\x1cd", "f\x0ba", "1 f",                     # byte path: a known by key, d and e only by label
+                 "g\x00 f", "h a", "g b",                       # str path: a NUL inside a label
+                 "c 1", "b h"]                                  # byte path: keys met in two byte chunks
+        split = []
+        monkeypatch.setattr(graph_module, "_CHUNK_LINES", 3)
+        monkeypatch.setattr(graph_module, "_fast_tokens", lambda chunk: split.append(chunk) or _fast_tokens(chunk))
+        g = load_edge_list(lines)
+        assert split == [lines[3:6], lines[9:12]]  # only the chunks no key can represent
+        assert g.labels == ("c", "b", "a", "d", "123456789", "é", "e", "f", "1", "g\x00", "h", "g")
+        assert same_graph(g, oracle_graph(lines))
 
 
 class TestGraphBasics:
@@ -348,6 +398,13 @@ class TestSubgraphs:
             core = giant_core(g)
             assert components(core).count == 1
             assert giant_core(core) == core
+
+    def test_giant_core_of_a_connected_graph_shares_its_arrays(self):
+        g = load_edge_list(["b a", "a c", "c b", "c d", "d d", "a b"])
+        core = giant_core(g)
+        assert core.indptr is g.indptr and core.indices is g.indices
+        assert core.labels == g.labels and core.origin_nodes == (0, 1, 2, 3)
+        assert core.self_loops_dropped == core.duplicate_edges_dropped == 0
 
     def test_giant_core_of_empty_graph_raises(self):
         with pytest.raises(ValueError):

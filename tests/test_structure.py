@@ -224,10 +224,10 @@ class TestDepth:
         assert covered == list(range(5))
         sub, dm = pieces[1]
         assert dm.depths == (1.0, 1.0)
-        # 150 paths of 1-4 nodes and one 40-node component, node ids shuffled
+        # 1 000 paths of 1-4 nodes and one 40-node component, node ids shuffled
         rng = random.Random(5)
         edges, n = list(random_connected(40, 30, rng).edges()), 40
-        for _ in range(150):
+        for _ in range(1000):
             size = rng.randrange(1, 5)
             edges += [(n + i, n + i + 1) for i in range(size - 1)]
             n += size
@@ -235,7 +235,7 @@ class TestDepth:
         g = Graph.from_edges(n, [(perm[u], perm[v]) for u, v in edges])
         pieces = depth_map_per_component(g)
         comps = sorted(uf_components(g), key=min)
-        assert len(pieces) == len(comps) == 151
+        assert len(pieces) == len(comps) == 1001
         for (sub, dm), comp in zip(pieces, comps):
             want = induced_subgraph(g, comp)
             assert sub == want and sub.origin_nodes == want.origin_nodes

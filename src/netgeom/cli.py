@@ -221,19 +221,17 @@ def _appendage_spec(tokens: Sequence[str], seed: int) -> AppendageSpec:
     if "core" not in kv:
         raise CliError("appendage recipe needs core=K<size> or core=R<size>:<edge_prob>")
     core = kv["core"]
-    m = re.fullmatch(r"K(\d+)", core)
-    if m:
-        kind, size, prob = "complete", int(m.group(1)), 0.0
+    if m := re.fullmatch(r"K(\d+)", core):
+        kind, size, prob = "complete", m.group(1), "0"
+    elif m := re.fullmatch(r"R(\d+):([0-9.]+)", core):
+        kind, size, prob = "random", m.group(1), m.group(2)
     else:
-        m = re.fullmatch(r"R(\d+):([0-9.]+)", core)
-        if not m:
-            raise CliError(f"core must look like K10 or R12:0.3, got {core!r}")
-        kind, size, prob = "random", int(m.group(1)), float(m.group(2))
-    try:
+        raise CliError(f"core must look like K10 or R12:0.3, got {core!r}")
+    try:  # float("1.2.3") fails here too, so a malformed recipe is an input error
         return AppendageSpec(
-            core_size=size,
+            core_size=int(size),
             core_kind=kind,
-            edge_prob=prob,
+            edge_prob=float(prob),
             tentacle_lengths=_int_list(kv.get("tentacles", ""), "tentacles"),
             fiber_inner_counts=_int_list(kv.get("fibers", ""), "fibers"),
             allow_fiber_loops=kv.get("loops", "0") not in ("0", "false", "no"),

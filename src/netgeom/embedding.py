@@ -26,7 +26,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .graph import Graph, _distance_blocks
+from .graph import Graph, _distance_blocks, _require_connected
 from .stats import Histogram
 
 __all__ = [
@@ -83,23 +83,30 @@ def embed(g: Graph, references: Sequence[int]) -> Embedding:
     References keep their order and repeats; the embedding is full when they
     name every node. One traversal runs from each reference, so no n x n
     matrix is built for a short list. Raises ValueError if the graph is empty
-    or disconnected.
+    or disconnected, or the references are empty or out of range.
     """
+    refs = _references(g, references)
+    _require_connected(g, "embed one component at a time")
     n = g.node_count
-    if n == 0:
-        raise ValueError("cannot embed an empty graph")
-    refs = tuple(int(r) for r in references)
-    for r in refs:
-        if not 0 <= r < n:
-            raise ValueError(f"reference {r} out of range 0..{n - 1}")
     coords = np.empty((n, len(refs)), dtype=np.int32)
     col = 0
     for block in _distance_blocks(g, refs):
         coords[:, col : col + len(block)] = block.T
         col += len(block)
-    if (coords < 0).any():
-        raise ValueError("graph is disconnected; embed one component at a time")
     return Embedding(references=refs, coords=coords, full=set(refs) == set(range(n)))
+
+
+def _references(g: Graph, references: Sequence[int]) -> tuple[int, ...]:
+    """``references`` as ints, checked against ``g`` before anything is traversed."""
+    n = g.node_count
+    if n == 0:
+        raise ValueError("cannot embed an empty graph")
+    refs = tuple(int(r) for r in references)
+    if not refs:
+        raise ValueError("an embedding needs at least one reference")
+    if bad := [r for r in refs if not 0 <= r < n]:
+        raise ValueError(f"reference {bad[0]} out of range 0..{n - 1}")
+    return refs
 
 
 def embed_full(g: Graph) -> Embedding:
@@ -342,9 +349,8 @@ def embedding_distortion(g: Graph, references: Sequence[int]) -> DistortionRepor
     maximum; the maximum relative shortfall (d_true / d_estimate - 1) is
     computed over pairs with a nonzero estimate, None if there are none.
     """
-    full = embed_full(g)
-    sub = full.subset(tuple(references))
-    dm, dv = _pair_distances(_narrow(full.coords), sub.references)
+    refs = _references(g, references)  # before the n x n embedding is built
+    dm, dv = _pair_distances(_narrow(embed_full(g).coords), refs)
     distortion = dm - dv
     if distortion.size and distortion.min() < 0:
         raise AssertionError("estimate exceeded true distance; embedding is corrupt")

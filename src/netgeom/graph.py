@@ -14,15 +14,16 @@ Edge-list text is parsed a chunk of lines at a time. A chunk of ASCII text
 whose data tokens have at most 8 bytes, with no NUL, is tokenized in numpy and
 its labels are told apart by a uint64 key of each token's bytes, so only a
 label not seen before becomes a Python string. Any other chunk (non-ASCII
-text, a NUL, a longer token, a malformed line) is split as Python strings.
-Both paths number labels in first-appearance order through one table, so
-they may alternate within a file.
+text, a NUL, a longer token, a malformed line) is split as Python strings by
+one line loop, ``_line_tokens``, which also names a malformed line. Both paths
+number labels in first-appearance order through one table, so they may alternate.
 
 Every hop distance comes from one kernel, ``_distance_blocks``: a
 level-synchronous BFS that runs 64 sources at once, one bit per source in a
 uint64 word per node (Then et al., *The More the Merrier: Efficient Multi-Source
 Graph Traversal*, PVLDB 8(4), 2014). ``bfs``, depth, path lengths and the full
-embedding are folds over its blocks of distance rows.
+embedding are folds over its blocks of distance rows. Analyses defined on one
+component call ``_require_connected`` before any traversal.
 """
 from __future__ import annotations
 
@@ -287,10 +288,9 @@ def load_edge_list(lines: Iterable[str]) -> Graph:
     Lines are read ``_CHUNK_LINES`` at a time. A chunk of ASCII text with no NUL
     whose data tokens have at most 8 bytes is tokenized in numpy, and each token
     is read as one uint64 key (``_byte_tokens``), so only labels not seen before
-    become Python strings. Any other chunk, and a chunk with a malformed line,
-    is split as Python strings (``_fast_tokens``, then the line loop
-    ``_line_tokens`` if some data line lacks two tokens). Both paths number
-    labels through one ``_Labels``, so they can alternate within a file.
+    become Python strings. Any other chunk goes to the line loop ``_line_tokens``,
+    which also names a malformed line. Both paths number labels through one
+    ``_Labels``, so they can alternate within a file.
 
     Raises EdgeListParseError (with the line number) for lines that do not have
     exactly two tokens.
@@ -304,10 +304,7 @@ def load_edge_list(lines: Iterable[str]) -> Graph:
         if (keyed := _byte_tokens(text, len(chunk))) is not None:
             ids.append(labels.of_keys(text, *keyed))
         else:
-            tokens = _fast_tokens(chunk)
-            if tokens is None:  # some data line lacks two tokens: the line loop names it
-                tokens = _line_tokens(chunk, first_line=done + 1)
-            ids.append(labels.of_tokens(tokens))
+            ids.append(labels.of_tokens(_line_tokens(chunk, first_line=done + 1)))
         done += len(chunk)
     flat = np.concatenate(ids) if ids else np.zeros(0, dtype=np.int64)
     return _from_pairs(len(labels.index), flat[0::2], flat[1::2], labels=tuple(labels.index))
@@ -390,28 +387,16 @@ def _byte_tokens(text: str, count: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     return windows[starts] & _LOW_BYTES[width], starts, ends
 
 
-def _fast_tokens(lines: list[str]) -> list[str] | None:
-    """Every data token in order, or None unless each data line has exactly two."""
-    text = "\n".join(lines)  # "\n" is whitespace, so no token spans two lines
-    if "#" in text:
-        lines = [line for line in lines if not line.lstrip().startswith("#")]
-        text = "\n".join(lines)
-    if not set(map(len, map(str.split, lines))) <= {0, 2}:
-        return None
-    return text.split()
-
-
-def _line_tokens(lines: Iterable[str], first_line: int = 1) -> list[str]:
-    """The line-by-line reading of ``_fast_tokens``, raising EdgeListParseError at the first bad line."""
+def _line_tokens(lines: list[str], first_line: int = 1) -> list[str]:
+    """Every data token in order, raising EdgeListParseError at the first data
+    line that does not have exactly two tokens."""
     tokens: list[str] = []
-    for line_no, raw in enumerate(lines, start=first_line):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        pair = line.split()
-        if len(pair) != 2:
+    for line_no, pair in enumerate(map(str.split, lines), start=first_line):
+        if len(pair) == 2 and pair[0][0] != "#":
+            tokens += pair
+        elif pair and pair[0][0] != "#":  # a data line, neither blank nor a comment
+            raw = lines[line_no - first_line]
             raise EdgeListParseError(line_no, f"expected 2 tokens, got {len(pair)}: {raw.rstrip()!r}")
-        tokens += pair
     return tokens
 
 
@@ -505,6 +490,12 @@ def components(g: Graph) -> ComponentLabeling:
     cid, sizes = _component_ids(g)
     giant = int(np.argmax(sizes)) if sizes.size else -1  # argmax takes the first of equal sizes
     return ComponentLabeling(component_id=tuple(cid.tolist()), sizes=tuple(sizes.tolist()), giant_index=giant)
+
+
+def _require_connected(g: Graph, hint: str) -> None:
+    """Raise ValueError, naming the component count and then ``hint``, if ``g`` is disconnected."""
+    if (count := len(_component_ids(g)[1])) > 1:
+        raise ValueError(f"graph is disconnected ({count} components); {hint}")
 
 
 def _induced(g: Graph, keep: np.ndarray, ends: tuple[np.ndarray, np.ndarray] | None = None) -> Graph:

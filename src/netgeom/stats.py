@@ -3,13 +3,12 @@ high-degree ("senior") cohort reports and shortest-path length distributions.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .graph import Graph, _distance_blocks, _row_sums, _sources, components
+from .graph import Graph, _distance_blocks, _require_connected, _row_sums, _sources
 
 __all__ = [
     "Histogram",
@@ -286,15 +285,13 @@ def path_length_report(
     mode="exact" runs BFS from every node and counts each unordered pair once.
     mode="sampled" runs BFS from ``sources`` distinct uniformly chosen nodes and
     counts ordered (source, other) pairs; the result is an estimate and is
-    flagged by its mode. Raises ValueError if the graph is disconnected (the
-    message names the component count) or has fewer than 2 nodes.
+    flagged by its mode. Raises ValueError for a disconnected graph (the
+    message names the component count) or one of fewer than 2 nodes.
     """
     n = g.node_count
     if n < 2:
         raise ValueError("path lengths need at least 2 nodes")
-    lab = components(g)
-    if lab.count != 1:
-        raise ValueError(f"graph is disconnected ({lab.count} components); reduce to one component first")
+    _require_connected(g, "reduce to one component first")
     chosen = _sources(n, mode, sources, seed, "sources")
     counts = sum(np.bincount(block.ravel(), minlength=n) for block in _distance_blocks(g, chosen))
     counts[0] -= len(chosen)  # drop each source's zero distance to itself

@@ -15,10 +15,9 @@ from .graph import (
     _component_ids,
     _distance_blocks,
     _induced,
+    _require_connected,
     _row_sums,
     _sources,
-    components,
-    induced_subgraph,
 )
 from .stats import Histogram
 
@@ -142,10 +141,8 @@ def _peel(g: Graph) -> tuple[list[bool], list[int], list[int | None]]:
     parent: list[int | None] = [None] * n
     order: list[int] = []
     stack = [v for v in range(n) if deg[v] == 1]
-    while stack:
+    while stack:  # a node enters the stack once: when its degree is, or falls to, 1
         u = stack.pop()
-        if removed[u]:
-            continue
         removed[u] = True
         order.append(u)
         for w in g.neighbors(u):
@@ -267,16 +264,14 @@ def decompose(gc: Graph) -> Decomposition:
     n = gc.node_count
     if n == 0:
         raise ValueError("cannot decompose an empty graph")
-    lab = components(gc)
-    if lab.count != 1:
-        raise ValueError(f"graph is disconnected ({lab.count} components); decompose one component at a time")
+    _require_connected(gc, "decompose one component at a time")
 
     removed, order, parent = _peel(gc)
     roles = tuple("tentacle" if removed[v] else "core" for v in range(n))
     tentacles = _split_chains(gc, removed, order, parent)
     core_nodes = [v for v in range(n) if not removed[v]]
     fibers, cycles = _find_fibers(gc, core_nodes)
-    dense = induced_subgraph(gc, core_nodes)
+    dense = _induced(gc, np.array(core_nodes, dtype=np.int64))
     return Decomposition(
         roles=roles,
         tentacles=tuple(tentacles),
@@ -332,12 +327,15 @@ def depth_map(g: Graph, mode: str = "exact", anchors: int | None = None, seed: i
     itself an anchor contributes its own zero distance). Raises ValueError on
     disconnected input.
     """
-    n = g.node_count
-    if n == 0:
+    if g.node_count == 0:
         raise ValueError("depth of an empty graph is undefined")
-    lab = components(g)
-    if lab.count != 1:
-        raise ValueError(f"graph is disconnected ({lab.count} components); see depth_map_per_component")
+    _require_connected(g, "see depth_map_per_component")
+    return _depth_map(g, mode, anchors, seed)
+
+
+def _depth_map(g: Graph, mode: str, anchors: int | None, seed: int) -> DepthMap:
+    """``depth_map`` of a graph known to be connected and not empty."""
+    n = g.node_count
     chosen = _sources(n, mode, anchors, seed, "anchors")
     sums = sum(block.sum(axis=0, dtype=np.int64) for block in _distance_blocks(g, chosen))
     exact = mode == "exact"
@@ -364,7 +362,7 @@ def depth_map_per_component(
     out: list[tuple[Graph, DepthMap]] = []
     for nodes, ends in zip(groups, zip(los, his)):
         sub = _induced(g, nodes, ends)
-        out.append((sub, depth_map(sub, mode=mode, anchors=anchors, seed=seed)))
+        out.append((sub, _depth_map(sub, mode, anchors, seed)))  # each piece is one component
     return out
 
 

@@ -65,6 +65,17 @@ class TestGenerate:
         assert run("generate", "--double-pareto", "n=10",
                    "--out", str(tmp_path)) == 1
 
+    def test_random_core_recipe(self, tmp_path, capsys):
+        for core in ("core=R12:1.2.3", "core=R12:."):
+            assert run("generate", "--appendage", core, "--out", str(tmp_path)) == 1
+            [line] = error_lines(capsys)
+            assert "could not convert string to float" in line
+        out = tmp_path / "r"
+        assert run("generate", "--appendage", "core=R12:0.3", "tentacles=2",
+                   "--seed", "4", "--out", str(out)) == 0
+        roles = (out / "roles.txt").read_text().split()[1::2]
+        assert sorted(roles) == ["core"] * 12 + ["loner", "tentacle"]
+
 
 class TestStats:
     def test_path_graph_report(self, tmp_path):
@@ -309,6 +320,20 @@ class TestErrorLines:
                    "--out", str(tmp_path / "r")) == 2
         [line] = error_lines(capsys)
         assert line.endswith("pair count 15 exceeds max_pairs=10")
+
+    @pytest.mark.parametrize("sub", ["embed", "reduce"])
+    def test_disconnected_graph_is_2_before_the_embedding(self, tmp_path, capsys,
+                                                         monkeypatch, sub):
+        disc = tmp_path / "disc.txt"
+        disc.write_text("0 1\n1 2\n3 4\n")
+
+        def no_traversal(*args):
+            raise AssertionError("a traversal ran before the connectivity check")
+
+        monkeypatch.setattr("netgeom.embedding._distance_blocks", no_traversal)
+        assert run(sub, "--graph", str(disc), "--out", str(tmp_path / sub)) == 2
+        [line] = error_lines(capsys)
+        assert line.endswith("graph is disconnected (2 components); embed one component at a time")
 
     def test_short_trace_row_is_1_with_line_number(self, tmp_path, capsys):
         trace = tmp_path / "short.csv"

@@ -89,7 +89,7 @@ class TestEmbedding:
                 assert np.array_equal(e.coords, sub.coords)
 
     def test_reference_embedding_rejects_bad_input(self):
-        with pytest.raises(ValueError, match="graph is disconnected; embed one component at a time"):
+        with pytest.raises(ValueError, match=r"^graph is disconnected \(2 components\); embed one component at a time$"):
             embed(from_edges([(0, 1), (2, 3)]), [0])
         with pytest.raises(ValueError, match="out of range"):
             embed(path_graph(3), [3])
@@ -299,3 +299,15 @@ class TestDistortionReport:
         assert report.max_hops == 2
         assert report.histogram.bins == {0: 4, 2: 6}
         assert report.max_relative is None or report.max_relative >= 0
+
+    def test_references_are_checked_before_the_embedding(self, monkeypatch):
+        def no_embedding(g):
+            raise AssertionError("embed_full ran before the references were checked")
+
+        monkeypatch.setattr("netgeom.embedding.embed_full", no_embedding)
+        g = path_graph(4)
+        for refs, message in (([4], "reference 4 out of range 0..3"), ([0, -1], "reference -1 out of range 0..3"),
+                              ([], "an embedding needs at least one reference")):
+            with pytest.raises(ValueError) as e:
+                embedding_distortion(g, refs)
+            assert str(e.value) == message

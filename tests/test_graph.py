@@ -9,7 +9,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import netgeom.embedding as embedding_module
 import netgeom.graph as graph_module
+import netgeom.stats as stats_module
+import netgeom.structure as structure_module
+from netgeom.embedding import embed, embed_full, embedding_distortion
 from netgeom.generators import configuration_model
 from netgeom.graph import (
     UNREACHABLE,
@@ -22,12 +26,12 @@ from netgeom.graph import (
     load_edge_list,
     _byte_tokens,
     _distance_blocks,
-    _fast_tokens,
     _line_tokens,
 )
 
 from util import (
     INF,
+    edge_list_tokens_oracle,
     from_edges,
     fw_distances,
     parse_edge_list_oracle,
@@ -125,13 +129,13 @@ MIXED_LINES = line_kinds(st.one_of(*[KEYED] * 8, LONG, ODD), st.sampled_from(WID
 
 
 @st.composite
-def edge_list_text(draw, bad: bool = False):
-    """Edge-list text of data, comment and blank lines with LF or CRLF endings,
-    with or without a final newline; ``bad`` puts in at least one malformed line.
-    Either every token is a key of the byte path, or some lines carry long,
-    non-ASCII or NUL labels or non-ASCII separators."""
+def edge_list_text(draw, bad: bool = False, min_lines: int = 0):
+    """Edge-list text of at least ``min_lines`` data, comment and blank lines with
+    LF or CRLF endings, with or without a final newline; ``bad`` puts in at least
+    one malformed line. Either every token is a key of the byte path, or some
+    lines carry long, non-ASCII or NUL labels or non-ASCII separators."""
     edge, comment, blank, malformed = draw(st.sampled_from([KEYED_LINES, MIXED_LINES]))
-    lines = draw(st.lists(st.one_of(edge, edge, comment, blank), max_size=30))
+    lines = draw(st.lists(st.one_of(edge, edge, comment, blank), min_size=min_lines, max_size=max(30, min_lines)))
     if bad:
         for _ in range(draw(st.integers(1, 2))):
             lines.insert(draw(st.integers(0, len(lines))), draw(malformed))
@@ -165,7 +169,8 @@ def keyable(lines: list[str]) -> bool:
     """Whether the byte path must read these lines: a chunk (never empty) of ASCII with no NUL and
     data tokens of at most 8 bytes."""
     text = "".join(lines)
-    return bool(lines) and text.isascii() and "\0" not in text and all(len(t) <= 8 for t in _line_tokens(lines))
+    return (bool(lines) and text.isascii() and "\0" not in text
+            and all(len(t) <= 8 for t in edge_list_tokens_oracle(lines)))
 
 
 class TestParsingPaths:
@@ -175,7 +180,7 @@ class TestParsingPaths:
     @example("12345678\x1fa#b\n\x1c# 123456789 x\n\x0cb\x0b123456789\nbé\x00 a\x85")
     def test_fast_path_equals_the_line_loop(self, text):
         for lines in line_readings(text):
-            assert _fast_tokens(lines) == _line_tokens(lines)
+            assert _line_tokens(lines) == edge_list_tokens_oracle(lines)
             assert same_graph(load_edge_list(iter(lines)), oracle_graph(lines))
             joined = "\0".join(lines)
             keyed = _byte_tokens(joined, len(lines))
@@ -183,7 +188,7 @@ class TestParsingPaths:
             if keyed is not None:
                 keys, starts, ends = (a.tolist() for a in keyed)
                 tokens = [joined[a:b] for a, b in zip(starts, ends)]
-                assert tokens == _line_tokens(lines)
+                assert tokens == edge_list_tokens_oracle(lines)
                 assert len(set(keys)) == len(set(tokens)) == len(set(zip(keys, tokens)))
 
     @settings(max_examples=100, deadline=None)
@@ -191,7 +196,6 @@ class TestParsingPaths:
     @example("a b\n# x y z\nc")
     def test_malformed_line_raises_the_line_loop_error(self, text):
         for lines in line_readings(text):
-            assert _fast_tokens(lines) is None
             assert _byte_tokens("\0".join(lines), len(lines)) is None
             with pytest.raises(EdgeListParseError) as got:
                 load_edge_list(iter(lines))
@@ -200,9 +204,10 @@ class TestParsingPaths:
             assert (got.value.line_no, str(got.value)) == (want.value.line_no, str(want.value))
 
     @settings(max_examples=100, deadline=None)
-    @given(st.one_of(edge_list_text(), edge_list_text(bad=True)))
+    @given(st.one_of(edge_list_text(min_lines=10), edge_list_text(bad=True, min_lines=10)))
     def test_chunks_of_three_lines_read_like_one(self, text):
-        # labels keep first-appearance order and errors their line number across chunks
+        # labels keep first-appearance order and errors their line number across
+        # chunks; ten lines or more make at least four chunks
         lines = text.split("\n")
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(graph_module, "_CHUNK_LINES", 3)
@@ -223,7 +228,8 @@ class TestParsingPaths:
                  "c 1", "b h"]                                  # byte path: keys met in two byte chunks
         split = []
         monkeypatch.setattr(graph_module, "_CHUNK_LINES", 3)
-        monkeypatch.setattr(graph_module, "_fast_tokens", lambda chunk: split.append(chunk) or _fast_tokens(chunk))
+        monkeypatch.setattr(graph_module, "_line_tokens",
+                            lambda chunk, **kw: split.append(chunk) or _line_tokens(chunk, **kw))
         g = load_edge_list(lines)
         assert split == [lines[3:6], lines[9:12]]  # only the chunks no key can represent
         assert g.labels == ("c", "b", "a", "d", "123456789", "é", "e", "f", "1", "g\x00", "h", "g")
@@ -380,6 +386,28 @@ class TestComponents:
         assert lab.giant_index == 1
         tie = load_edge_list(["0 1", "2 3"])
         assert components(tie).giant_index == 0
+
+
+class TestConnectedPrecondition:
+    def test_disconnected_input_fails_before_any_traversal(self, monkeypatch):
+        def no_traversal(*args):
+            raise AssertionError("a traversal ran before the connectivity check")
+
+        for module in (structure_module, stats_module, embedding_module):
+            monkeypatch.setattr(module, "_distance_blocks", no_traversal)
+        g = from_edges([(0, 1), (2, 3), (4, 5)])
+        cases = [
+            (structure_module.decompose, "decompose one component at a time"),
+            (structure_module.depth_map, "see depth_map_per_component"),
+            (stats_module.path_length_report, "reduce to one component first"),
+            (embed_full, "embed one component at a time"),
+            (lambda g: embed(g, [5, 0]), "embed one component at a time"),
+            (lambda g: embedding_distortion(g, [0]), "embed one component at a time"),
+        ]
+        for analysis, hint in cases:
+            with pytest.raises(ValueError) as e:
+                analysis(g)
+            assert str(e.value) == f"graph is disconnected (3 components); {hint}"
 
 
 class TestSubgraphs:

@@ -6,6 +6,8 @@ import random
 
 import pytest
 
+import netgeom.graph as graph_module
+import netgeom.structure as structure_module
 from netgeom.generators import AppendageSpec, generate_appendage_graph
 from netgeom.graph import Graph, giant_core, induced_subgraph, load_edge_list
 from netgeom.stats import path_length_report
@@ -240,6 +242,21 @@ class TestDepth:
             want = induced_subgraph(g, comp)
             assert sub == want and sub.origin_nodes == want.origin_nodes
             assert dm == depth_map(want)
+
+    def test_per_component_runs_one_component_pass(self, monkeypatch):
+        # every piece is a component by construction, so it is not checked again
+        calls = []
+        real = graph_module._component_ids
+
+        def counted(g):
+            calls.append(g.node_count)
+            return real(g)
+
+        monkeypatch.setattr(graph_module, "_component_ids", counted)
+        monkeypatch.setattr(structure_module, "_component_ids", counted)
+        pieces = depth_map_per_component(from_edges([(2 * i, 2 * i + 1) for i in range(50)]))
+        assert len(pieces) == 50 and all(dm.depths == (1.0, 1.0) for _, dm in pieces)
+        assert calls == [100]
 
     def test_invalid_modes_and_anchors(self):
         g = path_graph(4)

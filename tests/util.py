@@ -108,6 +108,22 @@ def uf_components(g: Graph) -> list[set[int]]:
     return list(groups.values())
 
 
+def edge_list_tokens_oracle(lines) -> list[str]:
+    """The data tokens of edge-list lines in order, by a plain line loop that
+    strips each line before it tests for a blank or '#' line. Raises
+    EdgeListParseError with the parser's line number and message."""
+    tokens: list[str] = []
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        pair = line.split()
+        if len(pair) != 2:
+            raise EdgeListParseError(line_no, f"expected 2 tokens, got {len(pair)}: {raw.rstrip()!r}")
+        tokens += pair
+    return tokens
+
+
 def parse_edge_list_oracle(lines) -> tuple[tuple[str, ...], set[tuple[int, int]], int, int]:
     """The line-by-line edge-list reader as a plain loop over sets: labels in
     first-appearance order, the edge set (u < v), self-loops and duplicates.
@@ -115,14 +131,9 @@ def parse_edge_list_oracle(lines) -> tuple[tuple[str, ...], set[tuple[int, int]]
     index: dict[str, int] = {}
     edges: set[tuple[int, int]] = set()
     loops = dups = 0
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        if len(tokens) != 2:
-            raise EdgeListParseError(line_no, f"expected 2 tokens, got {len(tokens)}: {raw.rstrip()!r}")
-        a, b = (index.setdefault(t, len(index)) for t in tokens)
+    tokens = edge_list_tokens_oracle(lines)
+    for pair in zip(tokens[0::2], tokens[1::2]):
+        a, b = (index.setdefault(t, len(index)) for t in pair)
         if a == b:
             loops += 1
         elif (min(a, b), max(a, b)) in edges:

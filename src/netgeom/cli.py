@@ -22,11 +22,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import re
 import sys
 from contextlib import contextmanager
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -42,8 +43,8 @@ from .crawl import (
     write_trace_csv,
 )
 from .embedding import (
-    Embedding,
     _check_max_pairs,
+    _full_rows,
     build_cover_matrix,
     embed,
     embed_full,
@@ -56,7 +57,7 @@ from .generators import (
     generate_appendage_graph,
     generate_double_pareto_degrees,
 )
-from .graph import EdgeListParseError, Graph, components, giant_core, load_edge_list
+from .graph import EdgeListParseError, Graph, _component_ids, _giant_core, giant_core, load_edge_list
 from .stats import (
     Histogram,
     degree_histogram,
@@ -284,20 +285,20 @@ def _cmd_generate(args, out: str, _) -> None:
 def _cmd_stats(args, out: str, g: Graph) -> None:
     if g.node_count == 0:
         raise ValueError("statistics of an empty graph are undefined")
-    lab = components(g)
+    cid, sizes = _component_ids(g)  # labeled once, for the report and the giant core
     report: dict = {
         "graph": {
             "nodes": g.node_count,
             "edges": g.edge_count,
-            "components": lab.count,
-            "giant_core_size": lab.sizes[lab.giant_index],
+            "components": len(sizes),
+            "giant_core_size": int(sizes.max()),
             "self_loops_dropped": g.self_loops_dropped,
             "duplicate_edges_dropped": g.duplicate_edges_dropped,
         }
     }
     target = g
     if args.giant:
-        target = giant_core(g)
+        target = _giant_core(g, cid, sizes)
         report["giant"] = True
 
     if args.degrees:
@@ -424,31 +425,44 @@ def _cmd_personality(args, out: str, g: Graph) -> None:
 # embed / reduce
 
 
-def _coords_csv(g: Graph, e: Embedding) -> str:
-    """One "label,d1,...,dk" line per node, from a table of ",d" strings indexed
-    by the coordinates. Rows are joined 64 at a time: indexing the whole n x k
-    matrix at once holds n*k object references, a 119 MiB peak against 68 MiB
-    for the full embedding at n=1 997."""
-    names = _names(g)
-    cells = np.array([f",{d}" for d in range(int(e.coords.max(initial=0)) + 1)], dtype=object)
-    parts = ["node," + ",".join(names[r] for r in e.references) + "\n"]
-    for s in range(0, e.node_count, 64):
-        block = np.empty((min(64, e.node_count - s), len(e.references) + 2), dtype=object)
-        block[:, 0] = names[s : s + 64]
-        block[:, 1:-1] = cells[e.coords[s : s + 64]]
-        block[:, -1] = "\n"
-        parts.append("".join(block.ravel().tolist()))
-    return "".join(parts)
+def _write_coords(fh, names: Sequence[str], ref_names: Sequence[str],
+                  blocks: Iterable[np.ndarray]) -> None:
+    """Write coords.csv to ``fh``: a header, then one "label,d1,...,dk" line per
+    row of ``blocks``, which come in row order, at most 64 rows each.
+
+    Cells come from a table of ",d" strings indexed by the distance, rebuilt
+    whenever a block reaches past it, since the diameter is known only after the
+    last block. One block is formatted at a time, so the writer holds 64 x k
+    cells and one block's text, never the n x k matrix or the whole file.
+    """
+    fh.write("node," + ",".join(ref_names) + "\n")
+    cells = np.empty(0, dtype=object)
+    s = 0
+    for block in blocks:
+        if (top := int(block.max(initial=0))) >= len(cells):
+            cells = np.array([f",{d}" for d in range(top + 1)], dtype=object)
+        rows = np.empty((len(block), len(ref_names) + 2), dtype=object)
+        rows[:, 0] = names[s : s + len(block)]
+        rows[:, 1:-1] = cells[block]
+        rows[:, -1] = "\n"
+        fh.write("".join(rows.ravel().tolist()))
+        s += len(block)
 
 
 def _cmd_embed(args, out: str, g: Graph) -> None:
-    # --refs is resolved before any traversal, which then runs from the references only
-    e = embed(g, _resolve_nodes(g, args.refs.split(","))) if args.refs else embed_full(g)
-    _write_text(out, "coords.csv", _coords_csv(g, e))
-    _write_json(
-        out, "embedding.json",
-        {"nodes": e.node_count, "references": [g.label_of(r) for r in e.references], "full": e.full},
-    )
+    names = _names(g)
+    if args.refs:
+        # --refs is resolved before any traversal, which then runs from the references only
+        e = embed(g, _resolve_nodes(g, args.refs.split(",")))
+        refs, full = e.references, e.full
+        blocks = (e.coords[s : s + 64] for s in range(0, e.node_count, 64))
+    else:
+        blocks = _full_rows(g)  # checks the graph before coords.csv is opened
+        refs, full = range(g.node_count), True
+    ref_names = [names[r] for r in refs]
+    with open(os.path.join(out, "coords.csv"), "w", encoding="utf-8") as fh:
+        _write_coords(fh, names, ref_names, blocks)
+    _write_json(out, "embedding.json", {"nodes": g.node_count, "references": ref_names, "full": full})
 
 
 def _cmd_reduce(args, out: str, g: Graph) -> None:
@@ -485,14 +499,14 @@ def _cmd_crawl_sim(args, out: str, g: Graph) -> None:
 def _cmd_estimate(args, out: str, trace: CrawlTrace) -> None:
     est = estimate_size(trace, window=args.window)
     rows = ["sample_index,P,D,dprime,L_hat,S_hat,clamped_flag\n"]
-    for i in range(est.p.size):
-        if np.isfinite(est.size[i]):
-            rows.append(
-                f"{i},{int(est.p[i])},{int(est.d[i])},{float(est.dprime[i])!r},"
-                f"{float(est.link_rate[i])!r},{float(est.size[i])!r},{int(est.clamped[i])}\n"
-            )
+    columns = zip(est.p.astype(np.int64).tolist(), est.d.astype(np.int64).tolist(),
+                  est.dprime.tolist(), est.link_rate.tolist(), est.size.tolist(),
+                  est.clamped.astype(np.int64).tolist())
+    for i, (p, d, dprime, rate, size, clamped) in enumerate(columns):
+        if math.isfinite(size):
+            rows.append(f"{i},{p},{d},{dprime!r},{rate!r},{size!r},{clamped}\n")
         else:
-            rows.append(f"{i},{int(est.p[i])},{int(est.d[i])},nan,nan,nan,0\n")
+            rows.append(f"{i},{p},{d},nan,nan,nan,0\n")
     _write_text(out, "estimate.csv", "".join(rows))
     summary = {
         "window": est.window,
@@ -683,6 +697,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     except ValueError as e:
         print(f"netgeom: error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError as e:  # numpy names the allocation that failed
+        print(f"netgeom: error: out of memory{f': {e}' if str(e) else ''}", file=sys.stderr)
         return 2
 
 

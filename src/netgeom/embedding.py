@@ -109,13 +109,32 @@ def _references(g: Graph, references: Sequence[int]) -> tuple[int, ...]:
     return refs
 
 
+def _full_rows(g: Graph) -> Iterator[np.ndarray]:
+    """Rows of the full embedding in node order, as the kernel's int32 blocks of
+    up to 64 rows: the graph is undirected, so row v is the distance row from
+    source v. Raises ValueError, before any traversal, if the graph is empty or
+    disconnected.
+    """
+    if g.node_count == 0:
+        raise ValueError("cannot embed an empty graph")
+    _require_connected(g, "embed one component at a time")
+    return _distance_blocks(g, range(g.node_count))
+
+
 def embed_full(g: Graph) -> Embedding:
     """Full embedding of a connected graph: every node is a reference.
 
     coords is the complete hop-distance matrix. Raises ValueError if the graph
     is empty or disconnected.
     """
-    return embed(g, range(g.node_count))
+    blocks = _full_rows(g)  # checks the graph before n x n is allocated
+    n = g.node_count
+    coords = np.empty((n, n), dtype=np.int32)
+    s = 0
+    for block in blocks:
+        coords[s : s + len(block)] = block
+        s += len(block)
+    return Embedding(references=tuple(range(n)), coords=coords, full=True)
 
 
 def chebyshev_distance(e: Embedding, p: int, q: int) -> int:

@@ -544,5 +544,9 @@ def giant_core(g: Graph) -> Graph:
     """
     if g.node_count == 0:
         raise ValueError("giant_core of an empty graph is undefined")
-    cid, sizes = _component_ids(g)
+    return _giant_core(g, *_component_ids(g))
+
+
+def _giant_core(g: Graph, cid: np.ndarray, sizes: np.ndarray) -> Graph:
+    """``giant_core`` of ``g`` from its component labeling ``_component_ids(g)``."""
     return _induced(g, np.flatnonzero(cid == np.argmax(sizes)))

@@ -6,17 +6,20 @@ import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import netgeom
 from netgeom.cli import main
-from netgeom.graph import load_edge_list
+from netgeom.graph import Graph, load_edge_list
 from netgeom.stats import Histogram, degree_histogram
 from record_cli_golden import GOLDEN_PATH, run_cases
+from util import fw_distances, random_connected
 
 
 def run(*argv: str) -> int:
@@ -103,6 +106,29 @@ class TestStats:
         report = read_json(out / "report.json")
         assert report["seniors"]["count"] == 1
         assert report["seniors"]["no_senior_neighbor_count"] == 1
+
+    def test_giant_paths_label_the_components_twice(self, tmp_path, monkeypatch):
+        """Once for the report and the giant core, once for the connectivity
+        check of the path lengths; the giant core reuses the first labeling."""
+        src = tmp_path / "two.txt"
+        src.write_text("a b\nb c\nc a\nx y\n")
+        calls = []
+        real = netgeom.graph._component_ids
+
+        def counted(g):
+            calls.append(g.node_count)
+            return real(g)
+
+        monkeypatch.setattr("netgeom.graph._component_ids", counted)
+        monkeypatch.setattr("netgeom.cli._component_ids", counted)
+        out = tmp_path / "s"
+        assert run("stats", "--graph", str(src), "--giant", "--paths", "exact",
+                   "--out", str(out)) == 0
+        assert calls == [5, 3]
+        report = read_json(out / "report.json")
+        assert report["graph"]["components"] == 2
+        assert report["graph"]["giant_core_size"] == 3
+        assert report["paths"]["total_pairs"] == 3
 
     def test_meta_has_seed_and_content_digest(self, tmp_path):
         src = write_p5(tmp_path)
@@ -321,6 +347,21 @@ class TestErrorLines:
         [line] = error_lines(capsys)
         assert line.endswith("pair count 15 exceeds max_pairs=10")
 
+    @pytest.mark.parametrize("message, line", [
+        ("Unable to allocate 95.4 MiB for an array",
+         "netgeom: error: out of memory: Unable to allocate 95.4 MiB for an array"),
+        ("", "netgeom: error: out of memory"),
+    ], ids=["numpy-message", "bare"])
+    def test_out_of_memory_is_one_line_exit_2(self, tmp_path, capsys, monkeypatch, message, line):
+        src = write_p5(tmp_path)
+
+        def no_memory(g):
+            raise MemoryError(message)
+
+        monkeypatch.setattr("netgeom.cli.embed_full", no_memory)
+        assert run("reduce", "--graph", str(src), "--out", str(tmp_path / "r")) == 2
+        assert error_lines(capsys) == [line]
+
     @pytest.mark.parametrize("sub", ["embed", "reduce"])
     def test_disconnected_graph_is_2_before_the_embedding(self, tmp_path, capsys,
                                                          monkeypatch, sub):
@@ -391,6 +432,91 @@ class TestErrorLines:
                    "--out", str(out)) == 1
         [line] = error_lines(capsys)
         assert "'zz'" in line
+
+
+def write_labeled(path, n: int, seed: int) -> Graph:
+    """A random connected graph of n nodes with shuffled labels, written as an
+    edge list, and the graph the loader reads back from it."""
+    rng = random.Random(seed)
+    g = random_connected(n, n, rng)
+    label = [f"n{v}" for v in rng.sample(range(n), n)]
+    lines = [f"{label[a]} {label[b]}\n" for a, b in g.edges()] if n > 1 else ["n0 n0\n"]
+    path.write_text("".join(lines))
+    with open(path) as fh:
+        return load_edge_list(fh)
+
+
+def coords_oracle(g: Graph, refs) -> str:
+    """coords.csv of ``g`` against ``refs``, from Floyd-Warshall distances."""
+    dist = fw_distances(g)
+    names = [g.label_of(v) for v in range(g.node_count)]
+    rows = (names[v] + "".join(f",{int(dist[v][r])}" for r in refs) + "\n" for v in range(g.node_count))
+    return "node," + ",".join(names[r] for r in refs) + "\n" + "".join(rows)
+
+
+class TestEmbedStream:
+    """``embed`` writes coords.csv from the kernel's blocks of 64 rows."""
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+    def test_coords_equal_the_distance_oracle(self, tmp_path, n):
+        g = write_labeled(tmp_path / "g.txt", n, seed=n)
+        out = tmp_path / "emb"
+        assert run("embed", "--graph", str(tmp_path / "g.txt"), "--out", str(out)) == 0
+        assert (out / "coords.csv").read_text() == coords_oracle(g, range(n))
+        assert read_json(out / "embedding.json") == {
+            "nodes": n, "references": [g.label_of(v) for v in range(n)], "full": True,
+        }
+
+    def test_later_blocks_reach_past_the_first(self, tmp_path):
+        # nodes 0..63 (the first block) are a star whose hub ends two 40-node
+        # paths: the first block reaches 41 hops, the path ends 80
+        edges = [(0, i) for i in range(1, 64)]
+        for start in (64, 104):
+            edges += [(0, start)] + [(v, v + 1) for v in range(start, start + 39)]
+        src = tmp_path / "g.txt"
+        src.write_text("".join(f"{a} {b}\n" for a, b in edges))
+        with open(src) as fh:
+            g = load_edge_list(fh)
+        dist = fw_distances(g)
+        assert max(max(row) for row in dist[:64]) == 41 and max(max(row) for row in dist) == 80
+        out = tmp_path / "emb"
+        assert run("embed", "--graph", str(src), "--out", str(out)) == 0
+        assert (out / "coords.csv").read_text() == coords_oracle(g, range(g.node_count))
+
+    def test_refs_with_repeats_keep_their_bytes(self, tmp_path):
+        g = write_labeled(tmp_path / "g.txt", 130, seed=5)
+        refs = [129, 3, 129, 70, 0, 3]
+        out = tmp_path / "emb"
+        assert run("embed", "--graph", str(tmp_path / "g.txt"), "--out", str(out),
+                   "--refs", ",".join(g.label_of(r) for r in refs)) == 0
+        assert (out / "coords.csv").read_text() == coords_oracle(g, refs)
+        assert read_json(out / "embedding.json") == {
+            "nodes": 130, "references": [g.label_of(r) for r in refs], "full": False,
+        }
+
+    @pytest.mark.parametrize("text, refs", [
+        ("# no edges\n", []),
+        ("0 1\n1 2\n3 4\n", []),
+        ("0 1\n1 2\n3 4\n", ["--refs", "0"]),
+    ], ids=["empty", "disconnected", "disconnected-refs"])
+    def test_failed_precondition_writes_no_coords(self, tmp_path, capsys, text, refs):
+        src = tmp_path / "g.txt"
+        src.write_text(text)
+        out = tmp_path / "emb"
+        assert run("embed", "--graph", str(src), *refs, "--out", str(out)) == 2
+        error_lines(capsys)
+        assert not (out / "coords.csv").exists()
+
+    def test_peak_memory_is_under_half_the_distance_matrix(self, tmp_path):
+        n = 1500
+        write_labeled(tmp_path / "g.txt", n, seed=15)
+        tracemalloc.start()
+        try:
+            assert run("embed", "--graph", str(tmp_path / "g.txt"), "--out", str(tmp_path / "emb")) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 4 // 2, f"peak {peak / 2**20:.1f} MiB"
 
 
 class TestFlagValues:

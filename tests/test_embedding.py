@@ -42,6 +42,14 @@ class TestEmbedding:
             for u in range(n):
                 assert list(e.coords[u]) == [int(x) for x in oracle[u]]
 
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+    def test_full_rows_fold_across_blocks_of_64(self, n):
+        g = random_connected(n, n, random.Random(n)) if n > 1 else from_edges([(0, 0)])
+        e = embed_full(g)
+        assert e.full and e.references == tuple(range(n))
+        assert e.coords.dtype == np.int32
+        assert e.coords.tolist() == [[int(x) for x in row] for row in fw_distances(g)]
+
     def test_full_chebyshev_distance_is_exact(self):
         rng = random.Random(9)
         for _ in range(10):

@@ -44,7 +44,6 @@ from .crawl import (
 )
 from .embedding import (
     _check_max_pairs,
-    _full_rows,
     build_cover_matrix,
     embed,
     embed_full,
@@ -57,7 +56,7 @@ from .generators import (
     generate_appendage_graph,
     generate_double_pareto_degrees,
 )
-from .graph import EdgeListParseError, Graph, _component_ids, _giant_core, giant_core, load_edge_list
+from .graph import EdgeListParseError, Graph, _component_summary, giant_core, load_edge_list
 from .stats import (
     Histogram,
     degree_histogram,
@@ -285,20 +284,20 @@ def _cmd_generate(args, out: str, _) -> None:
 def _cmd_stats(args, out: str, g: Graph) -> None:
     if g.node_count == 0:
         raise ValueError("statistics of an empty graph are undefined")
-    cid, sizes = _component_ids(g)  # labeled once, for the report and the giant core
+    count, giant_size, core = _component_summary(g, core=args.giant)
     report: dict = {
         "graph": {
             "nodes": g.node_count,
             "edges": g.edge_count,
-            "components": len(sizes),
-            "giant_core_size": int(sizes.max()),
+            "components": count,
+            "giant_core_size": giant_size,
             "self_loops_dropped": g.self_loops_dropped,
             "duplicate_edges_dropped": g.duplicate_edges_dropped,
         }
     }
     target = g
     if args.giant:
-        target = _giant_core(g, cid, sizes)
+        target = core
         report["giant"] = True
 
     if args.degrees:
@@ -425,28 +424,37 @@ def _cmd_personality(args, out: str, g: Graph) -> None:
 # embed / reduce
 
 
-def _write_coords(fh, names: Sequence[str], ref_names: Sequence[str],
+def _write_coords(out: str, names: Sequence[str], ref_names: Sequence[str],
                   blocks: Iterable[np.ndarray]) -> None:
-    """Write coords.csv to ``fh``: a header, then one "label,d1,...,dk" line per
-    row of ``blocks``, which come in row order, at most 64 rows each.
+    """Write coords.csv: a header, then one "label,d1,...,dk" line per row of
+    ``blocks``, which come in row order, at most 64 rows each.
 
     Cells come from a table of ",d" strings indexed by the distance, rebuilt
     whenever a block reaches past it, since the diameter is known only after the
     last block. One block is formatted at a time, so the writer holds 64 x k
-    cells and one block's text, never the n x k matrix or the whole file.
+    cells and one block's text, never the n x k matrix or the whole file. The
+    text goes to coords.csv.part, renamed to coords.csv after the last block, so
+    a run that fails part-way leaves no truncated coords.csv.
     """
-    fh.write("node," + ",".join(ref_names) + "\n")
-    cells = np.empty(0, dtype=object)
-    s = 0
-    for block in blocks:
-        if (top := int(block.max(initial=0))) >= len(cells):
-            cells = np.array([f",{d}" for d in range(top + 1)], dtype=object)
-        rows = np.empty((len(block), len(ref_names) + 2), dtype=object)
-        rows[:, 0] = names[s : s + len(block)]
-        rows[:, 1:-1] = cells[block]
-        rows[:, -1] = "\n"
-        fh.write("".join(rows.ravel().tolist()))
-        s += len(block)
+    path = os.path.join(out, "coords.csv")
+    try:
+        with open(path + ".part", "w", encoding="utf-8") as fh:
+            fh.write("node," + ",".join(ref_names) + "\n")
+            cells = np.empty(0, dtype=object)
+            s = 0
+            for block in blocks:
+                if (top := int(block.max(initial=0))) >= len(cells):
+                    cells = np.array([f",{d}" for d in range(top + 1)], dtype=object)
+                rows = np.empty((len(block), len(ref_names) + 2), dtype=object)
+                rows[:, 0] = names[s : s + len(block)]
+                rows[:, 1:-1] = cells[block]
+                rows[:, -1] = "\n"
+                fh.write("".join(rows.ravel().tolist()))
+                s += len(block)
+        os.replace(path + ".part", path)
+    finally:
+        if os.path.exists(path + ".part"):
+            os.remove(path + ".part")
 
 
 def _cmd_embed(args, out: str, g: Graph) -> None:
@@ -454,14 +462,13 @@ def _cmd_embed(args, out: str, g: Graph) -> None:
     if args.refs:
         # --refs is resolved before any traversal, which then runs from the references only
         e = embed(g, _resolve_nodes(g, args.refs.split(",")))
-        refs, full = e.references, e.full
-        blocks = (e.coords[s : s + 64] for s in range(0, e.node_count, 64))
+        ref_names, full = [names[r] for r in e.references], e.full
+        _write_coords(out, names, ref_names, (e.coords[s : s + 64] for s in range(0, e.node_count, 64)))
     else:
-        blocks = _full_rows(g)  # checks the graph before coords.csv is opened
-        refs, full = range(g.node_count), True
-    ref_names = [names[r] for r in refs]
-    with open(os.path.join(out, "coords.csv"), "w", encoding="utf-8") as fh:
-        _write_coords(fh, names, ref_names, blocks)
+        # the graph is checked before coords.csv is opened; the traversal then
+        # runs one block at a time as the writer asks for it
+        embed_full(g, lambda blocks: _write_coords(out, names, names, blocks))
+        ref_names, full = names, True
     _write_json(out, "embedding.json", {"nodes": g.node_count, "references": ref_names, "full": full})
 
 

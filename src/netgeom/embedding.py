@@ -22,12 +22,14 @@ closing distortion check, ``chebyshev_matrix`` and ``embedding_distortion``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
 from .graph import Graph, _distance_blocks, _require_connected
 from .stats import Histogram
+
+T = TypeVar("T")
 
 __all__ = [
     "Embedding",
@@ -85,8 +87,7 @@ def embed(g: Graph, references: Sequence[int]) -> Embedding:
     matrix is built for a short list. Raises ValueError if the graph is empty
     or disconnected, or the references are empty or out of range.
     """
-    refs = _references(g, references)
-    _require_connected(g, "embed one component at a time")
+    refs = _connected_references(g, references)
     n = g.node_count
     coords = np.empty((n, len(refs)), dtype=np.int32)
     col = 0
@@ -109,32 +110,27 @@ def _references(g: Graph, references: Sequence[int]) -> tuple[int, ...]:
     return refs
 
 
-def _full_rows(g: Graph) -> Iterator[np.ndarray]:
-    """Rows of the full embedding in node order, as the kernel's int32 blocks of
-    up to 64 rows: the graph is undirected, so row v is the distance row from
-    source v. Raises ValueError, before any traversal, if the graph is empty or
-    disconnected.
-    """
-    if g.node_count == 0:
-        raise ValueError("cannot embed an empty graph")
+def _connected_references(g: Graph, references: Sequence[int]) -> tuple[int, ...]:
+    """``_references``, then the check that ``g`` is connected."""
+    refs = _references(g, references)
     _require_connected(g, "embed one component at a time")
-    return _distance_blocks(g, range(g.node_count))
+    return refs
 
 
-def embed_full(g: Graph) -> Embedding:
+def embed_full(g: Graph,
+               consume: Callable[[Iterator[np.ndarray]], T] | None = None) -> Embedding | T:
     """Full embedding of a connected graph: every node is a reference.
 
-    coords is the complete hop-distance matrix. Raises ValueError if the graph
-    is empty or disconnected.
+    coords is the complete hop-distance matrix. Given ``consume``, the matrix is
+    never built: ``consume`` is called once with an iterator over its rows in
+    node order, as the kernel's int32 blocks of up to 64 rows (the graph is
+    undirected, so row v is the distance row from source v), and its result is
+    returned. Raises ValueError, before any traversal, if the graph is empty or
+    disconnected.
     """
-    blocks = _full_rows(g)  # checks the graph before n x n is allocated
-    n = g.node_count
-    coords = np.empty((n, n), dtype=np.int32)
-    s = 0
-    for block in blocks:
-        coords[s : s + len(block)] = block
-        s += len(block)
-    return Embedding(references=tuple(range(n)), coords=coords, full=True)
+    if consume is None:
+        return embed(g, range(g.node_count))
+    return consume(_distance_blocks(g, _connected_references(g, range(g.node_count))))
 
 
 def chebyshev_distance(e: Embedding, p: int, q: int) -> int:

@@ -544,9 +544,12 @@ def giant_core(g: Graph) -> Graph:
     """
     if g.node_count == 0:
         raise ValueError("giant_core of an empty graph is undefined")
-    return _giant_core(g, *_component_ids(g))
+    return _component_summary(g, core=True)[2]
 
 
-def _giant_core(g: Graph, cid: np.ndarray, sizes: np.ndarray) -> Graph:
-    """``giant_core`` of ``g`` from its component labeling ``_component_ids(g)``."""
-    return _induced(g, np.flatnonzero(cid == np.argmax(sizes)))
+def _component_summary(g: Graph, core: bool) -> tuple[int, int, Graph | None]:
+    """Component count, giant size and, if ``core``, the ``giant_core`` of a
+    non-empty ``g``, all from one labeling."""
+    cid, sizes = _component_ids(g)
+    giant = int(np.argmax(sizes))
+    return len(sizes), int(sizes[giant]), _induced(g, np.flatnonzero(cid == giant)) if core else None

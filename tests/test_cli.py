@@ -120,7 +120,6 @@ class TestStats:
             return real(g)
 
         monkeypatch.setattr("netgeom.graph._component_ids", counted)
-        monkeypatch.setattr("netgeom.cli._component_ids", counted)
         out = tmp_path / "s"
         assert run("stats", "--graph", str(src), "--giant", "--paths", "exact",
                    "--out", str(out)) == 0
@@ -506,6 +505,27 @@ class TestEmbedStream:
         assert run("embed", "--graph", str(src), *refs, "--out", str(out)) == 2
         error_lines(capsys)
         assert not (out / "coords.csv").exists()
+
+    def test_failure_after_the_first_block_leaves_the_old_coords(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        write_labeled(tmp_path / "g.txt", 130, seed=7)
+        fresh, rerun = tmp_path / "fresh", tmp_path / "rerun"
+        assert run("embed", "--graph", str(tmp_path / "g.txt"), "--out", str(rerun)) == 0
+        before = (rerun / "coords.csv").read_bytes()
+        real = netgeom.embedding._distance_blocks
+
+        def first_block_only(g, sources):
+            blocks = real(g, sources)
+            yield next(blocks)
+            raise MemoryError
+
+        monkeypatch.setattr("netgeom.embedding._distance_blocks", first_block_only)
+        for out in (fresh, rerun):
+            assert run("embed", "--graph", str(tmp_path / "g.txt"), "--out", str(out)) == 2
+            assert error_lines(capsys) == ["netgeom: error: out of memory"]
+        assert sorted(os.listdir(fresh)) == []
+        assert (rerun / "coords.csv").read_bytes() == before
+        assert not (rerun / "coords.csv.part").exists()
 
     def test_peak_memory_is_under_half_the_distance_matrix(self, tmp_path):
         n = 1500

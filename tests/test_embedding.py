@@ -43,12 +43,17 @@ class TestEmbedding:
                 assert list(e.coords[u]) == [int(x) for x in oracle[u]]
 
     @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
-    def test_full_rows_fold_across_blocks_of_64(self, n):
+    def test_full_embedding_across_blocks_of_64(self, n):
         g = random_connected(n, n, random.Random(n)) if n > 1 else from_edges([(0, 0)])
+        oracle = [[int(x) for x in row] for row in fw_distances(g)]
         e = embed_full(g)
         assert e.full and e.references == tuple(range(n))
         assert e.coords.dtype == np.int32
-        assert e.coords.tolist() == [[int(x) for x in row] for row in fw_distances(g)]
+        assert e.coords.tolist() == oracle
+        blocks = embed_full(g, list)  # the rows streamed to a consumer, in node order
+        assert [len(b) for b in blocks] == [min(64, n - s) for s in range(0, n, 64)]
+        assert all(b.dtype == np.int32 for b in blocks)
+        assert np.vstack(blocks).tolist() == oracle
 
     def test_full_chebyshev_distance_is_exact(self):
         rng = random.Random(9)

@@ -6,8 +6,10 @@ Run from the repository root, only when a change is meant to alter reports:
 
 The golden run calls ``netgeom.cli.main`` in-process once per case in CASES,
 on small seeded inputs: the 5-node path, the same path plus a separate
-2-node component, and the graphs of the three ``generate`` cases. The
-88-node appendage graph takes more than one 64-source traversal block.
+2-node component, and the graphs of the four ``generate`` cases. The
+88-node appendage graph takes more than one 64-source traversal block, and
+the random core of ``gen-appendage-random`` is disconnected before its
+repair, so the component-linking step runs.
 ``tests/test_cli.py::TestGolden`` repeats the run and compares every digest,
 ``meta.json`` included.
 """
@@ -32,12 +34,15 @@ INPUTS = {
 P5, TWO = "{root}/p5.txt", "{root}/p5_plus_pair.txt"
 APP, DP = "{root}/gen-appendage/edges.txt", "{root}/gen-double-pareto/edges.txt"
 APP88 = "{root}/gen-appendage88/edges.txt"
+APPR = "{root}/gen-appendage-random/edges.txt"
 FIFO, RANDOM = "{root}/crawl-fifo/trace.csv", "{root}/crawl-random/trace.csv"
 CASES: list[tuple[str, list[str]]] = [
     ("gen-appendage", ["generate", "--appendage", "core=K8", "tentacles=1,2,3,1",
                        "fibers=2,1", "loops=1", "--seed", "7"]),
     ("gen-appendage88", ["generate", "--appendage", "core=K8", "tentacles=30,30,20",
                          "--seed", "7"]),
+    ("gen-appendage-random", ["generate", "--appendage", "core=R12:0.2", "tentacles=3,1",
+                              "fibers=2", "--seed", "0"]),
     ("gen-double-pareto", ["generate", "--double-pareto", "n=300", "alpha-left=1",
                            "alpha-right=3", "break=10", "min=2", "--seed", "3"]),
     ("stats-p5", ["stats", "--graph", P5, "--degrees", "--paths", "exact"]),
@@ -51,6 +56,7 @@ CASES: list[tuple[str, list[str]]] = [
     ("stats-appendage", ["stats", "--graph", APP, "--degrees", "--paths", "sampled:4",
                          "--seed", "2"]),
     ("decompose-appendage", ["decompose", "--graph", APP]),
+    ("decompose-appendage-random", ["decompose", "--graph", APPR]),
     ("decompose-giant", ["decompose", "--graph", TWO, "--giant"]),
     ("decompose-dp", ["decompose", "--graph", DP, "--giant"]),
     ("depth-p5", ["depth", "--graph", P5, "--profile-bin", "0.5"]),

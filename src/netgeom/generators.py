@@ -4,7 +4,9 @@ Two families:
 
 * appendage graphs: a well-connected core decorated with pendant chains
   ("tentacles", ending in a degree-1 "loner") and chains whose both ends attach
-  to the core ("fibers"). Role labels are returned per node and are exact.
+  to the core ("fibers"). Role labels are returned per node and are exact. A
+  random core is G(m, p) joined into one component with the labeling of
+  ``graph._component_ids``, then raised to minimum degree 3.
 * two-segment power-law ("double-Pareto") degree sequences realized through an
   erased configuration model.
 
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, _sorted_unique
+from .graph import Graph, _component_ids, _sorted_unique
 
 __all__ = [
     "ROLE_CORE",
@@ -103,56 +105,30 @@ class DoubleParetoSpec:
             raise ValueError("need 1 <= min_degree <= break_degree <= max_degree")
 
 
-def _random_core_edges(m: int, p: float, rng: np.random.Generator) -> set[tuple[int, int]]:
-    """G(m, p) repaired to be connected with min degree >= 3."""
-    edges: set[tuple[int, int]] = set()
-    mask = rng.random((m, m)) < p
-    for u in range(m):
-        for v in range(u + 1, m):
-            if mask[u, v]:
-                edges.add((u, v))
+def _upper_keys(mask: np.ndarray) -> np.ndarray:
+    """Sorted edge keys ``u * m + v`` of the pairs u < v set in the m×m ``mask``."""
+    return np.flatnonzero(np.triu(mask, 1))
 
-    def neighbors() -> list[set[int]]:
-        nbrs: list[set[int]] = [set() for _ in range(m)]
-        for u, v in edges:
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        return nbrs
 
+def _random_core_keys(m: int, p: float, rng: np.random.Generator) -> np.ndarray:
+    """Edge keys of G(m, p) repaired to be connected with min degree >= 3."""
+    adj = np.triu(rng.random((m, m)) < p, 1)
     # connect components: link a random node of each later component to a random
-    # node of the first one
-    nbrs = neighbors()
-    seen = [False] * m
-    comps: list[list[int]] = []
-    for s in range(m):
-        if seen[s]:
-            continue
-        comp = [s]
-        seen[s] = True
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for w in nbrs[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    stack.append(w)
-        comps.append(comp)
+    # node of the first one (component ids follow each component's smallest node)
+    cid, sizes = _component_ids(Graph._from_keys(m, np.flatnonzero(adj)))
+    comps = np.split(np.argsort(cid, kind="stable"), np.cumsum(sizes)[:-1])
     for comp in comps[1:]:
-        u = int(rng.choice(comp))
-        v = int(rng.choice(comps[0]))
-        edges.add((min(u, v), max(u, v)))
-
-    # raise minimum degree to 3
-    nbrs = neighbors()
+        u, v = rng.choice(comp), rng.choice(comps[0])
+        adj[u, v] = True
+    adj |= adj.T
+    # raise minimum degree to 3; with the diagonal set, a node is never its own
+    # candidate and a row of degree d holds d + 1 set cells
+    np.fill_diagonal(adj, True)
     for u in range(m):
-        while len(nbrs[u]) < 3:
-            candidates = [v for v in range(m) if v != u and v not in nbrs[u]]
-            v = int(rng.choice(candidates))
-            edges.add((min(u, v), max(u, v)))
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-    return edges
+        while adj[u].sum() < 4:
+            v = rng.choice(np.flatnonzero(~adj[u]))
+            adj[u, v] = adj[v, u] = True
+    return _upper_keys(adj)
 
 
 def generate_appendage_graph(spec: AppendageSpec) -> tuple[Graph, tuple[str, ...]]:
@@ -167,19 +143,15 @@ def generate_appendage_graph(spec: AppendageSpec) -> tuple[Graph, tuple[str, ...
     rng = np.random.default_rng(spec.seed)
     m = spec.core_size
     if spec.core_kind == "complete":
-        core_edges = {(u, v) for u in range(m) for v in range(u + 1, m)}
+        keys = _upper_keys(np.ones((m, m), dtype=bool))
     else:
-        core_edges = _random_core_edges(m, spec.edge_prob, rng)
-
-    core_degree = [0] * m
-    for u, v in core_edges:
-        core_degree[u] += 1
-        core_degree[v] += 1
-    eligible = [v for v in range(m) if core_degree[v] >= 3]
+        keys = _random_core_keys(m, spec.edge_prob, rng)
+    lo, hi = np.divmod(keys, m)
+    eligible = np.flatnonzero(np.bincount(np.r_[lo, hi], minlength=m) >= 3).tolist()
     if (spec.tentacle_lengths or spec.fiber_inner_counts) and not eligible:
         raise ValueError("core too small to host attachments (no core node of degree >= 3)")
 
-    edges: list[tuple[int, int]] = sorted(core_edges)
+    edges: list[tuple[int, int]] = list(zip(lo.tolist(), hi.tolist()))
     roles: list[str] = [ROLE_CORE] * m
     next_id = m
 

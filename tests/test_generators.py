@@ -1,12 +1,15 @@
 """Synthetic graph generators: appendage graphs, degree sampler, stub matching."""
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netgeom.generators import (
     AppendageSpec,
@@ -15,7 +18,19 @@ from netgeom.generators import (
     generate_appendage_graph,
     generate_double_pareto_degrees,
 )
-from netgeom.graph import components
+from netgeom.graph import components, induced_subgraph
+from util import uf_components
+
+CORE_SIZES = st.integers(4, 40)
+EDGE_PROBS = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def core_of(spec: AppendageSpec):
+    """The appendage graph of ``spec``, with its core: the induced subgraph on nodes 0..m-1."""
+    g, roles = generate_appendage_graph(spec)
+    assert roles[:spec.core_size] == ("core",) * spec.core_size
+    return g, induced_subgraph(g, range(spec.core_size))
 
 
 class TestAppendageGraphs:
@@ -105,6 +120,38 @@ class TestAppendageGraphs:
         g2, r2 = generate_appendage_graph(spec)
         assert g1 == g2
         assert r1 == r2
+
+
+class TestCoreProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(CORE_SIZES, EDGE_PROBS, SEEDS, st.lists(st.integers(1, 3), max_size=3),
+           st.lists(st.integers(1, 3), max_size=2))
+    def test_random_core_is_simple_connected_with_min_degree_three(self, m, p, seed,
+                                                                    tentacles, fibers):
+        spec = AppendageSpec(core_size=m, core_kind="random", edge_prob=p,
+                             tentacle_lengths=tuple(tentacles),
+                             fiber_inner_counts=tuple(fibers), seed=seed)
+        g, core = core_of(spec)
+        assert g.self_loops_dropped == g.duplicate_edges_dropped == 0
+        assert len(uf_components(core)) == 1
+        assert min(core.degrees()) >= 3
+
+    @settings(max_examples=40, deadline=None)
+    @given(CORE_SIZES, SEEDS)
+    def test_complete_core_is_every_pair(self, m, seed):
+        _, core = core_of(AppendageSpec(core_size=m, tentacle_lengths=(2,), seed=seed))
+        assert sorted(core.edges()) == list(itertools.combinations(range(m), 2))
+
+    @settings(max_examples=40, deadline=None)
+    @given(CORE_SIZES, SEEDS)
+    def test_empty_random_core_links_every_node_to_node_zero_then_repairs(self, m, seed):
+        # G(m, 0) has m singleton components: m - 1 links join them to node 0,
+        # then every other node needs two more edges, one or two nodes at a time
+        _, core = core_of(AppendageSpec(core_size=m, core_kind="random", edge_prob=0.0,
+                                        seed=seed))
+        assert core.neighbors(0) == tuple(range(1, m))
+        assert 2 * (m - 1) <= core.edge_count <= 3 * (m - 1)
+        assert min(core.degrees()) >= 3
 
 
 class TestDegreeSampler:

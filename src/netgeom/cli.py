@@ -191,16 +191,23 @@ class _Sampling(str):
 
 
 def _at_least(kind, low, strict: bool = False):
-    """argparse type: a ``kind`` value that is >= low (> low when strict)."""
+    """argparse type: a ``kind`` value that is >= low (> low when strict). A
+    float must also be finite: meta.json echoes every flag, and JSON has no
+    NaN or Infinity."""
 
     def parse(text: str):
         value = kind(text)
+        if kind is float and not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
         if not (value > low if strict else value >= low):
             raise argparse.ArgumentTypeError(f"must be {'>' if strict else '>='} {low}, got {text!r}")
         return value
 
     parse.__name__ = kind.__name__  # argparse names it in "invalid int value: 'x'"
     return parse
+
+
+_finite = _at_least(float, -math.inf)
 
 
 def _int_list(text: str, what: str) -> tuple[int, ...]:
@@ -653,11 +660,11 @@ def build_parser() -> argparse.ArgumentParser:
     add("fit-rational", _cmd_fit_rational, "fit the rational acquisition curve to a trace", "trace")
 
     p = add("solve-ode", _cmd_solve_ode, "integrate the discovery balance equation")
-    p.add_argument("--p0", type=float, default=0.0)
-    p.add_argument("--d0", type=float, required=True)
-    p.add_argument("--dprime0", type=float, required=True)
+    p.add_argument("--p0", type=_finite, default=0.0)
+    p.add_argument("--d0", type=_finite, required=True)
+    p.add_argument("--dprime0", type=_finite, required=True)
     p.add_argument("--step", type=_at_least(float, 0, strict=True), required=True)
-    p.add_argument("--pmax", type=float, required=True)
+    p.add_argument("--pmax", type=_finite, required=True)
 
     return parser
 

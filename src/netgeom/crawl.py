@@ -15,6 +15,7 @@ form for the discovery curve.
 from __future__ import annotations
 
 import csv
+import math
 import random
 from dataclasses import dataclass
 from typing import Iterable
@@ -458,7 +459,9 @@ def solve_acquisition_ode(
 
     Classic fixed-step fourth-order Runge-Kutta; the final step is shortened to
     land exactly on p_max. Integration halts early when D would cross zero
-    (where the equation is singular). Requires d0 > 0 and step > 0.
+    (where the equation is singular). Requires d0 > 0, step > 0, p_max >= p0
+    and a step no smaller than the float spacing at the largest |P| of the
+    range, below which ``p + step == p`` and P would never advance.
     """
     if d0 <= 0:
         raise ValueError("d0 must be > 0")
@@ -466,6 +469,11 @@ def solve_acquisition_ode(
         raise ValueError("step must be > 0")
     if p_max < p0:
         raise ValueError("p_max must be >= p0")
+    top = max(abs(p0), abs(p_max))
+    if step < math.ulp(top):
+        raise ValueError(
+            f"step {step!r} cannot advance P: it is below the float spacing {math.ulp(top)!r} at |P| = {top!r}"
+        )
 
     class _Halt(Exception):
         pass

@@ -346,6 +346,15 @@ class TestErrorLines:
         [line] = error_lines(capsys)
         assert line.endswith("pair count 15 exceeds max_pairs=10")
 
+    def test_step_that_cannot_advance_p_is_2(self, tmp_path, capsys):
+        # 1 + 1e-20 == 1, so the integration would never reach --pmax
+        out = tmp_path / "o"
+        assert run("solve-ode", "--p0", "1", "--d0", "100", "--dprime0", "-0.5",
+                   "--step", "1e-20", "--pmax", "2", "--out", str(out)) == 2
+        [line] = error_lines(capsys)
+        assert "step 1e-20 cannot advance P" in line
+        assert not (out / "ode.json").exists()
+
     @pytest.mark.parametrize("message, line", [
         ("Unable to allocate 95.4 MiB for an array",
          "netgeom: error: out of memory: Unable to allocate 95.4 MiB for an array"),
@@ -563,6 +572,29 @@ class TestFlagValues:
         assert run(*argv, "--out", str(tmp_path / "o")) == 1
         [line] = error_lines(capsys)
         assert f"argument {flag}: " in line
+        assert not (tmp_path / "o").exists()
+
+    # a valid solve-ode run; the flag under test is repeated after it, and the
+    # last occurrence wins
+    SOLVE = ["solve-ode", "--d0", "100", "--dprime0", "-0.5", "--step", "0.5", "--pmax", "50"]
+    NON_FINITE = {
+        "--p0": SOLVE,
+        "--d0": SOLVE,
+        "--dprime0": SOLVE,
+        "--step": SOLVE,
+        "--pmax": SOLVE,
+        "--profile-bin": ["depth", "--graph", "{missing}"],
+        "--tau": ["personality", "--graph", "{missing}"],
+    }
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("flag", sorted(NON_FINITE))
+    def test_non_finite_value_is_1_before_input(self, tmp_path, capsys, flag, value):
+        # meta.json echoes every flag, and JSON has no NaN or Infinity
+        argv = [a.format(missing=tmp_path / "missing.txt") for a in self.NON_FINITE[flag]]
+        assert run(*argv, f"{flag}={value}", "--out", str(tmp_path / "o")) == 1
+        [line] = error_lines(capsys)
+        assert line.endswith(f"argument {flag}: must be finite, got {value!r}")
         assert not (tmp_path / "o").exists()
 
     def test_profile_bin_is_rejected_before_the_depth_map(self, tmp_path, capsys,

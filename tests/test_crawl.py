@@ -351,6 +351,16 @@ class TestAcquisitionOde:
         with pytest.raises(ValueError):
             solve_acquisition_ode(p0=5, d0=1, dprime0=-1, step=0.1, p_max=1)
 
+    def test_step_that_cannot_advance_p_is_rejected(self):
+        # p + 1e-20 == p for P in [1, 2], so integrating would never end
+        with pytest.raises(ValueError, match="cannot advance P"):
+            solve_acquisition_ode(p0=1, d0=100, dprime0=-0.5, step=1e-20, p_max=2)
+        # the spacing is taken at the largest |P|, here the negative start
+        with pytest.raises(ValueError, match="cannot advance P"):
+            solve_acquisition_ode(p0=-1e6, d0=100, dprime0=-0.5, step=1e-12, p_max=0)
+        sol = solve_acquisition_ode(p0=0, d0=100, dprime0=-0.5, step=1e-300, p_max=0)
+        assert sol.p.tolist() == [0.0]
+
 
 class TestCrawlReference:
     def test_traces_match_the_plain_loop(self):

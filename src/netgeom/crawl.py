@@ -469,11 +469,8 @@ def solve_acquisition_ode(
         raise ValueError("step must be > 0")
     if p_max < p0:
         raise ValueError("p_max must be >= p0")
-    top = max(abs(p0), abs(p_max))
-    if step < math.ulp(top):
-        raise ValueError(
-            f"step {step!r} cannot advance P: it is below the float spacing {math.ulp(top)!r} at |P| = {top!r}"
-        )
+    if step < (spacing := math.ulp(max(abs(p0), abs(p_max)))):
+        raise ValueError(f"step {step!r} cannot advance P: it is below the float spacing {spacing!r} of P")
 
     class _Halt(Exception):
         pass

@@ -9,7 +9,8 @@ on small seeded inputs: the 5-node path, the same path plus a separate
 2-node component, and the graphs of the four ``generate`` cases. The
 88-node appendage graph takes more than one 64-source traversal block, and
 the random core of ``gen-appendage-random`` is disconnected before its
-repair, so the component-linking step runs.
+repair, so the component-linking step runs. Both appendage graphs have
+pendant trees, which the exact depth and exact path cases cover.
 ``tests/test_cli.py::TestGolden`` repeats the run and compares every digest,
 ``meta.json`` included.
 """
@@ -55,6 +56,8 @@ CASES: list[tuple[str, list[str]]] = [
     ("stats-appendage88", ["stats", "--graph", APP88, "--paths", "sampled:80", "--seed", "3"]),
     ("stats-appendage", ["stats", "--graph", APP, "--degrees", "--paths", "sampled:4",
                          "--seed", "2"]),
+    ("stats-appendage-exact", ["stats", "--graph", APP, "--degrees", "--paths", "exact"]),
+    ("stats-appendage88-exact", ["stats", "--graph", APP88, "--paths", "exact"]),
     ("decompose-appendage", ["decompose", "--graph", APP]),
     ("decompose-appendage-random", ["decompose", "--graph", APPR]),
     ("decompose-giant", ["decompose", "--graph", TWO, "--giant"]),

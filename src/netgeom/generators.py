@@ -15,6 +15,7 @@ seeds reproduce byte-identical graphs.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,8 +100,8 @@ class DoubleParetoSpec:
     def __post_init__(self):
         if self.size < 1:
             raise ValueError("size must be >= 1")
-        if self.alpha_left <= 0 or self.alpha_right <= 0:
-            raise ValueError("exponents must be > 0")
+        if not all(math.isfinite(a) and a > 0 for a in (self.alpha_left, self.alpha_right)):
+            raise ValueError("exponents must be finite and > 0")
         if not 1 <= self.min_degree <= self.break_degree <= self.max_degree:
             raise ValueError("need 1 <= min_degree <= break_degree <= max_degree")
 

@@ -597,6 +597,17 @@ class TestFlagValues:
         assert line.endswith(f"argument {flag}: must be finite, got {value!r}")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", ["alpha-left", "alpha-right"])
+    def test_non_finite_recipe_exponent_is_1(self, tmp_path, capsys, key, value):
+        recipe = {"alpha-left": "1", "alpha-right": "3", key: value}
+        argv = ["generate", "--double-pareto", "n=10", "break=5",
+                *(f"{k}={v}" for k, v in recipe.items())]
+        assert run(*argv, "--out", str(tmp_path / "o")) == 1
+        [line] = error_lines(capsys)
+        assert line.endswith("exponents must be finite and > 0")
+        assert not (tmp_path / "o" / "degrees.txt").exists()
+
     def test_profile_bin_is_rejected_before_the_depth_map(self, tmp_path, capsys,
                                                           monkeypatch):
         src = write_p5(tmp_path)

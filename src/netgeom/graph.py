@@ -24,6 +24,14 @@ uint64 word per node (Then et al., *The More the Merrier: Efficient Multi-Source
 Graph Traversal*, PVLDB 8(4), 2014). ``bfs``, depth, path lengths and the full
 embedding are folds over its blocks of distance rows. Analyses defined on one
 component call ``_require_connected`` before any traversal.
+
+Exact depth and exact path lengths traverse only the 2-core. ``_peel``, the
+one peel of degree-1 nodes, splits a graph into the core and the pendant
+trees hanging from it; ``_core_blocks`` runs the kernel from the core nodes
+over the core edges, and a tree node's distances follow from its root's by
+integer arithmetic (the degree-1 removal of Sariyuce et al., *Graph
+Manipulations for Fast Centrality Computation*, ACM TKDD 11(3), 2017).
+Sampled modes and the embeddings traverse every node.
 """
 from __future__ import annotations
 
@@ -445,6 +453,74 @@ def _distance_blocks(g: Graph, sources: Sequence[int]) -> Iterator[np.ndarray]:
             seen |= frontier
             level += 1
         yield dist
+
+
+@dataclass(frozen=True)
+class _Forest:
+    """The pendant trees of a graph, as iterated removal of degree-1 nodes leaves them.
+
+    ``order`` lists the peeled nodes in removal order, so a node comes before
+    the node it hung from. ``parent[v]`` is that node, the next one toward v's
+    root, or -1 for a root. The roots, ``core`` (sorted), are the 2-core plus
+    the last peeled node of each component that peels away completely (a tree,
+    or a graph of 1 or 2 nodes), which acts as a 1-node core. Per node,
+    ``anchor`` is its root, ``height`` its hop count to the root and ``size``
+    the node count of its subtree, itself included, so at a root ``size`` counts
+    the root and the whole tree hanging from it.
+    """
+
+    order: list[int]
+    parent: list[int]
+    core: np.ndarray
+    anchor: np.ndarray
+    height: np.ndarray
+    size: np.ndarray
+
+
+def _peel(g: Graph) -> _Forest:
+    """Peel degree-1 nodes until none is left; the one peel behind decompose, depth and paths."""
+    n = g.node_count
+    indptr, nbrs = g.indptr, g.indices
+    deg = np.diff(indptr)
+    stack = np.flatnonzero(deg == 1).tolist()
+    deg = deg.tolist()
+    live = [True] * n
+    parent = [-1] * n
+    order: list[int] = []
+    while stack:  # a node enters the stack once: when its degree is, or falls to, 1
+        u = stack.pop()
+        live[u] = False
+        order.append(u)
+        for w in nbrs[indptr[u] : indptr[u + 1]].tolist():
+            if live[w]:
+                parent[u] = w
+                deg[w] -= 1
+                if deg[w] == 1:
+                    stack.append(w)
+    anchor, height, size = np.arange(n), [0] * n, [1] * n
+    for u in reversed(order):  # a parent is peeled after its children
+        if (p := parent[u]) >= 0:
+            anchor[u], height[u] = anchor[p], height[p] + 1
+    for u in order:
+        if (p := parent[u]) >= 0:
+            size[p] += size[u]
+    core = np.flatnonzero(np.array(parent, dtype=np.int64) < 0)
+    return _Forest(order, parent, core, anchor,
+                   np.array(height, dtype=np.int64), np.array(size, dtype=np.int64))
+
+
+def _core_blocks(g: Graph, forest: _Forest) -> Iterator[np.ndarray]:
+    """``_distance_blocks`` from every root of ``forest`` to every root, in
+    order, traversing only the subgraph the roots induce.
+
+    A path that enters a pendant tree can only leave it the way it came, so
+    no shortest path between two roots uses a peeled node, and these are the
+    roots' distances in ``g``.
+    """
+    if len(forest.core) == 1:  # a tree: its root is 0 hops from itself
+        return iter([np.zeros((1, 1), dtype=np.int32)])
+    core = _induced(g, forest.core)
+    return _distance_blocks(core, range(core.node_count))
 
 
 def bfs(g: Graph, source: int) -> DistanceMap:

@@ -3,12 +3,22 @@ high-degree ("senior") cohort reports and shortest-path length distributions.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .graph import Graph, _distance_blocks, _require_connected, _row_sums, _sources
+from .graph import (
+    Graph,
+    _core_blocks,
+    _distance_blocks,
+    _Forest,
+    _peel,
+    _require_connected,
+    _row_sums,
+    _sources,
+)
 
 __all__ = [
     "Histogram",
@@ -282,23 +292,27 @@ def path_length_report(
 ) -> PathLengthReport:
     """Distribution of shortest-path hop lengths over a connected graph.
 
-    mode="exact" runs BFS from every node and counts each unordered pair once.
-    mode="sampled" runs BFS from ``sources`` distinct uniformly chosen nodes and
-    counts ordered (source, other) pairs; the result is an estimate and is
-    flagged by its mode. Raises ValueError for a disconnected graph (the
-    message names the component count) or one of fewer than 2 nodes.
+    mode="exact" counts each unordered pair once. It runs BFS only from the
+    nodes of the 2-core, over its edges, and counts the pairs that involve
+    the pendant trees by integer arithmetic (see ``_pair_counts``).
+    mode="sampled" runs BFS on the whole graph from ``sources`` distinct
+    uniformly chosen nodes and counts ordered (source, other) pairs; the
+    result is an estimate and is flagged by its mode. Raises ValueError for a
+    disconnected graph (the message names the component count) or one of
+    fewer than 2 nodes.
     """
     n = g.node_count
     if n < 2:
         raise ValueError("path lengths need at least 2 nodes")
     _require_connected(g, "reduce to one component first")
-    chosen = _sources(n, mode, sources, seed, "sources")
-    counts = sum(np.bincount(block.ravel(), minlength=n) for block in _distance_blocks(g, chosen))
-    counts[0] -= len(chosen)  # drop each source's zero distance to itself
-    total = len(chosen) * (n - 1)
-    if mode == "exact":  # every unordered pair was counted from both ends
-        counts //= 2
-        total //= 2
+    if mode == "exact":
+        counts = _pair_counts(g) // 2  # every unordered pair was counted from both ends
+        total, source_count = n * (n - 1) // 2, None
+    else:
+        chosen = _sources(n, mode, sources, seed, "sources")
+        counts = sum(np.bincount(block.ravel(), minlength=n) for block in _distance_blocks(g, chosen))
+        counts[0] -= len(chosen)  # drop each source's zero distance to itself
+        total, source_count = len(chosen) * (n - 1), len(chosen)
     hist = Histogram(dict(enumerate(counts.tolist())))
     mean = float(np.dot(np.arange(n), counts) / total)
     return PathLengthReport(
@@ -307,6 +321,86 @@ def path_length_report(
         diameter=hist.max_value,
         mode=mode,
         total_pairs=int(total),
-        source_count=None if mode == "exact" else len(chosen),
+        source_count=source_count,
         seed=None if mode == "exact" else seed,
     )
+
+
+def _pair_counts(g: Graph) -> np.ndarray:
+    """Ordered pairs of distinct nodes of connected ``g`` by hop distance, as
+    an int64 array of length n.
+
+    The kernel runs from the roots of the pendant forest over the core they
+    induce. A node x in the tree of root a and a node y in the tree of another
+    root b are h_x + d(a, b) + h_y hops apart, h being the height above the
+    root. These pairs are the pairs of two roots, which the kernel counts; the
+    pairs of a root and a tree node of another root, counted from both ends;
+    and the pairs of two tree nodes. Per root a with a tree, the last two are
+    a's profile of heights convolved with a's distances to the other roots
+    (twice) and to the tree nodes outside a's tree. Pairs inside one tree come
+    from ``_tree_pairs``.
+    """
+    n = g.node_count
+    forest = _peel(g)
+    core, height = forest.core, forest.height
+    column = np.searchsorted(core, forest.anchor)  # each node's root, as a kernel column
+    tree = np.flatnonzero(height)
+    tree = tree[np.argsort(column[tree], kind="stable")]
+    tree_column, tree_height = column[tree], height[tree]
+    counts = np.zeros(n + int(height.max()), dtype=np.int64)
+    counts[:n] = 2 * _tree_pairs(forest, n)
+    counts[0] -= len(core)  # each root's zero distance to itself
+    start = 0
+    for block in _core_blocks(g, forest):
+        counts[: block.max() + 1] += np.bincount(block.ravel())
+        lo, hi = np.searchsorted(tree_column, (start, start + len(block)))
+        if lo < hi:  # some of these roots carry trees
+            roots, slot = np.unique(tree_column[lo:hi], return_inverse=True)
+            tall = int(tree_height[lo:hi].max()) + 1
+            profile = np.bincount(slot * tall + tree_height[lo:hi], minlength=len(roots) * tall)
+            profile = profile.reshape(len(roots), tall)
+            to_roots = block[roots - start]
+            to_trees = to_roots[:, tree_column] + tree_height
+            width = int(max(to_roots.max(), to_trees.max())) + 1
+            line = 2 * _row_histograms(to_roots, width) + _row_histograms(to_trees, width)
+            line[:, 0] -= 2  # not the root itself
+            line[:, :tall] -= profile  # nor its own tree
+            for h in range(1, tall):
+                counts[h : h + width] += profile[:, h] @ line
+        start += len(block)
+    return counts[:n]
+
+
+def _row_histograms(rows: np.ndarray, width: int) -> np.ndarray:
+    """Per row of a 2-D array of ints in 0..width - 1, the count of each value, as int64."""
+    flat = (rows + width * np.arange(len(rows))[:, None]).ravel()
+    return np.bincount(flat, minlength=len(rows) * width).reshape(len(rows), width)
+
+
+def _tree_pairs(forest: _Forest, n: int) -> np.ndarray:
+    """Unordered pairs of distinct nodes of one pendant tree, root included, by hop distance.
+
+    In peel order each node's histogram of depths below it is merged into its
+    parent's; before the merge, the two convolved count the pairs that meet at
+    the parent. Leaves are merged in bulk first.
+    """
+    parent, size = forest.parent, forest.size.tolist()
+    fan = Counter(parent[u] for u in forest.order if parent[u] >= 0 and size[u] == 1)
+    counts = np.zeros(n + 1, dtype=np.int64)
+    counts[1] = sum(fan.values())  # a node meets each of its leaves at 1 hop
+    counts[2] = sum(k * (k - 1) // 2 for k in fan.values())  # and they meet each other at 2
+    below = {p: np.array([1, k], dtype=np.int64) for p, k in fan.items()}
+    one = np.ones(1, dtype=np.int64)
+    for u in forest.order:
+        if (p := parent[u]) < 0 or size[u] == 1:
+            continue
+        down = np.concatenate(([0], below.pop(u)))  # depths below p through u
+        have = below.get(p, one)
+        met = np.convolve(have, down)
+        counts[: len(met)] += met
+        if len(have) < len(down):
+            have, down = down, have
+        merged = have.copy()
+        merged[: len(down)] += down
+        below[p] = merged
+    return counts[:n]

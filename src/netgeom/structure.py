@@ -13,8 +13,11 @@ import numpy as np
 from .graph import (
     Graph,
     _component_ids,
+    _core_blocks,
     _distance_blocks,
+    _Forest,
     _induced,
+    _peel,
     _require_connected,
     _row_sums,
     _sources,
@@ -127,49 +130,18 @@ class Decomposition:
         return tuple(labels)
 
 
-def _peel(g: Graph) -> tuple[list[bool], list[int], list[int | None]]:
-    """Iteratively remove degree-1 nodes.
-
-    Returns (removed flags, removal order, parent per removed node). The parent
-    is the single live neighbor at removal time (the next node toward the core,
-    or toward later-removed chain nodes), or None when the node was the last of
-    a fully peeled component.
-    """
-    n = g.node_count
-    deg = g.degrees()
-    removed = [False] * n
-    parent: list[int | None] = [None] * n
-    order: list[int] = []
-    stack = [v for v in range(n) if deg[v] == 1]
-    while stack:  # a node enters the stack once: when its degree is, or falls to, 1
-        u = stack.pop()
-        removed[u] = True
-        order.append(u)
-        for w in g.neighbors(u):
-            if not removed[w]:
-                parent[u] = w
-                deg[w] -= 1
-                if deg[w] == 1:
-                    stack.append(w)
-    return removed, order, parent
-
-
-def _split_chains(
-    g: Graph,
-    removed: list[bool],
-    order: list[int],
-    parent: list[int | None],
-) -> list[Tentacle]:
+def _split_chains(removed: list[bool], forest: _Forest) -> list[Tentacle]:
     """Break the peeled forest into maximal chains, loner-first.
 
     Trees are split at branch nodes; the segment nearest the attachment follows
     the tallest branch (ties to the smallest node index). Components with no
     core attachment are rooted at their last-removed node.
     """
+    order, parent = forest.order, forest.parent
     children: dict[int, list[int]] = {}
     for u in order:
         p = parent[u]
-        if p is not None and removed[p]:
+        if p >= 0 and removed[p]:
             children.setdefault(p, []).append(u)
 
     height: dict[int, int] = {}
@@ -180,7 +152,7 @@ def _split_chains(
     tops: list[tuple[int, int | None]] = []  # (top node, attachment or None)
     for u in order:
         p = parent[u]
-        if p is None:
+        if p < 0:
             tops.append((u, None))
         elif not removed[p]:
             tops.append((u, p))
@@ -266,9 +238,12 @@ def decompose(gc: Graph) -> Decomposition:
         raise ValueError("cannot decompose an empty graph")
     _require_connected(gc, "decompose one component at a time")
 
-    removed, order, parent = _peel(gc)
+    forest = _peel(gc)
+    removed = [False] * n
+    for u in forest.order:
+        removed[u] = True
     roles = tuple("tentacle" if removed[v] else "core" for v in range(n))
-    tentacles = _split_chains(gc, removed, order, parent)
+    tentacles = _split_chains(removed, forest)
     core_nodes = [v for v in range(n) if not removed[v]]
     fibers, cycles = _find_fibers(gc, core_nodes)
     dense = _induced(gc, np.array(core_nodes, dtype=np.int64))
@@ -322,7 +297,9 @@ def depth_map(g: Graph, mode: str = "exact", anchors: int | None = None, seed: i
     """Depth (mean BFS distance) of every node of a connected graph.
 
     Exact mode averages over all other nodes; its mean depth equals the mean
-    pairwise shortest-path length. Sampled mode averages over ``anchors``
+    pairwise shortest-path length. It traverses only the 2-core and adds the
+    pendant trees by exact integer arithmetic (see ``_distance_sums``).
+    Sampled mode traverses the whole graph and averages over ``anchors``
     distinct uniformly chosen anchor nodes shared by all nodes (a node that is
     itself an anchor contributes its own zero distance). Raises ValueError on
     disconnected input.
@@ -336,12 +313,49 @@ def depth_map(g: Graph, mode: str = "exact", anchors: int | None = None, seed: i
 def _depth_map(g: Graph, mode: str, anchors: int | None, seed: int) -> DepthMap:
     """``depth_map`` of a graph known to be connected and not empty."""
     n = g.node_count
+    if mode == "exact":
+        depths = tuple((_distance_sums(g) / max(n - 1, 1)).tolist())
+        return DepthMap(depths=depths, mean_depth=sum(depths) / n, mode=mode)
     chosen = _sources(n, mode, anchors, seed, "anchors")
     sums = sum(block.sum(axis=0, dtype=np.int64) for block in _distance_blocks(g, chosen))
-    exact = mode == "exact"
-    depths = tuple((sums / (max(n - 1, 1) if exact else len(chosen))).tolist())
-    return DepthMap(depths=depths, mean_depth=sum(depths) / n, mode=mode,
-                    anchors=None if exact else chosen, seed=None if exact else seed)
+    depths = tuple((sums / len(chosen)).tolist())
+    return DepthMap(depths=depths, mean_depth=sum(depths) / n, mode=mode, anchors=chosen, seed=seed)
+
+
+def _distance_sums(g: Graph) -> np.ndarray:
+    """Per node, the sum of its hop distances to every node of connected ``g``, as int64.
+
+    The kernel runs from the roots of the pendant forest over the core they
+    induce. A root's sum weights each root's distance by the node count of
+    the tree there, and adds the height of every node. A tree node t with root
+    a and height h is h + d(a, y) hops from every y outside a's tree, so its
+    sum is its sum within the tree, plus h for each node outside the tree, plus
+    a's own sum outside the tree.
+    """
+    forest = _peel(g)
+    core, anchor, height, size = forest.core, forest.anchor, forest.height, forest.size
+    sums = np.zeros(g.node_count, dtype=np.int64)
+    sums[core] = np.concatenate([block @ size[core] for block in _core_blocks(g, forest)]) + height.sum()
+    within = _tree_sums(forest)
+    return within + height * (g.node_count - size[anchor]) + sums[anchor] - within[anchor]
+
+
+def _tree_sums(forest: _Forest) -> np.ndarray:
+    """Per node, the sum of its hop distances to the nodes of its own tree.
+
+    One pass in peel order sums the hops from each node down into its subtree;
+    at a root that is the whole tree. One pass back down reroots: a child is
+    one hop nearer its own subtree and one hop farther from the rest of the tree.
+    """
+    parent, size, anchor = forest.parent, forest.size.tolist(), forest.anchor.tolist()
+    sums = [0] * len(parent)
+    for u in forest.order:
+        if (p := parent[u]) >= 0:
+            sums[p] += sums[u] + size[u]
+    for u in reversed(forest.order):
+        if (p := parent[u]) >= 0:
+            sums[u] = sums[p] + size[anchor[u]] - 2 * size[u]
+    return np.array(sums, dtype=np.int64)
 
 
 def depth_map_per_component(

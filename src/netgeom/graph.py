@@ -414,10 +414,11 @@ def _row_sums(g: Graph, values: np.ndarray) -> np.ndarray:
     return total[g.indptr[1:]] - total[g.indptr[:-1]]
 
 
-def _sources(n: int, mode: str, k: int | None, seed: int, name: str) -> Sequence[int]:
-    """Every node for mode "exact"; for "sampled", ``k`` distinct nodes drawn with ``seed``, sorted."""
-    if mode == "exact":
-        return range(n)
+def _sources(n: int, mode: str, k: int | None, seed: int, name: str) -> tuple[int, ...]:
+    """For mode "sampled", ``k`` distinct nodes drawn with ``seed``, sorted.
+
+    Exact modes do not come here: they traverse the 2-core from every core node.
+    """
     if mode != "sampled":
         raise ValueError(f"unknown mode {mode!r}")
     if k is None or k < 1:
@@ -483,30 +484,27 @@ def _peel(g: Graph) -> _Forest:
     indptr, nbrs = g.indptr, g.indices
     deg = np.diff(indptr)
     stack = np.flatnonzero(deg == 1).tolist()
-    deg = deg.tolist()
-    live = [True] * n
+    deg = deg.tolist()  # live neighbours; 0 once a node is peeled
     parent = [-1] * n
     order: list[int] = []
     while stack:  # a node enters the stack once: when its degree is, or falls to, 1
         u = stack.pop()
-        live[u] = False
+        deg[u] = 0
         order.append(u)
         for w in nbrs[indptr[u] : indptr[u + 1]].tolist():
-            if live[w]:
+            if deg[w]:
                 parent[u] = w
                 deg[w] -= 1
                 if deg[w] == 1:
                     stack.append(w)
-    anchor, height, size = np.arange(n), [0] * n, [1] * n
+    anchor, height, size = np.arange(n), np.zeros(n, dtype=np.int64), np.ones(n, dtype=np.int64)
     for u in reversed(order):  # a parent is peeled after its children
         if (p := parent[u]) >= 0:
             anchor[u], height[u] = anchor[p], height[p] + 1
     for u in order:
         if (p := parent[u]) >= 0:
             size[p] += size[u]
-    core = np.flatnonzero(np.array(parent, dtype=np.int64) < 0)
-    return _Forest(order, parent, core, anchor,
-                   np.array(height, dtype=np.int64), np.array(size, dtype=np.int64))
+    return _Forest(order, parent, np.flatnonzero(np.array(parent) < 0), anchor, height, size)
 
 
 def _core_blocks(g: Graph, forest: _Forest) -> Iterator[np.ndarray]:

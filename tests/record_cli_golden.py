@@ -10,7 +10,10 @@ on small seeded inputs: the 5-node path, the same path plus a separate
 88-node appendage graph takes more than one 64-source traversal block, and
 the random core of ``gen-appendage-random`` is disconnected before its
 repair, so the component-linking step runs. Both appendage graphs have
-pendant trees, which the exact depth and exact path cases cover.
+pendant trees, which the exact depth and exact path cases cover. Two small
+inputs pin ``decompose`` on branched pendant trees: ``ties.txt`` hangs two
+equal-height branches under one node of a pure-cycle core, and
+``fibers.txt`` has a fiber, a loop fiber and a branched tree on a K4.
 ``tests/test_cli.py::TestGolden`` repeats the run and compares every digest,
 ``meta.json`` included.
 """
@@ -28,11 +31,17 @@ GOLDEN_PATH = HERE / "cli_golden_sha256.json"
 INPUTS = {
     "p5.txt": "0 1\n1 2\n2 3\n3 4\n",
     "p5_plus_pair.txt": "0 1\n1 2\n2 3\n3 4\na b\n",
+    # a 4-cycle core with two equal-height branches under 4
+    "ties.txt": "0 1\n1 2\n2 3\n3 0\n0 4\n4 5\n4 6\n5 7\n6 8\n1 9\n",
+    # K4 with a loop fiber at 0, a fiber from 1 to 2 and a branched tree at 3
+    "fibers.txt": "0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n0 10\n10 11\n11 0\n1 12\n12 2\n"
+                  "3 13\n13 14\n13 15\n14 16\n15 17\n",
 }
 
 # (case name, argv); "{root}" is the run's directory, and each case writes
 # into {root}/<case name>. Later cases read the outputs of earlier ones.
 P5, TWO = "{root}/p5.txt", "{root}/p5_plus_pair.txt"
+TIES, FIBERS = "{root}/ties.txt", "{root}/fibers.txt"
 APP, DP = "{root}/gen-appendage/edges.txt", "{root}/gen-double-pareto/edges.txt"
 APP88 = "{root}/gen-appendage88/edges.txt"
 APPR = "{root}/gen-appendage-random/edges.txt"
@@ -62,6 +71,8 @@ CASES: list[tuple[str, list[str]]] = [
     ("decompose-appendage-random", ["decompose", "--graph", APPR]),
     ("decompose-giant", ["decompose", "--graph", TWO, "--giant"]),
     ("decompose-dp", ["decompose", "--graph", DP, "--giant"]),
+    ("decompose-ties", ["decompose", "--graph", TIES]),
+    ("decompose-fibers", ["decompose", "--graph", FIBERS]),
     ("depth-p5", ["depth", "--graph", P5, "--profile-bin", "0.5"]),
     ("depth-giant", ["depth", "--graph", TWO, "--giant"]),
     ("depth-appendage", ["depth", "--graph", APP, "--mode", "exact", "--profile-bin", "0.25"]),

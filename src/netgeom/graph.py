@@ -464,7 +464,7 @@ class _Forest:
     the node it hung from. ``parent[v]`` is that node, the next one toward v's
     root, or -1 for a root. The roots, ``core`` (sorted), are the 2-core plus
     the last peeled node of each component that peels away completely (a tree,
-    or a graph of 1 or 2 nodes), which acts as a 1-node core. Per node,
+    a lone node included), which acts as a 1-node core. Per node,
     ``anchor`` is its root, ``height`` its hop count to the root and ``size``
     the node count of its subtree, itself included, so at a root ``size`` counts
     the root and the whole tree hanging from it.
@@ -483,28 +483,27 @@ def _peel(g: Graph) -> _Forest:
     n = g.node_count
     indptr, nbrs = g.indptr, g.indices
     deg = np.diff(indptr)
-    stack = np.flatnonzero(deg == 1).tolist()
+    stack = np.flatnonzero(deg <= 1).tolist()
     deg = deg.tolist()  # live neighbours; 0 once a node is peeled
-    parent = [-1] * n
+    parent, size = [-1] * n, [1] * n
     order: list[int] = []
-    while stack:  # a node enters the stack once: when its degree is, or falls to, 1
+    while stack:  # a node enters the stack once: when its degree is at most 1, or falls to 1
         u = stack.pop()
         deg[u] = 0
         order.append(u)
         for w in nbrs[indptr[u] : indptr[u + 1]].tolist():
             if deg[w]:
                 parent[u] = w
+                size[w] += size[u]  # u's children were all peeled before u
                 deg[w] -= 1
                 if deg[w] == 1:
                     stack.append(w)
-    anchor, height, size = np.arange(n), np.zeros(n, dtype=np.int64), np.ones(n, dtype=np.int64)
+    anchor, height = np.arange(n), np.zeros(n, dtype=np.int64)
     for u in reversed(order):  # a parent is peeled after its children
         if (p := parent[u]) >= 0:
             anchor[u], height[u] = anchor[p], height[p] + 1
-    for u in order:
-        if (p := parent[u]) >= 0:
-            size[p] += size[u]
-    return _Forest(order, parent, np.flatnonzero(np.array(parent) < 0), anchor, height, size)
+    core = np.flatnonzero(np.array(parent) < 0)
+    return _Forest(order, parent, core, anchor, height, np.array(size, dtype=np.int64))
 
 
 def _core_blocks(g: Graph, forest: _Forest) -> Iterator[np.ndarray]:

@@ -14,6 +14,7 @@ pendant trees, which the exact depth and exact path cases cover. Two small
 inputs pin ``decompose`` on branched pendant trees: ``ties.txt`` hangs two
 equal-height branches under one node of a pure-cycle core, and
 ``fibers.txt`` has a fiber, a loop fiber and a branched tree on a K4.
+``one.txt`` is a lone node, which peels away as a 1-node tentacle.
 ``tests/test_cli.py::TestGolden`` repeats the run and compares every digest,
 ``meta.json`` included.
 """
@@ -36,12 +37,13 @@ INPUTS = {
     # K4 with a loop fiber at 0, a fiber from 1 to 2 and a branched tree at 3
     "fibers.txt": "0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n0 10\n10 11\n11 0\n1 12\n12 2\n"
                   "3 13\n13 14\n13 15\n14 16\n15 17\n",
+    "one.txt": "a a\n",  # the self-loop is dropped: one node, no edge
 }
 
 # (case name, argv); "{root}" is the run's directory, and each case writes
 # into {root}/<case name>. Later cases read the outputs of earlier ones.
 P5, TWO = "{root}/p5.txt", "{root}/p5_plus_pair.txt"
-TIES, FIBERS = "{root}/ties.txt", "{root}/fibers.txt"
+TIES, FIBERS, ONE = "{root}/ties.txt", "{root}/fibers.txt", "{root}/one.txt"
 APP, DP = "{root}/gen-appendage/edges.txt", "{root}/gen-double-pareto/edges.txt"
 APP88 = "{root}/gen-appendage88/edges.txt"
 APPR = "{root}/gen-appendage-random/edges.txt"
@@ -73,6 +75,7 @@ CASES: list[tuple[str, list[str]]] = [
     ("decompose-dp", ["decompose", "--graph", DP, "--giant"]),
     ("decompose-ties", ["decompose", "--graph", TIES]),
     ("decompose-fibers", ["decompose", "--graph", FIBERS]),
+    ("decompose-one-node", ["decompose", "--graph", ONE]),
     ("depth-p5", ["depth", "--graph", P5, "--profile-bin", "0.5"]),
     ("depth-giant", ["depth", "--graph", TWO, "--giant"]),
     ("depth-appendage", ["depth", "--graph", APP, "--mode", "exact", "--profile-bin", "0.25"]),

@@ -191,6 +191,17 @@ class TestPipeline:
         assert ds["min_depth"] > 0
         assert ds["min_depth"] <= ds["mean_depth"] <= ds["max_depth"]
 
+    def test_lone_node_peels_to_a_loner(self, tmp_path):
+        src = tmp_path / "one.txt"
+        src.write_text("a a\n")  # the self-loop is dropped, leaving one node
+        dec, dep = tmp_path / "dec", tmp_path / "dep"
+        assert run("decompose", "--graph", str(src), "--out", str(dec)) == 0
+        assert (dec / "roles.txt").read_text() == "a loner\n"
+        summary = read_json(dec / "summary.json")
+        assert (summary["core_size"], summary["tentacle_count"]) == (0, 1)
+        assert run("depth", "--graph", str(src), "--out", str(dep)) == 0
+        assert (dep / "depth.csv").read_text() == "node,depth\na,0.0\n"
+
     def test_crawl_then_estimate_recovers_size(self, tmp_path):
         gen = tmp_path / "gen"
         assert run("generate", "--double-pareto", "n=3000", "alpha-left=1",

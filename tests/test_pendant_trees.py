@@ -9,7 +9,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import netgeom.graph as graph_module
@@ -139,7 +139,6 @@ class TestExactWithPendantTrees:
     @settings(max_examples=60, deadline=None)
     @given(graphs_with_trees())
     def test_decompose_keeps_the_naive_two_core(self, g):
-        assume(g.node_count > 1)  # decompose calls a lone node core
         labels = decompose(g).node_labels()
         assert {v for v in range(g.node_count) if labels[v] in ("core", "fiber")} == oracle_two_core(g)
 

@@ -130,93 +130,77 @@ class Decomposition:
         return tuple(labels)
 
 
-def _split_chains(removed: list[bool], forest: _Forest) -> list[Tentacle]:
+def _split_chains(forest: _Forest) -> list[Tentacle]:
     """Break the peeled forest into maximal chains, loner-first.
 
-    Trees are split at branch nodes; the segment nearest the attachment follows
-    the tallest branch (ties to the smallest node index). Components with no
-    core attachment are rooted at their last-removed node.
+    One pass in peel order, children before their parent, gives each peeled
+    node its ``reach``, the node count of the longest chain below it, itself
+    included, and its ``heir``, the peeled child of largest reach (ties to the
+    smallest index). Every peeled node that is not its parent's heir starts a
+    chain, which follows heir links down to its loner. The chain hangs from
+    the top node's parent, or from None at the root of a component that peels
+    away completely.
     """
     order, parent = forest.order, forest.parent
-    children: dict[int, list[int]] = {}
+    reach, heir = [0] * len(parent), [-1] * len(parent)
     for u in order:
-        p = parent[u]
-        if p >= 0 and removed[p]:
-            children.setdefault(p, []).append(u)
-
-    height: dict[int, int] = {}
-    for u in order:  # children are always removed before their parent
-        kids = children.get(u, ())
-        height[u] = 1 + max((height[c] for c in kids), default=0)
-
-    tops: list[tuple[int, int | None]] = []  # (top node, attachment or None)
-    for u in order:
-        p = parent[u]
-        if p < 0:
-            tops.append((u, None))
-        elif not removed[p]:
-            tops.append((u, p))
-    tops.sort(key=lambda t: t[0])
-
+        reach[u] += 1
+        if (p := parent[u]) >= 0 and (reach[u], -u) > (reach[p], -heir[p]):
+            reach[p], heir[p] = reach[u], u
     tentacles: list[Tentacle] = []
-    work = list(reversed(tops))
-    while work:
-        top, attach = work.pop()
-        trunk: list[int] = []
-        cur: int | None = top
-        while cur is not None:
-            trunk.append(cur)
-            kids = sorted(children.get(cur, ()), key=lambda c: (-height[c], c))
-            nxt = kids[0] if kids else None
-            for other in kids[1:]:
-                work.append((other, cur))
-            cur = nxt
-        tentacles.append(Tentacle(nodes=tuple(reversed(trunk)), attached_to=attach))
+    for u in order:
+        p = parent[u]
+        # a core parent is never peeled, so its reach stays that of its heir
+        if p >= 0 and heir[p] == u and reach[p] > reach[u]:
+            continue
+        chain = [u]
+        while heir[chain[-1]] >= 0:
+            chain.append(heir[chain[-1]])
+        tentacles.append(Tentacle(nodes=tuple(reversed(chain)), attached_to=p if p >= 0 else None))
     tentacles.sort(key=lambda t: t.nodes)
     return tentacles
 
 
-def _find_fibers(g: Graph, core_nodes: list[int]) -> tuple[list[Fiber], list[tuple[int, ...]]]:
-    """Locate degree-2 chains and pure cycles inside the core subgraph."""
-    in_core = np.zeros(g.node_count, dtype=bool)
-    in_core[core_nodes] = True
-    cdeg_array = _row_sums(g, in_core)
-    cdeg, core = cdeg_array.tolist(), in_core.tolist()
+def _find_fibers(g: Graph, core: np.ndarray) -> tuple[list[Fiber], list[tuple[int, ...]]]:
+    """Locate degree-2 chains and pure cycles inside the core subgraph.
+
+    From each unseen core node of core degree 2, one walk runs to a terminal
+    (a node of another core degree) or all the way round a pure cycle; from
+    that terminal, one walk runs back across the whole chain. A fiber is
+    listed from whichever end gives the smaller (endpoint, inner nodes).
+    """
+    cdeg_array = _row_sums(g, core)
+    cdeg, inside = cdeg_array.tolist(), core.tolist()
     seen: set[int] = set()
     fibers: list[Fiber] = []
     cycles: list[tuple[int, ...]] = []
 
-    def walk(start: int, first: int) -> tuple[list[int], int | None]:
-        """Follow degree-2 nodes from start via first; return (run, terminal)."""
-        run = [start]
-        prev, cur = start, first
+    def walk(prev: int, cur: int) -> tuple[list[int], int]:
+        """Step from prev to cur and on through nodes of core degree 2; return
+        those nodes and where the walk stops: at a terminal, or back at the
+        first node after a pure cycle."""
+        run: list[int] = []
         while cdeg[cur] == 2:
-            if cur == start:  # closed a pure cycle
-                return run, None
             run.append(cur)
-            nxts = [w for w in g.neighbors(cur) if core[w] and w != prev]
-            prev, cur = cur, nxts[0]
+            a, b = (w for w in g.neighbors(cur) if inside[w])
+            prev, cur = cur, b if a == prev else a
+            if cur == run[0]:
+                break
         return run, cur
 
-    for v in np.flatnonzero(in_core & (cdeg_array == 2)).tolist():
+    for v in np.flatnonzero(core & (cdeg_array == 2)).tolist():
         if v in seen:
             continue
-        nbrs = [w for w in g.neighbors(v) if core[w]]
-        left_run, left_end = walk(v, nbrs[0])
-        if left_end is None:
-            cycle = tuple(left_run)
-            seen.update(cycle)
-            cycles.append(cycle)
+        _, right = (w for w in g.neighbors(v) if inside[w])
+        run, end = walk(right, v)  # from v toward its smaller core neighbour
+        if end == v:
+            cycles.append(tuple(run))
+            seen.update(run)
             continue
-        right_run, right_end = walk(v, nbrs[1])
-        assert right_end is not None
-        # left_run and right_run both start at v; stitch them into one chain
-        inner = list(reversed(left_run[1:])) + [v] + right_run[1:]
-        a, b = left_end, right_end
-        if (b, tuple(reversed(inner))) < (a, tuple(inner)):
-            a, b = b, a
-            inner = list(reversed(inner))
-        fibers.append(Fiber(inner=tuple(inner), endpoints=(a, b)))
+        inner, far = walk(end, run[-1])
+        if (far, inner[::-1]) < (end, inner):
+            end, far, inner = far, end, inner[::-1]
+        fibers.append(Fiber(inner=tuple(inner), endpoints=(end, far)))
         seen.update(inner)
     fibers.sort(key=lambda f: f.inner)
     return fibers, cycles
@@ -239,20 +223,15 @@ def decompose(gc: Graph) -> Decomposition:
     _require_connected(gc, "decompose one component at a time")
 
     forest = _peel(gc)
-    removed = [False] * n
-    for u in forest.order:
-        removed[u] = True
-    roles = tuple("tentacle" if removed[v] else "core" for v in range(n))
-    tentacles = _split_chains(removed, forest)
-    core_nodes = [v for v in range(n) if not removed[v]]
-    fibers, cycles = _find_fibers(gc, core_nodes)
-    dense = _induced(gc, np.array(core_nodes, dtype=np.int64))
+    core = np.ones(n, dtype=bool)
+    core[forest.order] = False
+    fibers, cycles = _find_fibers(gc, core)
     return Decomposition(
-        roles=roles,
-        tentacles=tuple(tentacles),
+        roles=tuple(np.where(core, "core", "tentacle").tolist()),
+        tentacles=tuple(_split_chains(forest)),
         fibers=tuple(fibers),
         cycles=tuple(cycles),
-        dense_core=dense,
+        dense_core=_induced(gc, np.flatnonzero(core)),
     )
 
 

@@ -267,16 +267,14 @@ def _double_pareto_spec(tokens: Sequence[str], seed: int) -> DoubleParetoSpec:
         raise CliError(str(e)) from None
 
 
-def _cmd_generate(args, out: str, _) -> None:
-    if args.appendage:
-        spec = _appendage_spec(args.appendage, args.seed)
+def _cmd_generate(args, out: str, spec: AppendageSpec | DoubleParetoSpec) -> None:
+    if isinstance(spec, AppendageSpec):
         g, roles = generate_appendage_graph(spec)
         _write_text(out, "edges.txt", _edges_text(g))
         _write_text(
             out, "roles.txt", "".join(f"{g.label_of(v)} {roles[v]}\n" for v in range(g.node_count))
         )
     else:
-        spec = _double_pareto_spec(args.double_pareto, args.seed)
         degrees = generate_double_pareto_degrees(spec)
         g = configuration_model(degrees, seed=args.seed)
         _write_text(out, "edges.txt", _edges_text(g))
@@ -669,8 +667,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_input(args) -> tuple[Graph | CrawlTrace | None, tuple[str, ...]]:
-    """The subcommand's one input and the paths to digest into meta.json."""
+def _read_input(args) -> tuple[Graph | CrawlTrace | AppendageSpec | DoubleParetoSpec | None,
+                               tuple[str, ...]]:
+    """The subcommand's one input and the paths to digest into meta.json.
+
+    The input of ``generate`` is its recipe, so a bad recipe, like an
+    unreadable file, fails before the output directory is made.
+    """
+    if args.func is _cmd_generate:
+        if args.appendage:
+            return _appendage_spec(args.appendage, args.seed), ()
+        return _double_pareto_spec(args.double_pareto, args.seed), ()
     if hasattr(args, "graph"):
         with _decoded(args.graph), open(args.graph, encoding="utf-8-sig") as fh:
             g = load_edge_list(fh)
@@ -700,9 +707,9 @@ def _decoded(path: str) -> Iterator[None]:
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        data, inputs = _read_input(args)
         out = args.out or os.environ.get(OUT_DIR_ENV) or "."
         os.makedirs(out, exist_ok=True)
-        data, inputs = _read_input(args)
         args.func(args, out, data)
         _write_meta(out, args, inputs)
         return 0

@@ -657,6 +657,18 @@ class TestOutputLocation:
         assert run("stats", "--graph", str(src)) == 0
         assert (target / "report.json").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["depth", "--graph", "{missing}"],
+        ["generate", "--double-pareto", "n=10", "alpha-left=nan", "alpha-right=3", "break=5"],
+        ["generate", "--appendage", "core=K2"],
+    ], ids=["missing-graph", "nan-recipe", "small-core"])
+    def test_input_error_makes_no_out_dir(self, tmp_path, capsys, argv):
+        out = tmp_path / "o"
+        argv = [a.format(missing=tmp_path / "missing.txt") for a in argv]
+        assert run(*argv, "--out", str(out)) == 1
+        error_lines(capsys)
+        assert not out.exists()
+
     def test_explicit_out_beats_environment(self, tmp_path, monkeypatch):
         src = write_p5(tmp_path)
         monkeypatch.setenv("NETGEOM_OUT", str(tmp_path / "ignored"))

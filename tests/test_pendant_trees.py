@@ -1,7 +1,9 @@
-"""Exact depth and exact path lengths on a 2-core with pendant trees.
+"""Exact depth, exact path lengths and decompose on a 2-core with pendant trees.
 
-Both traverse only the 2-core and add the trees by integer arithmetic, so
-every case is checked for equality against Floyd-Warshall on the whole graph.
+Depth and path lengths traverse only the 2-core and add the trees by integer
+arithmetic, so every case is checked for equality against Floyd-Warshall on
+the whole graph. decompose reads its chains and fibers off the same peel and
+is checked against oracles written from the definitions.
 """
 from __future__ import annotations
 
@@ -21,8 +23,10 @@ from netgeom.stats import path_length_report
 from netgeom.structure import decompose, depth_map, depth_map_per_component
 
 from util import (
+    chains_oracle,
     complete_graph,
     cycle_graph,
+    fibers_oracle,
     fw_distances,
     oracle_two_core,
     path_graph,
@@ -76,6 +80,86 @@ def graphs_with_trees(draw, core_max: int = 12) -> Graph:
     perm = list(range(n))
     rng.shuffle(perm)
     return Graph.from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def tied(fan: int, depth: int, spider: bool) -> list[int]:
+    """Links (see ``hang_trees``) of a tree whose siblings all have one height:
+    a complete ``fan``-ary tree of ``depth`` levels below its top, or a spider
+    of ``fan`` legs of ``depth`` nodes each."""
+    if spider:
+        # the first node of each leg hangs from the centre, the others from the node before
+        return [-1] + [i - 1 if (i - 1) % depth else 0 for i in range(1, fan * depth + 1)]
+    size = sum(fan**level for level in range(depth + 1))
+    return [(i - 1) // fan for i in range(size)]
+
+
+@st.composite
+def hung_trees(draw, anchors: int) -> list[tuple[int, list[int]]]:
+    """Up to 6 (anchor, links) pairs for ``hang_trees``, anchors below
+    ``anchors``: chains, stars, random trees and trees of equal-height siblings."""
+    out = []
+    for _ in range(draw(st.integers(0, 6))):
+        anchor = draw(st.integers(0, anchors - 1))
+        shape = draw(st.sampled_from(["chain", "star", "random", "tied", "spider"]))
+        if shape == "tied":
+            links = tied(draw(st.integers(2, 3)), draw(st.integers(1, 3)), False)
+        elif shape == "spider":
+            links = tied(draw(st.integers(2, 4)), draw(st.integers(1, 4)), True)
+        else:
+            size = draw(st.integers(1, 10))
+            links = {"chain": chain(size), "star": [0] * size,
+                     "random": draw(st.lists(st.integers(0, 99), min_size=size, max_size=size))}[shape]
+        out.append((anchor, links))
+    return out
+
+
+def shuffled(draw, n: int, edges: list[tuple[int, int]]) -> Graph:
+    perm = draw(st.permutations(range(n)))
+    return Graph.from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+@st.composite
+def cores_with_fibers(draw) -> Graph:
+    """A clique or a random connected core with fibers and loop fibers strung
+    on it, and trees hung on any node, fiber nodes included; ids shuffled."""
+    base = draw(st.integers(3, 8))
+    if draw(st.booleans()):
+        edges = [(u, v) for u in range(base) for v in range(u + 1, base)]
+    else:
+        rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+        edges = list(random_connected(base, 2 * base, rng).edges())
+    n = base
+    for _ in range(draw(st.integers(1, 5))):
+        a, b = draw(st.integers(0, base - 1)), draw(st.integers(0, base - 1))
+        inner = draw(st.integers(2 if a == b else 1, 5))  # a loop needs 2 to stay simple
+        path = [a, *range(n, n + inner), b]
+        edges += zip(path, path[1:])
+        n += inner
+    n = hang_trees(edges, n, draw(hung_trees(n)))
+    return shuffled(draw, n, edges)
+
+
+@st.composite
+def cycles_with_trees(draw) -> Graph:
+    """A lone cycle of 3 to 10 nodes with trees hung on it; ids shuffled."""
+    base = draw(st.integers(3, 10))
+    edges = [(i, (i + 1) % base) for i in range(base)]
+    n = hang_trees(edges, base, draw(hung_trees(base)))
+    return shuffled(draw, n, edges)
+
+
+@st.composite
+def tied_graphs(draw) -> Graph:
+    """A lone node, a cycle or a random connected graph carrying trees of
+    equal-height siblings; ids shuffled."""
+    base = draw(st.integers(1, 8))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    edges = list(random_connected(base, rng.randrange(2 * base), rng).edges()) if base > 1 else []
+    trees = [(rng.randrange(base), tied(draw(st.integers(2, 3)), draw(st.integers(1, 3)),
+                                        draw(st.booleans())))
+             for _ in range(draw(st.integers(1, 4)))]
+    n = hang_trees(edges, base, trees)
+    return shuffled(draw, n, edges)
 
 
 @st.composite
@@ -141,6 +225,48 @@ class TestExactWithPendantTrees:
     def test_decompose_keeps_the_naive_two_core(self, g):
         labels = decompose(g).node_labels()
         assert {v for v in range(g.node_count) if labels[v] in ("core", "fiber")} == oracle_two_core(g)
+
+
+def assert_matches_oracles(g: Graph) -> None:
+    d = decompose(g)
+    core = oracle_two_core(g)
+    assert d.roles == tuple("core" if v in core else "tentacle" for v in range(g.node_count))
+    # where a tree peels away completely is the peel's choice; the oracle takes it
+    root = next((t.nodes[-1] for t in d.tentacles if t.attached_to is None), None)
+    assert [(t.nodes, t.attached_to) for t in d.tentacles] == chains_oracle(g, root)
+    fibers, cycles = fibers_oracle(g)
+    assert [(f.inner, f.endpoints) for f in d.fibers] == fibers
+    assert list(d.cycles) == cycles
+
+
+class TestDecomposeMatchesOracles:
+    @settings(max_examples=150, deadline=None)
+    @given(graphs_with_trees())
+    def test_graphs_with_trees(self, g):
+        assert_matches_oracles(g)
+
+    @settings(max_examples=100, deadline=None)
+    @given(tied_graphs())
+    def test_equal_height_siblings(self, g):
+        assert_matches_oracles(g)
+
+    @settings(max_examples=150, deadline=None)
+    @given(cores_with_fibers())
+    def test_cores_with_fibers_and_loop_fibers(self, g):
+        assert_matches_oracles(g)
+
+    @settings(max_examples=60, deadline=None)
+    @given(cycles_with_trees())
+    def test_lone_cycle_with_trees(self, g):
+        assert_matches_oracles(g)
+
+    def test_two_equal_branches_go_to_the_smaller_index(self):
+        # 4 has two branches of height 2; the chain from the core follows 5
+        g = Graph.from_edges(10, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (4, 6),
+                                  (5, 7), (6, 8), (1, 9)])
+        assert_matches_oracles(g)
+        assert [(t.nodes, t.attached_to) for t in decompose(g).tentacles] == [
+            ((7, 5, 4), 0), ((8, 6), 4), ((9,), 1)]
 
 
 class TestPerComponent:

@@ -173,6 +173,105 @@ def oracle_two_core(g: Graph) -> set[int]:
     return alive
 
 
+def chains_oracle(g: Graph, root: int | None = None) -> list[tuple[tuple[int, ...], int | None]]:
+    """Pendant chains of a connected graph as sorted (nodes loner-first, attachment) pairs.
+
+    The peeled nodes, those outside ``oracle_two_core``, form trees that hang
+    from one core node each, or, when the core is empty, one tree rooted at
+    ``root`` (where the peel ends is the peel's own choice). Subtree heights
+    come by plain recursion. A chain runs down from its top, at every branch
+    into the tallest child, ties to the smallest index; every other child tops
+    a chain of its own, hung from the branch node.
+    """
+    core = oracle_two_core(g)
+    parent: dict[int, int | None] = {root: None} if not core else {}
+    stack = [root] if not core else []
+    for c in core:
+        for w in g.neighbors(c):
+            if w not in core:
+                parent[w] = c
+                stack.append(w)
+    kids: dict[int, list[int]] = {v: [] for v in range(g.node_count)}
+    while stack:
+        x = stack.pop()
+        for y in g.neighbors(x):
+            if y not in core and y not in parent:
+                parent[y] = x
+                kids[x].append(y)
+                stack.append(y)
+
+    def height(x: int) -> int:
+        return 1 + max((height(c) for c in kids[x]), default=0)
+
+    chains = []
+
+    def split(top: int, attach: int | None) -> None:
+        nodes = [top]
+        while kids[nodes[-1]]:
+            best, *rest = sorted(kids[nodes[-1]], key=lambda c: (-height(c), c))
+            for other in rest:
+                split(other, nodes[-1])
+            nodes.append(best)
+        chains.append((tuple(reversed(nodes)), attach))
+
+    for v, p in parent.items():
+        if p is None or p in core:
+            split(v, p)
+    return sorted(chains)
+
+
+def fibers_oracle(g: Graph) -> tuple[list[tuple[tuple[int, ...], tuple[int, int]]], list[tuple[int, ...]]]:
+    """Fibers as sorted (inner nodes, endpoints) pairs, and the pure cycles of the 2-core.
+
+    The core nodes of core degree 2 fall into union-find components. One that
+    touches no node of core degree >= 3 is a pure cycle, listed from its
+    smallest node toward that node's smaller neighbour; cycles are sorted.
+    Any other is a fiber: a path whose two ends each have one more core
+    neighbour outside it, the endpoints. It is listed from whichever end
+    gives the smaller (endpoint, inner nodes).
+    """
+    core = oracle_two_core(g)
+    nbrs = {v: sorted(w for w in g.neighbors(v) if w in core) for v in core}
+    two = {v for v in core if len(nbrs[v]) == 2}
+    leader = {v: v for v in two}
+
+    def find(x: int) -> int:
+        while leader[x] != x:
+            x = leader[x]
+        return x
+
+    for v in two:
+        for w in nbrs[v]:
+            if w in two:
+                leader[find(v)] = find(w)
+    groups: dict[int, set[int]] = {}
+    for v in two:
+        groups.setdefault(find(v), set()).add(v)
+
+    def line(first: int, second: int, members: set[int]) -> list[int]:
+        """Walk from ``first`` through ``second`` while inside ``members``."""
+        out = [first]
+        prev, cur = first, second
+        while cur in members and cur != first:
+            out.append(cur)
+            prev, cur = cur, next(w for w in nbrs[cur] if w != prev)
+        return out
+
+    fibers, cycles = [], []
+    for members in groups.values():
+        outside = [(v, w) for v in sorted(members) for w in nbrs[v] if w not in members]
+        if not outside:
+            start = min(members)
+            cycles.append(tuple(line(start, nbrs[start][0], members)))
+            continue
+        (end, a), (far_end, b) = outside  # one step out at each end of the path
+        inner = line(a, end, members)[1:]
+        assert inner[-1] == far_end
+        fibers.append(min((tuple(inner), (a, b)), (tuple(reversed(inner)), (b, a)),
+                          key=lambda f: (f[1][0], f[0])))
+    return sorted(fibers), sorted(cycles)
+
+
 def brute_force_min_cover(coords, tolerance: int) -> int:
     """Smallest reference subset meeting the coverage rule, by enumeration."""
     n = len(coords)

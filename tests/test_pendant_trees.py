@@ -150,8 +150,8 @@ def cycles_with_trees(draw) -> Graph:
 
 @st.composite
 def tied_graphs(draw) -> Graph:
-    """A lone node, a cycle or a random connected graph carrying trees of
-    equal-height siblings; ids shuffled."""
+    """A lone node or a random connected graph carrying trees of equal-height
+    siblings; ids shuffled."""
     base = draw(st.integers(1, 8))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     edges = list(random_connected(base, rng.randrange(2 * base), rng).edges()) if base > 1 else []

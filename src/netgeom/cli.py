@@ -7,15 +7,16 @@ Design notes:
 - Every run writes meta.json: tool version, subcommand, config echo, seed and
   a content digest per input file. No timestamps, so identical (config,
   inputs, seed) runs are byte-identical.
-- Every subcommand takes one run path through ``main``: open the out dir,
-  read the one input it declares (``--graph`` edge list, ``--trace`` CSV or
-  none), run the ``_cmd_*`` function, which writes its own reports, and write
-  meta.json last.
+- Every subcommand takes one run path through ``main``: read the one input
+  it declares (``--graph`` edge list, ``--trace`` CSV or none), make the out
+  dir, run the ``_cmd_*`` function, which imports the layers it uses and
+  writes its own reports, and write meta.json last.
 - Exit codes: 0 success, 1 parse/config error (bad flags, out-of-range flag
   values, malformed edge lists, malformed trace headers or rows, invalid
-  generator recipes), 2 analysis precondition violation (disconnected graph
-  for depth/embed, too few samples to fit, ...). Flag values are checked
-  before any input is read.
+  generator recipes: ``CliError`` or the library's ``InputError``), 2 analysis
+  precondition violation (disconnected graph for depth/embed, too few samples
+  to fit, ...). Flag values are checked before any input is read. A failed
+  run removes the output directory if it made it and left it empty.
 """
 from __future__ import annotations
 
@@ -26,53 +27,21 @@ import math
 import os
 import re
 import sys
-from contextlib import contextmanager
-from typing import Iterable, Iterator, Sequence
+from contextlib import contextmanager, suppress
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import __version__
-from .crawl import (
-    CrawlTrace,
-    TraceParseError,
-    estimate_size,
-    fit_rational,
-    read_trace_csv,
-    simulate_crawl,
-    solve_acquisition_ode,
-    write_trace_csv,
-)
-from .embedding import (
-    _check_max_pairs,
-    build_cover_matrix,
-    embed,
-    embed_full,
-    reduce_references,
-)
-from .generators import (
-    AppendageSpec,
-    DoubleParetoSpec,
-    configuration_model,
-    generate_appendage_graph,
-    generate_double_pareto_degrees,
-)
-from .graph import EdgeListParseError, Graph, _component_summary, giant_core, load_edge_list
-from .stats import (
-    Histogram,
-    degree_histogram,
-    fit_double_pareto,
-    path_length_report,
-    senior_stats,
-)
-from .structure import (
-    PERSONALITY_CLASSES,
-    decompose,
-    depth_density_profile,
-    depth_map,
-    fiber_histogram,
-    personality_report,
-    tentacle_histogram,
-)
+from .graph import Graph, InputError, _component_summary, giant_core, load_edge_list
+
+if TYPE_CHECKING:
+    from .crawl import CrawlTrace
+    from .generators import AppendageSpec, DoubleParetoSpec
+    from .stats import Histogram
+
+# the layers are imported inside the _cmd_* functions, so that a process
+# compiles and runs only the modules of its own subcommand
 
 OUT_DIR_ENV = "NETGEOM_OUT"
 
@@ -224,6 +193,8 @@ def _int_list(text: str, what: str) -> tuple[int, ...]:
 
 
 def _appendage_spec(tokens: Sequence[str], seed: int) -> AppendageSpec:
+    from .generators import AppendageSpec
+
     kv = _parse_kv(tokens, ("core", "tentacles", "fibers", "loops"))
     if "core" not in kv:
         raise CliError("appendage recipe needs core=K<size> or core=R<size>:<edge_prob>")
@@ -249,6 +220,8 @@ def _appendage_spec(tokens: Sequence[str], seed: int) -> AppendageSpec:
 
 
 def _double_pareto_spec(tokens: Sequence[str], seed: int) -> DoubleParetoSpec:
+    from .generators import DoubleParetoSpec
+
     kv = _parse_kv(tokens, ("n", "alpha-left", "alpha-right", "break", "min", "max"))
     for key in ("n", "alpha-left", "alpha-right", "break"):
         if key not in kv:
@@ -268,6 +241,14 @@ def _double_pareto_spec(tokens: Sequence[str], seed: int) -> DoubleParetoSpec:
 
 
 def _cmd_generate(args, out: str, spec: AppendageSpec | DoubleParetoSpec) -> None:
+    from .generators import (
+        AppendageSpec,
+        configuration_model,
+        generate_appendage_graph,
+        generate_double_pareto_degrees,
+    )
+    from .stats import degree_histogram
+
     if isinstance(spec, AppendageSpec):
         g, roles = generate_appendage_graph(spec)
         _write_text(out, "edges.txt", _edges_text(g))
@@ -287,6 +268,8 @@ def _cmd_generate(args, out: str, spec: AppendageSpec | DoubleParetoSpec) -> Non
 
 
 def _cmd_stats(args, out: str, g: Graph) -> None:
+    from .stats import degree_histogram, fit_double_pareto, path_length_report, senior_stats
+
     if g.node_count == 0:
         raise ValueError("statistics of an empty graph are undefined")
     count, giant_size, core = _component_summary(g, core=args.giant)
@@ -339,6 +322,8 @@ def _cmd_stats(args, out: str, g: Graph) -> None:
 
 
 def _cmd_decompose(args, out: str, g: Graph) -> None:
+    from .structure import decompose, fiber_histogram, tentacle_histogram
+
     d = decompose(g)
     labels = d.node_labels()
     _write_text(
@@ -374,6 +359,8 @@ def _cmd_decompose(args, out: str, g: Graph) -> None:
 
 
 def _cmd_depth(args, out: str, g: Graph) -> None:
+    from .structure import depth_density_profile, depth_map
+
     dm = depth_map(g, mode=args.mode.mode, anchors=args.mode.k, seed=args.seed)
     _write_text(
         out, "depth.csv",
@@ -404,6 +391,8 @@ def _cmd_depth(args, out: str, g: Graph) -> None:
 
 
 def _cmd_personality(args, out: str, g: Graph) -> None:
+    from .structure import PERSONALITY_CLASSES, personality_report
+
     pr = personality_report(g, tau=args.tau)
     _write_text(
         out, "personality.csv",
@@ -463,6 +452,8 @@ def _write_coords(out: str, names: Sequence[str], ref_names: Sequence[str],
 
 
 def _cmd_embed(args, out: str, g: Graph) -> None:
+    from .embedding import embed, embed_full
+
     names = _names(g)
     if args.refs:
         # --refs is resolved before any traversal, which then runs from the references only
@@ -478,6 +469,8 @@ def _cmd_embed(args, out: str, g: Graph) -> None:
 
 
 def _cmd_reduce(args, out: str, g: Graph) -> None:
+    from .embedding import _check_max_pairs, build_cover_matrix, embed_full, reduce_references
+
     _check_max_pairs(g.node_count, args.max_pairs)  # before embed_full allocates n x n
     e = embed_full(g)
     cm = build_cover_matrix(e, tolerance=args.tolerance)
@@ -500,6 +493,8 @@ def _cmd_reduce(args, out: str, g: Graph) -> None:
 
 
 def _cmd_crawl_sim(args, out: str, g: Graph) -> None:
+    from .crawl import simulate_crawl, write_trace_csv
+
     start = 0 if args.start is None else _resolve_nodes(g, (args.start,))[0]
     trace = simulate_crawl(g, start=start, policy=args.policy, stride=args.stride, seed=args.seed)
     write_trace_csv(trace, os.path.join(out, "trace.csv"))
@@ -509,6 +504,8 @@ def _cmd_crawl_sim(args, out: str, g: Graph) -> None:
 
 
 def _cmd_estimate(args, out: str, trace: CrawlTrace) -> None:
+    from .crawl import estimate_size
+
     est = estimate_size(trace, window=args.window)
     rows = ["sample_index,P,D,dprime,L_hat,S_hat,clamped_flag\n"]
     columns = zip(est.p.astype(np.int64).tolist(), est.d.astype(np.int64).tolist(),
@@ -533,6 +530,8 @@ def _cmd_estimate(args, out: str, trace: CrawlTrace) -> None:
 
 
 def _cmd_fit_rational(args, out: str, trace: CrawlTrace) -> None:
+    from .crawl import fit_rational
+
     fit = fit_rational(trace)
     d_max = max(trace.d)
     summary = _fields(fit, "a0", "a1", "a2", "a3", "a4", "rmse", "p_min", "p_max")
@@ -547,6 +546,8 @@ def _cmd_fit_rational(args, out: str, trace: CrawlTrace) -> None:
 
 
 def _cmd_solve_ode(args, out: str, _) -> None:
+    from .crawl import solve_acquisition_ode
+
     sol = solve_acquisition_ode(
         p0=args.p0, d0=args.d0, dprime0=args.dprime0, step=args.step, p_max=args.pmax
     )
@@ -679,13 +680,15 @@ def _read_input(args) -> tuple[Graph | CrawlTrace | AppendageSpec | DoublePareto
             return _appendage_spec(args.appendage, args.seed), ()
         return _double_pareto_spec(args.double_pareto, args.seed), ()
     if hasattr(args, "graph"):
-        with _decoded(args.graph), open(args.graph, encoding="utf-8-sig") as fh:
+        with _decoded(args.graph), open(args.graph, "rb") as fh:
             g = load_edge_list(fh)
         # stats counts the whole graph before it takes the giant core itself
         if getattr(args, "giant", False) and args.func is not _cmd_stats:
             g = giant_core(g)
         return g, (args.graph,)
     if hasattr(args, "trace"):
+        from .crawl import read_trace_csv
+
         with _decoded(args.trace):
             return read_trace_csv(args.trace), (args.trace,)
     return None, ()
@@ -704,24 +707,38 @@ def _decoded(path: str) -> Iterator[None]:
         raise CliError(f"{path}: not UTF-8 text ({e.reason})") from None
 
 
+def _new_dirs(path: str) -> list[str]:
+    """``path`` and those of its parents that are not directories yet, deepest first."""
+    new: list[str] = []
+    path = os.path.abspath(path)
+    while not os.path.isdir(path):
+        new.append(path)
+        path = os.path.dirname(path)
+    return new
+
+
 def main(argv: Sequence[str] | None = None) -> int:
+    made: list[str] = []
     try:
         args = build_parser().parse_args(argv)
         data, inputs = _read_input(args)
         out = args.out or os.environ.get(OUT_DIR_ENV) or "."
+        made = _new_dirs(out)
         os.makedirs(out, exist_ok=True)
         args.func(args, out, data)
         _write_meta(out, args, inputs)
         return 0
-    except (CliError, EdgeListParseError, TraceParseError, OSError) as e:
-        print(f"netgeom: error: {e}", file=sys.stderr)
-        return 1
+    except (CliError, InputError, OSError) as e:
+        code, message = 1, str(e)
     except ValueError as e:
-        print(f"netgeom: error: {e}", file=sys.stderr)
-        return 2
+        code, message = 2, str(e)
     except MemoryError as e:  # numpy names the allocation that failed
-        print(f"netgeom: error: out of memory{f': {e}' if str(e) else ''}", file=sys.stderr)
-        return 2
+        code, message = 2, f"out of memory{f': {e}' if str(e) else ''}"
+    print(f"netgeom: error: {message}", file=sys.stderr)
+    for path in made:  # what this run made, if it is still empty; never a directory that was there
+        with suppress(OSError):
+            os.rmdir(path)
+    return code
 
 
 if __name__ == "__main__":

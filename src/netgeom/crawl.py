@@ -22,7 +22,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, InputError
 from .stats import _line_fits
 
 __all__ = [
@@ -44,7 +44,7 @@ __all__ = [
 POLICIES = ("fifo", "random")
 
 
-class TraceParseError(ValueError):
+class TraceParseError(InputError):
     """Raised for malformed trace CSV rows; carries the 1-based line number."""
 
     def __init__(self, line_no: int, message: str):

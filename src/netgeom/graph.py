@@ -10,13 +10,16 @@ Parsing, ``from_edges``, the configuration model and induced subgraphs all
 reduce their input to such keys with numpy, so no per-edge Python object is
 made on the way in.
 
-Edge-list text is parsed a chunk of lines at a time. A chunk of ASCII text
-whose data tokens have at most 8 bytes, with no NUL, is tokenized in numpy and
-its labels are told apart by a uint64 key of each token's bytes, so only a
-label not seen before becomes a Python string. Any other chunk (non-ASCII
-text, a NUL, a longer token, a malformed line) is split as Python strings by
-one line loop, ``_line_tokens``, which also names a malformed line. Both paths
-number labels in first-appearance order through one table, so they may alternate.
+An edge list is parsed a piece at a time by one tokenizer, ``_byte_tokens``:
+it splits ASCII bytes into tokens in numpy and tells labels apart by a uint64
+key of each token's bytes, so only a label not seen before becomes a Python
+string. It takes the blocks of whole lines read from a binary file as they
+are, and the chunks of text lines as their ASCII bytes. A piece it cannot
+take (non-ASCII text, a NUL, a ``\\r`` in a binary block, a token over 8 bytes,
+a malformed line) is split as Python strings by one line loop,
+``_line_tokens``, which also names a malformed line; from the first such block
+on, a binary file is decoded and read as text lines. Both paths number labels
+in first-appearance order through one table, so they may alternate.
 
 Every hop distance comes from one kernel, ``_distance_blocks``: a
 level-synchronous BFS that runs 64 sources at once, one bit per source in a
@@ -35,14 +38,17 @@ Sampled modes and the embeddings traverse every node.
 """
 from __future__ import annotations
 
+import codecs
+import io
 from dataclasses import dataclass
 from itertools import chain, islice
-from typing import Iterable, Iterator, Sequence
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
 __all__ = [
     "Graph",
+    "InputError",
     "EdgeListParseError",
     "ComponentLabeling",
     "DistanceMap",
@@ -56,7 +62,11 @@ __all__ = [
 UNREACHABLE = -1
 
 
-class EdgeListParseError(ValueError):
+class InputError(ValueError):
+    """Base of the errors raised for malformed input: edge lists and trace files."""
+
+
+class EdgeListParseError(InputError):
     """Raised for malformed edge-list text; carries the 1-based line number."""
 
     def __init__(self, line_no: int, message: str):
@@ -277,40 +287,65 @@ class DistanceMap:
         return sum(1 for d in self.dist if d != UNREACHABLE)
 
 
-_CHUNK_LINES = 1 << 16  # lines parsed per step; bounds the token strings alive at once
+_CHUNK_LINES = 1 << 16  # text lines parsed per step; bounds the token strings alive at once
+_BLOCK_BYTES = 1 << 20  # bytes read per step from a binary file, then completed to a whole line
 
-# translation of a chunk's bytes to 0 where a token cannot be: ASCII whitespace as
-# str.split() sees it (\x1c-\x1f included) and NUL, which joins the lines of a chunk
+# translation of a piece's bytes to 0 where a token cannot be: ASCII whitespace as
+# str.split() sees it (\x1c-\x1f included) and NUL, which joins the lines of a text chunk
 _IN_TOKEN = bytes(0 if c == 0 or (c < 128 and chr(c).isspace()) else 1 for c in range(256))
 # _LOW_BYTES[k] keeps the k low bytes of a little-endian key
 _LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
 
 
-def load_edge_list(lines: Iterable[str]) -> Graph:
+def load_edge_list(source: Iterable[str] | BinaryIO) -> Graph:
     """Parse whitespace-separated edge-list text into a Graph.
+
+    ``source`` is an iterable of text lines, such as a file opened in text
+    mode, or a file opened in binary mode. A binary file is read as
+    ``open(path, encoding="utf-8-sig")`` would read it: as UTF-8 with
+    universal newlines, a leading byte-order mark dropped.
 
     One edge per line as two tokens. Lines starting with '#' and blank lines are
     ignored. Node labels map to dense integer ids in first-appearance order.
     Self-loop lines and duplicate edges are dropped but counted on the result.
 
-    Lines are read ``_CHUNK_LINES`` at a time. A chunk of ASCII text with no NUL
-    whose data tokens have at most 8 bytes is tokenized in numpy, and each token
-    is read as one uint64 key (``_byte_tokens``), so only labels not seen before
-    become Python strings. Any other chunk goes to the line loop ``_line_tokens``,
-    which also names a malformed line. Both paths number labels through one
-    ``_Labels``, so they can alternate within a file.
+    A binary file is read in blocks of whole lines of about ``_BLOCK_BYTES``.
+    Each block of ASCII with no NUL and no ``\\r`` goes to the byte tokenizer
+    ``_byte_tokens`` as it is, and each token is read as one uint64 key, so only
+    labels not seen before become Python strings. From the first block that is
+    not such a block, or that the tokenizer turns down, the rest of the file is
+    decoded and read as text lines, numbered on from the blocks before it.
+
+    Text lines are read ``_CHUNK_LINES`` at a time. A chunk of ASCII text with
+    no NUL goes to the same tokenizer. Any other chunk, or one it turns down (a
+    data token over 8 bytes, a malformed line), goes to the line loop
+    ``_line_tokens``, which also names a malformed line. Every path numbers
+    labels through one ``_Labels``, so they can alternate within a file.
 
     Raises EdgeListParseError (with the line number) for lines that do not have
-    exactly two tokens.
+    exactly two tokens, and UnicodeDecodeError for a binary file that is not UTF-8.
     """
     labels = _Labels()
     ids: list[np.ndarray] = []
-    lines = iter(lines)
     done = 0
+    if isinstance(source, (io.RawIOBase, io.BufferedIOBase)):
+        blocks = _line_blocks(source)
+        source = ()
+        for block in blocks:
+            # a NUL is part of a label, and a text file breaks lines at \r too
+            keyed = _byte_tokens(block, ord("\n")) if b"\0" not in block and b"\r" not in block else None
+            if keyed is None:
+                source = chain.from_iterable(_text_lines(chain([block], blocks)))
+                break
+            ids.append(labels.of_keys(block, *keyed))
+            done += block.count(b"\n")
+    lines = iter(source)
     while chunk := list(islice(lines, _CHUNK_LINES)):
         text = "\0".join(chunk)
-        if (keyed := _byte_tokens(text, len(chunk))) is not None:
-            ids.append(labels.of_keys(text, *keyed))
+        data = text.encode()
+        keyed = _byte_tokens(data, 0) if text.count("\0") == len(chunk) - 1 else None  # no NUL in a line
+        if keyed is not None:
+            ids.append(labels.of_keys(data, *keyed))
         else:
             ids.append(labels.of_tokens(_line_tokens(chunk, first_line=done + 1)))
         done += len(chunk)
@@ -318,11 +353,36 @@ def load_edge_list(lines: Iterable[str]) -> Graph:
     return _from_pairs(len(labels.index), flat[0::2], flat[1::2], labels=tuple(labels.index))
 
 
+def _line_blocks(fh: BinaryIO) -> Iterator[bytes]:
+    """The bytes of ``fh`` after a leading UTF-8 byte-order mark, in blocks of
+    about ``_BLOCK_BYTES`` that end with a whole line (the last may lack its
+    newline). As with the ``utf-8-sig`` decoder, a file that is only the start
+    of a byte-order mark reads as empty."""
+    lead = codecs.BOM_UTF8
+    while block := fh.read(_BLOCK_BYTES):
+        block = block if block.endswith(b"\n") else block + fh.readline()
+        yield b"" if lead.startswith(block) else block.removeprefix(lead)
+        lead = b""
+
+
+def _text_lines(blocks: Iterable[bytes]) -> Iterator[list[str]]:
+    """The lines of the UTF-8 bytes in ``blocks``, a list per block, as a
+    text-mode file reads them (``\\r\\n`` and a lone ``\\r`` end a line, like
+    ``\\n``), each without its line end."""
+    decoder = io.IncrementalNewlineDecoder(codecs.getincrementaldecoder("utf-8")(), translate=True)
+    tail = ""
+    for block in blocks:
+        *lines, tail = (tail + decoder.decode(block)).split("\n")
+        yield lines
+    if tail := tail + decoder.decode(b"", final=True):
+        yield [tail]
+
+
 class _Labels:
-    """Label -> id numbering in first-appearance order, shared by both chunk paths.
+    """Label -> id numbering in first-appearance order, shared by every parsing path.
 
     ``index`` holds every label. ``keys`` (sorted) and ``ids`` cache the ids of
-    the labels the byte path has met, by their uint64 key.
+    the labels the byte tokenizer has met, by their uint64 key.
     """
 
     def __init__(self) -> None:
@@ -335,8 +395,8 @@ class _Labels:
             self.index.setdefault(label, len(self.index))
         return np.fromiter(map(self.index.__getitem__, tokens), dtype=np.int64, count=len(tokens))
 
-    def of_keys(self, text: str, keys: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-        """Ids of the tokens ``text[starts[i]:ends[i]]``, whose keys are ``keys``."""
+    def of_keys(self, data: bytes, keys: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+        """Ids of the tokens ``data[starts[i]:ends[i]]``, whose keys are ``keys``."""
         if not keys.size:
             return np.zeros(0, dtype=np.int64)
         order = np.argsort(keys)
@@ -353,8 +413,8 @@ class _Labels:
         if (new := np.flatnonzero(~known)).size:
             seen = new[np.argsort(first[new])]  # in first-appearance order
             spans = zip(starts[first[seen]].tolist(), ends[first[seen]].tolist())
-            # a str-path chunk may have numbered the label already
-            uid[seen] = [self.index.setdefault(text[a:b], len(self.index)) for a, b in spans]
+            # the line loop may have numbered the label already
+            uid[seen] = [self.index.setdefault(data[a:b].decode("ascii"), len(self.index)) for a, b in spans]
             table = np.concatenate((self.keys, distinct[new]))
             by_key = np.argsort(table)
             self.keys, self.ids = table[by_key], np.concatenate((self.ids, uid[new]))[by_key]
@@ -363,28 +423,28 @@ class _Labels:
         return out
 
 
-def _byte_tokens(text: str, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """The data tokens of ``count`` lines joined by NUL in ``text``, as uint64
-    keys with their start and end offsets; None unless the text is ASCII with
-    no NUL inside a line, every data token has at most 8 bytes and each data
-    line has exactly two tokens.
+def _byte_tokens(data: bytes, sep: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The data tokens of the lines of ``data`` that byte ``sep`` separates,
+    as uint64 keys with their start and end offsets; None unless ``data`` is
+    ASCII, every data token has at most 8 bytes and each data line has exactly
+    two tokens. The caller sees to it that ``sep`` is the only line break in
+    ``data`` and that no NUL is inside a line.
 
     A key is the token's bytes read little-endian from a zero-padded 8-byte
     window, so distinct tokens of 1 to 8 non-NUL bytes have distinct keys.
     """
-    if not text.isascii() or text.count("\0") != count - 1:
+    if not data.isascii():
         return None
-    data = text.encode("ascii")
     inside = np.frombuffer(b"\0" + data.translate(_IN_TOKEN) + b"\0", dtype=bool)
     flips = np.flatnonzero(inside[1:] != inside[:-1])
     starts, ends = flips[0::2], flips[1::2]
     raw = np.frombuffer(data + bytes(8), dtype=np.uint8)
-    breaks = np.flatnonzero(raw[: len(data)] == 0)
+    breaks = np.flatnonzero(raw[: len(data)] == sep)
     tokens = np.diff(np.searchsorted(starts, breaks), prepend=0, append=len(starts))  # per line
-    if "#" in text:  # drop the lines whose first token starts with '#'
+    if b"#" in data:  # drop the lines whose first token starts with '#'
         has = tokens > 0
         lead = (np.cumsum(tokens) - tokens)[has]  # the first token of each line that has one
-        comment = np.zeros(count, dtype=bool)
+        comment = np.zeros(len(tokens), dtype=bool)
         comment[has] = raw[starts[lead]] == ord("#")
         keep = ~np.repeat(comment, tokens)
         starts, ends, tokens = starts[keep], ends[keep], np.where(comment, 0, tokens)

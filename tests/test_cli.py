@@ -351,7 +351,7 @@ class TestErrorLines:
         def no_embedding(g):
             raise AssertionError("embed_full ran before the max-pairs check")
 
-        monkeypatch.setattr("netgeom.cli.embed_full", no_embedding)
+        monkeypatch.setattr("netgeom.embedding.embed_full", no_embedding)
         assert run("reduce", "--graph", str(src), "--max-pairs", "10",
                    "--out", str(tmp_path / "r")) == 2
         [line] = error_lines(capsys)
@@ -377,7 +377,7 @@ class TestErrorLines:
         def no_memory(g):
             raise MemoryError(message)
 
-        monkeypatch.setattr("netgeom.cli.embed_full", no_memory)
+        monkeypatch.setattr("netgeom.embedding.embed_full", no_memory)
         assert run("reduce", "--graph", str(src), "--out", str(tmp_path / "r")) == 2
         assert error_lines(capsys) == [line]
 
@@ -445,7 +445,7 @@ class TestErrorLines:
         def no_traversal(*args):
             raise AssertionError("a traversal ran before --refs was resolved")
 
-        monkeypatch.setattr("netgeom.cli.embed_full", no_traversal)
+        monkeypatch.setattr("netgeom.embedding.embed_full", no_traversal)
         monkeypatch.setattr("netgeom.embedding._distance_blocks", no_traversal)
         assert run("embed", "--graph", str(src), "--refs", "4,zz",
                    "--out", str(out)) == 1
@@ -543,7 +543,7 @@ class TestEmbedStream:
         for out in (fresh, rerun):
             assert run("embed", "--graph", str(tmp_path / "g.txt"), "--out", str(out)) == 2
             assert error_lines(capsys) == ["netgeom: error: out of memory"]
-        assert sorted(os.listdir(fresh)) == []
+        assert not fresh.exists()  # the run made it and left it empty, so it removed it
         assert (rerun / "coords.csv").read_bytes() == before
         assert not (rerun / "coords.csv.part").exists()
 
@@ -626,7 +626,7 @@ class TestFlagValues:
         def no_depth_map(*args, **kwargs):
             raise AssertionError("depth_map ran before --profile-bin was checked")
 
-        monkeypatch.setattr("netgeom.cli.depth_map", no_depth_map)
+        monkeypatch.setattr("netgeom.structure.depth_map", no_depth_map)
         assert run("depth", "--graph", str(src), "--profile-bin", "0",
                    "--out", str(tmp_path / "d")) == 1
         [line] = error_lines(capsys)
@@ -668,6 +668,27 @@ class TestOutputLocation:
         assert run(*argv, "--out", str(out)) == 1
         error_lines(capsys)
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--appendage", "core=K3", "tentacles=1"],
+        ["depth", "--graph", "{disconnected}"],
+    ], ids=["core-without-hosts", "disconnected-depth"])
+    def test_analysis_error_removes_only_the_dirs_it_made(self, tmp_path, capsys, argv):
+        disc = tmp_path / "disc.txt"
+        disc.write_text("0 1\n2 3\n")
+        argv = [a.format(disconnected=disc) for a in argv]
+        for out in (tmp_path / "o", tmp_path / "new" / "o"):
+            assert run(*argv, "--out", str(out)) == 2
+            error_lines(capsys)
+        assert sorted(os.listdir(tmp_path)) == ["disc.txt"]
+        empty, used = tmp_path / "empty", tmp_path / "used"
+        empty.mkdir()
+        used.mkdir()
+        (used / "keep.txt").write_text("x")
+        for out in (empty, used, used / "o"):
+            assert run(*argv, "--out", str(out)) == 2
+            error_lines(capsys)
+        assert sorted(os.listdir(empty)) == [] and sorted(os.listdir(used)) == ["keep.txt"]
 
     def test_explicit_out_beats_environment(self, tmp_path, monkeypatch):
         src = write_p5(tmp_path)
@@ -744,6 +765,53 @@ class TestConsoleScript:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("netgeom: error: ")
+
+
+def loaded_modules(child_env, code: str, *argv: str) -> list[str]:
+    """The netgeom modules a child process has loaded after running ``code``,
+    which gets ``argv`` as ``sys.argv[1:]``."""
+    proc = subprocess.run(
+        [sys.executable, "-c", code + "\nimport sys\n"
+         "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'netgeom'))", *argv],
+        capture_output=True, text=True, env=child_env)
+    assert proc.returncode == 0, proc.stderr
+    return eval(proc.stdout.splitlines()[-1])
+
+
+class TestImports:
+    """Each subcommand loads only its own layers: a process pays to compile and
+    run those modules alone."""
+
+    RUN_MAIN = "import sys\nfrom netgeom.cli import main\nassert main(sys.argv[1:]) == 0"
+
+    def test_stats_loads_the_graph_and_stats_layers_only(self, tmp_path, child_env):
+        src = tmp_path / "g.txt"
+        src.write_text("0 1\n1 2\n2 0\n3 4\n")
+        assert loaded_modules(
+            child_env, self.RUN_MAIN, "stats", "--graph", str(src), "--giant", "--degrees",
+            "--paths", "sampled:2", "--seniors", "1", "--out", str(tmp_path / "s"),
+        ) == ["netgeom", "netgeom.cli", "netgeom.graph", "netgeom.stats"]
+
+    def test_fit_rational_loads_no_structure_embedding_or_generators(self, tmp_path, child_env):
+        src = tmp_path / "ring.txt"
+        src.write_text("".join(f"{i} {(i + 1) % 60}\n{i} {(i + 7) % 60}\n" for i in range(60)))
+        assert run("crawl-sim", "--graph", str(src), "--out", str(tmp_path / "c")) == 0
+        assert loaded_modules(
+            child_env, self.RUN_MAIN, "fit-rational", "--trace", str(tmp_path / "c" / "trace.csv"),
+            "--out", str(tmp_path / "f"),
+        ) == ["netgeom", "netgeom.cli", "netgeom.crawl", "netgeom.graph", "netgeom.stats"]
+
+    def test_import_netgeom_loads_no_layer_and_every_public_name_resolves(self, child_env):
+        assert loaded_modules(child_env, "import netgeom") == ["netgeom"]
+        resolve = ("import netgeom\n"
+                   "for name in netgeom.__all__:\n"
+                   "    assert getattr(netgeom, name).__name__ == name, name\n"
+                   "from netgeom import Graph, InputError, fit_rational, reduce_references, "
+                   "generate_appendage_graph, decompose\n"
+                   "assert netgeom.crawl.fit_rational is fit_rational")
+        assert loaded_modules(child_env, resolve) == [
+            "netgeom", "netgeom.crawl", "netgeom.embedding", "netgeom.generators",
+            "netgeom.graph", "netgeom.stats", "netgeom.structure"]
 
 
 class TestRuntimeDependencies:

@@ -1,8 +1,11 @@
 """Graph construction, parsing, BFS, and component extraction."""
 from __future__ import annotations
 
+import codecs
 import io
+import os
 import random
+import tempfile
 
 import numpy as np
 import pytest
@@ -173,6 +176,45 @@ def keyable(lines: list[str]) -> bool:
             and all(len(t) <= 8 for t in edge_list_tokens_oracle(lines)))
 
 
+@st.composite
+def edge_list_file(draw) -> bytes:
+    """The bytes of an edge-list file: the lines of ``edge_list_text``, at most
+    one of them malformed, with LF, CRLF, lone-CR or mixed line ends, with or
+    without a final one, maybe after a byte-order mark, and maybe with a byte
+    inserted anywhere that makes the file not UTF-8."""
+    edge, comment, blank, malformed = draw(st.sampled_from([KEYED_LINES, MIXED_LINES]))
+    lines = draw(st.lists(st.one_of(edge, edge, comment, blank), max_size=30))
+    if draw(st.integers(0, 2)) == 0:
+        lines.insert(draw(st.integers(0, len(lines))), draw(malformed))
+    ending = st.sampled_from(["\n", "\r\n", "\r", "\n\r", "\n\n"])
+    style = draw(st.sampled_from(["\n", "\r\n", "\r", ending]))
+    ends = [draw(style) if isinstance(style, st.SearchStrategy) else style for _ in lines]
+    if lines and draw(st.booleans()):
+        ends[-1] = ""
+    data = "".join(map(str.__add__, lines, ends)).encode()
+    if draw(st.integers(0, 3)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xe9", b"\xc3", b"\xef\xbb"])) + data[at:]
+    return (codecs.BOM_UTF8 if draw(st.booleans()) else b"") + data
+
+
+def read_or_error(source):
+    """The graph ``load_edge_list`` reads, or what names the error it raises."""
+    try:
+        return load_edge_list(source)
+    except EdgeListParseError as e:
+        return type(e), e.line_no, str(e)
+    except UnicodeDecodeError as e:  # its position counts from the buffer it decoded
+        return type(e), e.reason, e.object[e.start : e.end]
+
+
+def text_keys(lines: list[str]):
+    """``_byte_tokens`` on text lines joined by NUL, as ``load_edge_list`` calls
+    it: only when no NUL is inside a line."""
+    joined = "\0".join(lines)
+    return _byte_tokens(joined.encode(), 0) if joined.count("\0") == len(lines) - 1 else None
+
+
 class TestParsingPaths:
     @settings(max_examples=150, deadline=None)
     @given(edge_list_text())
@@ -183,7 +225,7 @@ class TestParsingPaths:
             assert _line_tokens(lines) == edge_list_tokens_oracle(lines)
             assert same_graph(load_edge_list(iter(lines)), oracle_graph(lines))
             joined = "\0".join(lines)
-            keyed = _byte_tokens(joined, len(lines))
+            keyed = text_keys(lines)
             assert (keyed is not None) == keyable(lines)
             if keyed is not None:
                 keys, starts, ends = (a.tolist() for a in keyed)
@@ -196,7 +238,7 @@ class TestParsingPaths:
     @example("a b\n# x y z\nc")
     def test_malformed_line_raises_the_line_loop_error(self, text):
         for lines in line_readings(text):
-            assert _byte_tokens("\0".join(lines), len(lines)) is None
+            assert text_keys(lines) is None
             with pytest.raises(EdgeListParseError) as got:
                 load_edge_list(iter(lines))
             with pytest.raises(EdgeListParseError) as want:
@@ -219,6 +261,46 @@ class TestParsingPaths:
                 assert (e.line_no, str(e)) == (want.value.line_no, str(want.value))
             else:
                 assert same_graph(g, oracle_graph(lines))
+
+    @settings(max_examples=200, deadline=None)
+    @given(edge_list_file(), st.sampled_from([1, 2, 3, 7, 16, 1 << 20]))
+    @example(b"\xef\xbb\xbfa b\r\nb c\rc\x1fd\n# x y z\n\n\ta\tb", 4)
+    @example(b"a b\nb 123456789\nc\xc3\xa9 d\nd\x00 e\ne", 2)  # long, non-ASCII and NUL labels, 1 token
+    @example(b"a b\nc d e\nf \xff\n", 3)  # a malformed line in one block, a byte not UTF-8 in the next
+    @example(b"a b\r", 1)  # a lone CR at the end of the file
+    @example(b"a b\n\x00a b\n", 1)  # a NUL in a block that is otherwise ASCII
+    @example(b"\xef\xbb", 1)  # only the start of a byte-order mark: utf-8-sig reads no text
+    def test_binary_file_reads_like_the_text_file(self, data, block):
+        # blocks of a few bytes put block ends inside lines and make files of many blocks
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            path = os.path.join(tmp, "g.txt")
+            with open(path, "wb") as fh:
+                fh.write(data)
+            with open(path, encoding="utf-8-sig") as fh:
+                want = read_or_error(fh)
+            mp.setattr(graph_module, "_BLOCK_BYTES", block)
+            with open(path, "rb") as fh:
+                got = read_or_error(fh)
+        if isinstance(want, Graph):
+            assert isinstance(got, Graph) and same_graph(got, want)
+        else:
+            assert got == want
+
+    def test_binary_file_is_decoded_from_the_first_block_the_tokenizer_turns_down(self, monkeypatch):
+        lines = [b"a b\n", b"b c\n",                  # keyed blocks
+                 b"c 123456789\n", b"d\xc3\xa9 a\n",  # a 9-byte and a non-ASCII label
+                 b"e a\n"]                            # ASCII again, but read as text from here on
+        decoded = []
+        real = graph_module._text_lines
+        monkeypatch.setattr(graph_module, "_BLOCK_BYTES", 1)  # one line per block
+        monkeypatch.setattr(graph_module, "_text_lines", lambda blocks: real(decoded.append(b) or b for b in blocks))
+        g = load_edge_list(io.BytesIO(b"".join(lines)))
+        assert decoded == lines[2:]
+        assert g.labels == ("a", "b", "c", "123456789", "dé", "e")
+        assert same_graph(g, load_edge_list(io.StringIO(b"".join(lines).decode())))
+        decoded.clear()
+        assert same_graph(load_edge_list(io.BytesIO(b"".join(lines[:2]))), load_edge_list(["a b", "b c"]))
+        assert decoded == []
 
     def test_byte_and_str_chunks_share_one_numbering(self, monkeypatch):
         lines = ["c b", "b a", "# a comment with long words",  # byte path

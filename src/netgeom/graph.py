@@ -341,9 +341,8 @@ def load_edge_list(source: Iterable[str] | BinaryIO) -> Graph:
             done += block.count(b"\n")
     lines = iter(source)
     while chunk := list(islice(lines, _CHUNK_LINES)):
-        text = "\0".join(chunk)
-        data = text.encode()
-        keyed = _byte_tokens(data, 0) if text.count("\0") == len(chunk) - 1 else None  # no NUL in a line
+        data = "\0".join(chunk).encode()
+        keyed = _byte_tokens(data, 0) if data.count(b"\0") == len(chunk) - 1 else None  # no NUL in a line
         if keyed is not None:
             ids.append(labels.of_keys(data, *keyed))
         else:

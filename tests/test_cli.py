@@ -771,11 +771,11 @@ def loaded_modules(child_env, code: str, *argv: str) -> list[str]:
     """The netgeom modules a child process has loaded after running ``code``,
     which gets ``argv`` as ``sys.argv[1:]``."""
     proc = subprocess.run(
-        [sys.executable, "-c", code + "\nimport sys\n"
-         "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'netgeom'))", *argv],
+        [sys.executable, "-c", code + "\nimport json, sys\n"
+         "print(json.dumps(sorted(m for m in sys.modules if m.partition('.')[0] == 'netgeom')))", *argv],
         capture_output=True, text=True, env=child_env)
     assert proc.returncode == 0, proc.stderr
-    return eval(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 class TestImports:

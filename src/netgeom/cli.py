@@ -17,14 +17,23 @@ Design notes:
   precondition violation (disconnected graph for depth/embed, too few samples
   to fit, ...). Flag values are checked before any input is read. A failed
   run removes the output directory if it made it and left it empty.
+- Importing this module sets numpy's BLAS to one thread, unless the caller
+  set OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS; a library
+  ``import netgeom`` sets none of them.
 """
 from __future__ import annotations
+
+import os
+
+# OpenBLAS starts its thread pool when numpy loads it, and the one BLAS call,
+# lstsq on samples x 5 in fit_rational, is too small to gain from a second thread
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 import argparse
 import hashlib
 import json
 import math
-import os
 import re
 import sys
 from contextlib import contextmanager, suppress
@@ -555,8 +564,8 @@ def _cmd_solve_ode(args, out: str, _) -> None:
         out, "ode.csv",
         "P,D,dprime\n"
         + "".join(
-            f"{float(p)!r},{float(d)!r},{float(v)!r}\n"
-            for p, d, v in zip(sol.p, sol.d, sol.dprime)
+            f"{p!r},{d!r},{v!r}\n"
+            for p, d, v in zip(sol.p.tolist(), sol.d.tolist(), sol.dprime.tolist())
         ),
     )
     implied = sol.implied_size()

@@ -496,7 +496,7 @@ def solve_acquisition_ode(
             break
         d_new = d + (h / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
         v_new = v + (h / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        if d_new <= 0 or not (np.isfinite(d_new) and np.isfinite(v_new)):
+        if d_new <= 0 or not (math.isfinite(d_new) and math.isfinite(v_new)):
             break
         p += h
         d, v = d_new, v_new

@@ -829,3 +829,67 @@ class TestRuntimeDependencies:
                     for line in proc.stderr.splitlines() if line.startswith("import time:")}
         assert {"netgeom", "numpy"} <= imported
         assert not imported & {"scipy", "networkx"}
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.fixture
+def blas_env(child_env):
+    """`child_env` without the BLAS thread variables, which this session's own
+    import of netgeom.cli has set."""
+    for var in BLAS_VARS:
+        child_env.pop(var, None)
+    return child_env
+
+
+class TestBlasThreads:
+    """The CLI runs numpy's BLAS on one thread unless the caller chose a count;
+    a library import leaves the environment alone."""
+
+    REPORT = ("\nimport json, os, sys\n"
+              "threads = None\n"
+              "if sys.platform.startswith('linux'):\n"
+              "    with open('/proc/self/status') as fh:\n"
+              "        threads = [int(line.split()[1]) for line in fh if line.startswith('Threads:')][0]\n"
+              f"print(json.dumps([{{v: os.environ.get(v) for v in {BLAS_VARS!r}}}, threads]))")
+
+    def state(self, env, code: str) -> tuple[dict, int | None]:
+        """The BLAS variables and, on Linux, the thread count of a child process after ``code``."""
+        proc = subprocess.run([sys.executable, "-c", code + self.REPORT],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        variables, threads = json.loads(proc.stdout.splitlines()[-1])
+        return variables, threads
+
+    def test_cli_import_sets_one_thread(self, blas_env):
+        variables, threads = self.state(blas_env, "import netgeom.cli")
+        assert variables == dict.fromkeys(BLAS_VARS, "1")
+        if sys.platform.startswith("linux"):
+            assert threads == 1
+
+    def test_caller_value_is_kept(self, blas_env):
+        variables, _ = self.state({**blas_env, "OPENBLAS_NUM_THREADS": "2"}, "import netgeom.cli")
+        assert variables == {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+    def test_library_import_sets_none(self, blas_env):
+        variables, _ = self.state(blas_env, "import netgeom\nnetgeom.Graph\nnetgeom.fit_rational")
+        assert variables == dict.fromkeys(BLAS_VARS)
+
+    def test_fit_rational_reports_do_not_depend_on_the_thread_count(self, tmp_path, blas_env):
+        gen, crawl = tmp_path / "gen", tmp_path / "crawl"
+        assert run("generate", "--double-pareto", "n=2000", "alpha-left=1", "alpha-right=3",
+                   "break=20", "min=2", "--seed", "5", "--out", str(gen)) == 0
+        assert run("crawl-sim", "--graph", str(gen / "edges.txt"), "--policy", "random",
+                   "--seed", "5", "--out", str(crawl)) == 0
+        reports = {}
+        for threads in ("1", "2"):
+            out = tmp_path / f"fit{threads}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "netgeom.cli", "fit-rational", "--trace", str(crawl / "trace.csv"),
+                 "--out", str(out)],
+                capture_output=True, text=True, env={**blas_env, "OPENBLAS_NUM_THREADS": threads})
+            assert proc.returncode == 0, proc.stderr
+            reports[threads] = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert sorted(reports["1"]) == ["curve.txt", "meta.json", "rational.json"]
+        assert reports["1"] == reports["2"]

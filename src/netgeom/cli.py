@@ -80,9 +80,9 @@ def _sha256(path: str) -> str:
 
 
 def _write_json(out: str, name: str, obj) -> None:
-    with open(os.path.join(out, name), "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    # serialized before the file opens, so a NaN or infinity leaves no half-written report
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    _write_text(out, name, text + "\n")
 
 
 def _write_text(out: str, name: str, text: str) -> None:

@@ -14,7 +14,6 @@ form for the discovery curve.
 """
 from __future__ import annotations
 
-import csv
 import math
 import random
 from dataclasses import dataclass
@@ -81,35 +80,6 @@ class CrawlTrace:
         return len(self.p)
 
 
-def _fifo_discoveries(g: Graph, start: int) -> np.ndarray:
-    """Nodes each processed node discovers, in the order a FIFO crawl from ``start`` processes them.
-
-    The FIFO crawl is a BFS that scans each row in increasing order, so it runs
-    a level at a time: the next level is the unseen targets of the current
-    level's rows, read in order, each at its first occurrence, and that is also
-    the order in which they are queued and later processed.
-    """
-    indptr, indices = g.indptr, g.indices
-    seen = np.zeros(g.node_count, dtype=bool)
-    seen[start] = True
-    level = np.array([start])
-    found = []
-    while level.size:
-        lens = indptr[level + 1] - indptr[level]
-        ends = np.cumsum(lens)
-        nbrs = indices[np.arange(ends[-1]) + np.repeat(indptr[level] - ends + lens, lens)]
-        owner = np.repeat(np.arange(level.size), lens)
-        fresh = ~seen[nbrs]
-        target, owner = nbrs[fresh], owner[fresh]
-        by_target = np.argsort(target, kind="stable")
-        ordered = target[by_target]
-        first = np.sort(by_target[np.r_[True, ordered[1:] != ordered[:-1]]]) if ordered.size else by_target
-        found.append(np.bincount(owner[first], minlength=level.size))
-        level = target[first]
-        seen[level] = True
-    return np.concatenate(found)
-
-
 def simulate_crawl(
     g: Graph,
     start: int = 0,
@@ -119,9 +89,10 @@ def simulate_crawl(
 ) -> CrawlTrace:
     """Crawl ``g`` from ``start`` and record the discovery trace.
 
-    Policies: "fifo" processes the frontier oldest-first (breadth-first);
-    "random" processes a uniformly random frontier member (seeded). The trace
-    is sampled every ``stride`` processed nodes, plus the final state.
+    Both policies run one frontier loop and differ only in which frontier
+    node they process next: "fifo" takes the oldest (breadth-first),
+    "random" a uniformly random member (seeded). The trace is sampled every
+    ``stride`` processed nodes, plus the final state.
     """
     n = g.node_count
     if not 0 <= start < n:
@@ -130,36 +101,33 @@ def simulate_crawl(
         raise ValueError(f"unknown policy {policy!r}; choose from {POLICIES}")
     if stride < 1:
         raise ValueError("stride must be >= 1")
-    if policy == "fifo":
-        found = _fifo_discoveries(g, start)
-        processed = len(found)
-        queued = 1 + np.cumsum(found) - np.arange(1, processed + 1)  # D after each processed node
-        ps = list(range(stride, processed + 1, stride))
-        ds = queued[stride - 1 :: stride].tolist()
-    else:
-        rng = random.Random(seed)
-        seen = bytearray(n)
-        seen[start] = 1
-        processed = 0
-        ps, ds = [], []
-        # one int object per node, shared by all rows: quicker to make and to walk than indices.tolist()
-        ptr, nbrs = g.indptr.tolist(), np.arange(n).astype(object)[g.indices].tolist()
-        unseen = n - 1
-        pool: list[int] = [start]
-        while pool:
+    rng = random.Random(seed)
+    seen = bytearray(n)
+    seen[start] = 1
+    processed = head = 0
+    ps, ds = [], []
+    # one int object per node, shared by all rows: quicker to make and to walk than indices.tolist()
+    ptr, nbrs = g.indptr.tolist(), np.arange(n).astype(object)[g.indices].tolist()
+    unseen = n - 1
+    pool: list[int] = [start]  # the frontier is pool[head:]
+    while head < len(pool):
+        if policy == "fifo":
+            u = pool[head]
+            head += 1
+        else:
             i = rng.randrange(len(pool))
             pool[i], pool[-1] = pool[-1], pool[i]
             u = pool.pop()
-            processed += 1
-            if unseen:  # once every node is found, no row can add to the pool
-                for w in nbrs[ptr[u] : ptr[u + 1]]:
-                    if not seen[w]:
-                        seen[w] = 1
-                        pool.append(w)
-                        unseen -= 1
-            if processed % stride == 0:
-                ps.append(processed)
-                ds.append(len(pool))
+        processed += 1
+        if unseen:  # once every node is found, no row can add to the pool
+            for w in nbrs[ptr[u] : ptr[u + 1]]:
+                if not seen[w]:
+                    seen[w] = 1
+                    pool.append(w)
+                    unseen -= 1
+        if processed % stride == 0:
+            ps.append(processed)
+            ds.append(len(pool) - head)
     if not ps or ps[-1] != processed:
         ps.append(processed)
         ds.append(0)
@@ -459,9 +427,10 @@ def solve_acquisition_ode(
 
     Classic fixed-step fourth-order Runge-Kutta; the final step is shortened to
     land exactly on p_max. Integration halts early when D would cross zero
-    (where the equation is singular). Requires d0 > 0, step > 0, p_max >= p0
-    and a step no smaller than the float spacing at the largest |P| of the
-    range, below which ``p + step == p`` and P would never advance.
+    (where the equation is singular) or a stage overflows. Requires d0 > 0,
+    step > 0, p_max >= p0, a finite implied size at the start and a step no
+    smaller than the float spacing at the largest |P| of the range, below
+    which ``p + step == p`` and P would never advance.
     """
     if d0 <= 0:
         raise ValueError("d0 must be > 0")
@@ -471,14 +440,13 @@ def solve_acquisition_ode(
         raise ValueError("p_max must be >= p0")
     if step < (spacing := math.ulp(max(abs(p0), abs(p_max)))):
         raise ValueError(f"step {step!r} cannot advance P: it is below the float spacing {spacing!r} of P")
-
-    class _Halt(Exception):
-        pass
+    if not math.isfinite(p0 + d0 + (dprime0 + 1.0) * d0):
+        raise ValueError("the implied size P + D + (D' + 1)*D of the start is not finite")
 
     def rhs(y: tuple[float, float]) -> tuple[float, float]:
         d, v = y
         if d <= 0:
-            raise _Halt()
+            raise ArithmeticError("D reached 0")
         return (v, -((v + 1.0) ** 2) / d)
 
     ps = [p0]
@@ -492,7 +460,7 @@ def solve_acquisition_ode(
             k2 = rhs((d + 0.5 * h * k1[0], v + 0.5 * h * k1[1]))
             k3 = rhs((d + 0.5 * h * k2[0], v + 0.5 * h * k2[1]))
             k4 = rhs((d + h * k3[0], v + h * k3[1]))
-        except _Halt:
+        except ArithmeticError:  # D reached 0, or a stage overflowed
             break
         d_new = d + (h / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
         v_new = v + (h / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
@@ -516,10 +484,8 @@ def write_trace_csv(trace: CrawlTrace, path: str) -> None:
             f"# policy={trace.policy} stride={trace.stride} seed={trace.seed} "
             f"start={trace.start} true_size={trace.true_size} complete={int(trace.complete)}\n"
         )
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["sample_index", "P", "D"])
-        for i, (p, d) in enumerate(zip(trace.p, trace.d)):
-            writer.writerow([i, p, d])
+        fh.write("sample_index,P,D\n")
+        fh.writelines(f"{i},{p},{d}\n" for i, (p, d) in enumerate(zip(trace.p, trace.d)))
 
 
 def read_trace_csv(path: str) -> CrawlTrace:

@@ -573,8 +573,6 @@ def _core_blocks(g: Graph, forest: _Forest) -> Iterator[np.ndarray]:
     no shortest path between two roots uses a peeled node, and these are the
     roots' distances in ``g``.
     """
-    if len(forest.core) == 1:  # a tree: its root is 0 hops from itself
-        return iter([np.zeros((1, 1), dtype=np.int32)])
     core = _induced(g, forest.core)
     return _distance_blocks(core, range(core.node_count))
 

@@ -669,10 +669,14 @@ class TestOutputLocation:
         error_lines(capsys)
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("argv", [
         ["generate", "--appendage", "core=K3", "tentacles=1"],
         ["depth", "--graph", "{disconnected}"],
-    ], ids=["core-without-hosts", "disconnected-depth"])
+        # implied sizes of 1e600 and 1e350: past the float range before the first step
+        ["solve-ode", "--d0", "1e300", "--dprime0", "1e300", "--step", "0.001", "--pmax", "2"],
+        ["solve-ode", "--d0", "1e200", "--dprime0", "1e150", "--step", "0.5", "--pmax", "2"],
+    ], ids=["core-without-hosts", "disconnected-depth", "ode-overflow", "ode-non-finite"])
     def test_analysis_error_removes_only_the_dirs_it_made(self, tmp_path, capsys, argv):
         disc = tmp_path / "disc.txt"
         disc.write_text("0 1\n2 3\n")

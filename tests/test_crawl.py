@@ -27,7 +27,7 @@ from netgeom.generators import (
 )
 from netgeom.graph import Graph, giant_core
 
-from util import complete_graph, crawl_oracle, path_graph, random_connected, star_graph
+from util import complete_graph, crawl_oracle, from_edges, path_graph, random_connected, star_graph
 
 
 def synthetic_trace(p, d, true_size=10**9):
@@ -343,6 +343,11 @@ class TestAcquisitionOde:
         assert sol.p[-1] < 100.0
         assert (sol.d > 0).all()
 
+    def test_overflowing_stage_halts_the_trajectory(self):
+        # (D' + 1)^2 = 1e310 is past the float range at the first stage
+        sol = solve_acquisition_ode(p0=0.0, d0=1.0, dprime0=1e155, step=0.1, p_max=1.0)
+        assert sol.p.tolist() == [0.0]
+
     def test_validation(self):
         with pytest.raises(ValueError):
             solve_acquisition_ode(p0=0, d0=0, dprime0=-1, step=0.1, p_max=1)
@@ -350,6 +355,8 @@ class TestAcquisitionOde:
             solve_acquisition_ode(p0=0, d0=1, dprime0=-1, step=0, p_max=1)
         with pytest.raises(ValueError):
             solve_acquisition_ode(p0=5, d0=1, dprime0=-1, step=0.1, p_max=1)
+        with pytest.raises(ValueError, match="implied size .* is not finite"):
+            solve_acquisition_ode(p0=0, d0=1e200, dprime0=1e150, step=0.5, p_max=2)
 
     def test_step_that_cannot_advance_p_is_rejected(self):
         # p + 1e-20 == p for P in [1, 2], so integrating would never end
@@ -376,3 +383,14 @@ class TestCrawlReference:
                 start, stride, seed = rng.randrange(g.node_count), rng.randrange(1, 5), rng.randrange(100)
                 tr = simulate_crawl(g, start=start, policy=policy, stride=stride, seed=seed)
                 assert (list(tr.p), list(tr.d)) == crawl_oracle(g, start, policy, stride, seed)
+        # high diameter: up to 1 500 BFS levels of at most 40 nodes; the tentacle's tip starts its crawl
+        side = 40
+        grid = Graph.from_edges(side * side, [(v, v + 1) for v in range(side * side) if (v + 1) % side]
+                                + [(v, v + side) for v in range(side * side - side)])
+        tentacle = from_edges([(i, (i + 1) % 60) for i in range(60)] + [(0, 60)] + [(i, i + 1) for i in range(60, 99)])
+        for g, start in ((path_graph(3000), 1500), (grid, 0), (tentacle, 99)):
+            for policy in POLICIES:
+                for stride in (1, 7):
+                    seed = rng.randrange(100)
+                    tr = simulate_crawl(g, start=start, policy=policy, stride=stride, seed=seed)
+                    assert (list(tr.p), list(tr.d)) == crawl_oracle(g, start, policy, stride, seed)

@@ -8,15 +8,17 @@ Design notes:
   a content digest per input file. No timestamps, so identical (config,
   inputs, seed) runs are byte-identical.
 - Every subcommand takes one run path through ``main``: read the one input
-  it declares (``--graph`` edge list, ``--trace`` CSV or none), make the out
-  dir, run the ``_cmd_*`` function, which imports the layers it uses and
-  writes its own reports, and write meta.json last.
+  it declares (``--graph`` edge list, ``--trace`` CSV or none), run the
+  ``_cmd_*`` function, which imports the layers it uses and writes its own
+  reports into a fresh staging directory, write meta.json there, and only
+  then make the out dir and move every file into it.
 - Exit codes: 0 success, 1 parse/config error (bad flags, out-of-range flag
   values, malformed edge lists, malformed trace headers or rows, invalid
   generator recipes: ``CliError`` or the library's ``InputError``), 2 analysis
   precondition violation (disconnected graph for depth/embed, too few samples
   to fit, ...). Flag values are checked before any input is read. A failed
-  run removes the output directory if it made it and left it empty.
+  run makes no directory and writes no file: a report already in the out dir
+  is replaced only when a run succeeds.
 - Importing this module sets numpy's BLAS to one thread, unless the caller
   set OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS; a library
   ``import netgeom`` sets none of them.
@@ -35,8 +37,10 @@ import hashlib
 import json
 import math
 import re
+import shutil
 import sys
-from contextlib import contextmanager, suppress
+import tempfile
+from contextlib import contextmanager
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -80,7 +84,6 @@ def _sha256(path: str) -> str:
 
 
 def _write_json(out: str, name: str, obj) -> None:
-    # serialized before the file opens, so a NaN or infinity leaves no half-written report
     text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     _write_text(out, name, text + "\n")
 
@@ -249,23 +252,18 @@ def _double_pareto_spec(tokens: Sequence[str], seed: int) -> DoubleParetoSpec:
         raise CliError(str(e)) from None
 
 
-def _cmd_generate(args, out: str, spec: AppendageSpec | DoubleParetoSpec) -> None:
-    from .generators import (
-        AppendageSpec,
-        configuration_model,
-        generate_appendage_graph,
-        generate_double_pareto_degrees,
-    )
+def _cmd_generate(args, out: str, _) -> None:
+    from .generators import configuration_model, generate_appendage_graph, generate_double_pareto_degrees
     from .stats import degree_histogram
 
-    if isinstance(spec, AppendageSpec):
-        g, roles = generate_appendage_graph(spec)
+    if args.appendage:
+        g, roles = generate_appendage_graph(_appendage_spec(args.appendage, args.seed))
         _write_text(out, "edges.txt", _edges_text(g))
         _write_text(
             out, "roles.txt", "".join(f"{g.label_of(v)} {roles[v]}\n" for v in range(g.node_count))
         )
     else:
-        degrees = generate_double_pareto_degrees(spec)
+        degrees = generate_double_pareto_degrees(_double_pareto_spec(args.double_pareto, args.seed))
         g = configuration_model(degrees, seed=args.seed)
         _write_text(out, "edges.txt", _edges_text(g))
         _write_text(out, "degrees.txt", "".join(f"{d}\n" for d in degrees))
@@ -435,36 +433,30 @@ def _write_coords(out: str, names: Sequence[str], ref_names: Sequence[str],
     Cells come from a table of ",d" strings indexed by the distance, rebuilt
     whenever a block reaches past it, since the diameter is known only after the
     last block. One block is formatted at a time, so the writer holds 64 x k
-    cells and one block's text, never the n x k matrix or the whole file. The
-    text goes to coords.csv.part, renamed to coords.csv after the last block, so
-    a run that fails part-way leaves no truncated coords.csv.
+    cells and one block's text, never the n x k matrix or the whole file. A run
+    that fails part-way leaves its truncated coords.csv in the staging
+    directory, which ``main`` removes.
     """
-    path = os.path.join(out, "coords.csv")
-    try:
-        with open(path + ".part", "w", encoding="utf-8") as fh:
-            fh.write("node," + ",".join(ref_names) + "\n")
-            cells = np.empty(0, dtype=object)
-            s = 0
-            for block in blocks:
-                if (top := int(block.max(initial=0))) >= len(cells):
-                    cells = np.array([f",{d}" for d in range(top + 1)], dtype=object)
-                rows = np.empty((len(block), len(ref_names) + 2), dtype=object)
-                rows[:, 0] = names[s : s + len(block)]
-                rows[:, 1:-1] = cells[block]
-                rows[:, -1] = "\n"
-                fh.write("".join(rows.ravel().tolist()))
-                s += len(block)
-        os.replace(path + ".part", path)
-    finally:
-        if os.path.exists(path + ".part"):
-            os.remove(path + ".part")
+    with open(os.path.join(out, "coords.csv"), "w", encoding="utf-8") as fh:
+        fh.write("node," + ",".join(ref_names) + "\n")
+        cells = np.empty(0, dtype=object)
+        s = 0
+        for block in blocks:
+            if (top := int(block.max(initial=0))) >= len(cells):
+                cells = np.array([f",{d}" for d in range(top + 1)], dtype=object)
+            rows = np.empty((len(block), len(ref_names) + 2), dtype=object)
+            rows[:, 0] = names[s : s + len(block)]
+            rows[:, 1:-1] = cells[block]
+            rows[:, -1] = "\n"
+            fh.write("".join(rows.ravel().tolist()))
+            s += len(block)
 
 
 def _cmd_embed(args, out: str, g: Graph) -> None:
     from .embedding import embed, embed_full
 
     names = _names(g)
-    if args.refs:
+    if args.refs is not None:
         # --refs is resolved before any traversal, which then runs from the references only
         e = embed(g, _resolve_nodes(g, args.refs.split(",")))
         ref_names, full = [names[r] for r in e.references], e.full
@@ -677,17 +669,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_input(args) -> tuple[Graph | CrawlTrace | AppendageSpec | DoubleParetoSpec | None,
-                               tuple[str, ...]]:
-    """The subcommand's one input and the paths to digest into meta.json.
-
-    The input of ``generate`` is its recipe, so a bad recipe, like an
-    unreadable file, fails before the output directory is made.
-    """
-    if args.func is _cmd_generate:
-        if args.appendage:
-            return _appendage_spec(args.appendage, args.seed), ()
-        return _double_pareto_spec(args.double_pareto, args.seed), ()
+def _read_input(args) -> tuple[Graph | CrawlTrace | None, tuple[str, ...]]:
+    """The subcommand's one input and the paths to digest into meta.json."""
     if hasattr(args, "graph"):
         with _decoded(args.graph), open(args.graph, "rb") as fh:
             g = load_edge_list(fh)
@@ -716,26 +699,24 @@ def _decoded(path: str) -> Iterator[None]:
         raise CliError(f"{path}: not UTF-8 text ({e.reason})") from None
 
 
-def _new_dirs(path: str) -> list[str]:
-    """``path`` and those of its parents that are not directories yet, deepest first."""
-    new: list[str] = []
-    path = os.path.abspath(path)
-    while not os.path.isdir(path):
-        new.append(path)
-        path = os.path.dirname(path)
-    return new
-
-
 def main(argv: Sequence[str] | None = None) -> int:
-    made: list[str] = []
+    stage = None
     try:
         args = build_parser().parse_args(argv)
         data, inputs = _read_input(args)
         out = args.out or os.environ.get(OUT_DIR_ENV) or "."
-        made = _new_dirs(out)
+        # the stage sits in the nearest existing directory on the way to out, so
+        # publishing is a rename on one file system; an out that names a file,
+        # or a path under one, fails here, before any analysis
+        base = os.path.abspath(out)
+        while not os.path.exists(base):
+            base = os.path.dirname(base)
+        stage = tempfile.mkdtemp(prefix=".netgeom-", dir=base)
+        args.func(args, stage, data)
+        _write_meta(stage, args, inputs)
         os.makedirs(out, exist_ok=True)
-        args.func(args, out, data)
-        _write_meta(out, args, inputs)
+        for name in os.listdir(stage):
+            os.replace(os.path.join(stage, name), os.path.join(out, name))
         return 0
     except (CliError, InputError, OSError) as e:
         code, message = 1, str(e)
@@ -743,10 +724,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         code, message = 2, str(e)
     except MemoryError as e:  # numpy names the allocation that failed
         code, message = 2, f"out of memory{f': {e}' if str(e) else ''}"
+    finally:
+        if stage is not None:
+            shutil.rmtree(stage, ignore_errors=True)
     print(f"netgeom: error: {message}", file=sys.stderr)
-    for path in made:  # what this run made, if it is still empty; never a directory that was there
-        with suppress(OSError):
-            os.rmdir(path)
     return code
 
 

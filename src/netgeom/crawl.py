@@ -494,7 +494,8 @@ def read_trace_csv(path: str) -> CrawlTrace:
 
     Raises TraceParseError (with the line number) for a non-integer value of
     an integer ``# key=value`` header, a data row with fewer than 3 cells, a
-    non-integer P or D cell, or a P that does not exceed the previous row's.
+    non-integer P or D cell, a P, D or true_size outside the signed 64-bit
+    range, or a P that does not exceed the previous row's.
     """
     meta: dict = {"policy": "fifo", "stride": 1, "seed": 0, "start": 0, "true_size": 0, "complete": 1}
     ps: list[int] = []
@@ -514,6 +515,8 @@ def read_trace_csv(path: str) -> CrawlTrace:
                             v = int(v)
                         except ValueError:
                             raise TraceParseError(line_no, f"header {token!r} is not an integer") from None
+                        if k == "true_size" and not -(2**63) <= v < 2**63:
+                            raise TraceParseError(line_no, f"header {token!r} is not a signed 64-bit integer")
                     meta[k] = v
                 continue
             cells = line.split(",")
@@ -525,6 +528,8 @@ def read_trace_csv(path: str) -> CrawlTrace:
                 p, d = int(cells[1]), int(cells[2])
             except ValueError:
                 raise TraceParseError(line_no, f"P and D must be integers: {line!r}") from None
+            if not (-(2**63) <= p < 2**63 and -(2**63) <= d < 2**63):
+                raise TraceParseError(line_no, f"P and D must be signed 64-bit integers: {line!r}")
             if ps and p <= ps[-1]:
                 raise TraceParseError(line_no, f"P must be strictly increasing, got {p} after {ps[-1]}")
             ps.append(p)

@@ -371,6 +371,8 @@ def depth_density_profile(
         raise ValueError("bin_width must be > 0")
     if len(dm.depths) != g.node_count:
         raise ValueError("depth map does not match graph")
+    if not math.isfinite(max(dm.depths, default=0.0) / bin_width):
+        raise ValueError(f"bin_width {bin_width!r} is too small: depth / bin_width overflows")
     acc: dict[int, tuple[int, int]] = {}
     for depth, deg in zip(dm.depths, g.degrees()):
         b = int(math.floor(depth / bin_width))

@@ -167,7 +167,8 @@ class TestPipeline:
         per = tmp_path / "per"
         assert run("personality", "--graph", str(gen / "edges.txt"),
                    "--out", str(per)) == 0
-        mix_rows = list(csv.DictReader(open(per / "mixing.csv")))
+        with open(per / "mixing.csv") as fh:
+            mix_rows = list(csv.DictReader(fh))
         assert [r["class"] for r in mix_rows] == ["popular", "neutral", "marginal"]
         for r in mix_rows:
             cells = [r["popular_pct"], r["neutral_pct"], r["marginal_pct"]]
@@ -427,6 +428,18 @@ class TestErrorLines:
         [line] = error_lines(capsys)
         assert "line 3:" in line
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("text, line_no", [
+        ("sample_index,P,D\n0,1,1\n1,99999999999999999999,1\n", 3),
+        ("# true_size=" + "9" * 401 + "\nsample_index,P,D\n0,1,1\n", 1),
+    ], ids=["p-cell", "true-size-header"])
+    def test_trace_value_beyond_64_bits_is_1_with_line_number(self, tmp_path, capsys, text, line_no):
+        trace = tmp_path / "big.csv"
+        trace.write_text(text)
+        assert run("estimate", "--trace", str(trace), "--out", str(tmp_path / "e")) == 1
+        [line] = error_lines(capsys)
+        assert f"line {line_no}:" in line and "64-bit" in line
+
     def test_stats_on_empty_edge_list_is_2(self, tmp_path, capsys):
         empty = tmp_path / "empty.txt"
         empty.write_text("# no edges\n")
@@ -451,6 +464,9 @@ class TestErrorLines:
                    "--out", str(out)) == 1
         [line] = error_lines(capsys)
         assert "'zz'" in line
+        assert run("embed", "--graph", str(src), "--refs", "", "--out", str(out)) == 1
+        [line] = error_lines(capsys)
+        assert line.endswith("node '' not present in the graph")
 
 
 def write_labeled(path, n: int, seed: int) -> Graph:
@@ -543,9 +559,9 @@ class TestEmbedStream:
         for out in (fresh, rerun):
             assert run("embed", "--graph", str(tmp_path / "g.txt"), "--out", str(out)) == 2
             assert error_lines(capsys) == ["netgeom: error: out of memory"]
-        assert not fresh.exists()  # the run made it and left it empty, so it removed it
+        assert not fresh.exists()
         assert (rerun / "coords.csv").read_bytes() == before
-        assert not (rerun / "coords.csv.part").exists()
+        assert sorted(os.listdir(rerun)) == ["coords.csv", "embedding.json", "meta.json"]
 
     def test_peak_memory_is_under_half_the_distance_matrix(self, tmp_path):
         n = 1500
@@ -663,36 +679,66 @@ class TestOutputLocation:
         ["generate", "--appendage", "core=K2"],
     ], ids=["missing-graph", "nan-recipe", "small-core"])
     def test_input_error_makes_no_out_dir(self, tmp_path, capsys, argv):
-        out = tmp_path / "o"
         argv = [a.format(missing=tmp_path / "missing.txt") for a in argv]
-        assert run(*argv, "--out", str(out)) == 1
-        error_lines(capsys)
-        assert not out.exists()
+        for out in (tmp_path / "o", tmp_path / "new" / "o"):
+            assert run(*argv, "--out", str(out)) == 1
+            error_lines(capsys)
+        assert os.listdir(tmp_path) == []  # neither out dir nor a staging directory
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("argv", [
-        ["generate", "--appendage", "core=K3", "tentacles=1"],
-        ["depth", "--graph", "{disconnected}"],
+    @pytest.mark.parametrize("argv, reports", [
+        (["generate", "--appendage", "core=K3", "tentacles=1"], ["edges.txt", "roles.txt"]),
+        (["depth", "--graph", "{inputs}/disc.txt"], ["depth.csv", "summary.json"]),
         # implied sizes of 1e600 and 1e350: past the float range before the first step
-        ["solve-ode", "--d0", "1e300", "--dprime0", "1e300", "--step", "0.001", "--pmax", "2"],
-        ["solve-ode", "--d0", "1e200", "--dprime0", "1e150", "--step", "0.5", "--pmax", "2"],
-    ], ids=["core-without-hosts", "disconnected-depth", "ode-overflow", "ode-non-finite"])
-    def test_analysis_error_removes_only_the_dirs_it_made(self, tmp_path, capsys, argv):
-        disc = tmp_path / "disc.txt"
-        disc.write_text("0 1\n2 3\n")
-        argv = [a.format(disconnected=disc) for a in argv]
+        (["solve-ode", "--d0", "1e300", "--dprime0", "1e300", "--step", "0.001", "--pmax", "2"],
+         ["ode.csv", "ode.json"]),
+        (["solve-ode", "--d0", "1e200", "--dprime0", "1e150", "--step", "0.5", "--pmax", "2"],
+         ["ode.csv", "ode.json"]),
+        # the last three fail after they have written their first report
+        (["stats", "--graph", "{inputs}/three_bins.txt", "--degrees", "--fit"],
+         ["degree_hist.txt", "report.json"]),
+        (["estimate", "--trace", "{inputs}/header_only.csv"], ["estimate.csv", "estimate.json"]),
+        (["depth", "--graph", "{inputs}/p5.txt", "--profile-bin", "1e-320"],
+         ["depth.csv", "profile.txt", "summary.json"]),
+    ], ids=["core-without-hosts", "disconnected-depth", "ode-overflow", "ode-non-finite",
+            "fit-three-bins", "estimate-header-only", "profile-bin-overflow"])
+    def test_analysis_error_removes_only_the_dirs_it_made(self, tmp_path, capsys, argv, reports):
+        inputs = tmp_path / "in"
+        inputs.mkdir()
+        write_p5(inputs)
+        (inputs / "disc.txt").write_text("0 1\n2 3\n")
+        (inputs / "three_bins.txt").write_text("0 1\n1 2\n2 3\n1 4\n")  # degrees 1, 2 and 3
+        (inputs / "header_only.csv").write_text("# policy=fifo\nsample_index,P,D\n")
+        argv = [a.format(inputs=inputs) for a in argv]
         for out in (tmp_path / "o", tmp_path / "new" / "o"):
             assert run(*argv, "--out", str(out)) == 2
             error_lines(capsys)
-        assert sorted(os.listdir(tmp_path)) == ["disc.txt"]
+        assert sorted(os.listdir(tmp_path)) == ["in"]
         empty, used = tmp_path / "empty", tmp_path / "used"
         empty.mkdir()
         used.mkdir()
-        (used / "keep.txt").write_text("x")
+        # a report of an earlier run under every name this command writes
+        earlier = {name: f"earlier {name}\n" for name in reports + ["meta.json"]}
+        for name, text in earlier.items():
+            (used / name).write_text(text)
         for out in (empty, used, used / "o"):
             assert run(*argv, "--out", str(out)) == 2
             error_lines(capsys)
-        assert sorted(os.listdir(empty)) == [] and sorted(os.listdir(used)) == ["keep.txt"]
+        assert os.listdir(empty) == []
+        assert {p.name: p.read_text() for p in used.iterdir()} == earlier
+
+    def test_out_naming_a_file_is_1_before_the_analysis(self, tmp_path, capsys, monkeypatch):
+        src = write_p5(tmp_path)
+
+        def no_analysis(*args, **kwargs):
+            raise AssertionError("the analysis ran before --out was checked")
+
+        monkeypatch.setattr("netgeom.structure.depth_map", no_analysis)
+        for out in (src, src / "o"):
+            assert run("depth", "--graph", str(src), "--out", str(out)) == 1
+            error_lines(capsys)
+        assert src.read_text() == "0 1\n1 2\n2 3\n3 4\n"
+        assert os.listdir(tmp_path) == ["p5.txt"]
 
     def test_explicit_out_beats_environment(self, tmp_path, monkeypatch):
         src = write_p5(tmp_path)

@@ -287,7 +287,7 @@ class TestRationalFit:
         tr = CrawlTrace(p=tuple(int(x) for x in p), d=tuple(float(x) for x in d),
                         policy="fifo", stride=1, seed=0, start=0,
                         true_size=10**9, complete=False)
-        with pytest.raises(ValueError, match="denominator root"):
+        with pytest.raises(ValueError, match=r"^denominator root 40 inside fitted range; fit rejected$"):
             fit_rational(tr)
 
     def test_real_crawl_curve_fits_with_small_residual(self):
@@ -311,6 +311,39 @@ class TestRationalFit:
             tr = simulate_crawl(g, start=0, policy="fifo", stride=stride)
             fit = fit_rational(tr)
             assert fit.rmse / max(tr.d) < 0.05, stride
+
+
+# float.hex of (a0, a1, a2, a3, a4, rmse) on crawl traces of double-Pareto graphs,
+# one case per candidate source that wins: the traces are crawled from
+# giant_core(configuration_model(generate_double_pareto_degrees(spec), seed=s))
+PINNED_FITS = {
+    "gn-from-multistart": (
+        dict(size=3000, alpha_left=1, alpha_right=3, break_degree=50, min_degree=10, seed=0), "fifo", 1,
+        ("-0x1.ecbd9c2fec03dp-1", "-0x1.1cf541ab133abp+11", "-0x1.0ad81fa7f4d30p+21",
+         "0x1.40b7584b5ac1bp+9", "0x1.5d208a6c500f6p+14", "0x1.11ef182ca7312p+4")),
+    "gn-from-reweighted": (
+        dict(size=3000, alpha_left=1, alpha_right=3, break_degree=50, min_degree=10, seed=0), "random", 10,
+        ("-0x1.05744b6753303p+0", "-0x1.6a3fedc8517b8p+11", "-0x1.141a661c38744p+18",
+         "0x1.b98d6c5d88cf0p+6", "0x1.cd5055a944ff8p+12", "0x1.a78fc4265cce3p+3")),
+    "gn-from-seed": (
+        dict(size=4000, alpha_left=1.0, alpha_right=3.0, break_degree=30, min_degree=3, seed=0), "fifo", 10,
+        ("0x1.812413bed7917p+51", "-0x1.3131ddec0ffddp+16", "0x1.1abb4f1306607p+28",
+         "0x1.93cf2321464e6p+67", "0x1.4774c7f577249p+74", "0x1.9342e97e103b7p+4")),
+    "reweighted": (
+        dict(size=3000, alpha_left=1, alpha_right=3, break_degree=50, min_degree=10, seed=2), "random", 60,
+        ("-0x1.0850d04ae0befp+0", "-0x1.7c4dfe980710fp+11", "0x1.395969b4cce28p+17",
+         "-0x1.8c641c4180936p+4", "-0x1.940016318ad81p+10", "0x1.3e23f2c93b493p+3")),
+}
+
+
+class TestPinnedFit:
+    @pytest.mark.parametrize("case", list(PINNED_FITS))
+    def test_coefficients_match_their_recorded_bits(self, case):
+        spec, policy, stride, want = PINNED_FITS[case]
+        g = giant_core(configuration_model(generate_double_pareto_degrees(DoubleParetoSpec(**spec)),
+                                           seed=spec["seed"]))
+        fit = fit_rational(simulate_crawl(g, policy=policy, stride=stride, seed=spec["seed"]))
+        assert tuple(float.hex(x) for x in (fit.a0, fit.a1, fit.a2, fit.a3, fit.a4, fit.rmse)) == want
 
 
 class TestAcquisitionOde:

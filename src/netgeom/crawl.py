@@ -257,6 +257,7 @@ def fit_rational(trace: CrawlTrace) -> RationalFit:
         raise ValueError(f"need at least 20 samples to fit, got {trace.samples}")
     p = np.asarray(trace.p, dtype=np.float64)
     d = np.asarray(trace.d, dtype=np.float64)
+    p_min, p_max = float(p.min()), float(p.max())
     ps = p.max()
     dsc = d.max() if d.max() > 0 else 1.0
     q = p / ps
@@ -277,20 +278,21 @@ def fit_rational(trace: CrawlTrace) -> RationalFit:
             return None
         r = np.sqrt(disc)
         for root in ((-a3 - r) / 2.0, (-a3 + r) / 2.0):
-            if p.min() <= root <= p.max():
+            if p_min <= root <= p_max:
                 return root
         return None
 
+    def curve(theta) -> tuple[np.ndarray, np.ndarray]:
+        """The scaled numerator and denominator at every sample."""
+        return theta[0] * q**3 + theta[1] * q**2 + theta[2] * q, q * q + theta[3] * q + theta[4]
+
     def residuals(theta) -> np.ndarray:
-        den = q * q + theta[3] * q + theta[4]
         with np.errstate(divide="ignore", invalid="ignore"):
-            num = theta[0] * q**3 + theta[1] * q**2 + theta[2] * q
+            num, den = curve(theta)
             return num / den - e
 
     def rmse_of(r: np.ndarray) -> float:
-        if not np.all(np.isfinite(r)):
-            return float("inf")
-        return float(np.sqrt(np.mean(r * r)))
+        return float(np.sqrt(np.mean(r * r))) if np.all(np.isfinite(r)) else float("inf")
 
     theta0, *_ = np.linalg.lstsq(a, y, rcond=None)
     if not np.all(np.isfinite(theta0)):
@@ -298,12 +300,12 @@ def fit_rational(trace: CrawlTrace) -> RationalFit:
     if unscale(theta0) is None:
         raise ValueError("degenerate fit (leading coefficient ~ 0); supply more samples")
 
-    candidates = [np.asarray(theta0, dtype=np.float64)]
-    theta = candidates[0]
+    candidates = [theta0]
+    theta = theta0
     for _ in range(12):
         # reweighting by the current denominator turns the equation error
         # into (approximately) the true residual
-        w = np.maximum(np.abs(q * q + theta[3] * q + theta[4]), 1e-8)
+        w = np.maximum(np.abs(curve(theta)[1]), 1e-8)
         theta_new, *_ = np.linalg.lstsq(a / w[:, None], y / w, rcond=None)
         if not np.all(np.isfinite(theta_new)):
             break
@@ -312,95 +314,65 @@ def fit_rational(trace: CrawlTrace) -> RationalFit:
             break
         theta = theta_new
 
-    def gauss_newton(seed: np.ndarray) -> None:
-        theta = seed.copy()
+    def gauss_newton(theta: np.ndarray) -> None:
         r = residuals(theta)
         cur = rmse_of(r)
         if not np.isfinite(cur):
             return
         for _ in range(40):
-            den = q * q + theta[3] * q + theta[4]
-            num = theta[0] * q**3 + theta[1] * q**2 + theta[2] * q
-            jac = np.column_stack(
-                [
-                    q**3 / den,
-                    q**2 / den,
-                    q / den,
-                    -num * q / (den * den),
-                    -num / (den * den),
-                ]
-            )
+            num, den = curve(theta)
+            jac = np.column_stack([q**3 / den, q**2 / den, q / den, -num * q / (den * den), -num / (den * den)])
             step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
             if not np.all(np.isfinite(step)):
                 return
-            improved = False
             scale = 1.0
             for _ in range(20):
                 trial = theta + scale * step
                 r_trial = residuals(trial)
                 if rmse_of(r_trial) < cur:
                     theta, r, cur = trial, r_trial, rmse_of(r_trial)
-                    candidates.append(trial.copy())
-                    improved = True
+                    candidates.append(trial)
                     break
                 scale *= 0.5
-            moved = float(np.linalg.norm(scale * step))
-            if not improved or moved <= 1e-14 * (1.0 + float(np.linalg.norm(theta))):
+            else:
+                return
+            if float(np.linalg.norm(scale * step)) <= 1e-14 * (1.0 + float(np.linalg.norm(theta))):
                 return
 
     # polish both basins: the raw seed and the best reweighted iterate
     reweighted_best = min(candidates, key=lambda t: rmse_of(residuals(t)))
-    gauss_newton(np.asarray(theta0, dtype=np.float64))
-    if reweighted_best is not candidates[0]:
-        gauss_newton(np.asarray(reweighted_best, dtype=np.float64))
+    gauss_newton(theta0)
+    if reweighted_best is not theta0:
+        gauss_newton(reweighted_best)
 
     # deterministic multistart: pin a pole-free denominator, solve the
     # numerator linearly against the true residual, then polish; this reaches
     # basins the equation-error seed cannot
-    for c3, c4 in (
-        (0.0, 0.25), (1.0, 0.5), (0.2, 0.05),
-        (0.5, 0.01), (0.05, 1e-3), (0.02, 1e-4),
-    ):
-        den = q * q + c3 * q + c4
-        rows = np.column_stack([q**3 / den, q**2 / den, q / den])
-        coef, *_ = np.linalg.lstsq(rows, e, rcond=None)
+    for c3, c4 in ((0.0, 0.25), (1.0, 0.5), (0.2, 0.05), (0.5, 0.01), (0.05, 1e-3), (0.02, 1e-4)):
+        den = curve((0.0, 0.0, 0.0, c3, c4))[1]
+        coef, *_ = np.linalg.lstsq(np.column_stack([q**3 / den, q**2 / den, q / den]), e, rcond=None)
         if np.all(np.isfinite(coef)):
             seed = np.array([coef[0], coef[1], coef[2], c3, c4])
             candidates.append(seed)
             gauss_newton(seed)
 
-    best_valid: tuple[tuple[float, ...], float] | None = None
-    best_any_rmse: float | None = None
-    best_any_root: float | None = None
+    scored = []  # (RMSE in units of D, in-range denominator root or None, coefficients)
     for t in candidates:
-        if not np.all(np.isfinite(t)):
-            continue
-        coeffs = unscale(t)
-        if coeffs is None:
-            continue
-        trial_fit = RationalFit(*coeffs, rmse=0.0, p_min=float(p.min()), p_max=float(p.max()))
-        resid = d - trial_fit.evaluate(p)
-        rmse = float(np.sqrt(np.mean(resid * resid)))
-        if not np.isfinite(rmse):
-            continue
-        root = in_range_root(coeffs[3], coeffs[4])
-        if best_any_rmse is None or rmse < best_any_rmse:
-            best_any_rmse, best_any_root = rmse, root
-        if root is None and (best_valid is None or rmse < best_valid[1]):
-            best_valid = (coeffs, rmse)
+        coeffs = unscale(t) if np.all(np.isfinite(t)) else None
+        if coeffs is not None:
+            resid = d - RationalFit(*coeffs, rmse=0.0, p_min=p_min, p_max=p_max).evaluate(p)
+            rmse = float(np.sqrt(np.mean(resid * resid)))
+            if np.isfinite(rmse):
+                scored.append((rmse, in_range_root(coeffs[3], coeffs[4]), coeffs))
+    best_any = min(scored, key=lambda s: s[0], default=None)
+    best = min((s for s in scored if s[1] is None), key=lambda s: s[0], default=None)
     # reject when the data itself demands a pole: every pole-free candidate is
     # an order of magnitude worse than the best unconstrained one
-    if best_valid is None or (
-        best_any_root is not None and best_valid[1] > 10.0 * best_any_rmse
-    ):
-        root = best_any_root
-        if root is None:
-            root = in_range_root(*unscale(theta0)[3:])
+    if best is None or (best_any[1] is not None and best[0] > 10.0 * best_any[0]):
+        root = best_any[1] if best_any is not None else in_range_root(*unscale(theta0)[3:])
         raise ValueError(f"denominator root {root:.6g} inside fitted range; fit rejected")
-    (a0, a1, a2, a3, a4), rmse = best_valid
-    return RationalFit(
-        a0=a0, a1=a1, a2=a2, a3=a3, a4=a4, rmse=rmse, p_min=float(p.min()), p_max=float(p.max())
-    )
+    rmse, _, (a0, a1, a2, a3, a4) = best
+    return RationalFit(a0=a0, a1=a1, a2=a2, a3=a3, a4=a4, rmse=rmse, p_min=p_min, p_max=p_max)
 
 
 @dataclass(frozen=True)

@@ -87,6 +87,10 @@ _PUBLIC = {
         "estimate_size",
         "fit_rational",
         "solve_acquisition_ode",
+        "write_trace_csv",
+        "read_trace_csv",
+        "TraceParseError",
+        "default_window",
     ),
 }
 _MODULE_OF = {name: module for module, names in _PUBLIC.items() for name in names}

@@ -295,7 +295,7 @@ def _cmd_stats(args, out: str, g: Graph) -> None:
         target = core
         report["giant"] = True
 
-    if args.degrees:
+    if args.degrees or args.fit:
         hist = degree_histogram(target)
         _write_hist(out, "degree_hist.txt", "degree, node count", hist)
         section: dict = {"histogram": hist.as_dict(), "max": hist.max_value}
@@ -613,16 +613,17 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="KEY=VALUE",
         help="n=20000 alpha-left=1 alpha-right=3 break=25 min=1 max=100000",
     )
-    p.add_argument("--seed", type=int, default=0, help="generator seed (recorded in meta.json)")
+    p.add_argument("--seed", type=_at_least(int, 0), default=0, help="generator seed (recorded in meta.json)")
 
     p = add("stats", _cmd_stats, "whole-graph statistics report", "graph", giant=True)
     p.add_argument("--degrees", action="store_true", help="emit the degree histogram")
-    p.add_argument("--fit", action="store_true", help="fit a two-segment power law to the degrees")
+    p.add_argument("--fit", action="store_true",
+                   help="fit a two-segment power law to the degrees (implies --degrees)")
     p.add_argument("--paths", type=_Sampling, default=None,
                    help="path-length stats: exact or sampled:K")
     p.add_argument("--seniors", type=_at_least(int, 0), default=None, metavar="N",
                    help="high-degree cohort report at degree threshold N")
-    p.add_argument("--seed", type=int, default=0, help="seed for sampled path sources")
+    p.add_argument("--seed", type=_at_least(int, 0), default=0, help="seed for sampled path sources")
 
     add("decompose", _cmd_decompose, "split into dense core, tentacles and fibers", "graph", giant=True)
 
@@ -630,7 +631,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", type=_Sampling, default="exact", help="exact or sampled:K anchors")
     p.add_argument("--profile-bin", type=_at_least(float, 0, strict=True), default=None, metavar="W",
                    help="also emit mean degree per depth bin of width W")
-    p.add_argument("--seed", type=int, default=0, help="seed for sampled anchors")
+    p.add_argument("--seed", type=_at_least(int, 0), default=0, help="seed for sampled anchors")
 
     p = add("personality", _cmd_personality, "classify nodes by neighbor-degree balance", "graph",
             giant=True)
@@ -650,7 +651,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("crawl-sim", _cmd_crawl_sim, "simulate a frontier crawl and record its trace", "graph")
     p.add_argument("--policy", choices=("fifo", "random"), default="fifo")
     p.add_argument("--stride", type=_at_least(int, 1), default=1, help="record every Nth processed node")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(int, 0), default=0)
     p.add_argument("--start", default=None, help="start node token (default: first node)")
 
     p = add("estimate", _cmd_estimate, "online size estimates along a recorded trace", "trace")

@@ -194,7 +194,9 @@ class SizeEstimate:
 
 
 def estimate_size(trace: CrawlTrace, window: int | None = None) -> SizeEstimate:
-    """Size estimate at every sample of ``trace`` (NaN until the window fills)."""
+    """Size estimate at every sample of ``trace`` (NaN until the window fills); |P|, |D| <= 2**53."""
+    if max(map(abs, trace.p + trace.d), default=0) > 2**53:
+        raise ValueError("|P| and |D| must not exceed 2**53: float64 cannot hold every integer above it")
     w = default_window(trace) if window is None else window
     dprime = estimate_derivative(trace, w)
     p = np.asarray(trace.p, dtype=np.float64)

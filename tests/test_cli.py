@@ -10,6 +10,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -96,6 +97,20 @@ class TestStats:
         assert report["degrees"]["histogram"]["bins"] == {"1": 2, "2": 3}
         hist = Histogram.from_text((out / "degree_hist.txt").read_text())
         assert hist.bins == {1: 2, 2: 3}
+
+    def test_fit_implies_degrees(self, tmp_path):
+        # hub k has k leaves and sits on a path of hubs: degrees 1 and 2..9
+        src = tmp_path / "caterpillar.txt"
+        src.write_text("".join(f"h{k} h{k + 1}\n" for k in range(1, 8))
+                       + "".join(f"h{k} l{k}_{j}\n" for k in range(1, 9) for j in range(k)))
+        out = tmp_path / "s"
+        assert run("stats", "--graph", str(src), "--fit", "--out", str(out)) == 0
+        report = read_json(out / "report.json")
+        assert len(report["degrees"]["histogram"]["bins"]) >= 6
+        assert set(report["degrees"]["double_pareto"]) == {
+            "alpha_left", "alpha_right", "break_degree", "sse", "weighted"}
+        assert Histogram.from_text((out / "degree_hist.txt").read_text()).bins == \
+            {int(k): v for k, v in report["degrees"]["histogram"]["bins"].items()}
 
     def test_seniors_section(self, tmp_path):
         src = tmp_path / "star.txt"
@@ -440,6 +455,18 @@ class TestErrorLines:
         [line] = error_lines(capsys)
         assert f"line {line_no}:" in line and "64-bit" in line
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("first_p", [2**53 + 1, 2**63 - 600], ids=["past-2**53", "near-2**63"])
+    def test_trace_value_past_2_53_is_2(self, tmp_path, capsys, first_p):
+        # float64 would round these P values, so the estimate would not be of the trace read
+        trace = tmp_path / "big.csv"
+        rows = "".join(f"{i},{first_p + 2 * i},{30 - i}\n" for i in range(30))
+        trace.write_text("sample_index,P,D\n" + rows)
+        assert run("estimate", "--trace", str(trace), "--window", "2", "--out", str(tmp_path / "e")) == 2
+        [line] = error_lines(capsys)
+        assert line.endswith("|P| and |D| must not exceed 2**53: float64 cannot hold every integer above it")
+        assert not (tmp_path / "e").exists()
+
     def test_stats_on_empty_edge_list_is_2(self, tmp_path, capsys):
         empty = tmp_path / "empty.txt"
         empty.write_text("# no edges\n")
@@ -599,6 +626,20 @@ class TestFlagValues:
         assert run(*argv, "--out", str(tmp_path / "o")) == 1
         [line] = error_lines(capsys)
         assert f"argument {flag}: " in line
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--appendage", "core=K4"],
+        ["stats", "--graph", "{missing}", "--paths", "sampled:2"],
+        ["depth", "--graph", "{missing}", "--mode", "sampled:2"],
+        ["crawl-sim", "--graph", "{missing}", "--policy", "random"],
+    ], ids=lambda argv: argv[0])
+    def test_negative_seed_is_1_before_input(self, tmp_path, capsys, argv):
+        argv = [a.format(missing=tmp_path / "missing.txt") for a in argv]
+        assert run(*argv, "--seed", "-1", "--out", str(tmp_path / "o")) == 1
+        [line] = error_lines(capsys)
+        assert line.endswith("argument --seed: must be >= 0, got '-1'")
         assert not (tmp_path / "o").exists()
 
     # a valid solve-ode run; the flag under test is repeated after it, and the
@@ -862,6 +903,13 @@ class TestImports:
         assert loaded_modules(child_env, resolve) == [
             "netgeom", "netgeom.crawl", "netgeom.embedding", "netgeom.generators",
             "netgeom.graph", "netgeom.stats", "netgeom.structure"]
+
+
+    def test_public_table_lists_every_name_of_each_module_all(self):
+        # the constants stay out: they have no __name__, which the test above requires
+        for module, names in netgeom._PUBLIC.items():
+            exported = import_module(f"netgeom.{module}").__all__
+            assert set(names) == {name for name in exported if not name.isupper()}, module
 
 
 class TestRuntimeDependencies:

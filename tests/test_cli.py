@@ -218,6 +218,23 @@ class TestPipeline:
         assert run("depth", "--graph", str(src), "--out", str(dep)) == 0
         assert (dep / "depth.csv").read_text() == "node,depth\na,0.0\n"
 
+    def test_personality_of_a_regular_graph_leaves_two_classes_empty(self, tmp_path):
+        src = tmp_path / "c4.txt"
+        src.write_text("a b\nb c\nc d\nd a\n")  # every node neutral: score 0
+        out = tmp_path / "per"
+        assert run("personality", "--graph", str(src), "--out", str(out)) == 0
+        assert (out / "personality.csv").read_text() == (
+            "node,degree,neighbor_mean_degree,score,class\n" + "".join(f"{v},2,2.0,0.0,neutral\n" for v in "abcd")
+        )
+        assert (out / "mixing.csv").read_text() == (
+            "class,popular_pct,neutral_pct,marginal_pct\npopular,,,\nneutral,0.0,100.0,0.0\nmarginal,,,\n"
+        )
+        assert read_json(out / "summary.json") == {
+            "tau": 0.05,
+            "class_counts": {"popular": 0, "neutral": 4, "marginal": 0},
+            "marginal_popular_ratio": None,
+        }
+
     def test_crawl_then_estimate_recovers_size(self, tmp_path):
         gen = tmp_path / "gen"
         assert run("generate", "--double-pareto", "n=3000", "alpha-left=1",

@@ -344,20 +344,28 @@ def senior_neighbor_counts(g: Graph, threshold: int) -> list[int]:
     return [sum(senior[w] for w in g.neighbors(v)) for v in range(g.node_count) if senior[v]]
 
 
-def personality_oracle(g: Graph, tau: float) -> tuple[list[float], list[str], list[list[int]]]:
-    """Neighbour mean degrees, classes and the class-to-class endpoint counts, by plain loops."""
+def personality_oracle(g: Graph, tau: float) -> dict:
+    """Every field of ``personality_report(g, tau)`` but ``tau``, by plain loops over nodes and edges."""
     deg = [g.degree(v) for v in range(g.node_count)]
     nmd = [sum(deg[w] for w in g.neighbors(v)) / deg[v] for v in range(g.node_count)]
-    classes = []
-    for m, d in zip(nmd, deg):
-        score = math.log10(m) - math.log10(d)
-        classes.append("popular" if score < -tau else "marginal" if score > tau else "neutral")
+    score = [math.log10(m) - math.log10(d) for m, d in zip(nmd, deg)]
+    classes = ["popular" if s < -tau else "marginal" if s > tau else "neutral" for s in score]
     order = ("popular", "neutral", "marginal")
+    counts = {c: classes.count(c) for c in order}
     pool = [[0, 0, 0] for _ in order]
     for v in range(g.node_count):
         for w in g.neighbors(v):
             pool[order.index(classes[v])][order.index(classes[w])] += 1
-    return nmd, classes, pool
+    return {
+        "degree": tuple(deg),
+        "neighbor_mean_degree": tuple(nmd),
+        "activity_ratio": tuple(m / d for m, d in zip(nmd, deg)),
+        "score": tuple(score),
+        "classes": tuple(classes),
+        "class_counts": counts,
+        "marginal_popular_ratio": counts["marginal"] / counts["popular"] if counts["popular"] else None,
+        "mixing": {c: tuple(x / sum(row) for x in row) if sum(row) else None for c, row in zip(order, pool)},
+    }
 
 
 def line_fit_oracle(x, y, w) -> tuple[float, float, float]:

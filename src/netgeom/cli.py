@@ -118,7 +118,7 @@ def _write_meta(out: str, args, input_paths: Sequence[str]) -> None:
 
 def _resolve_nodes(g: Graph, tokens: Sequence[str]) -> tuple[int, ...]:
     """Node ids of the given label tokens, building the label map once."""
-    ids = {g.label_of(v): v for v in range(g.node_count)}
+    ids = {name: v for v, name in enumerate(_names(g))}
     try:
         return tuple(ids[t] for t in tokens)
     except KeyError as e:
@@ -133,6 +133,12 @@ def _fields(obj, *names: str) -> dict:
 def _names(g: Graph) -> Sequence[str]:
     """Every node's label, by node id."""
     return g.labels if g.labels is not None else [str(v) for v in range(g.node_count)]
+
+
+def _rows(sep: str, *columns: Iterable) -> str:
+    """One line per row: the row's cells, each written as ``format(x, "")``
+    (``repr`` for a float), joined by ``sep``."""
+    return "".join(map((sep.join(["{}"] * len(columns)) + "\n").format, *columns))
 
 
 def _edges_text(g: Graph) -> str:
@@ -259,14 +265,12 @@ def _cmd_generate(args, out: str, _) -> None:
     if args.appendage:
         g, roles = generate_appendage_graph(_appendage_spec(args.appendage, args.seed))
         _write_text(out, "edges.txt", _edges_text(g))
-        _write_text(
-            out, "roles.txt", "".join(f"{g.label_of(v)} {roles[v]}\n" for v in range(g.node_count))
-        )
+        _write_text(out, "roles.txt", _rows(" ", _names(g), roles))
     else:
         degrees = generate_double_pareto_degrees(_double_pareto_spec(args.double_pareto, args.seed))
         g = configuration_model(degrees, seed=args.seed)
         _write_text(out, "edges.txt", _edges_text(g))
-        _write_text(out, "degrees.txt", "".join(f"{d}\n" for d in degrees))
+        _write_text(out, "degrees.txt", _rows("", degrees))
         _write_hist(out, "degree_hist.txt", "realized degree, node count", degree_histogram(g))
 
 
@@ -333,9 +337,7 @@ def _cmd_decompose(args, out: str, g: Graph) -> None:
 
     d = decompose(g)
     labels = d.node_labels()
-    _write_text(
-        out, "roles.txt", "".join(f"{g.label_of(v)} {labels[v]}\n" for v in range(g.node_count))
-    )
+    _write_text(out, "roles.txt", _rows(" ", _names(g), labels))
     t_hist, t_fit = tentacle_histogram(d)
     f_hist, f_fit = fiber_histogram(d)
     _write_hist(out, "tentacle_hist.txt", "tentacle hop length, count", t_hist)
@@ -369,11 +371,7 @@ def _cmd_depth(args, out: str, g: Graph) -> None:
     from .structure import depth_density_profile, depth_map
 
     dm = depth_map(g, mode=args.mode.mode, anchors=args.mode.k, seed=args.seed)
-    _write_text(
-        out, "depth.csv",
-        "node,depth\n"
-        + "".join(f"{g.label_of(v)},{dm.depths[v]!r}\n" for v in range(g.node_count)),
-    )
+    _write_text(out, "depth.csv", "node,depth\n" + _rows(",", _names(g), dm.depths))
     summary = {
         "mean_depth": dm.mean_depth,
         "min_depth": min(dm.depths),
@@ -383,12 +381,8 @@ def _cmd_depth(args, out: str, g: Graph) -> None:
         "seed": dm.seed,
     }
     if args.profile_bin is not None:
-        rows = depth_density_profile(g, dm, bin_width=args.profile_bin)
-        _write_text(
-            out, "profile.txt",
-            "# depth bin start, mean degree, node count\n"
-            + "".join(f"{b!r} {m!r} {c}\n" for b, m, c in rows),
-        )
+        columns = zip(*depth_density_profile(g, dm, bin_width=args.profile_bin))
+        _write_text(out, "profile.txt", "# depth bin start, mean degree, node count\n" + _rows(" ", *columns))
         summary["profile_bin"] = args.profile_bin
     _write_json(out, "summary.json", summary)
 
@@ -404,11 +398,7 @@ def _cmd_personality(args, out: str, g: Graph) -> None:
     _write_text(
         out, "personality.csv",
         "node,degree,neighbor_mean_degree,score,class\n"
-        + "".join(
-            f"{g.label_of(v)},{pr.degree[v]},{pr.neighbor_mean_degree[v]!r},"
-            f"{pr.score[v]!r},{pr.classes[v]}\n"
-            for v in range(g.node_count)
-        ),
+        + _rows(",", _names(g), pr.degree, pr.neighbor_mean_degree, pr.score, pr.classes),
     )
     lines = ["class,popular_pct,neutral_pct,marginal_pct\n"]
     for cls in PERSONALITY_CLASSES:
@@ -476,13 +466,14 @@ def _cmd_reduce(args, out: str, g: Graph) -> None:
     e = embed_full(g)
     cm = build_cover_matrix(e, tolerance=args.tolerance)
     r = reduce_references(cm, max_pairs=args.max_pairs)
-    _write_text(out, "refs.txt", "".join(f"{g.label_of(v)}\n" for v in r.kept))
+    names = _names(g)
+    _write_text(out, "refs.txt", _rows("", [names[v] for v in r.kept]))
     _write_hist(out, "distortion_hist.txt", "hop shortfall, pair count", r.distortion_histogram)
     summary = {
         "initial_references": e.node_count,
         "kept": len(r.kept),
-        "essential": [g.label_of(v) for v in r.essential],
-        "greedy": [g.label_of(v) for v in r.greedy],
+        "essential": [names[v] for v in r.essential],
+        "greedy": [names[v] for v in r.greedy],
         "tolerance": r.tolerance,
         "max_distortion": r.max_distortion,
     }
@@ -508,16 +499,12 @@ def _cmd_estimate(args, out: str, trace: CrawlTrace) -> None:
     from .crawl import estimate_size
 
     est = estimate_size(trace, window=args.window)
-    rows = ["sample_index,P,D,dprime,L_hat,S_hat,clamped_flag\n"]
-    columns = zip(est.p.astype(np.int64).tolist(), est.d.astype(np.int64).tolist(),
-                  est.dprime.tolist(), est.link_rate.tolist(), est.size.tolist(),
-                  est.clamped.astype(np.int64).tolist())
-    for i, (p, d, dprime, rate, size, clamped) in enumerate(columns):
-        if math.isfinite(size):
-            rows.append(f"{i},{p},{d},{dprime!r},{rate!r},{size!r},{clamped}\n")
-        else:
-            rows.append(f"{i},{p},{d},nan,nan,nan,0\n")
-    _write_text(out, "estimate.csv", "".join(rows))
+    columns = (est.dprime, est.link_rate, est.size, est.clamped.astype(np.int64))
+    _write_text(
+        out, "estimate.csv",
+        "sample_index,P,D,dprime,L_hat,S_hat,clamped_flag\n"
+        + _rows(",", range(trace.samples), trace.p, trace.d, *(c.tolist() for c in columns)),
+    )
     summary = {
         "window": est.window,
         "samples": int(est.p.size),
@@ -538,12 +525,8 @@ def _cmd_fit_rational(args, out: str, trace: CrawlTrace) -> None:
     summary = _fields(fit, "a0", "a1", "a2", "a3", "a4", "rmse", "p_min", "p_max")
     summary.update(max_d=d_max, rmse_over_max_d=fit.rmse / d_max if d_max else None)
     _write_json(out, "rational.json", summary)
-    curve = fit.evaluate(trace.p)
-    _write_text(
-        out, "curve.txt",
-        "# P, D observed, D fitted\n"
-        + "".join(f"{p} {d} {float(c)!r}\n" for p, d, c in zip(trace.p, trace.d, curve)),
-    )
+    curve = fit.evaluate(trace.p).tolist()
+    _write_text(out, "curve.txt", "# P, D observed, D fitted\n" + _rows(" ", trace.p, trace.d, curve))
 
 
 def _cmd_solve_ode(args, out: str, _) -> None:
@@ -552,14 +535,7 @@ def _cmd_solve_ode(args, out: str, _) -> None:
     sol = solve_acquisition_ode(
         p0=args.p0, d0=args.d0, dprime0=args.dprime0, step=args.step, p_max=args.pmax
     )
-    _write_text(
-        out, "ode.csv",
-        "P,D,dprime\n"
-        + "".join(
-            f"{p!r},{d!r},{v!r}\n"
-            for p, d, v in zip(sol.p.tolist(), sol.d.tolist(), sol.dprime.tolist())
-        ),
-    )
+    _write_text(out, "ode.csv", "P,D,dprime\n" + _rows(",", *(c.tolist() for c in (sol.p, sol.d, sol.dprime))))
     implied = sol.implied_size()
     _write_json(
         out, "ode.json",

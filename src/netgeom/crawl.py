@@ -152,7 +152,8 @@ def estimate_derivative(trace: CrawlTrace, window: int | None = None) -> np.ndar
     """Trailing-window least-squares slope of D against P at every sample.
 
     Entries before the window first fills are NaN. The window is a sample
-    count; the default is ``default_window(trace)``.
+    count; the default is ``default_window(trace)``. Raises ValueError when a
+    window's slope is not finite (its P values too large for their spread).
     """
     w = default_window(trace) if window is None else window
     if w < 2:
@@ -164,7 +165,10 @@ def estimate_derivative(trace: CrawlTrace, window: int | None = None) -> np.ndar
     if m < w:
         return out
     ends = np.arange(w - 1, m)
-    out[ends] = _line_fits(p, d, np.ones(m), ends - (w - 1), ends)[0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out[ends] = _line_fits(p, d, np.ones(m), ends - (w - 1), ends)[0]
+    if not np.isfinite(out[ends]).all():
+        raise ValueError(f"slope of D against P over {w} samples is not finite: P too large for its spread")
     return out
 
 

@@ -147,17 +147,18 @@ def generate_appendage_graph(spec: AppendageSpec) -> tuple[Graph, tuple[str, ...
         keys = _upper_keys(np.ones((m, m), dtype=bool))
     else:
         keys = _random_core_keys(m, spec.edge_prob, rng)
-    lo, hi = np.divmod(keys, m)
-    eligible = np.flatnonzero(np.bincount(np.r_[lo, hi], minlength=m) >= 3).tolist()
-    if (spec.tentacle_lengths or spec.fiber_inner_counts) and not eligible:
+    # attachments need core degree >= 3: every node of a core of m >= 4 nodes has
+    # it (K_m gives m - 1, random cores are repaired to 3), no node of K3 does
+    if (spec.tentacle_lengths or spec.fiber_inner_counts) and m < 4:
         raise ValueError("core too small to host attachments (no core node of degree >= 3)")
+    lo, hi = np.divmod(keys, m)
 
     edges: list[tuple[int, int]] = list(zip(lo.tolist(), hi.tolist()))
     roles: list[str] = [ROLE_CORE] * m
     next_id = m
 
     for length in spec.tentacle_lengths:
-        attach = int(rng.choice(eligible))
+        attach = int(rng.choice(m))
         prev = attach
         for i in range(length):
             node = next_id
@@ -168,13 +169,10 @@ def generate_appendage_graph(spec: AppendageSpec) -> tuple[Graph, tuple[str, ...
 
     for inner in spec.fiber_inner_counts:
         if spec.allow_fiber_loops:
-            a = int(rng.choice(eligible))
-            b = int(rng.choice(eligible))
+            a = int(rng.choice(m))
+            b = int(rng.choice(m))
         else:
-            if len(eligible) < 2:
-                raise ValueError("core too small to host a fiber with distinct endpoints")
-            pair = rng.choice(len(eligible), size=2, replace=False)
-            a, b = eligible[int(pair[0])], eligible[int(pair[1])]
+            a, b = rng.choice(m, size=2, replace=False).tolist()
         prev = a
         for _ in range(inner):
             node = next_id

@@ -412,53 +412,28 @@ def personality_report(g: Graph, tau: float = 0.05) -> PersonalityReport:
     """
     if tau < 0:
         raise ValueError("tau must be >= 0")
-    n = g.node_count
-    if n == 0:
+    if g.node_count == 0:
         raise ValueError("personality of an empty graph is undefined")
     deg = np.diff(g.indptr)
     if not deg.all():
         raise ValueError("isolated node present; every node needs degree >= 1")
 
-    degs, sums = deg.tolist(), _row_sums(g, deg).tolist()
-    nmd: list[float] = []
-    ratio: list[float] = []
-    score: list[float] = []
-    classes: list[str] = []
-    for v in range(n):
-        m = sums[v] / degs[v]
-        nmd.append(m)
-        ratio.append(m / degs[v])
-        s = math.log10(m) - math.log10(degs[v])
-        score.append(s)
-        if s < -tau:
-            classes.append("popular")
-        elif s > tau:
-            classes.append("marginal")
-        else:
-            classes.append("neutral")
-
-    counts = {c: 0 for c in PERSONALITY_CLASSES}
-    for c in classes:
-        counts[c] += 1
-    mp_ratio = counts["marginal"] / counts["popular"] if counts["popular"] else None
-
-    idx = {c: i for i, c in enumerate(PERSONALITY_CLASSES)}
-    code = np.array([idx[c] for c in classes])
+    nmd = _row_sums(g, deg) / deg
+    # math.log10 of each Python float and int: np.log10 rounds some values differently
+    log_mean, log_deg = (np.array(list(map(math.log10, a.tolist()))) for a in (nmd, deg))
+    score = log_mean - log_deg
+    code = np.where(score < -tau, 0, np.where(score > tau, 2, 1))  # index into PERSONALITY_CLASSES
+    counts = dict(zip(PERSONALITY_CLASSES, np.bincount(code, minlength=3).tolist()))
     # pool[i][j]: neighbour endpoints of class j seen from the nodes of class i
     pool = np.bincount(np.repeat(code, deg) * 3 + code[g.indices], minlength=9).reshape(3, 3).tolist()
-    mixing: dict[str, tuple[float, float, float] | None] = {}
-    for c, row in zip(PERSONALITY_CLASSES, pool):
-        t = sum(row)
-        mixing[c] = tuple(x / t for x in row) if t else None
-
     return PersonalityReport(
         tau=tau,
-        degree=tuple(degs),
-        neighbor_mean_degree=tuple(nmd),
-        activity_ratio=tuple(ratio),
-        score=tuple(score),
-        classes=tuple(classes),
+        degree=tuple(deg.tolist()),
+        neighbor_mean_degree=tuple(nmd.tolist()),
+        activity_ratio=tuple((nmd / deg).tolist()),
+        score=tuple(score.tolist()),
+        classes=tuple(np.array(PERSONALITY_CLASSES)[code].tolist()),
         class_counts=counts,
-        marginal_popular_ratio=mp_ratio,
-        mixing=mixing,
+        marginal_popular_ratio=counts["marginal"] / counts["popular"] if counts["popular"] else None,
+        mixing=dict(zip(PERSONALITY_CLASSES, (tuple(x / sum(r) for x in r) if sum(r) else None for r in pool))),
     )

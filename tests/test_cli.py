@@ -484,6 +484,21 @@ class TestErrorLines:
         assert line.endswith("|P| and |D| must not exceed 2**53: float64 cannot hold every integer above it")
         assert not (tmp_path / "e").exists()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("first_p, first_d, samples, window", [
+        (2**30, 30, 30, ["--window", "2"]),
+        (2**40, 1000, 40, []),  # the default window, 25 samples
+    ], ids=["2**30-window-2", "2**40-default-window"])
+    def test_non_finite_window_slope_is_2(self, tmp_path, capsys, first_p, first_d, samples, window):
+        # P in unit steps far from 0: the spread of P that the window's prefix sums give rounds to 0
+        trace = tmp_path / "far.csv"
+        rows = "".join(f"{i},{first_p + i},{first_d - i}\n" for i in range(samples))
+        trace.write_text("sample_index,P,D\n" + rows)
+        assert run("estimate", "--trace", str(trace), *window, "--out", str(tmp_path / "e")) == 2
+        [line] = error_lines(capsys)
+        assert line.endswith("samples is not finite: P too large for its spread")
+        assert not (tmp_path / "e").exists()
+
     def test_stats_on_empty_edge_list_is_2(self, tmp_path, capsys):
         empty = tmp_path / "empty.txt"
         empty.write_text("# no edges\n")
@@ -735,7 +750,12 @@ class TestOutputLocation:
         ["depth", "--graph", "{missing}"],
         ["generate", "--double-pareto", "n=10", "alpha-left=nan", "alpha-right=3", "break=5"],
         ["generate", "--appendage", "core=K2"],
-    ], ids=["missing-graph", "nan-recipe", "small-core"])
+        ["generate", "--appendage", "core=K4", "tentacles"],
+        ["generate", "--appendage", "core=K4", "color=3"],
+        ["generate", "--appendage", "core=K4", "core=K5"],
+        ["generate", "--appendage", "core=K4", "tentacles=1,x"],
+    ], ids=["missing-graph", "nan-recipe", "small-core", "recipe-token-without-value", "recipe-unknown-key",
+            "recipe-duplicate-key", "recipe-non-integer-list"])
     def test_input_error_makes_no_out_dir(self, tmp_path, capsys, argv):
         argv = [a.format(missing=tmp_path / "missing.txt") for a in argv]
         for out in (tmp_path / "o", tmp_path / "new" / "o"):

@@ -42,6 +42,10 @@ __all__ = [
 
 POLICIES = ("fifo", "random")
 
+# the most Runge-Kutta steps solve_acquisition_ode takes; at 10**7 a run already takes
+# about a minute and 1.2 GB, held by its three lists of floats
+_MAX_ODE_STEPS = 10**7
+
 
 class TraceParseError(InputError):
     """Raised for malformed trace CSV rows; carries the 1-based line number."""
@@ -406,9 +410,10 @@ def solve_acquisition_ode(
     Classic fixed-step fourth-order Runge-Kutta; the final step is shortened to
     land exactly on p_max. Integration halts early when D would cross zero
     (where the equation is singular) or a stage overflows. Requires d0 > 0,
-    step > 0, p_max >= p0, a finite implied size at the start and a step no
+    step > 0, p_max >= p0, a finite implied size at the start, a step no
     smaller than the float spacing at the largest |P| of the range, below
-    which ``p + step == p`` and P would never advance.
+    which ``p + step == p`` and P would never advance, and at most
+    ``_MAX_ODE_STEPS`` steps from p0 to p_max.
     """
     if d0 <= 0:
         raise ValueError("d0 must be > 0")
@@ -418,6 +423,9 @@ def solve_acquisition_ode(
         raise ValueError("p_max must be >= p0")
     if step < (spacing := math.ulp(max(abs(p0), abs(p_max)))):
         raise ValueError(f"step {step!r} cannot advance P: it is below the float spacing {spacing!r} of P")
+    if (steps := (p_max - p0) / step) > _MAX_ODE_STEPS:  # checked before any list grows
+        count = math.ceil(steps) if math.isfinite(steps) else steps
+        raise ValueError(f"{count} Runge-Kutta steps from p0 to p_max exceed the limit of {_MAX_ODE_STEPS}")
     if not math.isfinite(p0 + d0 + (dprime0 + 1.0) * d0):
         raise ValueError("the implied size P + D + (D' + 1)*D of the start is not finite")
 

@@ -101,14 +101,9 @@ class Graph:
 
     __slots__ = ("indptr", "indices", "labels", "origin_nodes", "self_loops_dropped", "duplicate_edges_dropped")
 
-    def __init__(
-        self,
-        adjacency: Sequence[Sequence[int]],
-        labels: tuple[str, ...] | None = None,
-        origin_nodes: tuple[int, ...] | None = None,
-        self_loops_dropped: int = 0,
-        duplicate_edges_dropped: int = 0,
-    ):
+    def __init__(self, adjacency: Sequence[Sequence[int]], labels: tuple[str, ...] | None = None,
+                 origin_nodes: tuple[int, ...] | None = None, self_loops_dropped: int = 0,
+                 duplicate_edges_dropped: int = 0):
         rows = [tuple(row) for row in adjacency]
         n = len(rows)
         flat = list(chain.from_iterable(rows))
@@ -131,26 +126,24 @@ class Graph:
             raise ValueError(f"edge ({a}, {b}) is listed by only one of its end nodes")
         self._fill(n, fwd[u < v], labels, origin_nodes, self_loops_dropped, duplicate_edges_dropped)
 
-    def _fill(
-        self,
-        n: int,
-        keys: np.ndarray,
-        labels: tuple[str, ...] | None = None,
-        origin_nodes: tuple[int, ...] | None = None,
-        self_loops_dropped: int = 0,
-        duplicate_edges_dropped: int = 0,
-    ) -> None:
-        """The one CSR builder: ``keys`` are the sorted unique edge keys ``min * n + max``."""
+    def _fill(self, n: int, keys: np.ndarray, labels: tuple[str, ...] | None = None,
+              origin_nodes: tuple[int, ...] | None = None, self_loops_dropped: int = 0,
+              duplicate_edges_dropped: int = 0) -> None:
+        """The one CSR builder: ``keys`` are the sorted unique edge keys ``min * n + max``. Besides
+        them it holds one 2m key array: the keys and their reverses ``max * n + min``, sorted once
+        into the arcs of every row, then made ``indices`` in place."""
         if labels is not None and len(labels) != n:
             raise ValueError("labels length does not match node count")
         if origin_nodes is not None and len(origin_nodes) != n:
             raise ValueError("origin_nodes length does not match node count")
-        lo, hi = np.divmod(keys, n)
-        arcs = np.concatenate((keys, hi * n + lo))
+        arcs = np.empty(2 * len(keys), dtype=np.int64)
+        lo, rev = np.divmod(keys, n, out=(arcs[: len(keys)], arcs[len(keys) :]))  # rev holds max for now
+        rev *= n
+        rev += lo
+        lo[:] = keys
         arcs.sort()
-        src, self.indices = np.divmod(arcs, n)
-        self.indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=n), out=self.indptr[1:])
+        self.indptr = np.searchsorted(arcs, np.arange(n + 1, dtype=np.int64) * n)  # row v starts at key v * n
+        self.indices = np.remainder(arcs, n, out=arcs)
         self.indptr.flags.writeable = self.indices.flags.writeable = False
         self.labels = labels
         self.origin_nodes = origin_nodes
@@ -164,13 +157,9 @@ class Graph:
         return g
 
     @classmethod
-    def from_edges(
-        cls,
-        node_count: int,
-        edges: Iterable[tuple[int, int]],
-        labels: tuple[str, ...] | None = None,
-        origin_nodes: tuple[int, ...] | None = None,
-    ) -> "Graph":
+    def from_edges(cls, node_count: int, edges: Iterable[tuple[int, int]],
+                   labels: tuple[str, ...] | None = None,
+                   origin_nodes: tuple[int, ...] | None = None) -> "Graph":
         """Build a graph from (u, v) pairs, dropping and counting self-loops and duplicates."""
         if node_count < 0:
             raise ValueError("node_count must be >= 0")
@@ -186,7 +175,7 @@ class Graph:
             for u, v in edges:
                 if not (0 <= u < node_count and 0 <= v < node_count):
                     raise ValueError(f"edge ({u}, {v}) out of range 0..{node_count - 1}")
-        return _from_pairs(node_count, flat[0::2], flat[1::2], labels, origin_nodes)
+        return _from_pairs(node_count, [flat], labels, origin_nodes)
 
     @property
     def node_count(self) -> int:
@@ -244,18 +233,27 @@ def _sorted_unique(keys: np.ndarray) -> np.ndarray:
     return keys[np.r_[True, keys[1:] != keys[:-1]]] if keys.size else keys
 
 
-def _from_pairs(
-    n: int,
-    u: np.ndarray,
-    v: np.ndarray,
-    labels: tuple[str, ...] | None = None,
-    origin_nodes: tuple[int, ...] | None = None,
-) -> Graph:
-    """Graph on ``n`` nodes from edge endpoint arrays, counting dropped self-loops and duplicates."""
-    loop = u == v
-    keys = np.minimum(u, v)[~loop] * n + np.maximum(u, v)[~loop]
-    unique = _sorted_unique(keys)
-    return Graph._from_keys(n, unique, labels, origin_nodes, int(loop.sum()), len(keys) - len(unique))
+def _from_pairs(n: int, pairs: list[np.ndarray], labels: tuple[str, ...] | None = None,
+                origin_nodes: tuple[int, ...] | None = None) -> Graph:
+    """Graph on ``n`` nodes from int64 arrays that each interleave the end nodes of
+    their edges, counting dropped self-loops and duplicates. It empties ``pairs``,
+    freeing each array once its edges are keys, so it holds one key array at a time."""
+    keys = np.empty(sum(map(len, pairs)) // 2, dtype=np.int64)
+    at, loops = len(keys), 0
+    while pairs:
+        u, v = (ends := pairs.pop())[0::2], ends[1::2]
+        at -= len(u)
+        part = keys[at : at + len(u)]
+        np.minimum(u, v, out=part)
+        part *= n - 1
+        part += u
+        part += v  # min * n + max, with no array for the max
+        loops += int(np.count_nonzero(loop := u == v))
+        part[loop] = n * n  # past every edge key, so it sorts last
+    part = None  # a view of the unsorted keys, which would keep them alive
+    keys, total = _sorted_unique(keys), len(keys)  # rebinding frees the sorted keys
+    m = len(keys) - (loops > 0)  # all but the self-loops' sentinel
+    return Graph._from_keys(n, keys[:m], labels, origin_nodes, loops, total - loops - m)
 
 
 @dataclass(frozen=True)
@@ -322,6 +320,9 @@ def load_edge_list(source: Iterable[str] | BinaryIO) -> Graph:
     ``_line_tokens``, which also names a malformed line. Every path numbers
     labels through one ``_Labels``, so they can alternate within a file.
 
+    The id arrays of the pieces are freed one by one as ``_from_pairs`` turns
+    them into edge keys, so the build holds one 2m key array at a time.
+
     Raises EdgeListParseError (with the line number) for lines that do not have
     exactly two tokens, and UnicodeDecodeError for a binary file that is not UTF-8.
     """
@@ -348,8 +349,7 @@ def load_edge_list(source: Iterable[str] | BinaryIO) -> Graph:
         else:
             ids.append(labels.of_tokens(_line_tokens(chunk, first_line=done + 1)))
         done += len(chunk)
-    flat = np.concatenate(ids) if ids else np.zeros(0, dtype=np.int64)
-    return _from_pairs(len(labels.index), flat[0::2], flat[1::2], labels=tuple(labels.index))
+    return _from_pairs(len(labels.index), ids, labels=tuple(labels.index))
 
 
 def _line_blocks(fh: BinaryIO) -> Iterator[bytes]:
@@ -600,12 +600,12 @@ def _component_ids(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     while True:
         while not np.array_equal(jumped := root[root], root):
             root = jumped
-        a, b = root[lo], root[hi]
-        apart = a != b
+        lo, hi = root[lo], root[hi]  # exact: root[old root of x] == root[x] once jumped
+        apart = lo != hi
         if not apart.any():
             break
-        lo, hi, a, b = lo[apart], hi[apart], a[apart], b[apart]
-        np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
+        lo, hi = lo[apart], hi[apart]
+        np.minimum.at(root, np.maximum(lo, hi), np.minimum(lo, hi))
     first = root == np.arange(n)
     cid = (np.cumsum(first) - 1)[root]
     return cid, np.bincount(cid, minlength=int(first.sum()))

@@ -399,6 +399,18 @@ class TestErrorLines:
         assert "step 1e-20 cannot advance P" in line
         assert not (out / "ode.json").exists()
 
+    def test_step_count_over_the_limit_is_2(self, tmp_path, capsys, monkeypatch):
+        # (50 - 0) / 0.5 = 100 steps; the limit is checked before the first step
+        argv = ["solve-ode", "--d0", "100", "--dprime0", "-0.5", "--step", "0.5", "--pmax", "50"]
+        monkeypatch.setattr("netgeom.crawl._MAX_ODE_STEPS", 99)
+        assert run(*argv, "--out", str(tmp_path / "o")) == 2
+        [line] = error_lines(capsys)
+        assert line == "netgeom: error: 100 Runge-Kutta steps from p0 to p_max exceed the limit of 99"
+        assert not (tmp_path / "o").exists()
+        monkeypatch.setattr("netgeom.crawl._MAX_ODE_STEPS", 100)  # the limit itself is allowed
+        assert run(*argv, "--out", str(tmp_path / "o")) == 0
+        assert json.loads((tmp_path / "o" / "ode.json").read_text())["steps"] == 101  # P = 0 counts too
+
     @pytest.mark.parametrize("message, line", [
         ("Unable to allocate 95.4 MiB for an array",
          "netgeom: error: out of memory: Unable to allocate 95.4 MiB for an array"),

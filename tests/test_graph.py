@@ -6,6 +6,7 @@ import io
 import os
 import random
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ import netgeom.graph as graph_module
 import netgeom.stats as stats_module
 import netgeom.structure as structure_module
 from netgeom.embedding import embed, embed_full, embedding_distortion
-from netgeom.generators import configuration_model
+from netgeom.generators import DoubleParetoSpec, configuration_model, generate_double_pareto_degrees
 from netgeom.graph import (
     UNREACHABLE,
     EdgeListParseError,
@@ -31,12 +32,14 @@ from netgeom.graph import (
     _distance_blocks,
     _line_tokens,
 )
+from netgeom.structure import decompose
 
 from util import (
     INF,
     edge_list_tokens_oracle,
     from_edges,
     fw_distances,
+    oracle_two_core,
     parse_edge_list_oracle,
     random_connected,
     random_graph,
@@ -332,10 +335,39 @@ class TestGraphBasics:
         g = Graph([[2, 1], [0], [0]])
         assert g.indptr.tolist() == [0, 2, 3, 4]
         assert g.indices.tolist() == [1, 2, 0, 0]
-        assert g.indptr.dtype == g.indices.dtype == np.int64
-        for a in (g.indptr, g.indices):
-            with pytest.raises(ValueError):
-                a[0] = 7
+        # every builder gives the adjacency constructor's read-only int64 arrays
+        edges = [(3, 1), (1, 0), (0, 3), (1, 3), (2, 2), (4, 5), (6, 5), (5, 4)]  # a loop, a repeat, 2 parts
+        text = [f"{a} {b}" for a, b in edges]
+        ids = {v: i for i, v in enumerate(dict.fromkeys(v for e in edges for v in e))}  # first appearance
+        relabelled = adjacency_of(len(ids), [(ids[a], ids[b]) for a, b in edges])[0]
+        built = Graph.from_edges(7, edges)
+        gc = giant_core(built)
+        conf = configuration_model([3, 2, 2, 1, 0, 2, 2], seed=3)
+        builds = {
+            "adjacency": (g, [[1, 2], [0], [0]]),
+            "text": (load_edge_list(text), relabelled),
+            "binary": (load_edge_list(io.BytesIO("\n".join(text).encode())), relabelled),
+            "from_edges": (built, adjacency_of(7, edges)[0]),
+            "configuration_model": (conf, adjacency_of(7, list(conf.edges()))[0]),
+            "induced_subgraph": (induced_subgraph(built, [6, 0, 3, 5]), restrict(built, [0, 3, 5, 6])[0]),
+            "giant_core": (gc, restrict(built, giant_group(built))[0]),
+            "dense_core": (decompose(gc).dense_core, restrict(gc, oracle_two_core(gc))[0]),
+            "n=0 text": (load_edge_list([]), []),
+            "n=0 binary": (load_edge_list(io.BytesIO(b"")), []),
+            "n=0 from_edges": (Graph.from_edges(0, []), []),
+            "n=0 configuration_model": (configuration_model([], seed=1), []),
+            "n=1 from_edges": (Graph.from_edges(1, []), [[]]),
+            "n=1 giant_core": (giant_core(Graph.from_edges(1, [])), [[]]),
+            "loops text": (load_edge_list(["a a", "b b", "a a"]), [[], []]),
+            "loops binary": (load_edge_list(io.BytesIO(b"a a\nb b\na a\n")), [[], []]),
+            "loops from_edges": (Graph.from_edges(3, [(2, 2), (0, 0)]), [[], [], []]),
+        }
+        for name, (g, adjacency) in builds.items():
+            want = Graph(adjacency)
+            for got, expected in ((g.indptr, want.indptr), (g.indices, want.indices)):
+                assert got.dtype == np.int64 and got.tolist() == expected.tolist(), name
+                with pytest.raises(ValueError, match="read-only"):
+                    got[:1] = 7
 
     def test_adjacency_is_sorted_and_degree_coherent(self):
         g = Graph.from_edges(4, [(0, 3), (0, 1), (0, 2), (2, 3)])
@@ -587,6 +619,89 @@ class TestComponentsOnCsr:
         want = restricted_graph(g, nodes)
         assert sub == want
         assert sub.origin_nodes == want.origin_nodes
+
+
+def exact_labeling(g: Graph) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Component id per node and component sizes from union-find, the
+    components numbered in the order of their smallest nodes."""
+    groups = sorted(uf_components(g), key=min)
+    cid = [0] * g.node_count
+    for i, group in enumerate(groups):
+        for v in group:
+            cid[v] = i
+    return tuple(cid), tuple(map(len, groups))
+
+
+def path_through(order: list[int]) -> Graph:
+    return Graph.from_edges(len(order), list(zip(order[:-1], order[1:])))
+
+
+class TestHookingEdgeCases:
+    """Inputs where the hooking rounds of ``_component_ids`` are long, numerous or tied."""
+
+    def check(self, g: Graph) -> None:
+        lab = components(g)
+        assert (lab.component_id, lab.sizes) == exact_labeling(g)
+        assert lab.giant_index == lab.sizes.index(max(lab.sizes))
+
+    def test_long_paths(self):
+        n = 3000
+        self.check(path_through(list(range(n - 1, -1, -1))))  # descending labels
+        self.check(path_through(sorted(range(4096), key=lambda v: f"{v:012b}"[::-1])))  # bit-reversed labels
+        self.check(path_through(np.random.default_rng(5).permutation(n).tolist()))
+        # the same path read from text: labels descend, ids follow first appearance
+        g = load_edge_list(f"{v} {v - 1}" for v in range(n - 1, 0, -1))
+        assert g.labels[0] == str(n - 1)
+        self.check(g)
+
+    def test_many_small_components_between_isolated_nodes(self):
+        rng = np.random.default_rng(11)
+        perm = rng.permutation(4000).tolist()  # scatters the components over the ids
+        edges, at = [], 0
+        while at + 5 <= len(perm):
+            size = int(rng.integers(1, 5))  # 1 to 4 nodes, then an isolated node
+            edges += [(perm[at + i], perm[at + i + 1]) for i in range(size - 1)]
+            if size > 2:  # close a cycle
+                edges.append((perm[at], perm[at + size - 1]))
+            at += size + 1
+        g = Graph.from_edges(len(perm), edges)
+        self.check(g)
+        assert components(g).count > 1000
+
+    def test_size_tie_for_the_giant(self):
+        # a path on 9, 2, 7 and a triangle on 8, 3, 5: the tie goes to node 2's component
+        g = Graph.from_edges(10, [(9, 2), (2, 7), (8, 3), (3, 5), (5, 8), (0, 6)])
+        self.check(g)
+        lab = components(g)
+        assert lab.sizes == (2, 1, 3, 3, 1) and lab.giant_index == 2
+        assert giant_core(g).origin_nodes == (2, 7, 9)
+
+
+class TestTransientMemory:
+    """Traced bytes that the build and the giant core allocate beyond their input."""
+
+    @staticmethod
+    def traced_peak(build) -> int:
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            build()
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    def test_from_pairs_holds_one_key_array_at_a_time(self):
+        m = 40_000
+        ends = np.random.default_rng(2).integers(0, 1000, size=2 * m, dtype=np.int64)  # repeats and loops too
+        peak = self.traced_peak(lambda: graph_module._from_pairs(1000, [ends]))
+        assert peak <= 48 * m
+
+    def test_giant_core_per_edge(self):
+        spec = DoubleParetoSpec(size=3000, alpha_left=1, alpha_right=3, break_degree=50, min_degree=10,
+                                seed=0)  # connected: the giant core is the whole graph
+        g = configuration_model(generate_double_pareto_degrees(spec), seed=0)
+        peak = self.traced_peak(lambda: giant_core(g))
+        assert peak <= 48 * g.edge_count
 
 
 def adjacency_of(n: int, edges) -> tuple[list[list[int]], int, int]:

@@ -41,6 +41,7 @@ import shutil
 import sys
 import tempfile
 from contextlib import contextmanager
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -420,25 +421,30 @@ def _write_coords(out: str, names: Sequence[str], ref_names: Sequence[str],
     """Write coords.csv: a header, then one "label,d1,...,dk" line per row of
     ``blocks``, which come in row order, at most 64 rows each.
 
-    Cells come from a table of ",d" strings indexed by the distance, rebuilt
-    whenever a block reaches past it, since the diameter is known only after the
-    last block. One block is formatted at a time, so the writer holds 64 x k
-    cells and one block's text, never the n x k matrix or the whole file. A run
-    that fails part-way leaves its truncated coords.csv in the staging
-    directory, which ``main`` removes.
+    Cells come from a fixed-width byte table: ",d" for each distance d, then a
+    newline, NUL-padded to a power-of-two width. It is rebuilt whenever a block
+    reaches past it, since the diameter is known only after the last block. A
+    block's rows, each ended by the newline cell, are taken from the table at
+    once, their NULs dropped with ``bytes.translate``, and the lines written
+    after the UTF-8 labels. One block is formatted at a time, so the writer
+    holds 64 x k cells and one block's bytes, never the n x k matrix or the
+    whole file. A run that fails part-way leaves its truncated coords.csv in
+    the staging directory, which ``main`` removes.
     """
-    with open(os.path.join(out, "coords.csv"), "w", encoding="utf-8") as fh:
-        fh.write("node," + ",".join(ref_names) + "\n")
-        cells = np.empty(0, dtype=object)
+    with open(os.path.join(out, "coords.csv"), "wb") as fh:
+        fh.write(("node," + ",".join(ref_names) + "\n").encode())
+        cells = np.zeros(0, dtype="S2")
         s = 0
         for block in blocks:
-            if (top := int(block.max(initial=0))) >= len(cells):
-                cells = np.array([f",{d}" for d in range(top + 1)], dtype=object)
-            rows = np.empty((len(block), len(ref_names) + 2), dtype=object)
-            rows[:, 0] = names[s : s + len(block)]
-            rows[:, 1:-1] = cells[block]
-            rows[:, -1] = "\n"
-            fh.write("".join(rows.ravel().tolist()))
+            if (top := int(block.max(initial=0))) >= len(cells) - 1:
+                texts = [f",{d}".encode() for d in range(top + 1)] + [b"\n"]
+                cells = np.array(texts, dtype=f"S{1 << len(str(top)).bit_length()}")
+            rows = np.empty((len(block), block.shape[1] + 1), dtype=cells.dtype)
+            np.take(cells, block, out=rows[:, :-1])
+            rows[:, -1] = cells[-1]
+            lines = rows.tobytes().translate(None, b"\0").splitlines(keepends=True)
+            labels = [name.encode() for name in names[s : s + len(block)]]
+            fh.write(b"".join(chain.from_iterable(zip(labels, lines))))
             s += len(block)
 
 

@@ -271,8 +271,9 @@ def fit_rational(trace: CrawlTrace) -> RationalFit:
     ps = p.max()
     dsc = d.max() if d.max() > 0 else 1.0
     q = p / ps
+    q2, q3 = q**2, q**3
     e = d / dsc
-    a = np.column_stack([q**3, q**2, q, -e * q, -e])
+    a = np.column_stack([q3, q2, q, -e * q, -e])
     y = e * q * q
 
     def unscale(theta):
@@ -294,7 +295,7 @@ def fit_rational(trace: CrawlTrace) -> RationalFit:
 
     def curve(theta) -> tuple[np.ndarray, np.ndarray]:
         """The scaled numerator and denominator at every sample."""
-        return theta[0] * q**3 + theta[1] * q**2 + theta[2] * q, q * q + theta[3] * q + theta[4]
+        return theta[0] * q3 + theta[1] * q2 + theta[2] * q, q2 + theta[3] * q + theta[4]
 
     def residuals(theta) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -324,6 +325,8 @@ def fit_rational(trace: CrawlTrace) -> RationalFit:
             break
         theta = theta_new
 
+    jac = np.empty((len(q), 5), order="F")
+
     def gauss_newton(theta: np.ndarray) -> None:
         r = residuals(theta)
         cur = rmse_of(r)
@@ -331,7 +334,9 @@ def fit_rational(trace: CrawlTrace) -> RationalFit:
             return
         for _ in range(40):
             num, den = curve(theta)
-            jac = np.column_stack([q**3 / den, q**2 / den, q / den, -num * q / (den * den), -num / (den * den)])
+            den2 = den * den
+            for col, top, bottom in zip(jac.T, (q3, q2, q, -num * q, -num), (den, den, den, den2, den2)):
+                np.divide(top, bottom, out=col)
             step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
             if not np.all(np.isfinite(step)):
                 return
@@ -360,7 +365,7 @@ def fit_rational(trace: CrawlTrace) -> RationalFit:
     # basins the equation-error seed cannot
     for c3, c4 in ((0.0, 0.25), (1.0, 0.5), (0.2, 0.05), (0.5, 0.01), (0.05, 1e-3), (0.02, 1e-4)):
         den = curve((0.0, 0.0, 0.0, c3, c4))[1]
-        coef, *_ = np.linalg.lstsq(np.column_stack([q**3 / den, q**2 / den, q / den]), e, rcond=None)
+        coef, *_ = np.linalg.lstsq(np.column_stack([q3 / den, q2 / den, q / den]), e, rcond=None)
         if np.all(np.isfinite(coef)):
             seed = np.array([coef[0], coef[1], coef[2], c3, c4])
             candidates.append(seed)

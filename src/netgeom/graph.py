@@ -24,9 +24,12 @@ in first-appearance order through one table, so they may alternate.
 Every hop distance comes from one kernel, ``_distance_blocks``: a
 level-synchronous BFS that runs 64 sources at once, one bit per source in a
 uint64 word per node (Then et al., *The More the Merrier: Efficient Multi-Source
-Graph Traversal*, PVLDB 8(4), 2014). ``bfs``, depth, path lengths and the full
-embedding are folds over its blocks of distance rows. Analyses defined on one
-component call ``_require_connected`` before any traversal.
+Graph Traversal*, PVLDB 8(4), 2014). It writes no distance while it runs: a
+node's levels go into uint64 bit planes, one per bit of the level number, and
+each block's int32 rows are built from them once, when its BFS ends. ``bfs``,
+depth, path lengths and the full embedding are folds over its blocks of
+distance rows. Analyses defined on one component call ``_require_connected``
+before any traversal.
 
 Exact depth and exact path lengths traverse only the 2-core. ``_peel``, the
 one peel of degree-1 nodes, splits a graph into the core and the pendant
@@ -486,33 +489,65 @@ def _sources(n: int, mode: str, k: int | None, seed: int, name: str) -> tuple[in
 
 
 def _distance_blocks(g: Graph, sources: Sequence[int]) -> Iterator[np.ndarray]:
-    """Yield hop distances from ``sources`` in order, as int32 blocks of up to 64 rows.
+    """Yield hop distances from ``sources`` in order, as C-contiguous int32 blocks
+    of up to 64 rows, UNREACHABLE where a source does not reach a node.
 
     Bit i of ``frontier[v]`` marks node v as reached at the current level from
     the block's source i. A level ORs the words of each node's neighbours with
-    one ``reduceat`` over the CSR rows of the nodes that have neighbours.
+    one ``reduceat`` over the CSR rows of the nodes that have neighbours, and
+    records the level only as bit planes (``_distance_block``), so it costs
+    O(m) plus O(|frontier|) word ORs per set bit of the level number.
+    """
+    for b in range(0, len(sources), 64):
+        yield _distance_block(g, np.asarray(sources[b : b + 64], dtype=np.intp))
+
+
+def _distance_block(g: Graph, block: np.ndarray) -> np.ndarray:
+    """One block of ``_distance_blocks``, from the sources ``block``.
+
+    No distance is written while the BFS runs. Plane k is a uint64 word per
+    node whose bit i says that bit k of the level at which source i reached
+    the node is set, so a level ORs its frontier words into the planes of its
+    set bits only. The block is built once at the end, so that it and the O(n)
+    words are all that is alive when it is yielded.
     """
     n = g.node_count
     nbrs = g.indices
     linked = np.flatnonzero(np.diff(g.indptr))
     starts = g.indptr[linked]
-    for b in range(0, len(sources), 64):
-        block = np.asarray(sources[b : b + 64], dtype=np.intp)
-        dist = np.full((len(block), n), UNREACHABLE, dtype=np.int32)
-        frontier = np.zeros(n, dtype=np.uint64)
-        np.bitwise_or.at(frontier, block, np.uint64(1) << np.arange(len(block), dtype=np.uint64))
-        seen, level = frontier.copy(), 0
-        while (hit := np.flatnonzero(frontier)).size:
-            # new[i, j] is bit i, least significant first, of hit node j's word
-            words = frontier[hit].astype("<u8").view(np.uint8)
-            new = np.unpackbits(words, bitorder="little").reshape(-1, 64).T[: len(block)]
-            dist[:, hit] = np.where(new, level, dist[:, hit])
-            reach = np.zeros(n, dtype=np.uint64)
-            reach[linked] = np.bitwise_or.reduceat(frontier[nbrs], starts)
-            frontier = reach & ~seen
-            seen |= frontier
-            level += 1
-        yield dist
+    frontier = np.zeros(n, dtype=np.uint64)
+    np.bitwise_or.at(frontier, block, np.uint64(1) << np.arange(len(block), dtype=np.uint64))
+    seen, level, planes = frontier.copy(), 0, []
+    while (hit := np.flatnonzero(frontier)).size:
+        if level:
+            if level & (level - 1) == 0:
+                planes.append(np.zeros(n, dtype=np.uint64))
+            words = frontier[hit]
+            for k, plane in enumerate(planes):
+                if level >> k & 1:
+                    plane[hit] |= words
+        reach = np.zeros(n, dtype=np.uint64)
+        reach[linked] = np.bitwise_or.reduceat(frontier[nbrs], starts)
+        frontier = reach & ~seen
+        seen |= frontier
+        level += 1
+    rows = len(block)
+    # the levels in the narrowest unsigned dtype that holds the top one, node-major
+    acc = np.zeros((n, rows), dtype=np.min_scalar_type((1 << len(planes)) - 1))
+    for k, plane in enumerate(planes):
+        acc |= np.multiply(_bit_columns(plane, rows), 1 << k, dtype=acc.dtype)  # a uint8 shift is slower
+    dist = np.ascontiguousarray(acc.T, dtype=np.int32)
+    del acc
+    if (seen != np.uint64((1 << rows) - 1)).any():
+        np.copyto(dist, UNREACHABLE, where=_bit_columns(~seen, rows).T.view(bool))
+    return dist
+
+
+def _bit_columns(words: np.ndarray, rows: int) -> np.ndarray:
+    """(len(words), rows) uint8 array whose column i holds bit i, least
+    significant first, of every word."""
+    octets = words.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+    return np.unpackbits(octets, axis=1, count=rows, bitorder="little")
 
 
 @dataclass(frozen=True)

@@ -568,7 +568,7 @@ class TestEmbedStream:
         g = write_labeled(tmp_path / "g.txt", n, seed=n)
         out = tmp_path / "emb"
         assert run("embed", "--graph", str(tmp_path / "g.txt"), "--out", str(out)) == 0
-        assert (out / "coords.csv").read_text() == coords_oracle(g, range(n))
+        assert (out / "coords.csv").read_bytes() == coords_oracle(g, range(n)).encode("utf-8")
         assert read_json(out / "embedding.json") == {
             "nodes": n, "references": [g.label_of(v) for v in range(n)], "full": True,
         }
@@ -587,7 +587,7 @@ class TestEmbedStream:
         assert max(max(row) for row in dist[:64]) == 41 and max(max(row) for row in dist) == 80
         out = tmp_path / "emb"
         assert run("embed", "--graph", str(src), "--out", str(out)) == 0
-        assert (out / "coords.csv").read_text() == coords_oracle(g, range(g.node_count))
+        assert (out / "coords.csv").read_bytes() == coords_oracle(g, range(g.node_count)).encode("utf-8")
 
     def test_refs_with_repeats_keep_their_bytes(self, tmp_path):
         g = write_labeled(tmp_path / "g.txt", 130, seed=5)
@@ -595,10 +595,36 @@ class TestEmbedStream:
         out = tmp_path / "emb"
         assert run("embed", "--graph", str(tmp_path / "g.txt"), "--out", str(out),
                    "--refs", ",".join(g.label_of(r) for r in refs)) == 0
-        assert (out / "coords.csv").read_text() == coords_oracle(g, refs)
+        assert (out / "coords.csv").read_bytes() == coords_oracle(g, refs).encode("utf-8")
         assert read_json(out / "embedding.json") == {
             "nodes": 130, "references": [g.label_of(r) for r in refs], "full": False,
         }
+
+    @pytest.mark.parametrize("refs", [None, [0, 3, 0]], ids=["full", "refs"])
+    @pytest.mark.parametrize("shape", ["multibyte", "path", "broom"])
+    def test_coords_bytes(self, tmp_path, shape, refs):
+        # multibyte: 2- and 3-byte UTF-8 labels; path: 102 nodes in label
+        # order, so cells run from 1 to 3 digits and, with --refs, only the
+        # second block reaches 3; broom: a hub with 63 leaves, then a 100-node
+        # tail, so with --refs the first block's cells have 1 digit
+        if shape == "multibyte":
+            g = random_connected(70, 70, random.Random(3))
+            label = [f"é{v}" if v % 2 else f"узел{v}" for v in range(70)]
+            edges = [(label[a], label[b]) for a, b in g.edges()]
+        elif shape == "path":
+            edges = [(f"p{v}", f"p{v + 1}") for v in range(101)]
+        else:
+            edges = [("hub", f"leaf{v}") for v in range(63)] + [("hub", "t0")]
+            edges += [(f"t{v}", f"t{v + 1}") for v in range(99)]
+        src = tmp_path / "g.txt"
+        src.write_bytes("".join(f"{a} {b}\n" for a, b in edges).encode("utf-8"))
+        with open(src, "rb") as fh:
+            g = load_edge_list(fh)
+        out = tmp_path / "emb"
+        flags = [] if refs is None else ["--refs", ",".join(g.label_of(r) for r in refs)]
+        assert run("embed", "--graph", str(src), "--out", str(out), *flags) == 0
+        expected = coords_oracle(g, range(g.node_count) if refs is None else refs)
+        assert (out / "coords.csv").read_bytes() == expected.encode("utf-8")
 
     @pytest.mark.parametrize("text, refs", [
         ("# no edges\n", []),

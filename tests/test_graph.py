@@ -471,6 +471,25 @@ class TestDistanceKernel:
         oracle = oracle_rows(g)
         assert np.concatenate(blocks).tolist() == [oracle[s] for s in sources]
 
+    @pytest.mark.parametrize("shape", ["path", "cycle"])
+    @pytest.mark.parametrize("count", [1, 64, 65])
+    def test_levels_past_eight_planes_match_closed_forms(self, shape, count):
+        # a 300-node path (299 hops) or a 600-node cycle (300 hops), so the
+        # levels take 9 bit planes, then a separate edge that the rest cannot reach
+        k = 300 if shape == "path" else 600
+        ring = [(i, (i + 1) % k) for i in range(k if shape == "cycle" else k - 1)]
+        g = Graph.from_edges(k + 2, ring + [(k, k + 1)])
+        node = np.arange(k + 2)
+        gap = np.abs(node[:, None] - node)
+        if shape == "cycle":
+            gap = np.minimum(gap, k - gap)
+        same_part = (node[:, None] < k) == (node < k)
+        sources = ([0, k + 1, k // 2, k + 1, k - 1] * 13)[:count]
+        blocks = list(_distance_blocks(g, sources))
+        assert [b.shape for b in blocks] == [(min(64, count - i), k + 2) for i in range(0, count, 64)]
+        assert all(b.dtype == np.int32 and b.flags.c_contiguous for b in blocks)
+        assert np.array_equal(np.concatenate(blocks), np.where(same_part, gap, UNREACHABLE)[sources])
+
     @settings(max_examples=30, deadline=None)
     @given(graphs_with_sources())
     def test_bfs_matches_floyd_warshall(self, case):
@@ -696,12 +715,22 @@ class TestTransientMemory:
         peak = self.traced_peak(lambda: graph_module._from_pairs(1000, [ends]))
         assert peak <= 48 * m
 
-    def test_giant_core_per_edge(self):
+    @staticmethod
+    def heavy_tailed() -> Graph:
         spec = DoubleParetoSpec(size=3000, alpha_left=1, alpha_right=3, break_degree=50, min_degree=10,
                                 seed=0)  # connected: the giant core is the whole graph
-        g = configuration_model(generate_double_pareto_degrees(spec), seed=0)
+        return configuration_model(generate_double_pareto_degrees(spec), seed=0)
+
+    def test_giant_core_per_edge(self):
+        g = self.heavy_tailed()
         peak = self.traced_peak(lambda: giant_core(g))
         assert peak <= 48 * g.edge_count
+
+    def test_distance_block_holds_two_blocks(self):
+        # a block of 64 int32 rows is 256 bytes per node
+        g = self.heavy_tailed()
+        peak = self.traced_peak(lambda: next(_distance_blocks(g, range(64))))
+        assert peak <= 2 * 256 * g.node_count
 
 
 def adjacency_of(n: int, edges) -> tuple[list[list[int]], int, int]:

@@ -90,7 +90,7 @@ def _write_json(out: str, name: str, obj) -> None:
 
 
 def _write_text(out: str, name: str, text: str) -> None:
-    with open(os.path.join(out, name), "w", encoding="utf-8") as fh:
+    with open(os.path.join(out, name), "w", encoding="utf-8", newline="") as fh:  # \n on every platform
         fh.write(text)
 
 

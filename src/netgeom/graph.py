@@ -14,12 +14,12 @@ An edge list is parsed a piece at a time by one tokenizer, ``_byte_tokens``:
 it splits ASCII bytes into tokens in numpy and tells labels apart by a uint64
 key of each token's bytes, so only a label not seen before becomes a Python
 string. It takes the blocks of whole lines read from a binary file as they
-are, and the chunks of text lines as their ASCII bytes. A piece it cannot
-take (non-ASCII text, a NUL, a ``\\r`` in a binary block, a token over 8 bytes,
-a malformed line) is split as Python strings by one line loop,
-``_line_tokens``, which also names a malformed line; from the first such block
-on, a binary file is decoded and read as text lines. Both paths number labels
-in first-appearance order through one table, so they may alternate.
+are, their line ends already made ``\\n`` by ``_line_blocks``, and the chunks of
+text lines as their ASCII bytes. A piece it cannot take (non-ASCII text, a NUL,
+a token over 8 bytes, a malformed line) is split as Python strings by one line
+loop, ``_line_tokens``, which also names a malformed line; from the first such
+block on, a binary file is decoded and read as text lines. Both paths number
+labels in first-appearance order through one table, so they may alternate.
 
 Every hop distance comes from one kernel, ``_distance_blocks``: a
 level-synchronous BFS that runs 64 sources at once, one bit per source in a
@@ -310,12 +310,12 @@ def load_edge_list(source: Iterable[str] | BinaryIO) -> Graph:
     ignored. Node labels map to dense integer ids in first-appearance order.
     Self-loop lines and duplicate edges are dropped but counted on the result.
 
-    A binary file is read in blocks of whole lines of about ``_BLOCK_BYTES``.
-    Each block of ASCII with no NUL and no ``\\r`` goes to the byte tokenizer
-    ``_byte_tokens`` as it is, and each token is read as one uint64 key, so only
-    labels not seen before become Python strings. From the first block that is
-    not such a block, or that the tokenizer turns down, the rest of the file is
-    decoded and read as text lines, numbered on from the blocks before it.
+    A binary file is read in blocks of whole lines of about ``_BLOCK_BYTES``
+    with ``\\n`` line ends (``_line_blocks``). A block of ASCII with no NUL goes
+    to the byte tokenizer ``_byte_tokens`` as it is, each token read as one
+    uint64 key, so only labels not seen before become Python strings. From the
+    first block that is not, or that the tokenizer turns down, the rest of the
+    file is decoded and read as text lines, numbered on from the blocks before.
 
     Text lines are read ``_CHUNK_LINES`` at a time. A chunk of ASCII text with
     no NUL goes to the same tokenizer. Any other chunk, or one it turns down (a
@@ -336,8 +336,7 @@ def load_edge_list(source: Iterable[str] | BinaryIO) -> Graph:
         blocks = _line_blocks(source)
         source = ()
         for block in blocks:
-            # a NUL is part of a label, and a text file breaks lines at \r too
-            keyed = _byte_tokens(block, ord("\n")) if b"\0" not in block and b"\r" not in block else None
+            keyed = _byte_tokens(block, ord("\n")) if b"\0" not in block else None  # a NUL is part of a label
             if keyed is None:
                 source = chain.from_iterable(_text_lines(chain([block], blocks)))
                 break
@@ -356,28 +355,25 @@ def load_edge_list(source: Iterable[str] | BinaryIO) -> Graph:
 
 
 def _line_blocks(fh: BinaryIO) -> Iterator[bytes]:
-    """The bytes of ``fh`` after a leading UTF-8 byte-order mark, in blocks of
-    about ``_BLOCK_BYTES`` that end with a whole line (the last may lack its
-    newline). As with the ``utf-8-sig`` decoder, a file that is only the start
-    of a byte-order mark reads as empty."""
+    """The bytes of ``fh`` as a ``utf-8-sig`` text read sees them before decoding: a
+    leading byte-order mark dropped (a file that is only the start of one reads as
+    empty) and ``\\r\\n`` and a lone ``\\r`` made ``\\n``. Blocks of about
+    ``_BLOCK_BYTES`` end with a whole line (the last may lack its newline), so no
+    ``\\r\\n`` is split; ``\\r`` is in no multi-byte UTF-8 sequence, so bytes that
+    are not UTF-8 stay as they were."""
     lead = codecs.BOM_UTF8
     while block := fh.read(_BLOCK_BYTES):
         block = block if block.endswith(b"\n") else block + fh.readline()
-        yield b"" if lead.startswith(block) else block.removeprefix(lead)
+        block = b"" if lead.startswith(block) else block.removeprefix(lead)
+        yield block.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in block else block
         lead = b""
 
 
 def _text_lines(blocks: Iterable[bytes]) -> Iterator[list[str]]:
-    """The lines of the UTF-8 bytes in ``blocks``, a list per block, as a
-    text-mode file reads them (``\\r\\n`` and a lone ``\\r`` end a line, like
-    ``\\n``), each without its line end."""
-    decoder = io.IncrementalNewlineDecoder(codecs.getincrementaldecoder("utf-8")(), translate=True)
-    tail = ""
+    """The lines of the UTF-8 blocks of ``_line_blocks``, a list per block,
+    each without its ``\\n``. A block holds whole lines, so it decodes alone."""
     for block in blocks:
-        *lines, tail = (tail + decoder.decode(block)).split("\n")
-        yield lines
-    if tail := tail + decoder.decode(b"", final=True):
-        yield [tail]
+        yield block.decode().removesuffix("\n").split("\n")
 
 
 class _Labels:
@@ -678,14 +674,16 @@ def _induced(g: Graph, keep: np.ndarray, ends: tuple[np.ndarray, np.ndarray] | N
     if ends is None:
         kept = np.zeros(g.node_count, dtype=bool)
         kept[keep] = True
-        lo, hi = g._ends()
-        inside = kept[lo] & kept[hi]
-        ends = lo[inside], hi[inside]
-    lo, hi = (np.searchsorted(keep, e) for e in ends)  # new ids, in the same order
+        ends = g._ends()
+        inside = kept[ends[0]] & kept[ends[1]]
+        ends = ends[0][inside], ends[1][inside]  # rebinding frees the full ends before the renumbering
+    # new ids, in the same order: the renumbering keeps node order, so the surviving keys stay sorted
+    keys = np.searchsorted(keep, ends[0]) * k
+    keys += np.searchsorted(keep, ends[1])
+    ends = None  # masked here, the ends are freed before the build
     keep_list = keep.tolist()
     labels = tuple([g.labels[v] for v in keep_list]) if g.labels is not None else None
-    # the renumbering keeps node order, so the surviving keys stay sorted
-    return Graph._from_keys(k, lo * k + hi, labels, tuple(keep_list))
+    return Graph._from_keys(k, keys, labels, tuple(keep_list))
 
 
 def induced_subgraph(g: Graph, nodes: Sequence[int]) -> Graph:

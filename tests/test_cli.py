@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: outputs, determinism, exit codes."""
 from __future__ import annotations
 
+import builtins
 import csv
 import hashlib
 import json
@@ -16,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import netgeom
+import netgeom.cli as cli_module
 from netgeom.cli import main
 from netgeom.graph import Graph, load_edge_list
 from netgeom.stats import Histogram, degree_histogram
@@ -348,6 +350,22 @@ class TestTextEncoding:
         for path, out in ((trace, "e"), (bom, "e-bom")):
             assert run("estimate", "--trace", str(path), "--out", str(tmp_path / out)) == 0
         assert (tmp_path / "e" / "estimate.csv").read_bytes() == (tmp_path / "e-bom" / "estimate.csv").read_bytes()
+
+    def test_reports_have_the_same_line_ends_on_every_platform(self, tmp_path, monkeypatch):
+        # a text-mode file opened with the default newline writes os.linesep for each \n
+        written = {}
+
+        def spy(file, mode="r", buffering=-1, encoding=None, errors=None, newline=None, **kw):
+            if set(mode) & set("wax+"):
+                written[os.path.basename(file)] = (mode, newline)
+            return builtins.open(file, mode, buffering, encoding, errors, newline, **kw)
+
+        monkeypatch.setattr(cli_module, "open", spy, raising=False)
+        src = write_p5(tmp_path)
+        for sub in ("depth", "embed", "decompose"):
+            assert run(sub, "--graph", str(src), "--out", str(tmp_path / sub)) == 0
+        assert {"depth.csv", "summary.json", "meta.json", "embedding.json", "coords.csv"} <= written.keys()
+        assert {name: how for name, how in written.items() if "b" not in how[0] and how[1] != ""} == {}
 
     def test_non_ascii_label_round_trips_under_an_ascii_locale(self, tmp_path, child_env):
         src = tmp_path / "cafe.txt"

@@ -273,6 +273,9 @@ class TestParsingPaths:
     @example(b"a b\r", 1)  # a lone CR at the end of the file
     @example(b"a b\n\x00a b\n", 1)  # a NUL in a block that is otherwise ASCII
     @example(b"\xef\xbb", 1)  # only the start of a byte-order mark: utf-8-sig reads no text
+    @example(b"a b\r\nc d\r\n", 1)  # CRLF blocks, each ending at its \n
+    @example(b"a b\r\nc d\r\ne \xff\r\n", 1)  # CRLF blocks, then one that is not UTF-8
+    @example(b"a b\r# x y z\r\rc d e\rf g\r", 1)  # lone CRs: one block, with a malformed line 4
     def test_binary_file_reads_like_the_text_file(self, data, block):
         # blocks of a few bytes put block ends inside lines and make files of many blocks
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
@@ -304,6 +307,22 @@ class TestParsingPaths:
         decoded.clear()
         assert same_graph(load_edge_list(io.BytesIO(b"".join(lines[:2]))), load_edge_list(["a b", "b c"]))
         assert decoded == []
+
+    @pytest.mark.parametrize("block", [1, 1 << 20])
+    @pytest.mark.parametrize("end", ["\r\n", "\r"])
+    def test_crlf_and_lone_cr_files_stay_on_the_tokenizer(self, monkeypatch, tmp_path, end, block):
+        path = tmp_path / "g.txt"
+        path.write_bytes((end.join(["# a comment", "a b", "", "b\tc ", "c a", "d c"]) + end).encode())
+        with open(path, encoding="utf-8-sig") as fh:
+            want = load_edge_list(fh)
+        decoded = []
+        real = graph_module._text_lines
+        monkeypatch.setattr(graph_module, "_BLOCK_BYTES", block)
+        monkeypatch.setattr(graph_module, "_text_lines", lambda blocks: real(decoded.append(b) or b for b in blocks))
+        with open(path, "rb") as fh:
+            got = load_edge_list(fh)
+        assert decoded == []
+        assert same_graph(got, want) and got.labels == ("a", "b", "c", "d")
 
     def test_byte_and_str_chunks_share_one_numbering(self, monkeypatch):
         lines = ["c b", "b a", "# a comment with long words",  # byte path
@@ -725,6 +744,14 @@ class TestTransientMemory:
         g = self.heavy_tailed()
         peak = self.traced_peak(lambda: giant_core(g))
         assert peak <= 48 * g.edge_count
+
+    def test_giant_core_of_a_disconnected_graph_per_edge(self):
+        spec = DoubleParetoSpec(size=5000, alpha_left=1.5, alpha_right=2.5, break_degree=10, min_degree=1,
+                                seed=7)  # 122 components, a 4 750-node giant
+        g = configuration_model(generate_double_pareto_degrees(spec), seed=7)
+        assert len(components(g).sizes) > 1
+        peak = self.traced_peak(lambda: giant_core(g))
+        assert peak <= 64 * g.edge_count
 
     def test_distance_block_holds_two_blocks(self):
         # a block of 64 int32 rows is 256 bytes per node

@@ -289,7 +289,7 @@ class DistanceMap:
 
 
 _CHUNK_LINES = 1 << 16  # text lines parsed per step; bounds the token strings alive at once
-_BLOCK_BYTES = 1 << 20  # bytes read per step from a binary file, then completed to a whole line
+_BLOCK_BYTES = 1 << 20  # bytes read per step from a binary file, then cut back to its last line end
 
 # translation of a piece's bytes to 0 where a token cannot be: ASCII whitespace as
 # str.split() sees it (\x1c-\x1f included) and NUL, which joins the lines of a text chunk
@@ -358,15 +358,36 @@ def _line_blocks(fh: BinaryIO) -> Iterator[bytes]:
     """The bytes of ``fh`` as a ``utf-8-sig`` text read sees them before decoding: a
     leading byte-order mark dropped (a file that is only the start of one reads as
     empty) and ``\\r\\n`` and a lone ``\\r`` made ``\\n``. Blocks of about
-    ``_BLOCK_BYTES`` end with a whole line (the last may lack its newline), so no
-    ``\\r\\n`` is split; ``\\r`` is in no multi-byte UTF-8 sequence, so bytes that
-    are not UTF-8 stay as they were."""
+    ``_BLOCK_BYTES`` end with a whole line (``_whole_lines``; the last may lack its
+    newline), so no ``\\r\\n`` is split; ``\\r`` is in no multi-byte UTF-8 sequence,
+    so bytes that are not UTF-8 stay as they were."""
     lead = codecs.BOM_UTF8
-    while block := fh.read(_BLOCK_BYTES):
-        block = block if block.endswith(b"\n") else block + fh.readline()
+    for block in _whole_lines(fh):
         block = b"" if lead.startswith(block) else block.removeprefix(lead)
         yield block.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in block else block
         lead = b""
+
+
+def _whole_lines(fh: BinaryIO) -> Iterator[bytes]:
+    """The bytes of ``fh`` in blocks that end where a line does: each read of
+    ``_BLOCK_BYTES`` ends at its last ``\\r`` or ``\\n``, so lone-CR line ends bound
+    a block as ``\\n`` does, and the rest starts the next block. A ``\\r`` that is
+    the last byte of a read waits for the next one, which may start with its
+    ``\\n``. A line longer than a read spans as many reads as it needs."""
+    parts: list[bytes | memoryview] = []  # what was read since the last line end
+    while block := fh.read(_BLOCK_BYTES):
+        end = max(block.rfind(b"\n"), block.rfind(b"\r", 0, len(block) - 1)) + 1
+        if not end:
+            parts.append(block)
+            continue
+        rest = block[end:]
+        parts.append(block if end == len(block) else memoryview(block)[:end])
+        # one bytes part joins to itself, uncopied; the read is dropped before the
+        # yield, so it does not live on beside the block the caller parses
+        whole, parts, block = b"".join(parts), [rest], b""
+        yield whole
+    if tail := b"".join(parts):
+        yield tail
 
 
 def _text_lines(blocks: Iterable[bytes]) -> Iterator[list[str]]:

@@ -11,14 +11,17 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from contextlib import contextmanager
 from importlib import import_module
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 
 import netgeom
 import netgeom.cli as cli_module
 from netgeom.cli import main
+from netgeom.generators import DoubleParetoSpec, configuration_model, generate_double_pareto_degrees
 from netgeom.graph import Graph, load_edge_list
 from netgeom.stats import Histogram, degree_histogram
 from record_cli_golden import GOLDEN_PATH, run_cases
@@ -690,6 +693,36 @@ class TestEmbedStream:
         assert peak < n * n * 4 // 2, f"peak {peak / 2**20:.1f} MiB"
 
 
+class TestEdgeFiles:
+    """edges.txt and dense_core_edges.txt are written a slice of edges at a time."""
+
+    @staticmethod
+    def heavy_tailed() -> Graph:
+        spec = DoubleParetoSpec(size=3000, alpha_left=1, alpha_right=3, break_degree=50, min_degree=10, seed=0)
+        g = configuration_model(generate_double_pareto_degrees(spec), seed=0)
+        return load_edge_list([f"{u} {v}" for u, v in g.edges()])  # labelled, as decompose writes it
+
+    def test_slices_join_to_one_line_per_edge(self, tmp_path, monkeypatch):
+        g = load_edge_list(["b a", "c a", "é b", "d c", "a d", "b c", "x y"])
+        monkeypatch.setattr(cli_module, "_EDGE_SLICE", 3)  # two full slices and one short
+        cli_module._write_edges(str(tmp_path), "edges.txt", g)
+        want = "".join(f"{g.label_of(u)} {g.label_of(v)}\n" for u, v in g.edges())
+        assert (tmp_path / "edges.txt").read_bytes() == want.encode()
+
+    def test_peak_per_edge(self, tmp_path, monkeypatch):
+        # slices of 4 096 edges make the write about 15 slices: only _ends and the label tables span it
+        g = self.heavy_tailed()
+        monkeypatch.setattr(cli_module, "_EDGE_SLICE", 1 << 12)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            cli_module._write_edges(str(tmp_path), "edges.txt", g)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 48 * g.edge_count
+
+
 class TestFlagValues:
     """Out-of-range flag values exit 1 at parse time: the input named here does
     not exist, so an error about anything but the flag means it was read."""
@@ -949,6 +982,103 @@ class TestConsoleScript:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("netgeom: error: ")
+
+    def test_help_into_a_broken_pipe_prints_no_traceback(self, console_script_env):
+        console_script_env.pop("PYTHONUNBUFFERED", None)  # the help waits in the buffer for the last flush
+        with broken_pipe() as stdout:
+            proc = subprocess.run(["netgeom", "--help"], stdout=stdout, stderr=subprocess.PIPE,
+                                  text=True, env=console_script_env)
+        assert (proc.returncode, proc.stderr) == (1, "")
+
+
+@contextmanager
+def broken_pipe() -> Iterator[int]:
+    """The write end of a pipe whose read end is closed, for a child's stdout."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        yield write
+    finally:
+        os.close(write)
+
+
+@pytest.fixture
+def exit_env(child_env):
+    """`child_env` with stdout buffered, so a child's output waits for its
+    last flush, and argparse's help laid out for 80 columns."""
+    child_env.pop("PYTHONUNBUFFERED", None)
+    child_env["COLUMNS"] = "80"
+    return child_env
+
+
+def cli_process(env, *argv: str, before: str = "", **kwargs) -> subprocess.CompletedProcess:
+    """``python -m netgeom.cli argv`` run by runpy, after ``before`` and after
+    registering an atexit hook that writes "teardown ran" to fd 2 if the
+    interpreter tears down."""
+    code = ("import atexit, os, runpy\n"
+            "atexit.register(os.write, 2, b'teardown ran\\n')\n"
+            + before + "runpy.run_module('netgeom.cli', run_name='__main__')\n")
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env, **kwargs)
+
+
+class TestProcessExit:
+    """A command-line process publishes its reports, flushes its streams and
+    exits without interpreter teardown, keeping main's exit code."""
+
+    def test_exit_codes_through_pipes_skip_teardown(self, tmp_path, exit_env):
+        empty = tmp_path / "empty.txt"
+        empty.write_text("# no edges\n")
+        for argv, code in ((["generate", "--appendage", "core=K4", "--out", str(tmp_path / "g")], 0),
+                           (["generate", "--appendage", "core=Z9", "--out", str(tmp_path / "bad")], 1),
+                           (["stats", "--graph", str(empty), "--out", str(tmp_path / "s")], 2)):
+            proc = cli_process(exit_env, *argv, capture_output=True, text=True)
+            assert proc.returncode == code, proc.stderr
+            lines = proc.stderr.splitlines()
+            assert len(lines) == (code != 0), lines
+            assert all(line.startswith("netgeom: error: ") for line in lines)
+            assert proc.stdout == ""
+        assert (tmp_path / "g" / "edges.txt").exists()
+
+    def test_help_and_version_reach_a_pipe_complete(self, exit_env, monkeypatch):
+        monkeypatch.setenv("COLUMNS", exit_env["COLUMNS"])
+        for flag, want in (("--help", cli_module.build_parser().format_help()),
+                           ("--version", f"netgeom {netgeom.__version__}\n")):
+            proc = cli_process(exit_env, flag, capture_output=True, text=True)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (0, want, "")
+
+    @pytest.mark.parametrize("flag", ["--help", "--version"])
+    @pytest.mark.parametrize("stdout", ["broken pipe", "closed"])
+    def test_stdout_that_cannot_be_written_exits_1_without_a_traceback(self, exit_env, flag, stdout):
+        if stdout == "broken pipe":
+            with broken_pipe() as fd:
+                proc = cli_process(exit_env, flag, stdout=fd, stderr=subprocess.PIPE, text=True)
+        else:  # the descriptor goes after start-up, so the output waits for the last flush
+            proc = cli_process(exit_env, flag, before="os.close(1)\n", capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (1, "")
+
+    def test_reports_match_an_in_process_run(self, tmp_path, exit_env):
+        jobs = {"generate": ["--double-pareto", "n=300", "alpha-left=1", "alpha-right=3", "break=20", "min=2",
+                             "--seed", "3"],
+                "stats": ["--graph", "edges.txt", "--giant", "--fit", "--paths", "exact", "--seniors", "5"],
+                "decompose": ["--graph", "edges.txt", "--giant"],
+                "depth": ["--graph", "edges.txt", "--giant", "--profile-bin", "0.5"],
+                "crawl-sim": ["--graph", "edges.txt", "--policy", "random", "--seed", "2"],
+                "estimate": ["--trace", "trace.csv"]}
+        inputs = {"edges.txt": "generate", "trace.csv": "crawl-sim"}
+        reports = {}
+        for side in ("process", "in-process"):
+            work = tmp_path / side
+            for name, argv in jobs.items():
+                argv = [name, *(str(work / inputs[a] / a) if a in inputs else a for a in argv),
+                        "--out", str(work / name)]
+                if side == "process":
+                    proc = cli_process(exit_env, *argv, capture_output=True, text=True)
+                    assert (proc.returncode, proc.stderr) == (0, ""), argv
+                else:
+                    assert run(*argv) == 0
+            reports[side] = {p.relative_to(work): p.read_bytes() for p in work.rglob("*") if p.is_file()}
+        assert len(reports["process"]) > 20
+        assert reports["process"] == reports["in-process"]
 
 
 def loaded_modules(child_env, code: str, *argv: str) -> list[str]:

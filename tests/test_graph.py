@@ -276,6 +276,8 @@ class TestParsingPaths:
     @example(b"a b\r\nc d\r\n", 1)  # CRLF blocks, each ending at its \n
     @example(b"a b\r\nc d\r\ne \xff\r\n", 1)  # CRLF blocks, then one that is not UTF-8
     @example(b"a b\r# x y z\r\rc d e\rf g\r", 1)  # lone CRs: one block, with a malformed line 4
+    @example(b"a b\r\nc d\r\n", 4)  # a \r that ends a read, its \n at the start of the next
+    @example(b"a b\rc d e\rf g\r", 5)  # lone CRs that end blocks, then a malformed line 2
     def test_binary_file_reads_like_the_text_file(self, data, block):
         # blocks of a few bytes put block ends inside lines and make files of many blocks
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
@@ -752,6 +754,18 @@ class TestTransientMemory:
         assert len(components(g).sizes) > 1
         peak = self.traced_peak(lambda: giant_core(g))
         assert peak <= 64 * g.edge_count
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    def test_binary_parse_per_edge_with_any_line_end(self, tmp_path, monkeypatch, end):
+        # blocks of 16 KiB make the file about 34 blocks: lone-CR line ends must bound them as \n does
+        g = self.heavy_tailed()
+        lo, hi = g._ends()
+        path = tmp_path / "g.txt"
+        path.write_bytes("".join(f"{u} {v}{end}" for u, v in zip(lo.tolist(), hi.tolist())).encode())
+        monkeypatch.setattr(graph_module, "_BLOCK_BYTES", 1 << 14)
+        with open(path, "rb") as fh:
+            peak = self.traced_peak(lambda: load_edge_list(fh))
+        assert peak <= 48 * g.edge_count
 
     def test_distance_block_holds_two_blocks(self):
         # a block of 64 int32 rows is 256 bytes per node

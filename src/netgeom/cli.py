@@ -80,6 +80,18 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # noqa: A003 - argparse API
         raise CliError(message)
 
+    def _print_message(self, message: str, file=None) -> None:
+        """argparse drops the OSError of a failed write of help or version text.
+        An unbuffered stdout that is closed, or a pipe whose reader has gone,
+        fails here rather than in ``run``'s flush, so end with status 1 here
+        too, with no traceback."""
+        file = file or sys.stderr
+        if message and file is not None:  # None when the descriptor was closed at start-up
+            try:
+                file.write(message)
+            except OSError:
+                raise SystemExit(1) from None
+
 
 # ---------------------------------------------------------------------------
 # shared plumbing
@@ -479,17 +491,20 @@ def _cmd_embed(args, out: str, g: Graph) -> None:
 
 
 def _cmd_reduce(args, out: str, g: Graph) -> None:
-    from .embedding import _check_max_pairs, build_cover_matrix, embed_full, reduce_references
+    from .embedding import (Embedding, _check_max_pairs, _narrow_rows, build_cover_matrix, embed_full,
+                            reduce_references)
 
-    _check_max_pairs(g.node_count, args.max_pairs)  # before embed_full allocates n x n
-    e = embed_full(g)
-    cm = build_cover_matrix(e, tolerance=args.tolerance)
-    r = reduce_references(cm, max_pairs=args.max_pairs)
+    n = g.node_count
+    _check_max_pairs(n, args.max_pairs)  # before the n x n table is allocated
+    # the traversal's blocks go straight into a table of one or two bytes a cell,
+    # which reduce_references takes as it is: no int32 n x n matrix is built
+    e = Embedding(references=tuple(range(n)), coords=embed_full(g, _narrow_rows), full=True)
+    r = reduce_references(build_cover_matrix(e, tolerance=args.tolerance), max_pairs=args.max_pairs)
     names = _names(g)
     _write_text(out, "refs.txt", _rows("", [names[v] for v in r.kept]))
     _write_hist(out, "distortion_hist.txt", "hop shortfall, pair count", r.distortion_histogram)
     summary = {
-        "initial_references": e.node_count,
+        "initial_references": n,
         "kept": len(r.kept),
         "essential": [names[v] for v in r.essential],
         "greedy": [names[v] for v in r.greedy],

@@ -12,17 +12,29 @@ The cover table is over the full embedding, where pair (p, q) is always covered
 by both column p and column q, so no reference is ever a pair's sole cover and
 greedy selection alone decides the kept set.
 
-The pass runs on a copy of the distance matrix in the narrowest signed dtype
-that holds the diameter (int8 up to 127 hops, then int16), where a coordinate
-difference cannot overflow, and counts covers by summing the 0/1 bytes of each
-block into int32. Pair index arrays use the smallest unsigned dtype that holds
-n - 1. One blocked max-abs-difference kernel serves the cover counts, the
-closing distortion check, ``chebyshev_matrix`` and ``embedding_distortion``.
+The pass runs on the distance matrix in the narrowest signed dtype that holds
+the diameter (int8 up to 127 hops, then int16), where a coordinate difference
+cannot overflow. Library callers hand it an int32 ``Embedding`` and it narrows
+a copy; the CLI fills the narrow table straight from the traversal's blocks
+(``_narrow_rows``), so it never holds an int32 n x n matrix. Cover counts sum
+the 0/1 bytes of at most 255 pair rows at a time in uint8, which cannot
+overflow and is about three times as fast as a sum into int32. Pair index
+arrays use the smallest unsigned dtype that holds n - 1, and every gather
+through them is a ``take`` of at most 32 K indices: numpy turns a narrow index
+array into an intp copy, and the chunks bound that copy. A pendant leaf's
+column equals its neighbour's plus one on every row but its own, so it covers
+every pair its neighbour covers except the pairs it is an end of: only the
+other columns are counted cell by cell, and a leaf's count is its neighbour's
+plus a correction over its own pairs (the degree-1 removal of Sariyuce et al.,
+TKDD 11(3), 2017, which exact depth and paths use too). The identity is checked
+on the matrix, so a matrix that is no graph metric is still counted exactly.
+One blocked max-abs-difference kernel serves the cover counts, the closing
+distortion check, ``chebyshev_matrix`` and ``embedding_distortion``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -224,23 +236,61 @@ def build_cover_matrix(e: Embedding, tolerance: int) -> CoverMatrix:
     return CoverMatrix(embedding=e, tolerance=tolerance)
 
 
+# At most _SUM_ROWS rows of 0/1 bytes are summed at once, so the sum fits in uint8;
+# gathers take at most _TAKE indices at once, which bounds the intp copy that
+# ``take`` makes of a narrow index array
+_SUM_ROWS = 255
+_TAKE = 1 << 15
+
+
+def _narrow_dtype(span: int) -> type:
+    return next(t for t in (np.int8, np.int16, np.int32, np.int64) if span <= np.iinfo(t).max)
+
+
 def _narrow(coords: np.ndarray) -> np.ndarray:
-    """Copy of integer coordinates in the narrowest signed dtype (int8 up) that
-    holds every value and every difference of two values.
+    """Integer coordinates in the narrowest signed dtype (int8 up) that holds
+    every value and every difference of two values: a copy, unless they are in
+    that dtype already.
 
     For hop distances that bound is the largest distance, so a graph of diameter
     at most 127 is compared in int8, a quarter of the memory traffic of int32.
     """
     span = int(coords.max(initial=0)) - min(int(coords.min(initial=0)), 0)
-    dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64) if span <= np.iinfo(t).max)
-    return coords.astype(dtype)
+    return coords.astype(_narrow_dtype(span), copy=False)
+
+
+def _narrow_rows(blocks: Iterable[np.ndarray]) -> np.ndarray:
+    """The full embedding's distance matrix, from its row blocks in node order,
+    in the dtype ``_narrow`` gives the whole matrix.
+
+    This is how the CLI hands ``reduce_references`` its table: as the consumer
+    of ``embed_full(g, consume)``, so no int32 n x n matrix is held. The table
+    is widened when a block holds a distance past its dtype, which the blocks
+    before it could not show.
+    """
+    table = None
+    s = top = 0
+    for block in blocks:
+        top = max(top, int(block.max(initial=0)))  # hop distances are never negative
+        if table is None:
+            table = np.empty((block.shape[1],) * 2, dtype=_narrow_dtype(top))
+        elif np.iinfo(table.dtype).max < top:
+            table = table.astype(_narrow_dtype(top))
+        table[s : s + len(block)] = block
+        s += len(block)
+    return table
+
+
+def _upper(m: np.ndarray) -> np.ndarray:
+    """Entries m[p, q], p < q, of a square array in row-major order."""
+    rows = [m[p, p + 1 :] for p in range(len(m))]
+    return np.concatenate(rows) if rows else np.empty(0, dtype=m.dtype)
 
 
 def _pair_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Pairs p < q of n nodes in row-major order, in the smallest unsigned dtype holding n - 1."""
     idx = np.arange(n, dtype=np.min_scalar_type(max(n - 1, 0)))
-    upper = idx[:, None] < idx
-    return np.broadcast_to(idx[:, None], (n, n))[upper], np.broadcast_to(idx, (n, n))[upper]
+    return np.repeat(idx, np.arange(n - 1, -1, -1)), _upper(np.broadcast_to(idx, (n, n)))
 
 
 def _check_max_pairs(n: int, max_pairs: int | None) -> None:
@@ -255,10 +305,10 @@ def _abs_diff_blocks(coords: np.ndarray, I: np.ndarray, J: np.ndarray) -> Iterat
     ``coords`` must come from ``_narrow``, so the differences cannot overflow.
     Blocks this small stay in cache, and no pair x column table is held whole.
     """
-    block = max(1, (1 << 18) // max(1, coords.shape[1]))
+    block = max(1, min(_TAKE, (1 << 18) // max(1, coords.shape[1])))
     for s in range(0, I.size, block):
-        diff = coords[I[s : s + block]]
-        np.subtract(diff, coords[J[s : s + block]], out=diff)
+        diff = coords.take(I[s : s + block], axis=0)
+        np.subtract(diff, coords.take(J[s : s + block], axis=0), out=diff)
         np.abs(diff, out=diff)
         yield s, diff
 
@@ -268,9 +318,64 @@ def _cover_counts(coords: np.ndarray, I: np.ndarray, J: np.ndarray, thresh: np.n
     counts = np.zeros(coords.shape[1], dtype=np.int64)
     for s, diff in _abs_diff_blocks(coords, I, J):
         covered = diff >= thresh[s : s + len(diff), None]
-        # summing the 0/1 bytes into int32 is about twice as fast as bool.sum
-        counts += np.add.reduce(covered.view(np.int8), axis=0, dtype=np.int32)
+        # a uint8 sum of 0/1 bytes is about three times as fast as one into int32
+        for r in range(0, len(covered), _SUM_ROWS):
+            counts += np.add.reduce(covered[r : r + _SUM_ROWS].view(np.uint8), axis=0, dtype=np.uint8)
     return counts
+
+
+def _derived_columns(coords: np.ndarray) -> np.ndarray:
+    """``nbr[k] = u`` for each column k that equals column u plus one on every
+    row but k, where u is not such a column itself; -1 for every other column.
+
+    On a distance matrix these are the pendant leaves k and their neighbours u
+    (the degree-1 removal of Sariyuce et al., TKDD 11(3), 2017), but the
+    identity is checked on the matrix, not assumed: a candidate is a row with
+    exactly one entry 1, whose column is then compared with the column its 1
+    names. Neither scan holds more than about 256 K cells at once.
+    """
+    n = len(coords)
+    nbr = np.full(n, -1, dtype=np.intp)
+    block = max(1, (1 << 18) // max(1, n))
+    for s in range(0, n, block):
+        ones = coords[s : s + block] == 1
+        single = np.flatnonzero(np.add.reduce(ones, axis=1, dtype=np.intp) == 1)
+        nbr[s + single] = ones[single].argmax(axis=1)
+    cand = np.flatnonzero(nbr >= 0)
+    for s in range(0, cand.size, block):
+        k = cand[s : s + block]
+        diff = coords.take(k, axis=1) - coords.take(nbr[k], axis=1)
+        diff[k, np.arange(k.size)] = 1  # row k of column k is not compared
+        nbr[k[~(diff == 1).all(axis=0)]] = -1
+    k = np.flatnonzero(nbr >= 0)
+    nbr[k[nbr[nbr[k]] >= 0]] = -1  # a neighbour that is derived itself is not counted by cells
+    return nbr
+
+
+def _leaf_deltas(coords: np.ndarray, nbr: np.ndarray, I: np.ndarray, J: np.ndarray,
+                 thresh: np.ndarray) -> np.ndarray:
+    """Per derived column k (``nbr[k] >= 0``), the sum of cover(r; k) - cover(r; nbr[k])
+    over the pairs r among (I, J) that have k as an end; 0 for every other column.
+
+    A derived column covers every other pair exactly when its neighbour does,
+    so its count is its neighbour's plus this sum.
+    """
+    n = len(coords)
+    flat = coords.reshape(-1)
+    deltas = np.zeros(n, dtype=np.int64)
+    step = max(1, _TAKE // 4)  # both ends of a pair are gathered, into several index arrays
+    for s in range(0, I.size, step):
+        i, j = I[s : s + step], J[s : s + step]
+        ends = np.concatenate((i, j))
+        r = np.flatnonzero(nbr.take(ends) >= 0)
+        k = ends.take(r).astype(np.intp)
+        x = np.concatenate((j, i)).take(r).astype(np.intp)
+        t = thresh[s : s + step].take(r % i.size)
+        kn, xn, u = k * n, x * n, nbr.take(k)
+        k_covers = np.abs(flat.take(kn + k) - flat.take(xn + k)) >= t
+        u_covers = np.abs(flat.take(kn + u) - flat.take(xn + u)) >= t
+        deltas += np.bincount(k, k_covers.view(np.int8) - u_covers.view(np.int8), n).astype(np.int64)
+    return deltas
 
 
 def _chebyshev_pairs(coords: np.ndarray, I: np.ndarray, J: np.ndarray) -> np.ndarray:
@@ -289,11 +394,89 @@ def _pair_distances(coords: np.ndarray, columns: Sequence[int]) -> tuple[np.ndar
     """
     I, J = _pair_arrays(coords.shape[0])
     sub = np.ascontiguousarray(coords[:, list(columns)])  # a column gather is laid out F-order
-    return coords[I, J], _chebyshev_pairs(sub, I, J)
+    return _upper(coords), _chebyshev_pairs(sub, I, J)
 
 
 def _shortfall_histogram(shortfall: np.ndarray) -> Histogram:
-    return Histogram({int(v): int(c) for v, c in enumerate(np.bincount(shortfall)) if c > 0})
+    # bincount makes an intp copy of its input, so it takes _TAKE values at a time
+    counts = np.zeros(int(shortfall.max(initial=0)) + 1, dtype=np.int64)
+    for s in range(0, shortfall.size, _TAKE):
+        chunk = np.bincount(shortfall[s : s + _TAKE])
+        counts[: chunk.size] += chunk
+    return Histogram({int(v): int(c) for v, c in enumerate(counts) if c > 0})
+
+
+def _covered_pairs(row: np.ndarray, I: np.ndarray, J: np.ndarray,
+                   thresh: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Yield (I, J, thresh) of the pairs that the distance ``row`` covers, in
+    batches of about ``_TAKE`` pairs, and mark each one covered in place: it
+    becomes (q, q) at threshold 1, which no column covers.
+
+    The scan gathers at most ``_TAKE`` pairs at once.
+    """
+    batch: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    size = 0
+    for s in range(0, I.size, _TAKE):
+        i, j, t = I[s : s + _TAKE], J[s : s + _TAKE], thresh[s : s + _TAKE]
+        diff = row.take(i)
+        np.subtract(diff, row.take(j), out=diff)
+        at = np.flatnonzero(np.abs(diff, out=diff) >= t)
+        if at.size:
+            batch.append((i.take(at), j.take(at), t.take(at)))
+            i[at], t[at] = batch[-1][1], 1
+            size += at.size
+        if batch and (size >= _TAKE or s + _TAKE >= I.size):
+            pairs = tuple(np.concatenate(ends) for ends in zip(*batch))
+            batch, size = [], 0  # the pieces are freed before the batch is counted
+            yield pairs
+
+
+def _greedy_picks(coords: np.ndarray, tolerance: int) -> list[int]:
+    """The references that greedy set cover picks, in pick order (see
+    ``reduce_references``), on a symmetric table from ``_narrow`` or
+    ``_narrow_rows`` at a tolerance that the table's dtype holds.
+
+    The columns that ``_derived_columns`` names get their counts each round
+    from their neighbour's count and their correction; the others lose, each
+    round, the cover counts of the pairs that the round covers.
+    """
+    n = len(coords)
+    I, J = _pair_arrays(n)
+    thresh = _upper(coords)
+    np.maximum(np.subtract(thresh, tolerance, out=thresh), 0, out=thresh)
+
+    nbr = _derived_columns(coords)
+    derived = np.flatnonzero(nbr >= 0)
+    hubs = nbr[derived]
+    cells = np.flatnonzero(nbr < 0)
+    table = np.ascontiguousarray(coords[:, cells])
+    counts = np.zeros(n, dtype=np.int64)
+    counts[cells] = _cover_counts(table, I, J, thresh)
+    deltas = _leaf_deltas(coords, nbr, I, J, thresh)
+
+    picks: list[int] = []
+    live = I.size
+    while live:
+        counts[derived] = counts[hubs] + deltas[derived]
+        col = int(np.argmax(counts))
+        picks.append(col)
+        expected, before = int(counts[col]), live
+        # the table is symmetric, so column col is read as the contiguous row col
+        for i, j, t in _covered_pairs(coords[col], I, J, thresh):
+            counts[cells] -= _cover_counts(table, i, j, t)
+            deltas -= _leaf_deltas(coords, nbr, i, j, t)
+            live -= i.size
+        if before - live != expected:  # exact counts; and as expected >= 1, the loop ends
+            raise AssertionError(f"reference {col} covered {before - live} pairs, not its count {expected}")
+        if 2 * live <= I.size:  # pack the uncovered pairs to the front, in order
+            w = 0
+            for s in range(0, I.size, _TAKE):
+                at = np.flatnonzero(I[s : s + _TAKE] != J[s : s + _TAKE])
+                for a in (I, J, thresh):
+                    a[w : w + at.size] = a[s : s + _TAKE].take(at)
+                w += at.size
+            I, J, thresh = I[:w], J[:w], thresh[:w]
+    return picks
 
 
 def reduce_references(cm: CoverMatrix, max_pairs: int | None = None) -> ReductionResult:
@@ -306,33 +489,29 @@ def reduce_references(cm: CoverMatrix, max_pairs: int | None = None) -> Reductio
     pair is always covered by its own two endpoints. No reference is ever the
     sole cover of a pair for the same reason, so there is no essential phase
     and ``essential`` is always empty. The final max distortion is verified
-    against the tolerance before returning. All of it runs on a narrow copy of
-    the coordinates (see the module docstring); ``cm.embedding`` is unchanged.
+    against the tolerance before returning, from the kept columns as they are.
+
+    All of it runs on the coordinates as ``_narrow`` gives them (see the module
+    docstring): a copy of an int32 embedding, or as they are when they are
+    narrow already, as the table the CLI fills from the traversal's blocks with
+    ``_narrow_rows`` is; ``cm.embedding`` is unchanged. Cover counts sum 0/1
+    bytes in uint8 over at most ``_SUM_ROWS`` pair rows at a time. Only the
+    columns that ``_derived_columns`` does not derive (all but the pendant
+    leaves) are counted cell by cell, from a table of those columns; a derived
+    column's count is its neighbour's plus a correction over the pairs it is an
+    end of, kept exact round by round, so every count is exact. Every gather,
+    the per-round scan and the selection of a round's covered pairs take at
+    most ``_TAKE`` indices at once; a covered pair is marked in place, and the
+    pairs still uncovered are packed to the front once they fill at most half
+    of the pair arrays.
 
     ``max_pairs`` aborts up front when the pair count exceeds the budget.
     """
-    n = cm.node_count
-    _check_max_pairs(n, max_pairs)
+    _check_max_pairs(cm.node_count, max_pairs)
     coords = _narrow(cm.embedding.coords)
     # A tolerance beyond the diameter changes nothing, and clamped it fits the
     # narrow dtype: under numpy 2 casting, int8 - 1000 raises OverflowError.
-    tolerance = min(cm.tolerance, int(coords.max()))
-    I, J = _pair_arrays(n)
-    thresh = np.maximum(coords[I, J] - tolerance, 0)
-    counts = _cover_counts(coords, I, J, thresh)
-
-    greedy: list[int] = []
-    while I.size:
-        col = int(np.argmax(counts))
-        greedy.append(col)
-        # the table is symmetric, so column col is read as the contiguous row col
-        row = coords[col]
-        hit = np.abs(row[I] - row[J]) >= thresh
-        counts -= _cover_counts(coords, I[hit], J[hit], thresh[hit])
-        miss = ~hit
-        I, J, thresh = I[miss], J[miss], thresh[miss]
-
-    kept = tuple(sorted(greedy))
+    kept = tuple(sorted(_greedy_picks(coords, min(cm.tolerance, int(coords.max())))))
     true, estimate = _pair_distances(coords, kept)
     distortion = true - estimate
     max_d = int(distortion.max()) if distortion.size else 0

@@ -440,7 +440,7 @@ class TestErrorLines:
     def test_out_of_memory_is_one_line_exit_2(self, tmp_path, capsys, monkeypatch, message, line):
         src = write_p5(tmp_path)
 
-        def no_memory(g):
+        def no_memory(g, consume=None):
             raise MemoryError(message)
 
         monkeypatch.setattr("netgeom.embedding.embed_full", no_memory)
@@ -1046,13 +1046,18 @@ class TestProcessExit:
             proc = cli_process(exit_env, flag, capture_output=True, text=True)
             assert (proc.returncode, proc.stdout, proc.stderr) == (0, want, "")
 
+    @pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "PYTHONUNBUFFERED=1"])
     @pytest.mark.parametrize("flag", ["--help", "--version"])
     @pytest.mark.parametrize("stdout", ["broken pipe", "closed"])
-    def test_stdout_that_cannot_be_written_exits_1_without_a_traceback(self, exit_env, flag, stdout):
+    def test_stdout_that_cannot_be_written_exits_1_without_a_traceback(self, exit_env, flag, stdout,
+                                                                       unbuffered):
+        # buffered, the write fails in run's last flush; unbuffered, in argparse's own write
+        if unbuffered:
+            exit_env["PYTHONUNBUFFERED"] = unbuffered
         if stdout == "broken pipe":
             with broken_pipe() as fd:
                 proc = cli_process(exit_env, flag, stdout=fd, stderr=subprocess.PIPE, text=True)
-        else:  # the descriptor goes after start-up, so the output waits for the last flush
+        else:  # the descriptor goes after start-up, when sys.stdout is already made
             proc = cli_process(exit_env, flag, before="os.close(1)\n", capture_output=True, text=True)
         assert (proc.returncode, proc.stderr) == (1, "")
 

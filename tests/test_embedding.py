@@ -5,8 +5,13 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import netgeom.embedding as embedding_module
 from netgeom.embedding import (
+    Embedding,
+    _narrow_rows,
     build_cover_matrix,
     chebyshev_distance,
     chebyshev_matrix,
@@ -15,6 +20,7 @@ from netgeom.embedding import (
     embedding_distortion,
     reduce_references,
 )
+from netgeom.graph import Graph
 
 from util import (
     brute_force_min_cover,
@@ -241,6 +247,56 @@ class TestReduction:
             reduce_references(build_cover_matrix(e, 0), max_pairs=100)
 
 
+def caterpillar(legs) -> Graph:
+    """A spine path with legs[i] pendant leaves hung on spine node i."""
+    edges = [(i, i + 1) for i in range(len(legs) - 1)]
+    n = len(legs)
+    for i, k in enumerate(legs):
+        edges += [(i, v) for v in range(n, n + k)]
+        n += k
+    return Graph.from_edges(n, edges)
+
+
+@st.composite
+def graphs_with_leaves(draw) -> Graph:
+    """A random connected graph of 1 to 10 nodes with 1 to 12 pendant nodes
+    hung one by one on random earlier nodes, so that several leaves share a
+    neighbour and some leaves grow into chains; node ids shuffled."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    base = draw(st.integers(1, 10))
+    edges = list(random_connected(base, rng.randrange(0, 2 * base + 1), rng).edges()) if base > 1 else []
+    n = base + draw(st.integers(1, 12))
+    edges += [(rng.randrange(v), v) for v in range(base, n)]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph.from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def counted_columns(g: Graph) -> list[int]:
+    """Nodes whose cover columns are counted cell by cell: all but the leaves
+    whose neighbour is not a leaf too."""
+    return [v for v in range(g.node_count)
+            if not (g.degree(v) == 1 and g.degree(g.neighbors(v)[0]) > 1)]
+
+
+def assert_reduction_matches_oracles(e: Embedding, tolerances=range(4)) -> None:
+    """``kept`` and ``greedy`` equal plain greedy set cover, and the distortion
+    profile equals one computed in int64 from the kept columns."""
+    d = e.coords.astype(np.int64)
+    upper = np.triu_indices(e.node_count, k=1)
+    for tol in tolerances:
+        cm = build_cover_matrix(e, tol)
+        picks = tuple(sorted(greedy_cover(cm.rows())))
+        r = reduce_references(cm)
+        assert r.kept == r.greedy == picks, tol
+        cols = d[:, list(r.kept)]
+        shortfall = (d - np.abs(cols[:, None, :] - cols[None, :, :]).max(axis=2))[upper]
+        assert r.max_distortion == int(shortfall.max()) <= tol
+        assert r.distortion_histogram.bins == {
+            int(v): int(c) for v, c in zip(*np.unique(shortfall, return_counts=True))
+        }
+
+
 def pendant_triangle_path(diameter: int):
     """A path of diameter + 1 nodes with a triangle hanging off its middle node."""
     mid, a, b = diameter // 2, diameter + 1, diameter + 2
@@ -277,6 +333,19 @@ class TestNarrowDtype:
         assert e.coords.dtype == np.int32
         assert np.array_equal(e.coords, coords)
 
+    @pytest.mark.parametrize("diameter", [127, 128])
+    def test_table_from_the_kernel_blocks(self, diameter):
+        g = pendant_triangle_path(diameter)
+        table = embed_full(g, _narrow_rows)
+        assert table.dtype == (np.int8 if diameter == 127 else np.int16)
+        assert np.array_equal(table, embed_full(g).coords)
+
+    def test_table_is_widened_by_a_later_block(self):
+        blocks = [np.array([[0, 1, 2], [1, 0, 1]], dtype=np.int32), np.array([[2, 1, 300]], dtype=np.int32)]
+        table = _narrow_rows(iter(blocks))
+        assert table.dtype == np.int16
+        assert np.array_equal(table, np.concatenate(blocks))
+
 
 class TestGreedyOracle:
     def test_reduction_matches_plain_greedy_set_cover(self):
@@ -296,6 +365,63 @@ class TestGreedyOracle:
     def test_oracle_breaks_ties_to_the_lowest_reference(self):
         rows = [((0, 1), (3, 5)), ((0, 2), (5, 3)), ((1, 2), (2, 4))]
         assert greedy_cover(rows) == [3, 2]
+
+    @staticmethod
+    def spy_on_cover_counts(monkeypatch) -> list[np.ndarray]:
+        """The tables that ``_cover_counts`` is given, from here on."""
+        seen = []
+        real = embedding_module._cover_counts
+
+        def spy(table, I, J, thresh):
+            seen.append(table.copy())
+            return real(table, I, J, thresh)
+
+        monkeypatch.setattr(embedding_module, "_cover_counts", spy)
+        return seen
+
+    @pytest.mark.parametrize("g", [
+        star_graph(1), star_graph(2), star_graph(9), path_graph(2), path_graph(3), path_graph(7),
+        caterpillar([3, 0, 2, 4]), caterpillar([0, 5, 0]), caterpillar([1, 1, 1, 1, 1, 1]),
+        *(random_connected(n, 0, random.Random(n)) for n in (5, 12, 30)),
+    ], ids=["S1", "S2", "S9", "P2", "P3", "P7", "cat-3024", "cat-050", "cat-111111",
+            "tree5", "tree12", "tree30"])
+    def test_leaves_on_one_neighbour_are_counted_from_it(self, monkeypatch, g):
+        seen = self.spy_on_cover_counts(monkeypatch)
+        e = embed_full(g)
+        assert_reduction_matches_oracles(e)
+        # only the columns of nodes that are not leaves hung on a non-leaf are counted by cells
+        cells = counted_columns(g)
+        assert seen and all(np.array_equal(table, e.coords[:, cells]) for table in seen)
+
+    def test_leaves_of_p2_and_p3(self):
+        # in P2 each node is the other's leaf: neither may be derived from the other
+        assert list(embedding_module._derived_columns(embed_full(path_graph(2)).coords)) == [-1, -1]
+        assert list(embedding_module._derived_columns(embed_full(path_graph(3)).coords)) == [1, -1, 1]
+
+    def test_identity_is_checked_on_the_matrix(self, monkeypatch):
+        d = embed_full(path_graph(5)).coords.copy()
+        assert list(embedding_module._derived_columns(d)) == [1, -1, -1, -1, 3]
+        # d(0, 4) = 2 is no graph metric: rows 0 and 4 still hold a single 1 each, but
+        # column 4 is no longer column 3 plus one, nor column 0 column 1 plus one
+        d[0, 4] = d[4, 0] = 2
+        assert list(embedding_module._derived_columns(d)) == [-1] * 5
+        seen = self.spy_on_cover_counts(monkeypatch)
+        assert_reduction_matches_oracles(Embedding(references=tuple(range(5)), coords=d, full=True))
+        assert seen and all(np.array_equal(table, d) for table in seen)
+
+    @pytest.mark.parametrize("sum_rows, take", [(1, 1), (7, 7), (1, 7), (7, 1)])
+    def test_sums_and_gathers_across_chunk_edges(self, monkeypatch, sum_rows, take):
+        monkeypatch.setattr(embedding_module, "_SUM_ROWS", sum_rows)
+        monkeypatch.setattr(embedding_module, "_TAKE", take)
+        rng = random.Random(22)
+        for g in (star_graph(9), caterpillar([2, 0, 3, 1]), random_connected(24, 20, rng),
+                  random_connected(30, 0, rng)):
+            assert_reduction_matches_oracles(embed_full(g))
+
+    @settings(max_examples=100, deadline=None)
+    @given(graphs_with_leaves(), st.integers(0, 3))
+    def test_graphs_with_pendant_leaves_match_plain_greedy(self, g, tol):
+        assert_reduction_matches_oracles(embed_full(g), [tol])
 
 
 class TestDistortionReport:

@@ -17,6 +17,7 @@ import netgeom.embedding as embedding_module
 import netgeom.graph as graph_module
 import netgeom.stats as stats_module
 import netgeom.structure as structure_module
+from netgeom.cli import main
 from netgeom.embedding import embed, embed_full, embedding_distortion
 from netgeom.generators import DoubleParetoSpec, configuration_model, generate_double_pareto_degrees
 from netgeom.graph import (
@@ -718,7 +719,8 @@ class TestHookingEdgeCases:
 
 
 class TestTransientMemory:
-    """Traced bytes that the build and the giant core allocate beyond their input."""
+    """Traced bytes that the build, the giant core and the CLI's reduce path
+    allocate beyond their input."""
 
     @staticmethod
     def traced_peak(build) -> int:
@@ -772,6 +774,20 @@ class TestTransientMemory:
         g = self.heavy_tailed()
         peak = self.traced_peak(lambda: next(_distance_blocks(g, range(64))))
         assert peak <= 2 * 256 * g.node_count
+
+    def test_cli_reduce_holds_no_int32_table(self, tmp_path):
+        # a 603-node core as the benchmark's reduce workload draws it; the CLI fills a
+        # one-byte table from the kernel blocks and peaks at about 8.6 bytes a cell at
+        # tolerance 2, where building the int32 matrix first took it to 12.6
+        spec = DoubleParetoSpec(size=630, alpha_left=1.5, alpha_right=2.5, break_degree=10, min_degree=1,
+                                seed=7)
+        g = giant_core(configuration_model(generate_double_pareto_degrees(spec), seed=7))
+        src = tmp_path / "core.txt"
+        src.write_text("".join(f"{g.label_of(u)} {g.label_of(v)}\n" for u, v in g.edges()))
+        argv = ["reduce", "--graph", str(src), "--tolerance", "2", "--out", str(tmp_path / "r")]
+        assert main(argv) == 0  # imports and caches stay out of the traced run
+        peak = self.traced_peak(lambda: main(argv))
+        assert peak <= 11 * g.node_count ** 2
 
 
 def adjacency_of(n: int, edges) -> tuple[list[list[int]], int, int]:

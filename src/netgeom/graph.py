@@ -12,8 +12,9 @@ made on the way in.
 
 An edge list is parsed a piece at a time by one tokenizer, ``_byte_tokens``:
 it splits ASCII bytes into tokens in numpy and tells labels apart by a uint64
-key of each token's bytes, so only a label not seen before becomes a Python
-string. It takes the blocks of whole lines read from a binary file as they
+key of each token's bytes. ``_Labels.of_keys`` ranks a piece's keys with one
+sort, and only a label not seen before becomes a Python string, read from its
+key. It takes the blocks of whole lines read from a binary file as they
 are, their line ends already made ``\\n`` by ``_line_blocks``, and the chunks of
 text lines as their ASCII bytes. A piece it cannot take (non-ASCII text, a NUL,
 a token over 8 bytes, a malformed line) is split as Python strings by one line
@@ -29,7 +30,7 @@ node's levels go into uint64 bit planes, one per bit of the level number, and
 each block's int32 rows are built from them once, when its BFS ends. ``bfs``,
 depth, path lengths and the full embedding are folds over its blocks of
 distance rows. Analyses defined on one component call ``_require_connected``
-before any traversal.
+before any traversal, except on a giant core that ``_component_summary`` cut.
 
 Exact depth and exact path lengths traverse only the 2-core. ``_peel``, the
 one peel of degree-1 nodes, splits a graph into the core and the pendant
@@ -102,7 +103,8 @@ class Graph:
         Counts of input edges discarded during construction.
     """
 
-    __slots__ = ("indptr", "indices", "labels", "origin_nodes", "self_loops_dropped", "duplicate_edges_dropped")
+    __slots__ = ("indptr", "indices", "labels", "origin_nodes", "self_loops_dropped", "duplicate_edges_dropped",
+                 "_connected")  # True only on a giant core _component_summary cut; not in __eq__ or __hash__
 
     def __init__(self, adjacency: Sequence[Sequence[int]], labels: tuple[str, ...] | None = None,
                  origin_nodes: tuple[int, ...] | None = None, self_loops_dropped: int = 0,
@@ -152,6 +154,7 @@ class Graph:
         self.origin_nodes = origin_nodes
         self.self_loops_dropped = self_loops_dropped
         self.duplicate_edges_dropped = duplicate_edges_dropped
+        self._connected = False
 
     @classmethod
     def _from_keys(cls, n: int, keys: np.ndarray, *args) -> "Graph":
@@ -336,18 +339,18 @@ def load_edge_list(source: Iterable[str] | BinaryIO) -> Graph:
         blocks = _line_blocks(source)
         source = ()
         for block in blocks:
-            keyed = _byte_tokens(block, ord("\n")) if b"\0" not in block else None  # a NUL is part of a label
-            if keyed is None:
+            keys = _byte_tokens(block, ord("\n")) if b"\0" not in block else None  # a NUL is part of a label
+            if keys is None:
                 source = chain.from_iterable(_text_lines(chain([block], blocks)))
                 break
-            ids.append(labels.of_keys(block, *keyed))
+            ids.append(labels.of_keys(keys))
             done += block.count(b"\n")
     lines = iter(source)
     while chunk := list(islice(lines, _CHUNK_LINES)):
         data = "\0".join(chunk).encode()
-        keyed = _byte_tokens(data, 0) if data.count(b"\0") == len(chunk) - 1 else None  # no NUL in a line
-        if keyed is not None:
-            ids.append(labels.of_keys(data, *keyed))
+        keys = _byte_tokens(data, 0) if data.count(b"\0") == len(chunk) - 1 else None  # no NUL in a line
+        if keys is not None:
+            ids.append(labels.of_keys(keys))
         else:
             ids.append(labels.of_tokens(_line_tokens(chunk, first_line=done + 1)))
         done += len(chunk)
@@ -414,15 +417,24 @@ class _Labels:
             self.index.setdefault(label, len(self.index))
         return np.fromiter(map(self.index.__getitem__, tokens), dtype=np.int64, count=len(tokens))
 
-    def of_keys(self, data: bytes, keys: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-        """Ids of the tokens ``data[starts[i]:ends[i]]``, whose keys are ``keys``."""
+    def of_keys(self, keys: np.ndarray) -> np.ndarray:
+        """Ids of the tokens whose keys are ``keys``, which it sorts in place as ``key << shift | index``
+        if the largest key leaves the index room (labels of up to 5 bytes in a 1 MiB block), else
+        by ``argsort``. A label not met before is read from its key: its bytes, NUL-padded."""
         if not keys.size:
             return np.zeros(0, dtype=np.int64)
-        order = np.argsort(keys)
-        ranked = keys[order]
-        head = np.r_[True, ranked[1:] != ranked[:-1]]
-        heads = np.flatnonzero(head)
-        distinct, first = ranked[heads], np.minimum.reduceat(order, heads)  # first token of each key
+        shift = (len(keys) - 1).bit_length()
+        if packed := int(keys.max()).bit_length() + shift <= 64:
+            keys <<= np.uint64(shift)
+            keys |= np.arange(len(keys), dtype=np.uint64)
+            keys.sort()
+            ranked = keys >> np.uint64(shift)
+            order = np.bitwise_and(keys, np.uint64((1 << shift) - 1), out=keys).view(np.int64)
+        else:
+            order = np.argsort(keys)
+            ranked = keys[order]
+        heads = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])  # where each run of a key starts
+        distinct, first = ranked[heads], order[heads] if packed else np.minimum.reduceat(order, heads)
         at = np.searchsorted(self.keys, distinct)
         known = np.zeros(len(distinct), dtype=bool)
         if self.keys.size:
@@ -431,33 +443,33 @@ class _Labels:
         uid[known] = self.ids[at[known]]
         if (new := np.flatnonzero(~known)).size:
             seen = new[np.argsort(first[new])]  # in first-appearance order
-            spans = zip(starts[first[seen]].tolist(), ends[first[seen]].tolist())
-            # the line loop may have numbered the label already
-            uid[seen] = [self.index.setdefault(data[a:b].decode("ascii"), len(self.index)) for a, b in spans]
-            table = np.concatenate((self.keys, distinct[new]))
-            by_key = np.argsort(table)
-            self.keys, self.ids = table[by_key], np.concatenate((self.ids, uid[new]))[by_key]
-        out = np.empty(len(keys), dtype=np.int64)
-        out[order] = uid[np.cumsum(head) - 1]
+            # "S8" drops the NUL padding, no token holds a space, and the line loop may have numbered a label
+            labels = b" ".join(distinct[seen].astype("<u8", copy=False).view("S8").tolist()).decode().split(" ")
+            uid[seen] = [self.index.setdefault(label, len(self.index)) for label in labels]
+            at = at[new]  # distinct is sorted, so inserting each new key before at keeps the table sorted
+            self.keys, self.ids = np.insert(self.keys, at, distinct[new]), np.insert(self.ids, at, uid[new])
+        out = ranked.view(np.int64)  # spent: its buffer takes each token's id
+        out[order] = np.repeat(uid, np.diff(heads, append=len(keys)))
         return out
 
 
-def _byte_tokens(data: bytes, sep: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+def _byte_tokens(data: bytes, sep: int) -> np.ndarray | None:
     """The data tokens of the lines of ``data`` that byte ``sep`` separates,
-    as uint64 keys with their start and end offsets; None unless ``data`` is
-    ASCII, every data token has at most 8 bytes and each data line has exactly
-    two tokens. The caller sees to it that ``sep`` is the only line break in
-    ``data`` and that no NUL is inside a line.
+    in order, as uint64 keys; None unless ``data`` is ASCII, every data token
+    has at most 8 bytes and each data line has exactly two tokens. The caller
+    sees to it that ``sep`` is the only line break in ``data`` and that no NUL
+    is inside a line.
 
     A key is the token's bytes read little-endian from a zero-padded 8-byte
     window, so distinct tokens of 1 to 8 non-NUL bytes have distinct keys.
     """
     if not data.isascii():
         return None
-    inside = np.frombuffer(b"\0" + data.translate(_IN_TOKEN) + b"\0", dtype=bool)
+    padded = b"\0" + data + bytes(8)  # a NUL before the first token, and room for the last window
+    inside = np.frombuffer(padded.translate(_IN_TOKEN), dtype=bool)
     flips = np.flatnonzero(inside[1:] != inside[:-1])
     starts, ends = flips[0::2], flips[1::2]
-    raw = np.frombuffer(data + bytes(8), dtype=np.uint8)
+    raw = np.frombuffer(padded, dtype=np.uint8, offset=1)
     breaks = np.flatnonzero(raw[: len(data)] == sep)
     tokens = np.diff(np.searchsorted(starts, breaks), prepend=0, append=len(starts))  # per line
     if b"#" in data:  # drop the lines whose first token starts with '#'
@@ -471,7 +483,8 @@ def _byte_tokens(data: bytes, sep: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     if not ((tokens == 0) | (tokens == 2)).all() or (width.size and width.max() > 8):
         return None
     windows = np.ndarray(len(data), dtype="<u8", buffer=raw, strides=(1,))
-    return windows[starts] & _LOW_BYTES[width], starts, ends
+    keys = windows[starts]
+    return np.bitwise_and(keys, _LOW_BYTES[width], out=keys)
 
 
 def _line_tokens(lines: list[str], first_line: int = 1) -> list[str]:
@@ -640,24 +653,26 @@ def bfs(g: Graph, source: int) -> DistanceMap:
 def _component_ids(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     """Component id per node, numbered by each component's smallest node, and the sizes.
 
-    Min-label hooking with pointer jumping: every round points each tree root
-    at the smallest root across its edges, then shortcuts every node to its
-    root. A tree either hooks or is hooked within two rounds, so the number of
-    trees per component at least halves every two rounds. Roots only ever point
-    to smaller nodes, so a component's root is its smallest node.
+    Min-label hooking with pointer jumping (Shiloach and Vishkin, J. Algorithms 3(1), 1982) over the
+    CSR rows: every round points each tree root at the smallest root across its nodes' rows, by one
+    ``minimum.reduceat``, then shortcuts every node to its root; round one is O(n), since a node's
+    smallest neighbour heads its sorted row. A tree hooks or is hooked within two rounds, so the trees
+    per component at least halve every two rounds. Roots only point to smaller nodes, so a
+    component's root is its smallest node.
     """
     n = g.node_count
+    linked = np.flatnonzero(np.diff(g.indptr))
+    starts = g.indptr[linked]
     root = np.arange(n)
-    lo, hi = g._ends()
+    root[linked] = np.minimum(linked, g.indices[starts])
     while True:
         while not np.array_equal(jumped := root[root], root):
             root = jumped
-        lo, hi = root[lo], root[hi]  # exact: root[old root of x] == root[x] once jumped
-        apart = lo != hi
-        if not apart.any():
+        low = np.minimum.reduceat(root[g.indices], starts)  # the smallest root across each row
+        hook = low < root[linked]
+        if not hook.any():
             break
-        lo, hi = lo[apart], hi[apart]
-        np.minimum.at(root, np.maximum(lo, hi), np.minimum(lo, hi))
+        np.minimum.at(root, root[linked[hook]], low[hook])
     first = root == np.arange(n)
     cid = (np.cumsum(first) - 1)[root]
     return cid, np.bincount(cid, minlength=int(first.sum()))
@@ -676,7 +691,7 @@ def components(g: Graph) -> ComponentLabeling:
 
 def _require_connected(g: Graph, hint: str) -> None:
     """Raise ValueError, naming the component count and then ``hint``, if ``g`` is disconnected."""
-    if (count := len(_component_ids(g)[1])) > 1:
+    if not g._connected and (count := len(_component_ids(g)[1])) > 1:
         raise ValueError(f"graph is disconnected ({count} components); {hint}")
 
 
@@ -691,6 +706,7 @@ def _induced(g: Graph, keep: np.ndarray, ends: tuple[np.ndarray, np.ndarray] | N
         sub = Graph.__new__(Graph)
         sub.indptr, sub.indices, sub.labels, sub.origin_nodes = g.indptr, g.indices, g.labels, tuple(range(k))
         sub.self_loops_dropped = sub.duplicate_edges_dropped = 0
+        sub._connected = False
         return sub
     if ends is None:
         kept = np.zeros(g.node_count, dtype=bool)
@@ -736,4 +752,7 @@ def _component_summary(g: Graph, core: bool) -> tuple[int, int, Graph | None]:
     non-empty ``g``, all from one labeling."""
     cid, sizes = _component_ids(g)
     giant = int(np.argmax(sizes))
-    return len(sizes), int(sizes[giant]), _induced(g, np.flatnonzero(cid == giant)) if core else None
+    sub = _induced(g, np.flatnonzero(cid == giant)) if core else None
+    if core:
+        sub._connected = True  # one component by construction: _require_connected need not label it
+    return len(sizes), int(sizes[giant]), sub

@@ -127,9 +127,19 @@ class TestStats:
         assert report["seniors"]["count"] == 1
         assert report["seniors"]["no_senior_neighbor_count"] == 1
 
-    def test_giant_paths_label_the_components_twice(self, tmp_path, monkeypatch):
-        """Once for the report and the giant core, once for the connectivity
-        check of the path lengths; the giant core reuses the first labeling."""
+    @staticmethod
+    def giant_of_two(out) -> tuple:
+        report = read_json(out / "report.json")
+        return report["graph"]["components"], report["graph"]["giant_core_size"], report["paths"]["total_pairs"]
+
+    @pytest.mark.parametrize("command, check", [
+        (["stats", "--paths", "exact"], lambda out: TestStats.giant_of_two(out) == (2, 3, 3)),
+        (["decompose"], lambda out: read_json(out / "summary.json")["core_size"] == 3),
+        (["depth"], lambda out: (out / "depth.csv").read_text() == "node,depth\na,1.0\nb,1.0\nc,1.0\n"),
+    ], ids=["stats", "decompose", "depth"])
+    def test_giant_runs_label_the_components_once(self, tmp_path, monkeypatch, command, check):
+        """The giant core reuses the report's labeling, and the connectivity check
+        of the analysis does not label the core that giant_core cut again."""
         src = tmp_path / "two.txt"
         src.write_text("a b\nb c\nc a\nx y\n")
         calls = []
@@ -141,13 +151,9 @@ class TestStats:
 
         monkeypatch.setattr("netgeom.graph._component_ids", counted)
         out = tmp_path / "s"
-        assert run("stats", "--graph", str(src), "--giant", "--paths", "exact",
-                   "--out", str(out)) == 0
-        assert calls == [5, 3]
-        report = read_json(out / "report.json")
-        assert report["graph"]["components"] == 2
-        assert report["graph"]["giant_core_size"] == 3
-        assert report["paths"]["total_pairs"] == 3
+        assert run(*command, "--graph", str(src), "--giant", "--out", str(out)) == 0
+        assert calls == [5]
+        assert check(out)
 
     def test_meta_has_seed_and_content_digest(self, tmp_path):
         src = write_p5(tmp_path)
@@ -1119,6 +1125,24 @@ class TestImports:
             child_env, self.RUN_MAIN, "fit-rational", "--trace", str(tmp_path / "c" / "trace.csv"),
             "--out", str(tmp_path / "f"),
         ) == ["netgeom", "netgeom.cli", "netgeom.crawl", "netgeom.graph", "netgeom.stats"]
+
+    @pytest.mark.parametrize("argv, never", [
+        (["estimate", "--trace", "{trace}"], {"structure", "embedding", "generators"}),
+        (["solve-ode", "--d0", "100", "--dprime0", "-0.5", "--step", "0.01", "--pmax", "20"],
+         {"structure", "embedding", "generators"}),
+        (["embed", "--graph", "{ring}"], {"structure", "crawl"}),
+        (["reduce", "--graph", "{ring}", "--tolerance", "1"], {"structure", "crawl"}),
+    ], ids=["estimate", "solve-ode", "embed", "reduce"])
+    def test_each_subcommand_loads_none_of_the_layers_it_does_not_use(self, tmp_path, child_env, argv, never):
+        # sys.modules, not -X importtime: a module that netgeom.__getattr__ loads
+        # through importlib.import_module is missing from the importtime listing
+        ring = tmp_path / "ring.txt"
+        ring.write_text("".join(f"{i} {(i + 1) % 60}\n{i} {(i + 7) % 60}\n" for i in range(60)))
+        assert run("crawl-sim", "--graph", str(ring), "--out", str(tmp_path / "c")) == 0
+        paths = {"ring": ring, "trace": tmp_path / "c" / "trace.csv"}
+        argv = [arg.format_map(paths) for arg in argv] + ["--out", str(tmp_path / "out")]
+        layers = {name.removeprefix("netgeom.") for name in loaded_modules(child_env, self.RUN_MAIN, *argv)}
+        assert "graph" in layers and not layers & never
 
     def test_import_netgeom_loads_no_layer_and_every_public_name_resolves(self, child_env):
         assert loaded_modules(child_env, "import netgeom") == ["netgeom"]

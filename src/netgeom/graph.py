@@ -10,17 +10,18 @@ Parsing, ``from_edges``, the configuration model and induced subgraphs all
 reduce their input to such keys with numpy, so no per-edge Python object is
 made on the way in.
 
-An edge list is parsed a piece at a time by one tokenizer, ``_byte_tokens``:
+An edge list is parsed by one loop over its pieces (``_pieces``): the blocks
+of whole lines of a binary file, their line ends made ``\\n``, or chunks of
+text lines joined by NUL. Each is offered to one tokenizer, ``_byte_tokens``:
 it splits ASCII bytes into tokens in numpy and tells labels apart by a uint64
 key of each token's bytes. ``_Labels.of_keys`` ranks a piece's keys with one
 sort, and only a label not seen before becomes a Python string, read from its
-key. It takes the blocks of whole lines read from a binary file as they
-are, their line ends already made ``\\n`` by ``_line_blocks``, and the chunks of
-text lines as their ASCII bytes. A piece it cannot take (non-ASCII text, a NUL,
-a token over 8 bytes, a malformed line) is split as Python strings by one line
-loop, ``_line_tokens``, which also names a malformed line; from the first such
-block on, a binary file is decoded and read as text lines. Both paths number
-labels in first-appearance order through one table, so they may alternate.
+key. A piece it cannot take (non-ASCII text, a NUL, a token over 8 bytes, a
+malformed line) is decoded alone and split as Python strings by one line loop,
+``_line_tokens``, which also names a malformed line; the next piece goes to
+the tokenizer again. Both paths number labels in first-appearance order through
+one table, so they may alternate. A malformed line is reported only once the
+whole source is read, so input that is not UTF-8 anywhere is named as such.
 
 Every hop distance comes from one kernel, ``_distance_blocks``: a
 level-synchronous BFS that runs 64 sources at once, one bit per source in a
@@ -46,7 +47,7 @@ import codecs
 import io
 from dataclasses import dataclass
 from itertools import chain, islice
-from typing import BinaryIO, Iterable, Iterator, Sequence
+from typing import BinaryIO, Callable, Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -131,7 +132,7 @@ class Graph:
             raise ValueError(f"edge ({a}, {b}) is listed by only one of its end nodes")
         self._fill(n, fwd[u < v], labels, origin_nodes, self_loops_dropped, duplicate_edges_dropped)
 
-    def _fill(self, n: int, keys: np.ndarray, labels: tuple[str, ...] | None = None,
+    def _fill(self, n: int, keys: np.ndarray, labels: Collection[str] | None = None,
               origin_nodes: tuple[int, ...] | None = None, self_loops_dropped: int = 0,
               duplicate_edges_dropped: int = 0) -> None:
         """The one CSR builder: ``keys`` are the sorted unique edge keys ``min * n + max``. Besides
@@ -142,15 +143,27 @@ class Graph:
         if origin_nodes is not None and len(origin_nodes) != n:
             raise ValueError("origin_nodes length does not match node count")
         arcs = np.empty(2 * len(keys), dtype=np.int64)
-        lo, rev = np.divmod(keys, n, out=(arcs[: len(keys)], arcs[len(keys) :]))  # rev holds max for now
+        # floor_divide by a scalar is several times faster than divmod or remainder
+        lo, rev = np.floor_divide(keys, n, out=arcs[: len(keys)]), arcs[len(keys) :]
+        np.subtract(keys, np.multiply(lo, n, out=rev), out=rev)  # rev holds max for now
         rev *= n
         rev += lo
         lo[:] = keys
         arcs.sort()
         self.indptr = np.searchsorted(arcs, np.arange(n + 1, dtype=np.int64) * n)  # row v starts at key v * n
-        self.indices = np.remainder(arcs, n, out=arcs)
+        # arcs % n in place, a step at a time: the one temporary is a sixteenth of arcs, or 32 KiB,
+        # and few steps leave few small allocations behind the build's freed temporaries
+        step = max(1 << 12, len(arcs) >> 4)
+        quot = np.empty(min(step, len(arcs)), dtype=np.int64)
+        for at in range(0, len(arcs), step):
+            part = arcs[at : at + step]
+            q = np.floor_divide(part, n, out=quot[: len(part)])
+            part -= np.multiply(q, n, out=q)
+        self.indices = arcs
         self.indptr.flags.writeable = self.indices.flags.writeable = False
-        self.labels = labels
+        # the labels tuple is made last: made before the build, a large one could sit above the
+        # build's freed temporaries in the malloc heap and keep them resident
+        self.labels = None if labels is None else tuple(labels)
         self.origin_nodes = origin_nodes
         self.self_loops_dropped = self_loops_dropped
         self.duplicate_edges_dropped = duplicate_edges_dropped
@@ -239,7 +252,7 @@ def _sorted_unique(keys: np.ndarray) -> np.ndarray:
     return keys[np.r_[True, keys[1:] != keys[:-1]]] if keys.size else keys
 
 
-def _from_pairs(n: int, pairs: list[np.ndarray], labels: tuple[str, ...] | None = None,
+def _from_pairs(n: int, pairs: list[np.ndarray], labels: Collection[str] | None = None,
                 origin_nodes: tuple[int, ...] | None = None) -> Graph:
     """Graph on ``n`` nodes from int64 arrays that each interleave the end nodes of
     their edges, counting dropped self-loops and duplicates. It empties ``pairs``,
@@ -313,62 +326,67 @@ def load_edge_list(source: Iterable[str] | BinaryIO) -> Graph:
     ignored. Node labels map to dense integer ids in first-appearance order.
     Self-loop lines and duplicate edges are dropped but counted on the result.
 
-    A binary file is read in blocks of whole lines of about ``_BLOCK_BYTES``
-    with ``\\n`` line ends (``_line_blocks``). A block of ASCII with no NUL goes
-    to the byte tokenizer ``_byte_tokens`` as it is, each token read as one
-    uint64 key, so only labels not seen before become Python strings. From the
-    first block that is not, or that the tokenizer turns down, the rest of the
-    file is decoded and read as text lines, numbered on from the blocks before.
-
-    Text lines are read ``_CHUNK_LINES`` at a time. A chunk of ASCII text with
-    no NUL goes to the same tokenizer. Any other chunk, or one it turns down (a
-    data token over 8 bytes, a malformed line), goes to the line loop
-    ``_line_tokens``, which also names a malformed line. Every path numbers
-    labels through one ``_Labels``, so they can alternate within a file.
+    One loop reads the pieces of ``_pieces``: the blocks of whole lines of a
+    binary file, or chunks of ``_CHUNK_LINES`` text lines. A piece of ASCII with
+    no NUL inside a line goes to the byte tokenizer ``_byte_tokens``, each token
+    read as one uint64 key, so only labels not seen before become Python strings.
+    Any other piece, or one the tokenizer turns down (a data token over 8 bytes,
+    a malformed line), is decoded alone and goes to the line loop
+    ``_line_tokens``, which also names a malformed line; the next piece is
+    offered to the tokenizer again. Both number labels through one ``_Labels``.
 
     The id arrays of the pieces are freed one by one as ``_from_pairs`` turns
     them into edge keys, so the build holds one 2m key array at a time.
 
-    Raises EdgeListParseError (with the line number) for lines that do not have
-    exactly two tokens, and UnicodeDecodeError for a binary file that is not UTF-8.
+    Raises UnicodeDecodeError if the source is not UTF-8, and otherwise
+    EdgeListParseError, with its line number, for the first data line that does
+    not have exactly two tokens. That line is remembered and raised only once the
+    whole source is read, every later piece decoded but not parsed, so a binary
+    file and its text read name the same error.
     """
-    labels = _Labels()
-    ids: list[np.ndarray] = []
-    done = 0
-    if isinstance(source, (io.RawIOBase, io.BufferedIOBase)):
-        blocks = _line_blocks(source)
-        source = ()
-        for block in blocks:
-            keys = _byte_tokens(block, ord("\n")) if b"\0" not in block else None  # a NUL is part of a label
-            if keys is None:
-                source = chain.from_iterable(_text_lines(chain([block], blocks)))
-                break
+    labels, ids, error = _Labels(), [], None
+    for first_line, data, sep, lines in _pieces(source):
+        if error is None and data is not None and (keys := _byte_tokens(data, sep)) is not None:
             ids.append(labels.of_keys(keys))
-            done += block.count(b"\n")
+        elif error is None:
+            try:
+                ids.append(labels.of_tokens(_line_tokens(lines(), first_line=first_line)))
+            except EdgeListParseError as e:
+                error = e
+        else:
+            lines()  # decodes a binary block, so that bytes that are not UTF-8 win
+    if error is not None:
+        raise error
+    return _from_pairs(len(labels.index), ids, labels=labels.index)
+
+
+def _pieces(source: Iterable[str] | BinaryIO) -> Iterator[tuple[int, bytes | None, int, Callable]]:
+    """The pieces of ``source`` in order, each as (the number of its first line,
+    its bytes for ``_byte_tokens`` or None if a NUL is inside a line, the byte
+    that ends its lines there, a call that gives its lines as strings).
+
+    A binary file's pieces are its blocks of ``_whole_lines`` as a ``utf-8-sig``
+    text read sees them before decoding: a leading byte-order mark dropped (a
+    file that is only the start of one reads as empty) and ``\\r\\n`` and a lone
+    ``\\r`` made ``\\n``. No block splits a ``\\r\\n``, and ``\\r`` is in no
+    multi-byte UTF-8 sequence, so bytes that are not UTF-8 stay as they were and
+    a block decodes alone. Text lines come ``_CHUNK_LINES`` at a time, joined by NUL.
+    """
+    line = 1
+    if isinstance(source, (io.RawIOBase, io.BufferedIOBase)):
+        lead = codecs.BOM_UTF8
+        for block in _whole_lines(source):
+            block, lead = (b"" if lead.startswith(block) else block.removeprefix(lead)), b""
+            block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in block else block
+            yield (line, None if b"\0" in block else block, ord("\n"),
+                   lambda block=block: block.decode().removesuffix("\n").split("\n"))
+            line += block.count(b"\n")
+        return
     lines = iter(source)
     while chunk := list(islice(lines, _CHUNK_LINES)):
         data = "\0".join(chunk).encode()
-        keys = _byte_tokens(data, 0) if data.count(b"\0") == len(chunk) - 1 else None  # no NUL in a line
-        if keys is not None:
-            ids.append(labels.of_keys(keys))
-        else:
-            ids.append(labels.of_tokens(_line_tokens(chunk, first_line=done + 1)))
-        done += len(chunk)
-    return _from_pairs(len(labels.index), ids, labels=tuple(labels.index))
-
-
-def _line_blocks(fh: BinaryIO) -> Iterator[bytes]:
-    """The bytes of ``fh`` as a ``utf-8-sig`` text read sees them before decoding: a
-    leading byte-order mark dropped (a file that is only the start of one reads as
-    empty) and ``\\r\\n`` and a lone ``\\r`` made ``\\n``. Blocks of about
-    ``_BLOCK_BYTES`` end with a whole line (``_whole_lines``; the last may lack its
-    newline), so no ``\\r\\n`` is split; ``\\r`` is in no multi-byte UTF-8 sequence,
-    so bytes that are not UTF-8 stay as they were."""
-    lead = codecs.BOM_UTF8
-    for block in _whole_lines(fh):
-        block = b"" if lead.startswith(block) else block.removeprefix(lead)
-        yield block.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in block else block
-        lead = b""
+        yield line, data if data.count(b"\0") == len(chunk) - 1 else None, 0, chunk.copy
+        line += len(chunk)
 
 
 def _whole_lines(fh: BinaryIO) -> Iterator[bytes]:
@@ -391,13 +409,6 @@ def _whole_lines(fh: BinaryIO) -> Iterator[bytes]:
         yield whole
     if tail := b"".join(parts):
         yield tail
-
-
-def _text_lines(blocks: Iterable[bytes]) -> Iterator[list[str]]:
-    """The lines of the UTF-8 blocks of ``_line_blocks``, a list per block,
-    each without its ``\\n``. A block holds whole lines, so it decodes alone."""
-    for block in blocks:
-        yield block.decode().removesuffix("\n").split("\n")
 
 
 class _Labels:

@@ -291,22 +291,29 @@ class TestParsingPaths:
             assert isinstance(got, Graph) and same_graph(got, want)
         else:
             assert got == want
+        try:  # bytes that are not UTF-8 win over a malformed line anywhere in the file
+            data.removeprefix(codecs.BOM_UTF8).decode()
+            utf8 = True
+        except UnicodeDecodeError:
+            utf8 = codecs.BOM_UTF8.startswith(data)  # only the start of a byte-order mark reads as no text
+        assert (isinstance(got, tuple) and got[0] is UnicodeDecodeError) == (not utf8)
 
-    def test_binary_file_is_decoded_from_the_first_block_the_tokenizer_turns_down(self, monkeypatch):
+    def test_binary_file_is_decoded_from_the_first_block_the_tokenizer_turns_down_to_the_next_it_takes(
+            self, monkeypatch):
         lines = [b"a b\n", b"b c\n",                  # keyed blocks
-                 b"c 123456789\n", b"d\xc3\xa9 a\n",  # a 9-byte and a non-ASCII label
-                 b"e a\n"]                            # ASCII again, but read as text from here on
-        decoded = []
-        real = graph_module._text_lines
+                 b"g 123456789\n", b"d\xc3\xa9 a\n",  # a 9-byte and a non-ASCII label: decoded
+                 b"e g\n", b"c f\n"]                  # ASCII again: keyed again, g met by its key
+        split = []
         monkeypatch.setattr(graph_module, "_BLOCK_BYTES", 1)  # one line per block
-        monkeypatch.setattr(graph_module, "_text_lines", lambda blocks: real(decoded.append(b) or b for b in blocks))
+        monkeypatch.setattr(graph_module, "_line_tokens",
+                            lambda chunk, **kw: split.append(chunk) or _line_tokens(chunk, **kw))
         g = load_edge_list(io.BytesIO(b"".join(lines)))
-        assert decoded == lines[2:]
-        assert g.labels == ("a", "b", "c", "123456789", "dé", "e")
+        assert split == [["g 123456789"], ["dé a"]]  # only the blocks the tokenizer turns down
+        assert g.labels == ("a", "b", "c", "g", "123456789", "dé", "e", "f")
         assert same_graph(g, load_edge_list(io.StringIO(b"".join(lines).decode())))
-        decoded.clear()
+        split.clear()
         assert same_graph(load_edge_list(io.BytesIO(b"".join(lines[:2]))), load_edge_list(["a b", "b c"]))
-        assert decoded == []
+        assert split == []
 
     @pytest.mark.parametrize("block", [1, 1 << 20])
     @pytest.mark.parametrize("end", ["\r\n", "\r"])
@@ -315,14 +322,29 @@ class TestParsingPaths:
         path.write_bytes((end.join(["# a comment", "a b", "", "b\tc ", "c a", "d c"]) + end).encode())
         with open(path, encoding="utf-8-sig") as fh:
             want = load_edge_list(fh)
-        decoded = []
-        real = graph_module._text_lines
+        split = []
         monkeypatch.setattr(graph_module, "_BLOCK_BYTES", block)
-        monkeypatch.setattr(graph_module, "_text_lines", lambda blocks: real(decoded.append(b) or b for b in blocks))
+        monkeypatch.setattr(graph_module, "_line_tokens",
+                            lambda chunk, **kw: split.append(chunk) or _line_tokens(chunk, **kw))
         with open(path, "rb") as fh:
             got = load_edge_list(fh)
-        assert decoded == []
+        assert split == []
         assert same_graph(got, want) and got.labels == ("a", "b", "c", "d")
+
+    @pytest.mark.parametrize("block", [7, 4096, 1 << 20])
+    def test_bytes_not_utf8_win_over_an_earlier_malformed_line_in_both_reads(
+            self, monkeypatch, tmp_path, block):
+        # the text read decodes a few KiB ahead of the line it parses, a binary block all of its bytes at once,
+        # so only a whole read before the parse error is raised lets both name the same error
+        path = tmp_path / "g.txt"
+        path.write_bytes(b"a b\nc d e\n" + b"x y\n" * 3000 + b"\xff\n")
+        monkeypatch.setattr(graph_module, "_CHUNK_LINES", 3)
+        monkeypatch.setattr(graph_module, "_BLOCK_BYTES", block)
+        with open(path, encoding="utf-8-sig") as fh:
+            want = read_or_error(fh)
+        with open(path, "rb") as fh:
+            got = read_or_error(fh)
+        assert want == got == (UnicodeDecodeError, "invalid start byte", b"\xff")
 
     def test_byte_and_str_chunks_share_one_numbering(self, monkeypatch):
         lines = ["c b", "b a", "# a comment with long words",  # byte path

@@ -96,9 +96,12 @@ def simulate_crawl(
     Both policies run one frontier loop and differ only in which frontier
     node they process next: "fifo" takes the oldest (breadth-first),
     "random" a uniformly random member (seeded). The trace is sampled every
-    ``stride`` processed nodes, plus the final state.
+    ``stride`` processed nodes, plus the final state. An empty graph is
+    rejected before ``start`` is checked.
     """
     n = g.node_count
+    if n == 0:
+        raise ValueError("cannot crawl an empty graph")
     if not 0 <= start < n:
         raise ValueError(f"start {start} out of range 0..{n - 1}")
     if policy not in POLICIES:

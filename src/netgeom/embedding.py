@@ -28,8 +28,9 @@ other columns are counted cell by cell, and a leaf's count is its neighbour's
 plus a correction over its own pairs (the degree-1 removal of Sariyuce et al.,
 TKDD 11(3), 2017, which exact depth and paths use too). The identity is checked
 on the matrix, so a matrix that is no graph metric is still counted exactly.
-One blocked max-abs-difference kernel serves the cover counts, the closing
-distortion check, ``chebyshev_matrix`` and ``embedding_distortion``.
+The closing distortion check, ``embedding_distortion`` and ``chebyshev_matrix``
+compare each node's coordinate row with the rows after it (``_chebyshev_rows``),
+so they hold no pair index arrays and no per-pair temporaries.
 """
 from __future__ import annotations
 
@@ -150,15 +151,17 @@ def chebyshev_distance(e: Embedding, p: int, q: int) -> int:
     n = e.node_count
     if not (0 <= p < n and 0 <= q < n):
         raise ValueError(f"node out of range 0..{n - 1}")
-    return int(np.max(np.abs(e.coords[p] - e.coords[q])))
+    return int(np.max(np.abs(np.subtract(e.coords[p], e.coords[q], dtype=np.int64))))
 
 
 def chebyshev_matrix(e: Embedding) -> np.ndarray:
-    """All-pairs Chebyshev distances under the embedding's reference set."""
+    """All-pairs Chebyshev distances under the embedding's reference set, in
+    the coordinates' dtype, widened when it cannot hold every difference."""
+    coords = _narrow(e.coords)
     n = e.node_count
-    I, J = _pair_arrays(n)
-    out = np.zeros((n, n), dtype=e.coords.dtype)
-    out[I, J] = out[J, I] = _chebyshev_pairs(_narrow(e.coords), I, J)
+    out = np.zeros((n, n), dtype=np.promote_types(e.coords.dtype, coords.dtype))
+    for p, row in enumerate(_chebyshev_rows(coords)):
+        out[p, p + 1 :] = out[p + 1 :, p] = row
     return out
 
 
@@ -299,25 +302,19 @@ def _check_max_pairs(n: int, max_pairs: int | None) -> None:
         raise ValueError(f"pair count {pairs} exceeds max_pairs={max_pairs}")
 
 
-def _abs_diff_blocks(coords: np.ndarray, I: np.ndarray, J: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (s, |coords[I[s:t]] - coords[J[s:t]]|) over row blocks of about 256 K cells.
+def _cover_counts(coords: np.ndarray, I: np.ndarray, J: np.ndarray, thresh: np.ndarray) -> np.ndarray:
+    """Per-reference count of the pairs (I[r], J[r]) that each column covers.
 
     ``coords`` must come from ``_narrow``, so the differences cannot overflow.
-    Blocks this small stay in cache, and no pair x column table is held whole.
+    They are taken over row blocks of about 256 K cells, which stay in cache,
+    so no pair x column table is held whole.
     """
+    counts = np.zeros(coords.shape[1], dtype=np.int64)
     block = max(1, min(_TAKE, (1 << 18) // max(1, coords.shape[1])))
     for s in range(0, I.size, block):
         diff = coords.take(I[s : s + block], axis=0)
         np.subtract(diff, coords.take(J[s : s + block], axis=0), out=diff)
-        np.abs(diff, out=diff)
-        yield s, diff
-
-
-def _cover_counts(coords: np.ndarray, I: np.ndarray, J: np.ndarray, thresh: np.ndarray) -> np.ndarray:
-    """Per-reference count of the pairs (I[r], J[r]) that each column covers."""
-    counts = np.zeros(coords.shape[1], dtype=np.int64)
-    for s, diff in _abs_diff_blocks(coords, I, J):
-        covered = diff >= thresh[s : s + len(diff), None]
+        covered = np.abs(diff, out=diff) >= thresh[s : s + len(diff), None]
         # a uint8 sum of 0/1 bytes is about three times as fast as one into int32
         for r in range(0, len(covered), _SUM_ROWS):
             counts += np.add.reduce(covered[r : r + _SUM_ROWS].view(np.uint8), axis=0, dtype=np.uint8)
@@ -378,32 +375,17 @@ def _leaf_deltas(coords: np.ndarray, nbr: np.ndarray, I: np.ndarray, J: np.ndarr
     return deltas
 
 
-def _chebyshev_pairs(coords: np.ndarray, I: np.ndarray, J: np.ndarray) -> np.ndarray:
-    """Chebyshev distance max_k |coords[I[r], k] - coords[J[r], k]| of every pair r."""
-    out = np.empty(I.size, dtype=coords.dtype)
-    for s, diff in _abs_diff_blocks(coords, I, J):
-        diff.max(axis=1, initial=0, out=out[s : s + len(diff)])
-    return out
+def _chebyshev_rows(coords: np.ndarray) -> Iterator[np.ndarray]:
+    """For each node p in order, max_k |coords[q, k] - coords[p, k]| over the nodes q > p.
 
-
-def _pair_distances(coords: np.ndarray, columns: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """True distance and Chebyshev estimate of every pair p < q, in row-major order.
-
-    ``coords`` must be the full distance matrix from ``_narrow``; the estimate
-    uses only the given reference columns.
+    ``coords`` must come from ``_narrow``, so no difference can overflow. The
+    differences go into one buffer of ``coords``' shape, and each row yielded
+    is a view that the next step overwrites.
     """
-    I, J = _pair_arrays(coords.shape[0])
-    sub = np.ascontiguousarray(coords[:, list(columns)])  # a column gather is laid out F-order
-    return _upper(coords), _chebyshev_pairs(sub, I, J)
-
-
-def _shortfall_histogram(shortfall: np.ndarray) -> Histogram:
-    # bincount makes an intp copy of its input, so it takes _TAKE values at a time
-    counts = np.zeros(int(shortfall.max(initial=0)) + 1, dtype=np.int64)
-    for s in range(0, shortfall.size, _TAKE):
-        chunk = np.bincount(shortfall[s : s + _TAKE])
-        counts[: chunk.size] += chunk
-    return Histogram({int(v): int(c) for v, c in enumerate(counts) if c > 0})
+    diff, out = np.empty_like(coords), np.empty(len(coords), dtype=coords.dtype)
+    for p in range(len(coords)):
+        d = np.subtract(coords[p + 1 :], coords[p], out=diff[p + 1 :])
+        yield np.abs(d, out=d).max(axis=1, initial=0, out=out[p + 1 :])
 
 
 def _covered_pairs(row: np.ndarray, I: np.ndarray, J: np.ndarray,
@@ -489,7 +471,9 @@ def reduce_references(cm: CoverMatrix, max_pairs: int | None = None) -> Reductio
     pair is always covered by its own two endpoints. No reference is ever the
     sole cover of a pair for the same reason, so there is no essential phase
     and ``essential`` is always empty. The final max distortion is verified
-    against the tolerance before returning, from the kept columns as they are.
+    against the tolerance before returning, from the kept columns as they are:
+    node by node, the kept coordinates of the nodes after it are compared with
+    its own, and each shortfall is counted into one histogram.
 
     All of it runs on the coordinates as ``_narrow`` gives them (see the module
     docstring): a copy of an int32 embedding, or as they are when they are
@@ -511,10 +495,13 @@ def reduce_references(cm: CoverMatrix, max_pairs: int | None = None) -> Reductio
     coords = _narrow(cm.embedding.coords)
     # A tolerance beyond the diameter changes nothing, and clamped it fits the
     # narrow dtype: under numpy 2 casting, int8 - 1000 raises OverflowError.
-    kept = tuple(sorted(_greedy_picks(coords, min(cm.tolerance, int(coords.max())))))
-    true, estimate = _pair_distances(coords, kept)
-    distortion = true - estimate
-    max_d = int(distortion.max()) if distortion.size else 0
+    top = int(coords.max())
+    kept = tuple(sorted(_greedy_picks(coords, min(cm.tolerance, top))))
+    counts = np.zeros(top + 1, dtype=np.int64)  # of each shortfall, which is at most the diameter
+    sub = np.ascontiguousarray(coords[:, list(kept)])  # a column gather is laid out F-order
+    for p, row in enumerate(_chebyshev_rows(sub)):
+        counts += np.bincount(np.subtract(coords[p, p + 1 :], row, out=row), minlength=counts.size)
+    max_d = int(np.flatnonzero(counts).max(initial=0))
     if max_d > cm.tolerance:
         raise AssertionError(f"reduction exceeded tolerance: {max_d} > {cm.tolerance}")
     return ReductionResult(
@@ -523,7 +510,7 @@ def reduce_references(cm: CoverMatrix, max_pairs: int | None = None) -> Reductio
         greedy=kept,
         tolerance=cm.tolerance,
         max_distortion=max_d,
-        distortion_histogram=_shortfall_histogram(distortion),
+        distortion_histogram=Histogram(dict(enumerate(counts.tolist()))),
     )
 
 
@@ -543,14 +530,21 @@ def embedding_distortion(g: Graph, references: Sequence[int]) -> DistortionRepor
     maximum; the maximum relative shortfall (d_true / d_estimate - 1) is
     computed over pairs with a nonzero estimate, None if there are none.
     """
-    refs = _references(g, references)  # before the n x n embedding is built
-    dm, dv = _pair_distances(_narrow(embed_full(g).coords), refs)
-    distortion = dm - dv
-    if distortion.size and distortion.min() < 0:
-        raise AssertionError("estimate exceeded true distance; embedding is corrupt")
-    max_hops = int(distortion.max()) if distortion.size else 0
-    nz = dv > 0
-    max_rel = float(np.max(dm[nz] / dv[nz] - 1.0)) if nz.any() else None
+    refs = _references(g, references)  # before the n x n table is built
+    table = embed_full(g, _narrow_rows)
+    counts = np.zeros(int(table.max()) + 1, dtype=np.int64)
+    ratios = []  # the largest d_true / d_estimate of each row with a nonzero estimate
+    for p, row in enumerate(_chebyshev_rows(np.ascontiguousarray(table[:, list(refs)]))):
+        true, nz = table[p, p + 1 :], row > 0
+        if nz.any():
+            ratios.append((true[nz] / row[nz]).max())
+        shortfall = np.subtract(true, row, out=row)
+        if shortfall.min(initial=0) < 0:
+            raise AssertionError("estimate exceeded true distance; embedding is corrupt")
+        counts += np.bincount(shortfall, minlength=counts.size)
     return DistortionReport(
-        max_hops=max_hops, histogram=_shortfall_histogram(distortion), max_relative=max_rel
+        max_hops=int(np.flatnonzero(counts).max(initial=0)),
+        histogram=Histogram(dict(enumerate(counts.tolist()))),
+        # subtracting 1 rounds monotonically, so it commutes with the max
+        max_relative=float(max(ratios) - 1.0) if ratios else None,
     )

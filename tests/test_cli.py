@@ -545,6 +545,13 @@ class TestErrorLines:
                    "--out", str(tmp_path / "s")) == 2
         error_lines(capsys)
 
+    def test_crawl_sim_on_empty_edge_list_is_2(self, tmp_path, capsys):
+        empty = tmp_path / "empty.txt"
+        empty.write_text("# no edges\n")
+        assert run("crawl-sim", "--graph", str(empty), "--out", str(tmp_path / "c")) == 2
+        assert error_lines(capsys) == ["netgeom: error: cannot crawl an empty graph"]
+        assert not (tmp_path / "c").exists()
+
     def test_embed_refs_resolves_every_token(self, tmp_path, capsys, monkeypatch):
         src = write_p5(tmp_path)
         out = tmp_path / "emb"

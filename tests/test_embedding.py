@@ -26,6 +26,7 @@ from util import (
     brute_force_min_cover,
     complete_graph,
     cycle_graph,
+    distortion_oracle,
     from_edges,
     fw_distances,
     greedy_cover,
@@ -91,6 +92,17 @@ class TestEmbedding:
             assert [[int(x) for x in r] for r in cm] == [
                 [chebyshev_distance(sub, p, q) for q in range(n)] for p in range(n)
             ]
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int16])
+    def test_narrow_coordinates_do_not_wrap(self, dtype):
+        # e.g. int8 rows -100 and 100 differ by 200, which int8 wraps to -56
+        lo, hi = np.iinfo(dtype).min, np.iinfo(dtype).max
+        wide = np.random.default_rng(np.iinfo(dtype).bits).integers(lo, hi, (12, 3), endpoint=True)
+        wide[:2, 0] = lo, hi  # the widest difference the dtype allows
+        e = Embedding(references=(0, 1, 2), coords=wide.astype(dtype), full=False)
+        oracle = [[int(np.abs(wide[p] - wide[q]).max()) for q in range(12)] for p in range(12)]
+        assert chebyshev_matrix(e).tolist() == oracle
+        assert [[chebyshev_distance(e, p, q) for q in range(12)] for p in range(12)] == oracle
 
     def test_reference_embedding_equals_the_full_subset(self):
         rng = random.Random(11)
@@ -424,7 +436,40 @@ class TestGreedyOracle:
         assert_reduction_matches_oracles(embed_full(g), [tol])
 
 
+def assert_distortion_matches_oracle(g: Graph, refs) -> None:
+    max_hops, bins, rel = distortion_oracle(g, refs)
+    report = embedding_distortion(g, refs)
+    assert report.max_hops == max_hops
+    assert report.histogram.bins == bins
+    assert (report.max_relative is None) == (rel is None)
+    if rel is not None:  # bit for bit
+        assert type(report.max_relative) is float and report.max_relative.hex() == rel.hex()
+
+
 class TestDistortionReport:
+    def test_random_graphs_match_the_plain_python_oracle(self):
+        rng = random.Random(23)
+        for g in (Graph([[]]), path_graph(2), path_graph(3)):
+            for refs in ([0], [g.node_count - 1, 0, 0]):
+                assert_distortion_matches_oracle(g, refs)
+        for _ in range(20):
+            n = rng.randrange(4, 41)
+            g = random_connected(n, rng.randrange(0, 3 * n), rng)
+            refs = rng.choices(range(n), k=rng.randrange(1, n + 5))  # repeats, any order
+            assert_distortion_matches_oracle(g, refs)
+
+    def test_path_beyond_int8_matches_the_oracle(self):
+        g = path_graph(129)  # diameter 128: the table is int16
+        assert embed_full(g, _narrow_rows).dtype == np.int16
+        for refs in ([64], [100, 3, 128, 3], [128, 0]):
+            assert_distortion_matches_oracle(g, refs)
+
+    @settings(max_examples=100, deadline=None)
+    @given(graphs_with_leaves(), st.data())
+    def test_graphs_with_pendant_leaves_match_the_oracle(self, g, data):
+        refs = data.draw(st.lists(st.integers(0, g.node_count - 1), min_size=1, max_size=2 * g.node_count))
+        assert_distortion_matches_oracle(g, refs)
+
     def test_full_reference_set_has_zero_distortion(self):
         g = random_connected(20, 30, random.Random(18))
         report = embedding_distortion(g, range(20))

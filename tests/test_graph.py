@@ -858,19 +858,34 @@ class TestTransientMemory:
         peak = self.traced_peak(lambda: next(_distance_blocks(g, range(64))))
         assert peak <= 2 * 256 * g.node_count
 
-    def test_cli_reduce_holds_no_int32_table(self, tmp_path):
-        # a 603-node core as the benchmark's reduce workload draws it; the CLI fills a
-        # one-byte table from the kernel blocks and peaks at about 8.6 bytes a cell at
-        # tolerance 2, where building the int32 matrix first took it to 12.6
+    @staticmethod
+    def reduce_core() -> Graph:
+        """The 603-node core that the benchmark's reduce workload draws; diameter below 128."""
         spec = DoubleParetoSpec(size=630, alpha_left=1.5, alpha_right=2.5, break_degree=10, min_degree=1,
                                 seed=7)
-        g = giant_core(configuration_model(generate_double_pareto_degrees(spec), seed=7))
+        return giant_core(configuration_model(generate_double_pareto_degrees(spec), seed=7))
+
+    def test_cli_reduce_holds_no_int32_table(self, tmp_path):
+        # the CLI fills a one-byte table from the kernel blocks and peaks at about 8.6
+        # bytes a cell at tolerance 2, where building the int32 matrix first took it to 12.6
+        g = self.reduce_core()
         src = tmp_path / "core.txt"
         src.write_text("".join(f"{g.label_of(u)} {g.label_of(v)}\n" for u, v in g.edges()))
         argv = ["reduce", "--graph", str(src), "--tolerance", "2", "--out", str(tmp_path / "r")]
         assert main(argv) == 0  # imports and caches stay out of the traced run
         peak = self.traced_peak(lambda: main(argv))
         assert peak <= 11 * g.node_count ** 2
+
+    @pytest.mark.parametrize("k", [16, None], ids=["16-references", "all-references"])
+    def test_distortion_holds_no_int32_table(self, k):
+        # a one-byte table, its reference columns and one buffer of their shape: about
+        # 3 bytes a cell with every reference, where the int32 matrix and the pair
+        # arrays took 7.4
+        g = self.reduce_core()
+        refs = range(g.node_count if k is None else k)
+        embedding_distortion(g, refs)  # imports and caches stay out of the traced run
+        peak = self.traced_peak(lambda: embedding_distortion(g, refs))
+        assert peak <= 4 * g.node_count ** 2
 
 
 def adjacency_of(n: int, edges) -> tuple[list[list[int]], int, int]:

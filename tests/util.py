@@ -309,6 +309,23 @@ def greedy_cover(rows) -> list[int]:
     return picks
 
 
+def distortion_oracle(g: Graph, references) -> tuple[int, dict[int, int], float | None]:
+    """Max hop shortfall, shortfall histogram and max relative shortfall
+    (d_true / d_estimate - 1 over the pairs with a nonzero estimate, None if
+    there are none) of the Chebyshev estimate over ``references``, pair by
+    pair in Python ints and floats."""
+    d = [[int(x) for x in row] for row in fw_distances(g)]
+    hist: dict[int, int] = {}
+    rel = None
+    for p, q in itertools.combinations(range(len(d)), 2):
+        est = max(abs(d[p][r] - d[q][r]) for r in references)
+        hist[d[p][q] - est] = hist.get(d[p][q] - est, 0) + 1
+        if est:
+            x = d[p][q] / est - 1.0
+            rel = x if rel is None else max(rel, x)
+    return max(hist, default=0), hist, rel
+
+
 def crawl_oracle(g: Graph, start: int, policy: str, stride: int, seed: int) -> tuple[list[int], list[int]]:
     """P and D samples of a crawl, as one plain loop over neighbour tuples."""
     rng = random.Random(seed)

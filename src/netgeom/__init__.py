@@ -15,9 +15,15 @@ Core pieces:
 
 Each public name below is imported from its module on first access (PEP 562),
 so ``import netgeom`` loads no module, and a process loads only the modules
-it uses.
+it uses. ``InputError`` is defined here, at the root every module imports, so
+that the trace reader raises it without loading ``graph``, which re-exports it.
 """
 from importlib import import_module
+
+
+class InputError(ValueError):
+    """Base of the errors raised for malformed input: edge lists and trace files."""
+
 
 _PUBLIC = {
     "graph": (

@@ -12,6 +12,13 @@ Design notes:
   ``_cmd_*`` function, which imports the layers it uses and writes its own
   reports into a fresh staging directory, write meta.json there, and only
   then make the out dir and move every file into it.
+- A process loads only the modules of its subcommand. Importing this module
+  loads no layer. The graph subcommands load graph.py in ``_read_input`` and
+  their own layers in their ``_cmd_*`` function; a bare ``stats --graph``
+  loads graph.py and stats.py alone. ``estimate``, ``fit-rational`` and
+  ``solve-ode`` load crawl.py and the line-fit kernel _linefit.py, never
+  graph.py or stats.py. The fifo crawl of ``crawl-sim`` is a fold over the
+  BFS levels from its start, not a node-by-node loop.
 - Exit codes: 0 success, 1 parse/config error (bad flags, out-of-range flag
   values, malformed edge lists, malformed trace headers or rows, invalid
   generator recipes: ``CliError`` or the library's ``InputError``), 2 analysis
@@ -41,7 +48,6 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 import argparse
-import hashlib
 import json
 import math
 import re
@@ -54,16 +60,18 @@ from typing import TYPE_CHECKING, Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
-from . import __version__
-from .graph import Graph, InputError, _component_summary, giant_core, load_edge_list
+from . import InputError, __version__
 
 if TYPE_CHECKING:
     from .crawl import CrawlTrace
     from .generators import AppendageSpec, DoubleParetoSpec
+    from .graph import Graph
     from .stats import Histogram
 
-# the layers are imported inside the _cmd_* functions, so that a process
-# compiles and runs only the modules of its own subcommand
+# the layers, graph.py too, are imported inside _read_input and the _cmd_*
+# functions, so that a process compiles and runs only the modules of its own
+# subcommand; hashlib, which maps in libcrypto, is imported by _sha256 once the
+# analysis is done and has freed its memory
 
 OUT_DIR_ENV = "NETGEOM_OUT"
 _EDGE_SLICE = 1 << 16  # edges formatted per write of an edge file
@@ -98,6 +106,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _sha256(path: str) -> str:
+    import hashlib
+
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
@@ -305,6 +315,7 @@ def _cmd_generate(args, out: str, _) -> None:
 
 
 def _cmd_stats(args, out: str, g: Graph) -> None:
+    from .graph import _component_summary
     from .stats import degree_histogram, fit_double_pareto, path_length_report, senior_stats
 
     if g.node_count == 0:
@@ -683,6 +694,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _read_input(args) -> tuple[Graph | CrawlTrace | None, tuple[str, ...]]:
     """The subcommand's one input and the paths to digest into meta.json."""
     if hasattr(args, "graph"):
+        from .graph import giant_core, load_edge_list
+
         with _decoded(args.graph), open(args.graph, "rb") as fh:
             g = load_edge_list(fh)
         # stats counts the whole graph before it takes the giant core itself

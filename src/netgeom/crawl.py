@@ -14,15 +14,22 @@ form for the discovery curve.
 """
 from __future__ import annotations
 
+import codecs
+import io
 import math
+import operator
 import random
+import re
 from dataclasses import dataclass
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from .graph import Graph, InputError
-from .stats import _line_fits
+from . import InputError
+from ._linefit import _line_fits
+
+if TYPE_CHECKING:
+    from .graph import Graph
 
 __all__ = [
     "CrawlTrace",
@@ -41,6 +48,9 @@ __all__ = [
 ]
 
 POLICIES = ("fifo", "random")
+
+# arcs the fifo crawl gathers at a time
+_ARC_BUDGET = 1 << 16
 
 # the most Runge-Kutta steps solve_acquisition_ode takes; at 10**7 a run already takes
 # about a minute and 1.2 GB, held by its three lists of floats
@@ -76,7 +86,7 @@ class CrawlTrace:
     def __post_init__(self):
         if len(self.p) != len(self.d):
             raise ValueError("p and d must have equal length")
-        if any(b <= a for a, b in zip(self.p, self.p[1:])):
+        if not all(map(operator.lt, self.p, self.p[1:])):
             raise ValueError("processed counts must be strictly increasing")
 
     @property
@@ -93,11 +103,16 @@ def simulate_crawl(
 ) -> CrawlTrace:
     """Crawl ``g`` from ``start`` and record the discovery trace.
 
-    Both policies run one frontier loop and differ only in which frontier
-    node they process next: "fifo" takes the oldest (breadth-first),
-    "random" a uniformly random member (seeded). The trace is sampled every
-    ``stride`` processed nodes, plus the final state. An empty graph is
-    rejected before ``start`` is checked.
+    Each step processes one frontier node and adds its unseen neighbours to
+    the frontier: "fifo" takes the oldest (breadth-first), "random" a
+    uniformly random member (seeded). The trace is sampled every ``stride``
+    processed nodes, plus the final state. An empty graph is rejected before
+    ``start`` is checked.
+
+    The fifo crawl is a fold over the BFS levels from ``start``
+    (``_fifo_frontier``); the random crawl runs one frontier loop
+    (``_random_frontier``), since each draw depends on the frontier's size one
+    step earlier.
     """
     n = g.node_count
     if n == 0:
@@ -108,46 +123,80 @@ def simulate_crawl(
         raise ValueError(f"unknown policy {policy!r}; choose from {POLICIES}")
     if stride < 1:
         raise ValueError("stride must be >= 1")
+    frontier = _fifo_frontier(g, start) if policy == "fifo" else np.array(_random_frontier(g, start, seed))
+    processed = len(frontier)
+    at = np.arange(stride, processed + 1, stride)
+    ps, ds = at.tolist(), frontier[at - 1].tolist()
+    if not ps or ps[-1] != processed:
+        ps.append(processed)
+        ds.append(0)
+    return CrawlTrace(tuple(ps), tuple(ds), policy, stride, seed, start, true_size=n, complete=processed == n)
+
+
+def _fifo_frontier(g: Graph, start: int) -> np.ndarray:
+    """The frontier's size after each step of a fifo crawl from ``start``: the
+    start and the nodes the first k processed nodes find, less those k.
+
+    Rows are sorted, so the crawl processes each BFS level in the order it
+    found it, and a node of the next level is found by the first of its
+    parents in that order, as its row comes. So the level's rows are gathered
+    in that order, about ``_ARC_BUDGET`` arcs at a time; of the arcs to nodes
+    not seen yet, those from each node's first parent (the least parent rank,
+    by ``np.minimum.at``) find the nodes in the order they come, and a
+    ``bincount`` per parent counts how many each finds.
+    """
+    indptr, indices, deg = g.indptr, g.indices, np.diff(g.indptr)
+    # the nodes in the order they are found, and how many each of them finds, at its place in
+    # that order; by node, the rank of its first parent in the gather that found it, -1 while unseen
+    order, finds = np.zeros(g.node_count, dtype=np.int64), np.zeros(g.node_count, dtype=np.int64)
+    first_parent = np.full(g.node_count, -1, dtype=np.int64)
+    first_parent[start], order[0] = 0, start
+    done, found = 0, 1
+    while done < found:  # one BFS level, order[done:found], per pass
+        level = order[done:found]
+        ends = np.cumsum(deg[level])
+        lo = 0
+        while lo < len(level):
+            base = int(ends[lo - 1]) if lo else 0
+            hi = max(lo + 1, int(np.searchsorted(ends, base + _ARC_BUDGET, side="right")))
+            rows = level[lo:hi]
+            lens = deg[rows]
+            rank = np.repeat(np.arange(hi - lo), lens)  # each arc's parent, by its place in the gather
+            nbr = indices[np.arange(len(rank)) + np.repeat(indptr[rows] - ends[lo:hi] + lens + base, lens)]
+            fresh = first_parent[nbr] < 0
+            nbr, rank = nbr[fresh], rank[fresh]
+            first_parent[nbr] = hi - lo
+            np.minimum.at(first_parent, nbr, rank)
+            new = nbr[first := rank == first_parent[nbr]]
+            order[found : found + len(new)] = new
+            found += len(new)
+            finds[done + lo : done + hi] = np.bincount(rank[first], minlength=hi - lo)
+            lo = hi
+        done += len(level)
+    return np.cumsum(finds[:done]) - np.arange(done)
+
+
+def _random_frontier(g: Graph, start: int, seed: int) -> list[int]:
+    """The frontier's size after each step of a random crawl from ``start``: each
+    step swaps a uniformly random frontier node to the end and processes it."""
     rng = random.Random(seed)
-    seen = bytearray(n)
+    seen = bytearray(g.node_count)
     seen[start] = 1
-    processed = head = 0
-    ps, ds = [], []
+    unseen, sizes, pool = g.node_count - 1, [], [start]
     # one int object per node, shared by all rows: quicker to make and to walk than indices.tolist()
-    ptr, nbrs = g.indptr.tolist(), np.arange(n).astype(object)[g.indices].tolist()
-    unseen = n - 1
-    pool: list[int] = [start]  # the frontier is pool[head:]
-    while head < len(pool):
-        if policy == "fifo":
-            u = pool[head]
-            head += 1
-        else:
-            i = rng.randrange(len(pool))
-            pool[i], pool[-1] = pool[-1], pool[i]
-            u = pool.pop()
-        processed += 1
+    ptr, nbrs = g.indptr.tolist(), np.arange(g.node_count).astype(object)[g.indices].tolist()
+    while pool:
+        i = rng.randrange(len(pool))
+        pool[i], pool[-1] = pool[-1], pool[i]
+        u = pool.pop()
         if unseen:  # once every node is found, no row can add to the pool
             for w in nbrs[ptr[u] : ptr[u + 1]]:
                 if not seen[w]:
                     seen[w] = 1
                     pool.append(w)
                     unseen -= 1
-        if processed % stride == 0:
-            ps.append(processed)
-            ds.append(len(pool) - head)
-    if not ps or ps[-1] != processed:
-        ps.append(processed)
-        ds.append(0)
-    return CrawlTrace(
-        p=tuple(ps),
-        d=tuple(ds),
-        policy=policy,
-        stride=stride,
-        seed=seed,
-        start=start,
-        true_size=n,
-        complete=processed == n,
-    )
+        sizes.append(len(pool))
+    return sizes
 
 
 def default_window(trace: CrawlTrace) -> int:
@@ -296,17 +345,22 @@ def fit_rational(trace: CrawlTrace) -> RationalFit:
                 return root
         return None
 
-    def curve(theta) -> tuple[np.ndarray, np.ndarray]:
-        """The scaled numerator and denominator at every sample."""
-        return theta[0] * q3 + theta[1] * q2 + theta[2] * q, q2 + theta[3] * q + theta[4]
+    # curves are evaluated into preallocated rows, each in the order of its plain expression
+    # (q2 + t3*q + t4, t0*q3 + t1*q2 + t2*q, ...), so every bit is that expression's
+    rows = [[np.empty(len(q)) for _ in range(4)] for _ in range(2)]
 
-    def residuals(theta) -> np.ndarray:
+    def fill(theta, buf: list[np.ndarray]) -> float:
+        """The scaled numerator, denominator and residuals of ``theta`` into ``buf``
+        (its fourth row is scratch), and their RMSE: inf if a residual is not finite."""
+        num, den, r, spare = buf
         with np.errstate(divide="ignore", invalid="ignore"):
-            num, den = curve(theta)
-            return num / den - e
-
-    def rmse_of(r: np.ndarray) -> float:
-        return float(np.sqrt(np.mean(r * r))) if np.all(np.isfinite(r)) else float("inf")
+            np.multiply(q3, theta[0], out=num)
+            num += np.multiply(q2, theta[1], out=spare)
+            num += np.multiply(q, theta[2], out=spare)
+            np.divide(num, _quadratic(q, q2, theta[3], theta[4], den), out=r)
+            r -= e
+        rmse = float(np.sqrt(np.mean(np.multiply(r, r, out=spare))))
+        return math.inf if math.isnan(rmse) else rmse
 
     theta0, *_ = np.linalg.lstsq(a, y, rcond=None)
     if not np.all(np.isfinite(theta0)):
@@ -319,7 +373,7 @@ def fit_rational(trace: CrawlTrace) -> RationalFit:
     for _ in range(12):
         # reweighting by the current denominator turns the equation error
         # into (approximately) the true residual
-        w = np.maximum(np.abs(curve(theta)[1]), 1e-8)
+        w = np.maximum(np.abs(_quadratic(q, q2, theta[3], theta[4], rows[0][1])), 1e-8)
         theta_new, *_ = np.linalg.lstsq(a / w[:, None], y / w, rcond=None)
         if not np.all(np.isfinite(theta_new)):
             break
@@ -331,13 +385,13 @@ def fit_rational(trace: CrawlTrace) -> RationalFit:
     jac = np.empty((len(q), 5), order="F")
 
     def gauss_newton(theta: np.ndarray) -> None:
-        r = residuals(theta)
-        cur = rmse_of(r)
-        if not np.isfinite(cur):
+        cur, spare = rows
+        rmse = fill(theta, cur)
+        if not np.isfinite(rmse):
             return
         for _ in range(40):
-            num, den = curve(theta)
-            den2 = den * den
+            num, den, r, den2 = cur  # those of theta, the last trial accepted
+            np.multiply(den, den, out=den2)
             for col, top, bottom in zip(jac.T, (q3, q2, q, -num * q, -num), (den, den, den, den2, den2)):
                 np.divide(top, bottom, out=col)
             step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
@@ -346,9 +400,8 @@ def fit_rational(trace: CrawlTrace) -> RationalFit:
             scale = 1.0
             for _ in range(20):
                 trial = theta + scale * step
-                r_trial = residuals(trial)
-                if rmse_of(r_trial) < cur:
-                    theta, r, cur = trial, r_trial, rmse_of(r_trial)
+                if (trial_rmse := fill(trial, spare)) < rmse:
+                    theta, rmse, cur, spare = trial, trial_rmse, spare, cur
                     candidates.append(trial)
                     break
                 scale *= 0.5
@@ -358,7 +411,7 @@ def fit_rational(trace: CrawlTrace) -> RationalFit:
                 return
 
     # polish both basins: the raw seed and the best reweighted iterate
-    reweighted_best = min(candidates, key=lambda t: rmse_of(residuals(t)))
+    reweighted_best = min(candidates, key=lambda t: fill(t, rows[0]))
     gauss_newton(theta0)
     if reweighted_best is not theta0:
         gauss_newton(reweighted_best)
@@ -367,7 +420,7 @@ def fit_rational(trace: CrawlTrace) -> RationalFit:
     # numerator linearly against the true residual, then polish; this reaches
     # basins the equation-error seed cannot
     for c3, c4 in ((0.0, 0.25), (1.0, 0.5), (0.2, 0.05), (0.5, 0.01), (0.05, 1e-3), (0.02, 1e-4)):
-        den = curve((0.0, 0.0, 0.0, c3, c4))[1]
+        den = _quadratic(q, q2, c3, c4, rows[0][1])
         coef, *_ = np.linalg.lstsq(np.column_stack([q3 / den, q2 / den, q / den]), e, rcond=None)
         if np.all(np.isfinite(coef)):
             seed = np.array([coef[0], coef[1], coef[2], c3, c4])
@@ -375,11 +428,18 @@ def fit_rational(trace: CrawlTrace) -> RationalFit:
             gauss_newton(seed)
 
     scored = []  # (RMSE in units of D, in-range denominator root or None, coefficients)
+    pp = p * p
+    resid, den, spare, _ = rows[0]
     for t in candidates:
         coeffs = unscale(t) if np.all(np.isfinite(t)) else None
         if coeffs is not None:
-            resid = d - RationalFit(*coeffs, rmse=0.0, p_min=p_min, p_max=p_max).evaluate(p)
-            rmse = float(np.sqrt(np.mean(resid * resid)))
+            # d - RationalFit(*coeffs, ...).evaluate(p), in evaluate's order
+            c0, c1, c2, c3, c4 = coeffs
+            _quadratic(p, pp, c1, c2, resid)
+            resid *= np.multiply(p, c0, out=spare)
+            np.divide(resid, _quadratic(p, pp, c3, c4, den), out=resid)
+            np.subtract(d, resid, out=resid)
+            rmse = float(np.sqrt(np.mean(np.multiply(resid, resid, out=resid))))
             if np.isfinite(rmse):
                 scored.append((rmse, in_range_root(coeffs[3], coeffs[4]), coeffs))
     best_any = min(scored, key=lambda s: s[0], default=None)
@@ -391,6 +451,14 @@ def fit_rational(trace: CrawlTrace) -> RationalFit:
         raise ValueError(f"denominator root {root:.6g} inside fitted range; fit rejected")
     rmse, _, (a0, a1, a2, a3, a4) = best
     return RationalFit(a0=a0, a1=a1, a2=a2, a3=a3, a4=a4, rmse=rmse, p_min=p_min, p_max=p_max)
+
+
+def _quadratic(x: np.ndarray, xx: np.ndarray, b, c, out: np.ndarray) -> np.ndarray:
+    """``xx + b * x + c`` into ``out``, with the float operations of that expression."""
+    np.multiply(x, b, out=out)
+    out += xx
+    out += c
+    return out
 
 
 @dataclass(frozen=True)
@@ -437,27 +505,31 @@ def solve_acquisition_ode(
     if not math.isfinite(p0 + d0 + (dprime0 + 1.0) * d0):
         raise ValueError("the implied size P + D + (D' + 1)*D of the start is not finite")
 
-    def rhs(y: tuple[float, float]) -> tuple[float, float]:
-        d, v = y
-        if d <= 0:
-            raise ArithmeticError("D reached 0")
-        return (v, -((v + 1.0) ** 2) / d)
-
     ps = [p0]
     ds = [d0]
     vs = [dprime0]
     p, d, v = p0, d0, dprime0
-    while p < p_max - 1e-12 * max(1.0, abs(p_max)):
+    end = p_max - 1e-12 * max(1.0, abs(p_max))
+    while p < end:
         h = min(step, p_max - p)
+        half = 0.5 * h
+        # the four stages (D', D'') = (v_i, a_i) at (d_i, v_i), d_1 = d > 0 and v_1 = v, with
+        # D'' = -(v_i + 1)^2 / d_i; a stage that overflows or has D <= 0 ends the run (the
+        # stages after one with D <= 0 are computed, and not used)
         try:
-            k1 = rhs((d, v))
-            k2 = rhs((d + 0.5 * h * k1[0], v + 0.5 * h * k1[1]))
-            k3 = rhs((d + 0.5 * h * k2[0], v + 0.5 * h * k2[1]))
-            k4 = rhs((d + h * k3[0], v + h * k3[1]))
-        except ArithmeticError:  # D reached 0, or a stage overflowed
+            a1 = -((v + 1.0) ** 2) / d
+            d2, v2 = d + half * v, v + half * a1
+            a2 = -((v2 + 1.0) ** 2) / d2
+            d3, v3 = d + half * v2, v + half * a2
+            a3 = -((v3 + 1.0) ** 2) / d3
+            d4, v4 = d + h * v3, v + h * a3
+            a4 = -((v4 + 1.0) ** 2) / d4
+        except ArithmeticError:  # a stage overflowed, or divided by its D of 0
             break
-        d_new = d + (h / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        v_new = v + (h / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+        if d2 <= 0 or d3 <= 0 or d4 <= 0:
+            break
+        d_new = d + (h / 6.0) * (v + 2 * v2 + 2 * v3 + v4)
+        v_new = v + (h / 6.0) * (a1 + 2 * a2 + 2 * a3 + a4)
         if d_new <= 0 or not (math.isfinite(d_new) and math.isfinite(v_new)):
             break
         p += h
@@ -465,9 +537,7 @@ def solve_acquisition_ode(
         ps.append(p)
         ds.append(d)
         vs.append(v)
-    return OdeSolution(
-        p=np.array(ps), d=np.array(ds), dprime=np.array(vs), step=step
-    )
+    return OdeSolution(p=np.array(ps), d=np.array(ds), dprime=np.array(vs), step=step)
 
 
 def write_trace_csv(trace: CrawlTrace, path: str) -> None:
@@ -479,7 +549,13 @@ def write_trace_csv(trace: CrawlTrace, path: str) -> None:
             f"start={trace.start} true_size={trace.true_size} complete={int(trace.complete)}\n"
         )
         fh.write("sample_index,P,D\n")
-        fh.writelines(f"{i},{p},{d}\n" for i, (p, d) in enumerate(zip(trace.p, trace.d)))
+        fh.write("".join(map("{},{},{}\n".format, range(trace.samples), trace.p, trace.d)))
+
+
+_META = {"policy": "fifo", "stride": 1, "seed": 0, "start": 0, "true_size": 0, "complete": 1}
+# the class of each byte in a data row, for bytes.translate: 0 a digit, 1 a comma, 2 a newline, 3 any other
+_ROW_BYTES = bytes(0 if b in b"0123456789" else 1 if b == ord(",") else 2 if b == ord("\n") else 3
+                   for b in range(256))
 
 
 def read_trace_csv(path: str) -> CrawlTrace:
@@ -490,51 +566,94 @@ def read_trace_csv(path: str) -> CrawlTrace:
     an integer ``# key=value`` header, a data row with fewer than 3 cells, a
     non-integer P or D cell, a P, D or true_size outside the signed 64-bit
     range, or a P that does not exceed the previous row's.
+
+    The bytes are read in one numpy pass (``_trace_columns``); a file that pass
+    turns down is read by the line loop ``_trace_lines``, which names the
+    first bad line.
     """
-    meta: dict = {"policy": "fifo", "stride": 1, "seed": 0, "start": 0, "true_size": 0, "complete": 1}
+    with open(path, "rb") as fh:
+        data = fh.read()
+    meta = dict(_META)
+    if (columns := _trace_columns(data, meta)) is None:
+        meta = dict(_META)  # the numpy pass may have taken in part of the header
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            columns = _trace_lines(fh, meta)
+    return CrawlTrace(*columns, **{**meta, "complete": bool(meta["complete"])})
+
+
+def _trace_columns(data: bytes, meta: dict) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """P and D of a trace file's bytes, read in one numpy pass, and its header
+    lines taken into ``meta``.
+
+    The lines before the first that starts with a digit go through the line
+    loop, which must find no row in them; every line from there on must be
+    three cells of 1 to 18 digits, with P rising. Otherwise, or if the file
+    holds a CR, the result is None, and the caller reads the file with the
+    line loop, which names the first bad line. The P and D cells are read by
+    Horner's rule, one pass per digit place.
+    """
+    data = data.removeprefix(codecs.BOM_UTF8)
+    at = head.start() if (head := re.search(rb"^[0-9]", data, re.MULTILINE)) else len(data)
+    try:
+        if b"\r" in data or _trace_lines(io.StringIO(data[:at].decode(), newline=""), meta)[0]:
+            return None
+    except (UnicodeDecodeError, TraceParseError):
+        return None
+    rows = data[at:].removesuffix(b"\n") + b"\n"  # a file with no row goes to the line loop
+    kind = np.frombuffer(rows.translate(_ROW_BYTES), dtype=np.uint8)
+    ends = np.flatnonzero(kind)  # every byte but a digit ends a cell
+    widths = np.diff(ends, prepend=-1) - 1
+    # a row that is not three cells, an empty cell, or one that may not fit in int64
+    if (len(ends) % 3 or (kind[ends].reshape(-1, 3) != (1, 1, 2)).any()
+            or not 1 <= widths.min() <= widths.max() <= 18):
+        return None
+    body = np.frombuffer(rows, dtype=np.uint8)
+    ends, widths = ends.reshape(-1, 3)[:, 1:], widths.reshape(-1, 3)[:, 1:]  # the P and D cells
+    cells = np.zeros(ends.shape, dtype=np.int64)
+    for k in range(int(widths.max()), 0, -1):  # the digit k bytes before each cell's end, if it has one
+        cells *= np.where(widths >= k, 10, 1)
+        cells += np.where(widths >= k, body[ends - k] - ord("0"), 0)
+    p, d = cells.T
+    if (p[1:] <= p[:-1]).any():
+        return None
+    return tuple(p.tolist()), tuple(d.tolist())
+
+
+def _trace_lines(lines: Iterable[str], meta: dict) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """P and D of a trace file's text lines, read one by one, its header lines taken into ``meta``."""
     ps: list[int] = []
     ds: list[int] = []
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                for token in line[1:].split():
-                    k, sep, v = token.partition("=")
-                    if not sep or k not in meta:
-                        continue
-                    if k != "policy":
-                        try:
-                            v = int(v)
-                        except ValueError:
-                            raise TraceParseError(line_no, f"header {token!r} is not an integer") from None
-                        if k == "true_size" and not -(2**63) <= v < 2**63:
-                            raise TraceParseError(line_no, f"header {token!r} is not a signed 64-bit integer")
-                    meta[k] = v
-                continue
-            cells = line.split(",")
-            if cells[0] == "sample_index":
-                continue
-            if len(cells) < 3:
-                raise TraceParseError(line_no, f"expected at least 3 cells, got {len(cells)}: {line!r}")
-            try:
-                p, d = int(cells[1]), int(cells[2])
-            except ValueError:
-                raise TraceParseError(line_no, f"P and D must be integers: {line!r}") from None
-            if not (-(2**63) <= p < 2**63 and -(2**63) <= d < 2**63):
-                raise TraceParseError(line_no, f"P and D must be signed 64-bit integers: {line!r}")
-            if ps and p <= ps[-1]:
-                raise TraceParseError(line_no, f"P must be strictly increasing, got {p} after {ps[-1]}")
-            ps.append(p)
-            ds.append(d)
-    return CrawlTrace(
-        p=tuple(ps),
-        d=tuple(ds),
-        policy=meta["policy"],
-        stride=meta["stride"],
-        seed=meta["seed"],
-        start=meta["start"],
-        true_size=meta["true_size"],
-        complete=bool(meta["complete"]),
-    )
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            for token in line[1:].split():
+                k, sep, v = token.partition("=")
+                if not sep or k not in meta:
+                    continue
+                if k != "policy":
+                    try:
+                        v = int(v)
+                    except ValueError:
+                        raise TraceParseError(line_no, f"header {token!r} is not an integer") from None
+                    if k == "true_size" and not -(2**63) <= v < 2**63:
+                        raise TraceParseError(line_no, f"header {token!r} is not a signed 64-bit integer")
+                meta[k] = v
+            continue
+        cells = line.split(",")
+        if cells[0] == "sample_index":
+            continue
+        if len(cells) < 3:
+            raise TraceParseError(line_no, f"expected at least 3 cells, got {len(cells)}: {line!r}")
+        try:
+            p, d = int(cells[1]), int(cells[2])
+        except ValueError:
+            raise TraceParseError(line_no, f"P and D must be integers: {line!r}") from None
+        if not (-(2**63) <= p < 2**63 and -(2**63) <= d < 2**63):
+            raise TraceParseError(line_no, f"P and D must be signed 64-bit integers: {line!r}")
+        if ps and p <= ps[-1]:
+            raise TraceParseError(line_no, f"P must be strictly increasing, got {p} after {ps[-1]}")
+        ps.append(p)
+        ds.append(d)
+    return tuple(ps), tuple(ds)

@@ -51,6 +51,8 @@ from typing import BinaryIO, Callable, Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from . import InputError
+
 __all__ = [
     "Graph",
     "InputError",
@@ -65,10 +67,6 @@ __all__ = [
 ]
 
 UNREACHABLE = -1
-
-
-class InputError(ValueError):
-    """Base of the errors raised for malformed input: edge lists and trace files."""
 
 
 class EdgeListParseError(InputError):
@@ -477,9 +475,13 @@ def _byte_tokens(data: bytes, sep: int) -> np.ndarray | None:
     if not data.isascii():
         return None
     padded = b"\0" + data + bytes(8)  # a NUL before the first token, and room for the last window
-    inside = np.frombuffer(padded.translate(_IN_TOKEN), dtype=bool)
-    flips = np.flatnonzero(inside[1:] != inside[:-1])
-    starts, ends = flips[0::2], flips[1::2]
+    # a block with a token over 8 bytes is turned down before its lines are counted, and a block
+    # of long labels by its first 4 KiB alone; but a comment's tokens may be longer
+    if b"#" not in data and _token_spans(padded[:4096] + b"\0")[1].max(initial=0) > 8:
+        return None
+    starts, width = _token_spans(padded)
+    if b"#" not in data and width.max(initial=0) > 8:
+        return None
     raw = np.frombuffer(padded, dtype=np.uint8, offset=1)
     breaks = np.flatnonzero(raw[: len(data)] == sep)
     tokens = np.diff(np.searchsorted(starts, breaks), prepend=0, append=len(starts))  # per line
@@ -489,13 +491,19 @@ def _byte_tokens(data: bytes, sep: int) -> np.ndarray | None:
         comment = np.zeros(len(tokens), dtype=bool)
         comment[has] = raw[starts[lead]] == ord("#")
         keep = ~np.repeat(comment, tokens)
-        starts, ends, tokens = starts[keep], ends[keep], np.where(comment, 0, tokens)
-    width = ends - starts
-    if not ((tokens == 0) | (tokens == 2)).all() or (width.size and width.max() > 8):
+        starts, width, tokens = starts[keep], width[keep], np.where(comment, 0, tokens)
+    if not ((tokens == 0) | (tokens == 2)).all() or width.max(initial=0) > 8:
         return None
     windows = np.ndarray(len(data), dtype="<u8", buffer=raw, strides=(1,))
     keys = windows[starts]
     return np.bitwise_and(keys, _LOW_BYTES[width], out=keys)
+
+
+def _token_spans(padded: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """The start and the width of each token of ``padded``, whose first and last bytes are NUL."""
+    inside = np.frombuffer(padded.translate(_IN_TOKEN), dtype=bool)
+    flips = np.flatnonzero(inside[1:] != inside[:-1])
+    return flips[0::2], flips[1::2] - flips[0::2]
 
 
 def _line_tokens(lines: list[str], first_line: int = 1) -> list[str]:

@@ -176,22 +176,6 @@ _TAIL_FRACTION = 5e-4
 _MIN_SEGMENT_MASS = 0.03
 
 
-def _line_fits(x: np.ndarray, y: np.ndarray, w: np.ndarray, lo, hi) -> tuple:
-    """Weighted least-squares lines ``y ~ intercept + slope * x`` over points lo..hi.
-
-    ``lo`` and ``hi`` are inclusive point indices, scalars or equal-length
-    arrays. One prefix-sum table over (w, wx, wy, wxx, wxy, wyy) serves every
-    segment. Returns (slope, intercept, weighted residual sum of squares), the
-    last clamped at 0 against rounding.
-    """
-    cols = np.stack([w, w * x, w * y, w * x * x, w * x * y, w * y * y], axis=1)
-    table = np.concatenate((np.zeros((1, 6)), np.cumsum(cols, axis=0)))
-    sw, sx, sy, sxx, sxy, syy = (table[np.add(hi, 1)] - table[lo]).T
-    slope = (sw * sxy - sx * sy) / (sw * sxx - sx * sx)
-    intercept = (sy - slope * sx) / sw
-    return slope, intercept, np.maximum(syy - intercept * sy - slope * sxy, 0.0)
-
-
 def fit_double_pareto(h: Histogram, weighted: bool = True) -> DoubleParetoFit:
     """Fit two power-law segments to a degree histogram on log-log axes.
 
@@ -213,6 +197,8 @@ def fit_double_pareto(h: Histogram, weighted: bool = True) -> DoubleParetoFit:
 
     Raises ValueError when fewer than 6 distinct positive-degree bins exist.
     """
+    from ._linefit import _line_fits  # here, so that a stats run that fits nothing loads no more modules
+
     all_points = [(v, c) for v, c in h.items() if v >= 1]
     if len(all_points) < 6:
         raise ValueError(f"need at least 6 distinct positive-degree bins, got {len(all_points)}")

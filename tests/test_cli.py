@@ -1124,23 +1124,35 @@ class TestImports:
             "--paths", "sampled:2", "--seniors", "1", "--out", str(tmp_path / "s"),
         ) == ["netgeom", "netgeom.cli", "netgeom.graph", "netgeom.stats"]
 
+    def test_bare_stats_loads_no_module_beyond_graph_and_stats(self, tmp_path, child_env):
+        # the line-fit kernel, which --fit needs, and the root pieces of the trace
+        # layer add no module to a run that only reads and counts the graph
+        src = tmp_path / "g.txt"
+        src.write_text("0 1\n1 2\n2 0\n3 4\n")
+        assert loaded_modules(child_env, self.RUN_MAIN, "stats", "--graph", str(src), "--out", str(tmp_path / "s")) == [
+            "netgeom", "netgeom.cli", "netgeom.graph", "netgeom.stats"]
+
     def test_fit_rational_loads_no_structure_embedding_or_generators(self, tmp_path, child_env):
+        # nor graph.py or stats.py: the crawl layer and the line-fit kernel alone
         src = tmp_path / "ring.txt"
         src.write_text("".join(f"{i} {(i + 1) % 60}\n{i} {(i + 7) % 60}\n" for i in range(60)))
         assert run("crawl-sim", "--graph", str(src), "--out", str(tmp_path / "c")) == 0
         assert loaded_modules(
             child_env, self.RUN_MAIN, "fit-rational", "--trace", str(tmp_path / "c" / "trace.csv"),
             "--out", str(tmp_path / "f"),
-        ) == ["netgeom", "netgeom.cli", "netgeom.crawl", "netgeom.graph", "netgeom.stats"]
+        ) == ["netgeom", "netgeom._linefit", "netgeom.cli", "netgeom.crawl"]
 
-    @pytest.mark.parametrize("argv, never", [
-        (["estimate", "--trace", "{trace}"], {"structure", "embedding", "generators"}),
-        (["solve-ode", "--d0", "100", "--dprime0", "-0.5", "--step", "0.01", "--pmax", "20"],
-         {"structure", "embedding", "generators"}),
-        (["embed", "--graph", "{ring}"], {"structure", "crawl"}),
-        (["reduce", "--graph", "{ring}", "--tolerance", "1"], {"structure", "crawl"}),
+    TRACE_JOB_NEVER = {"graph", "stats", "structure", "embedding", "generators"}
+
+    @pytest.mark.parametrize("argv, uses, never", [
+        (["estimate", "--trace", "{trace}"], {"crawl"}, TRACE_JOB_NEVER),
+        (["solve-ode", "--d0", "100", "--dprime0", "-0.5", "--step", "0.01", "--pmax", "20"], {"crawl"},
+         TRACE_JOB_NEVER),
+        (["embed", "--graph", "{ring}"], {"graph", "embedding"}, {"structure", "crawl"}),
+        (["reduce", "--graph", "{ring}", "--tolerance", "1"], {"graph", "embedding"}, {"structure", "crawl"}),
     ], ids=["estimate", "solve-ode", "embed", "reduce"])
-    def test_each_subcommand_loads_none_of_the_layers_it_does_not_use(self, tmp_path, child_env, argv, never):
+    def test_each_subcommand_loads_none_of_the_layers_it_does_not_use(self, tmp_path, child_env, argv, uses,
+                                                                       never):
         # sys.modules, not -X importtime: a module that netgeom.__getattr__ loads
         # through importlib.import_module is missing from the importtime listing
         ring = tmp_path / "ring.txt"
@@ -1149,7 +1161,7 @@ class TestImports:
         paths = {"ring": ring, "trace": tmp_path / "c" / "trace.csv"}
         argv = [arg.format_map(paths) for arg in argv] + ["--out", str(tmp_path / "out")]
         layers = {name.removeprefix("netgeom.") for name in loaded_modules(child_env, self.RUN_MAIN, *argv)}
-        assert "graph" in layers and not layers & never
+        assert uses <= layers and not layers & never
 
     def test_import_netgeom_loads_no_layer_and_every_public_name_resolves(self, child_env):
         assert loaded_modules(child_env, "import netgeom") == ["netgeom"]
@@ -1160,7 +1172,7 @@ class TestImports:
                    "generate_appendage_graph, decompose\n"
                    "assert netgeom.crawl.fit_rational is fit_rational")
         assert loaded_modules(child_env, resolve) == [
-            "netgeom", "netgeom.crawl", "netgeom.embedding", "netgeom.generators",
+            "netgeom", "netgeom._linefit", "netgeom.crawl", "netgeom.embedding", "netgeom.generators",
             "netgeom.graph", "netgeom.stats", "netgeom.structure"]
 
 

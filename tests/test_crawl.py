@@ -1,12 +1,16 @@
 """Crawl simulation, running size estimation, curve fitting, and the ODE."""
 from __future__ import annotations
 
+import codecs
 import random
 import statistics
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from netgeom import crawl as crawl_module
 from netgeom.crawl import (
     POLICIES,
     CrawlTrace,
@@ -27,7 +31,8 @@ from netgeom.generators import (
 )
 from netgeom.graph import Graph, giant_core
 
-from util import complete_graph, crawl_oracle, from_edges, path_graph, random_connected, star_graph
+from util import (complete_graph, crawl_oracle, from_edges, path_graph, random_connected, read_trace_oracle,
+                  star_graph)
 
 
 def synthetic_trace(p, d, true_size=10**9):
@@ -252,6 +257,87 @@ class TestTraceCsv:
             assert info.value.line_no == line_no
 
 
+# a cell that only the line loop reads: signs, underscores, spaces, empty, not a number,
+# leading zeros, non-ASCII digits, and integers past the signed 64-bit range
+ODD_CELL = st.one_of(st.sampled_from(["+5", "5_000", " 7 ", "", "x", "0007", "-3", "\u0661", "1" * 19]),
+                     st.integers(-(2**64), 2**64).map(str))
+HEADER_TOKEN = st.one_of(
+    st.builds("{}={}".format, st.sampled_from(["policy", "stride", "seed", "start", "true_size", "complete", "other"]),
+              st.one_of(st.integers(-(2**64), 2**64).map(str), st.sampled_from(["x", "random", ""]))),
+    st.just("junk"))
+
+
+@st.composite
+def trace_file(draw) -> bytes:
+    """The bytes of a trace file: header, sample_index and blank lines, then rows
+    of three integer cells with P rising; in a damaged file, lines of every kind
+    anywhere, rows odd, short, long or not rising, and CR line ends."""
+    damaged = draw(st.booleans())
+
+    def other_line() -> str:
+        kind = draw(st.sampled_from(["header", "index", "blank"] + ["odd"] * damaged))
+        if kind == "header":
+            return draw(st.sampled_from(["#", " # "])) + " ".join(draw(st.lists(HEADER_TOKEN, max_size=4)))
+        if kind == "index":
+            return draw(st.sampled_from(["sample_index,P,D", "sample_index", "sample_index,x"]))
+        return draw(st.sampled_from(["", " ", "\t"])) if kind == "blank" else draw(ODD_CELL)
+
+    lines = [other_line() for _ in range(draw(st.integers(0, 3)))]
+    p = 0
+    for i in range(draw(st.integers(0, 25))):
+        if damaged and not draw(st.integers(0, 4)):
+            lines.append(other_line())
+        p += draw(st.integers(1, 10**6)) if not damaged or draw(st.integers(0, 11)) else -draw(st.integers(0, 3))
+        cells = [str(i), str(p), str(draw(st.integers(0, 10**6)))]
+        if damaged and not draw(st.integers(0, 9)):
+            cells[draw(st.integers(0, 2))] = draw(ODD_CELL)
+        if damaged and not draw(st.integers(0, 9)):
+            cells = cells[: draw(st.integers(1, 2))] if draw(st.booleans()) else cells + [draw(ODD_CELL)]
+        lines.append(",".join(cells))
+    ends = [draw(st.sampled_from(["\n"] * 6 + ["\r\n", "\r"] * damaged)) for _ in lines]
+    if lines and draw(st.booleans()):
+        ends[-1] = ""
+    text = "".join(map("".join, zip(lines, ends))).encode()
+    bom = codecs.BOM_UTF8 if not draw(st.integers(0, 5)) else b""
+    return bom + text + (b"\xff" if damaged and not draw(st.integers(0, 20)) else b"")
+
+
+def read_outcome(read, path) -> tuple:
+    """What ``read(path)`` gives: the trace, or the error's type, message and line number."""
+    try:
+        return ("trace", read(path))
+    except (TraceParseError, UnicodeDecodeError) as e:
+        return (type(e).__name__, str(e), getattr(e, "line_no", None))
+
+
+class TestTraceReaderOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(trace_file())
+    @example(b"# stride=4 true_size=99\nsample_index,P,D\n0,1,5\n1,3,2\n2,7,0\n")
+    @example(b"\xef\xbb\xbfsample_index,P,D\r\n0,1,5\r\n1,2,0")  # a BOM and CRLF
+    @example(b"# seed=3\r0,1,5\n1,2,0\n")  # a lone CR ends a header line, not only a row
+    @example(b"0,1,5\n# seed=3\n1,2,4\n\n2,3,0\n")  # a header and a blank line among the rows
+    @example(b"0,+5,1\n1,5_000,2\n")  # cells that int() takes and the numpy pass does not
+    @example(b"0,1,2,3\n1,2\n")  # an extra cell, then a short row
+    @example(b"0,2,1\n1,2,0\n")  # P not rising
+    @example(b"0,9223372036854775808,1\n")  # past int64: 19 digits go to the line loop
+    @example(b"# stride=x\n0,1,2\n\xff\n")  # a bad header before a byte that is not UTF-8
+    def test_random_files_read_like_the_line_loop(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("trace") / "trace.csv"
+        path.write_bytes(data)
+        assert read_outcome(read_trace_csv, str(path)) == read_outcome(read_trace_oracle, str(path))
+
+    def test_written_traces_take_the_numpy_pass(self, tmp_path):
+        g = giant_core(configuration_model([3] * 120, seed=4))
+        for policy in POLICIES:
+            tr = simulate_crawl(g, policy=policy, stride=2, seed=9)
+            write_trace_csv(tr, str(tmp_path / "t.csv"))
+            meta = dict(crawl_module._META)
+            assert crawl_module._trace_columns((tmp_path / "t.csv").read_bytes(), meta) == (tr.p, tr.d)
+            assert meta == {"policy": policy, "stride": 2, "seed": 9, "start": 0, "true_size": g.node_count,
+                            "complete": 1}
+
+
 class TestRationalFit:
     PLANTED = (2.0, -30.0, 500.0, 40.0, 3000.0)
 
@@ -402,7 +488,27 @@ class TestAcquisitionOde:
         assert sol.p.tolist() == [0.0]
 
 
+@st.composite
+def small_graph(draw) -> Graph:
+    """A graph of 1 to 25 nodes and random edges: often disconnected, with isolated nodes."""
+    n = draw(st.integers(1, 25))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    return Graph.from_edges(n, draw(st.lists(pairs, max_size=3 * n)))
+
+
 class TestCrawlReference:
+    @settings(max_examples=150, deadline=None)
+    @given(small_graph(), st.integers(1, 30), st.sampled_from([1, 2, 3, 7, 1 << 16]))
+    def test_fifo_levels_match_the_plain_loop(self, g, stride, budget):
+        # from every start, isolated ones too, with strides past n; small arc
+        # budgets split the levels into many gathers, and a row over the budget
+        # is gathered alone
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(crawl_module, "_ARC_BUDGET", budget)
+            for start in range(g.node_count):
+                tr = simulate_crawl(g, start=start, stride=stride)
+                assert (list(tr.p), list(tr.d)) == crawl_oracle(g, start, "fifo", stride, 0)
+
     def test_traces_match_the_plain_loop(self):
         # connected graphs, and graphs with isolated nodes and several components
         rng = random.Random(11)

@@ -13,6 +13,7 @@ import random
 from collections import deque
 from fractions import Fraction
 
+from netgeom.crawl import CrawlTrace, TraceParseError
 from netgeom.graph import EdgeListParseError, Graph, load_edge_list
 
 INF = float("inf")
@@ -353,6 +354,50 @@ def crawl_oracle(g: Graph, start: int, policy: str, stride: int, seed: int) -> t
         ps.append(processed)
         ds.append(0)
     return ps, ds
+
+
+def read_trace_oracle(path: str) -> CrawlTrace:
+    """A trace file read by one loop over its text lines, as ``read_trace_csv`` reads
+    the files its numpy pass turns down, with the same errors."""
+    meta: dict = {"policy": "fifo", "stride": 1, "seed": 0, "start": 0, "true_size": 0, "complete": 1}
+    ps: list[int] = []
+    ds: list[int] = []
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                for token in line[1:].split():
+                    k, sep, v = token.partition("=")
+                    if not sep or k not in meta:
+                        continue
+                    if k != "policy":
+                        try:
+                            v = int(v)
+                        except ValueError:
+                            raise TraceParseError(line_no, f"header {token!r} is not an integer") from None
+                        if k == "true_size" and not -(2**63) <= v < 2**63:
+                            raise TraceParseError(line_no, f"header {token!r} is not a signed 64-bit integer")
+                    meta[k] = v
+                continue
+            cells = line.split(",")
+            if cells[0] == "sample_index":
+                continue
+            if len(cells) < 3:
+                raise TraceParseError(line_no, f"expected at least 3 cells, got {len(cells)}: {line!r}")
+            try:
+                p, d = int(cells[1]), int(cells[2])
+            except ValueError:
+                raise TraceParseError(line_no, f"P and D must be integers: {line!r}") from None
+            if not (-(2**63) <= p < 2**63 and -(2**63) <= d < 2**63):
+                raise TraceParseError(line_no, f"P and D must be signed 64-bit integers: {line!r}")
+            if ps and p <= ps[-1]:
+                raise TraceParseError(line_no, f"P must be strictly increasing, got {p} after {ps[-1]}")
+            ps.append(p)
+            ds.append(d)
+    return CrawlTrace(p=tuple(ps), d=tuple(ds), policy=meta["policy"], stride=meta["stride"], seed=meta["seed"],
+                      start=meta["start"], true_size=meta["true_size"], complete=bool(meta["complete"]))
 
 
 def senior_neighbor_counts(g: Graph, threshold: int) -> list[int]:

@@ -75,6 +75,7 @@ if TYPE_CHECKING:
 
 OUT_DIR_ENV = "NETGEOM_OUT"
 _EDGE_SLICE = 1 << 16  # edges formatted per write of an edge file
+_PAD = b"\xff"  # pads a byte-table cell; str.encode() never makes this byte
 
 
 class CliError(Exception):
@@ -173,17 +174,28 @@ def _rows(sep: str, *columns: Iterable) -> str:
     return "".join(map((sep.join(["{}"] * len(columns)) + "\n").format, *columns))
 
 
+def _cells(texts: Iterable[str]) -> np.ndarray:
+    """A fixed-width byte table of ``texts`` in UTF-8, each cell padded with ``_PAD``
+    to the widest cell rounded up to a power of two, for ``take``."""
+    raw = [text.encode() for text in texts]
+    width = 1 << (max(map(len, raw), default=1) - 1).bit_length()
+    return np.array([cell.ljust(width, _PAD) for cell in raw], dtype=f"S{width}")
+
+
 def _write_edges(out: str, name: str, g: Graph) -> None:
-    """Write one "u v" line per edge, in sorted edge order, ``_EDGE_SLICE`` edges at a time,
-    from tables of each label followed by a space and by a newline."""
-    names = _names(g)
-    left = np.array([label + " " for label in names], dtype=object)
-    right = np.array([label + "\n" for label in names], dtype=object)
-    lo, hi = g._ends()
-    with open(os.path.join(out, name), "w", encoding="utf-8", newline="") as fh:
-        for s in range(0, len(lo), _EDGE_SLICE):
-            cut = slice(s, s + _EDGE_SLICE)
-            fh.write("".join(np.stack((left[lo[cut]], right[hi[cut]]), axis=1).ravel().tolist()))
+    """Write one "u v" line per edge, in sorted edge order, ``_EDGE_SLICE`` edges at a time.
+
+    The cells come from one ``_cells`` table: each label followed by a space,
+    then each label followed by a newline. A slice's cells are taken at once
+    and written with their ``_PAD`` bytes dropped, so no Python object is made
+    per edge.
+    """
+    cells = _cells(label + end for end in " \n" for label in _names(g))
+    pairs = np.stack(g._ends(), axis=1)
+    pairs[:, 1] += g.node_count  # the newline cells follow the space cells
+    with open(os.path.join(out, name), "wb") as fh:
+        for s in range(0, len(pairs), _EDGE_SLICE):
+            fh.write(cells.take(pairs[s : s + _EDGE_SLICE]).tobytes().translate(None, _PAD))
 
 
 def _parse_kv(tokens: Sequence[str], allowed: Sequence[str]) -> dict[str, str]:
@@ -457,30 +469,27 @@ def _write_coords(out: str, names: Sequence[str], ref_names: Sequence[str],
     """Write coords.csv: a header, then one "label,d1,...,dk" line per row of
     ``blocks``, which come in row order, at most 64 rows each.
 
-    Cells come from a fixed-width byte table: ",d" for each distance d, then a
-    newline, NUL-padded to a power-of-two width. It is rebuilt whenever a block
-    reaches past it, since the diameter is known only after the last block. A
-    block's rows, each ended by the newline cell, are taken from the table at
-    once, their NULs dropped with ``bytes.translate``, and the lines written
-    after the UTF-8 labels. One block is formatted at a time, so the writer
+    Cells come from a ``_cells`` table: ",d" for each distance d, then a
+    newline. It is rebuilt whenever a block reaches past it, since the diameter
+    is known only after the last block. A block's rows, each ended by the
+    newline cell, are taken from the table at once, their ``_PAD`` bytes
+    dropped with ``bytes.translate``, and the lines written after the UTF-8
+    labels. One block is formatted at a time, so the writer
     holds 64 x k cells and one block's bytes, never the n x k matrix or the
     whole file. A run that fails part-way leaves its truncated coords.csv in
     the staging directory, which ``main`` removes.
     """
     with open(os.path.join(out, "coords.csv"), "wb") as fh:
         fh.write(("node," + ",".join(ref_names) + "\n").encode())
-        cells = np.zeros(0, dtype="S2")
-        s = 0
+        cells, s = np.zeros(0, dtype="S2"), 0  # s: the first row of the next block
         for block in blocks:
             if (top := int(block.max(initial=0))) >= len(cells) - 1:
-                texts = [f",{d}".encode() for d in range(top + 1)] + [b"\n"]
-                cells = np.array(texts, dtype=f"S{1 << len(str(top)).bit_length()}")
+                cells = _cells([f",{d}" for d in range(top + 1)] + ["\n"])
             rows = np.empty((len(block), block.shape[1] + 1), dtype=cells.dtype)
             np.take(cells, block, out=rows[:, :-1])
             rows[:, -1] = cells[-1]
-            lines = rows.tobytes().translate(None, b"\0").splitlines(keepends=True)
-            labels = [name.encode() for name in names[s : s + len(block)]]
-            fh.write(b"".join(chain.from_iterable(zip(labels, lines))))
+            lines = rows.tobytes().translate(None, _PAD).splitlines(keepends=True)
+            fh.write(b"".join(chain.from_iterable(zip(map(str.encode, names[s : s + len(block)]), lines))))
             s += len(block)
 
 

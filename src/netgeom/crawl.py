@@ -21,6 +21,7 @@ import operator
 import random
 import re
 from dataclasses import dataclass
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
@@ -183,14 +184,13 @@ def _random_frontier(g: Graph, start: int, seed: int) -> list[int]:
     seen = bytearray(g.node_count)
     seen[start] = 1
     unseen, sizes, pool = g.node_count - 1, [], [start]
-    # one int object per node, shared by all rows: quicker to make and to walk than indices.tolist()
-    ptr, nbrs = g.indptr.tolist(), np.arange(g.node_count).astype(object)[g.indices].tolist()
+    ptr, nbrs = g.indptr.tolist(), g.indices
     while pool:
         i = rng.randrange(len(pool))
         pool[i], pool[-1] = pool[-1], pool[i]
         u = pool.pop()
         if unseen:  # once every node is found, no row can add to the pool
-            for w in nbrs[ptr[u] : ptr[u + 1]]:
+            for w in nbrs[ptr[u] : ptr[u + 1]].tolist():
                 if not seen[w]:
                     seen[w] = 1
                     pool.append(w)
@@ -212,10 +212,13 @@ def estimate_derivative(trace: CrawlTrace, window: int | None = None) -> np.ndar
     window's slope is not finite (its P values too large for their spread).
     """
     w = default_window(trace) if window is None else window
+    return _slopes(np.asarray(trace.p, dtype=np.float64), np.asarray(trace.d, dtype=np.float64), w)
+
+
+def _slopes(p: np.ndarray, d: np.ndarray, w: int) -> np.ndarray:
+    """``estimate_derivative`` of the float64 columns ``p`` and ``d`` over windows of ``w`` samples."""
     if w < 2:
         raise ValueError("window must be >= 2 samples")
-    p = np.asarray(trace.p, dtype=np.float64)
-    d = np.asarray(trace.d, dtype=np.float64)
     m = p.size
     out = np.full(m, np.nan)
     if m < w:
@@ -255,12 +258,12 @@ class SizeEstimate:
 
 def estimate_size(trace: CrawlTrace, window: int | None = None) -> SizeEstimate:
     """Size estimate at every sample of ``trace`` (NaN until the window fills); |P|, |D| <= 2**53."""
-    if max(map(abs, trace.p + trace.d), default=0) > 2**53:
+    if max(map(abs, chain(trace.p, trace.d)), default=0) > 2**53:
         raise ValueError("|P| and |D| must not exceed 2**53: float64 cannot hold every integer above it")
     w = default_window(trace) if window is None else window
-    dprime = estimate_derivative(trace, w)
     p = np.asarray(trace.p, dtype=np.float64)
     d = np.asarray(trace.d, dtype=np.float64)
+    dprime = _slopes(p, d, w)
     rate = dprime + 1.0
     clamped = rate < 0
     rate_eff = np.where(clamped, 0.0, rate)

@@ -475,13 +475,11 @@ def _byte_tokens(data: bytes, sep: int) -> np.ndarray | None:
     if not data.isascii():
         return None
     padded = b"\0" + data + bytes(8)  # a NUL before the first token, and room for the last window
-    # a block with a token over 8 bytes is turned down before its lines are counted, and a block
-    # of long labels by its first 4 KiB alone; but a comment's tokens may be longer
+    # a block of long labels is turned down by its first 4 KiB alone, before its lines are counted;
+    # a comment's tokens may be longer, and a long data token further on fails the last check
     if b"#" not in data and _token_spans(padded[:4096] + b"\0")[1].max(initial=0) > 8:
         return None
     starts, width = _token_spans(padded)
-    if b"#" not in data and width.max(initial=0) > 8:
-        return None
     raw = np.frombuffer(padded, dtype=np.uint8, offset=1)
     breaks = np.flatnonzero(raw[: len(data)] == sep)
     tokens = np.diff(np.searchsorted(starts, breaks), prepend=0, append=len(starts))  # per line

@@ -635,15 +635,18 @@ class TestEmbedStream:
         }
 
     @pytest.mark.parametrize("refs", [None, [0, 3, 0]], ids=["full", "refs"])
-    @pytest.mark.parametrize("shape", ["multibyte", "path", "broom"])
+    @pytest.mark.parametrize("shape", ["multibyte", "path", "broom", "nul-long"])
     def test_coords_bytes(self, tmp_path, shape, refs):
         # multibyte: 2- and 3-byte UTF-8 labels; path: 102 nodes in label
         # order, so cells run from 1 to 3 digits and, with --refs, only the
         # second block reaches 3; broom: a hub with 63 leaves, then a 100-node
-        # tail, so with --refs the first block's cells have 1 digit
-        if shape == "multibyte":
+        # tail, so with --refs the first block's cells have 1 digit; nul-long:
+        # labels that hold a NUL, and labels of 40 bytes and more
+        if shape in ("multibyte", "nul-long"):
             g = random_connected(70, 70, random.Random(3))
-            label = [f"é{v}" if v % 2 else f"узел{v}" for v in range(70)]
+            multibyte = [f"é{v}" if v % 2 else f"узел{v}" for v in range(70)]
+            nul_long = [(f"n\0{v}", "long" * 10 + str(v), str(v))[v % 3] for v in range(70)]
+            label = multibyte if shape == "multibyte" else nul_long
             edges = [(label[a], label[b]) for a, b in g.edges()]
         elif shape == "path":
             edges = [(f"p{v}", f"p{v + 1}") for v in range(101)]
@@ -716,8 +719,10 @@ class TestEdgeFiles:
         return load_edge_list([f"{u} {v}" for u, v in g.edges()])  # labelled, as decompose writes it
 
     def test_slices_join_to_one_line_per_edge(self, tmp_path, monkeypatch):
-        g = load_edge_list(["b a", "c a", "é b", "d c", "a d", "b c", "x y"])
-        monkeypatch.setattr(cli_module, "_EDGE_SLICE", 3)  # two full slices and one short
+        # labels with a NUL, with 2- and 3-byte UTF-8 and with more than 8 bytes, in every slice
+        g = load_edge_list(["b a", "c a", "é b", "d c", "a d", "b c", "x y", "n\0l a", "узел n\0l",
+                            "日本 x", "a_label_of_many_bytes b", "\0 日本", "y \0\0", "é a_label_of_many_bytes"])
+        monkeypatch.setattr(cli_module, "_EDGE_SLICE", 3)  # four full slices and one short
         cli_module._write_edges(str(tmp_path), "edges.txt", g)
         want = "".join(f"{g.label_of(u)} {g.label_of(v)}\n" for u, v in g.edges())
         assert (tmp_path / "edges.txt").read_bytes() == want.encode()

@@ -497,17 +497,20 @@ def small_graph(draw) -> Graph:
 
 
 class TestCrawlReference:
+    @pytest.mark.parametrize("policy", POLICIES)
     @settings(max_examples=150, deadline=None)
-    @given(small_graph(), st.integers(1, 30), st.sampled_from([1, 2, 3, 7, 1 << 16]))
-    def test_fifo_levels_match_the_plain_loop(self, g, stride, budget):
+    @given(g=small_graph(), stride=st.integers(1, 30), budget=st.sampled_from([1, 2, 3, 7, 1 << 16]),
+           seed=st.integers(0, 2**32))
+    def test_every_start_matches_the_plain_loop(self, policy, g, stride, budget, seed):
         # from every start, isolated ones too, with strides past n; small arc
-        # budgets split the levels into many gathers, and a row over the budget
-        # is gathered alone
+        # budgets split the fifo levels into many gathers, and a row over the
+        # budget is gathered alone; the random crawl draws from the seed
+        seed = seed if policy == "random" else 0
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(crawl_module, "_ARC_BUDGET", budget)
             for start in range(g.node_count):
-                tr = simulate_crawl(g, start=start, stride=stride)
-                assert (list(tr.p), list(tr.d)) == crawl_oracle(g, start, "fifo", stride, 0)
+                tr = simulate_crawl(g, start=start, policy=policy, stride=stride, seed=seed)
+                assert (list(tr.p), list(tr.d)) == crawl_oracle(g, start, policy, stride, seed)
 
     def test_traces_match_the_plain_loop(self):
         # connected graphs, and graphs with isolated nodes and several components

@@ -315,6 +315,27 @@ class TestParsingPaths:
         assert same_graph(load_edge_list(io.BytesIO(b"".join(lines[:2]))), load_edge_list(["a b", "b c"]))
         assert split == []
 
+    def test_a_long_label_past_the_first_4_kib_sends_its_block_to_the_line_loop(self, monkeypatch, tmp_path):
+        # no '#' in the block and only short labels in its first 4 KiB, so only the
+        # width check after the lines are counted turns it down
+        lines = [f"a{v} b{v % 7}" for v in range(1000)]
+        lines[800] = "a800 123456789"
+        data = ("\n".join(lines) + "\n").encode()
+        assert data.index(b"123456789") > 4096 and b"#" not in data
+        assert _byte_tokens(data, ord("\n")) is None
+        assert _byte_tokens(data.replace(b"123456789", b"12345678"), ord("\n")) is not None
+        path = tmp_path / "g.txt"
+        path.write_bytes(data)
+        with open(path, encoding="utf-8-sig") as fh:
+            want = load_edge_list(fh)
+        split = []
+        monkeypatch.setattr(graph_module, "_line_tokens",
+                            lambda chunk, **kw: split.append(chunk) or _line_tokens(chunk, **kw))
+        with open(path, "rb") as fh:
+            got = load_edge_list(fh)
+        assert split == [lines]  # one block, read by the line loop
+        assert same_graph(got, want) and "123456789" in got.labels
+
     @pytest.mark.parametrize("block", [1, 1 << 20])
     @pytest.mark.parametrize("end", ["\r\n", "\r"])
     def test_crlf_and_lone_cr_files_stay_on_the_tokenizer(self, monkeypatch, tmp_path, end, block):

@@ -183,19 +183,18 @@ def _cells(texts: Iterable[str]) -> np.ndarray:
 
 
 def _write_edges(out: str, name: str, g: Graph) -> None:
-    """Write one "u v" line per edge, in sorted edge order, ``_EDGE_SLICE`` edges at a time.
+    """Write one "u v" line per edge, in sorted edge order, about ``_EDGE_SLICE`` edges at a time.
 
     The cells come from one ``_cells`` table: each label followed by a space,
-    then each label followed by a newline. A slice's cells are taken at once
-    and written with their ``_PAD`` bytes dropped, so no Python object is made
-    per edge.
+    then each label followed by a newline. A slice's edges come from a range of
+    CSR rows (``Graph._edge_slices``); their cells are taken at once and written
+    with their ``_PAD`` bytes dropped, so no Python object is made per edge.
     """
     cells = _cells(label + end for end in " \n" for label in _names(g))
-    pairs = np.stack(g._ends(), axis=1)
-    pairs[:, 1] += g.node_count  # the newline cells follow the space cells
     with open(os.path.join(out, name), "wb") as fh:
-        for s in range(0, len(pairs), _EDGE_SLICE):
-            fh.write(cells.take(pairs[s : s + _EDGE_SLICE]).tobytes().translate(None, _PAD))
+        for lo, hi in g._edge_slices(_EDGE_SLICE):
+            # the newline cells follow the space cells
+            fh.write(cells.take(np.stack((lo, hi + g.node_count), axis=1)).tobytes().translate(None, _PAD))
 
 
 def _parse_kv(tokens: Sequence[str], allowed: Sequence[str]) -> dict[str, str]:

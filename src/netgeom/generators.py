@@ -116,7 +116,7 @@ def _random_core_keys(m: int, p: float, rng: np.random.Generator) -> np.ndarray:
     adj = np.triu(rng.random((m, m)) < p, 1)
     # connect components: link a random node of each later component to a random
     # node of the first one (component ids follow each component's smallest node)
-    cid, sizes = _component_ids(Graph._from_keys(m, np.flatnonzero(adj)))
+    cid, sizes = _component_ids(Graph.__new__(Graph)._fill(m, np.flatnonzero(adj)))
     comps = np.split(np.argsort(cid, kind="stable"), np.cumsum(sizes)[:-1])
     for comp in comps[1:]:
         u, v = rng.choice(comp), rng.choice(comps[0])
@@ -234,4 +234,4 @@ def configuration_model(degrees: list[int], seed: int = 0) -> Graph:
         bad = int(len(u) - len(keys))
         if bad == 0 or bad > _MATCHING_HOPELESS:
             break
-    return Graph._from_keys(n, keys)
+    return Graph.__new__(Graph)._fill(n, keys)

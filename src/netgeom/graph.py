@@ -4,11 +4,15 @@ Nodes are dense integer ids 0..n-1. Graphs loaded from edge-list text keep the
 original string labels in first-appearance order; graphs derived from other
 graphs keep a mapping back to their parent's indices in ``origin_nodes``.
 
-A graph is stored as CSR arrays (``indptr``, ``indices``), made by one
-builder, ``Graph._fill``, from sorted unique edge keys ``min * n + max``.
-Parsing, ``from_edges``, the configuration model and induced subgraphs all
-reduce their input to such keys with numpy, so no per-edge Python object is
-made on the way in.
+A graph is stored as CSR arrays (``indptr``, ``indices``). Parsing,
+``from_edges`` and the configuration model reduce their input with numpy to
+sorted unique edge keys ``min * n + max``, which one builder, ``Graph._fill``,
+turns into rows, so no per-edge Python object is made on the way in.
+Subgraphs are cut from the parent's rows instead (``_induced``,
+``_component_graphs``): a kept node's new id is its rank among the kept nodes,
+so every row stays sorted and no edge key is made or sorted again. The edge
+walks, ``Graph.edges`` and the edge-file writer, read the u < v arcs of
+ranges of consecutive rows (``Graph._edge_slices``).
 
 An edge list is parsed by one loop over its pieces (``_pieces``): the blocks
 of whole lines of a binary file, their line ends made ``\\n``, or chunks of
@@ -81,9 +85,9 @@ class Graph:
     """Undirected simple graph in CSR form, immutable after construction.
 
     The neighbours of node v are ``indices[indptr[v]:indptr[v + 1]]``, in
-    increasing order. Both arrays are read-only int64. Loops that walk
-    neighbours node by node read them as lists (``indptr.tolist()``,
-    ``indices.tolist()``) and slice those.
+    increasing order. Both arrays are read-only int64. A loop that walks
+    neighbours node by node (``_peel``, the random crawl) slices one row out
+    of ``indices`` at a time and makes only that row a list.
 
     ``Graph(adjacency)`` takes one neighbour list per node and rejects ids out
     of range, self-loops, repeats and asymmetric lists with ``ValueError``.
@@ -130,16 +134,11 @@ class Graph:
             raise ValueError(f"edge ({a}, {b}) is listed by only one of its end nodes")
         self._fill(n, fwd[u < v], labels, origin_nodes, self_loops_dropped, duplicate_edges_dropped)
 
-    def _fill(self, n: int, keys: np.ndarray, labels: Collection[str] | None = None,
-              origin_nodes: tuple[int, ...] | None = None, self_loops_dropped: int = 0,
-              duplicate_edges_dropped: int = 0) -> None:
-        """The one CSR builder: ``keys`` are the sorted unique edge keys ``min * n + max``. Besides
-        them it holds one 2m key array: the keys and their reverses ``max * n + min``, sorted once
-        into the arcs of every row, then made ``indices`` in place."""
-        if labels is not None and len(labels) != n:
-            raise ValueError("labels length does not match node count")
-        if origin_nodes is not None and len(origin_nodes) != n:
-            raise ValueError("origin_nodes length does not match node count")
+    def _fill(self, n: int, keys: np.ndarray, *args) -> "Graph":
+        """The one builder from edge keys: ``keys`` are the sorted unique edge keys ``min * n + max``.
+        Besides them it holds one 2m key array: the keys and their reverses ``max * n + min``, sorted
+        once into the arcs of every row, then made ``indices`` in place and handed, with ``args``, to
+        ``_set``. Subgraphs do not come here: ``_induced`` cuts them from the parent's rows."""
         arcs = np.empty(2 * len(keys), dtype=np.int64)
         # floor_divide by a scalar is several times faster than divmod or remainder
         lo, rev = np.floor_divide(keys, n, out=arcs[: len(keys)]), arcs[len(keys) :]
@@ -148,7 +147,7 @@ class Graph:
         rev += lo
         lo[:] = keys
         arcs.sort()
-        self.indptr = np.searchsorted(arcs, np.arange(n + 1, dtype=np.int64) * n)  # row v starts at key v * n
+        indptr = np.searchsorted(arcs, np.arange(n + 1, dtype=np.int64) * n)  # row v starts at key v * n
         # arcs % n in place, a step at a time: the one temporary is a sixteenth of arcs, or 32 KiB,
         # and few steps leave few small allocations behind the build's freed temporaries
         step = max(1 << 12, len(arcs) >> 4)
@@ -157,21 +156,26 @@ class Graph:
             part = arcs[at : at + step]
             q = np.floor_divide(part, n, out=quot[: len(part)])
             part -= np.multiply(q, n, out=q)
-        self.indices = arcs
-        self.indptr.flags.writeable = self.indices.flags.writeable = False
-        # the labels tuple is made last: made before the build, a large one could sit above the
-        # build's freed temporaries in the malloc heap and keep them resident
+        # the labels tuple is made last, by _set: made before the build, a large one could sit
+        # above the build's freed temporaries in the malloc heap and keep them resident
+        return self._set(indptr, arcs, *args)
+
+    def _set(self, indptr: np.ndarray, indices: np.ndarray, labels: Collection[str] | None = None,
+             origin_nodes: tuple[int, ...] | None = None, self_loops_dropped: int = 0,
+             duplicate_edges_dropped: int = 0) -> "Graph":
+        """Take int64 CSR arrays, made read-only here, and the other attributes, whose lengths are
+        checked against the node count; returns ``self``."""
+        for name, value in (("labels", labels), ("origin_nodes", origin_nodes)):
+            if value is not None and len(value) != len(indptr) - 1:
+                raise ValueError(f"{name} length does not match node count")
+        indptr.flags.writeable = indices.flags.writeable = False
+        self.indptr, self.indices = indptr, indices
         self.labels = None if labels is None else tuple(labels)
         self.origin_nodes = origin_nodes
         self.self_loops_dropped = self_loops_dropped
         self.duplicate_edges_dropped = duplicate_edges_dropped
         self._connected = False
-
-    @classmethod
-    def _from_keys(cls, n: int, keys: np.ndarray, *args) -> "Graph":
-        g = cls.__new__(cls)
-        g._fill(n, keys, *args)
-        return g
+        return self
 
     @classmethod
     def from_edges(cls, node_count: int, edges: Iterable[tuple[int, int]],
@@ -213,16 +217,25 @@ class Graph:
         v = range(self.node_count)[v]
         return tuple(self.indices[self.indptr[v] : self.indptr[v + 1]].tolist())
 
-    def _ends(self) -> tuple[np.ndarray, np.ndarray]:
-        """The end nodes (u, v) of every edge, u < v, as two arrays in sorted edge order."""
-        src = np.repeat(np.arange(self.node_count), np.diff(self.indptr))
-        up = src < self.indices
-        return src[up], self.indices[up]
-
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield each undirected edge once, as (u, v) with u < v, in sorted order."""
-        lo, hi = self._ends()
-        yield from zip(lo.tolist(), hi.tolist())
+        for lo, hi in self._edge_slices(1 << 16):
+            yield from zip(lo.tolist(), hi.tolist())
+
+    def _edge_slices(self, size: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """The edges (u, v), u < v, in sorted order, as array pairs of about ``size`` edges each.
+
+        A pair holds the edges of a range of consecutive rows. The row that holds
+        arc ``2 * size * t`` starts a range, so a range spans about ``2 * size``
+        arcs, or one longer row; rows with no arcs before the first range hold no edge.
+        """
+        starts = np.searchsorted(self.indptr, np.arange(0, len(self.indices), 2 * size), side="right") - 1
+        cuts = _sorted_unique(np.append(starts, self.node_count)).tolist()
+        for a, b in zip(cuts, cuts[1:]):
+            u = np.repeat(np.arange(a, b), np.diff(self.indptr[a : b + 1]))
+            v = self.indices[self.indptr[a] : self.indptr[b]]
+            up = u < v
+            yield u[up], v[up]
 
     def label_of(self, v: int) -> str:
         return self.labels[v] if self.labels is not None else str(v)
@@ -270,7 +283,7 @@ def _from_pairs(n: int, pairs: list[np.ndarray], labels: Collection[str] | None 
     part = None  # a view of the unsorted keys, which would keep them alive
     keys, total = _sorted_unique(keys), len(keys)  # rebinding frees the sorted keys
     m = len(keys) - (loops > 0)  # all but the self-loops' sentinel
-    return Graph._from_keys(n, keys[:m], labels, origin_nodes, loops, total - loops - m)
+    return Graph.__new__(Graph)._fill(n, keys[:m], labels, origin_nodes, loops, total - loops - m)
 
 
 @dataclass(frozen=True)
@@ -712,32 +725,52 @@ def _require_connected(g: Graph, hint: str) -> None:
         raise ValueError(f"graph is disconnected ({count} components); {hint}")
 
 
-def _induced(g: Graph, keep: np.ndarray, ends: tuple[np.ndarray, np.ndarray] | None = None) -> Graph:
-    """Subgraph induced on the sorted distinct node ids ``keep``.
+def _induced(g: Graph, keep: np.ndarray) -> Graph:
+    """Subgraph induced on the sorted distinct node ids ``keep``, cut from ``g``'s rows.
 
-    ``ends``, if given, are the end arrays (as ``g._ends()``) of exactly the
-    edges inside ``keep``, so the cost is that of the subgraph, not of ``g``.
+    An arc is kept when both its ends are; a kept node's new id is the number of
+    kept nodes before it, so the renumbering keeps every row sorted and no edge
+    key is made or sorted. With every node kept, ``g``'s arrays carry over.
     """
-    k = len(keep)
-    if k == g.node_count:  # every node: the read-only CSR arrays carry over
-        sub = Graph.__new__(Graph)
-        sub.indptr, sub.indices, sub.labels, sub.origin_nodes = g.indptr, g.indices, g.labels, tuple(range(k))
-        sub.self_loops_dropped = sub.duplicate_edges_dropped = 0
-        sub._connected = False
-        return sub
-    if ends is None:
+    k, indptr, indices, labels = len(keep), g.indptr, g.indices, g.labels
+    if k < g.node_count:
         kept = np.zeros(g.node_count, dtype=bool)
         kept[keep] = True
-        ends = g._ends()
-        inside = kept[ends[0]] & kept[ends[1]]
-        ends = ends[0][inside], ends[1][inside]  # rebinding frees the full ends before the renumbering
-    # new ids, in the same order: the renumbering keeps node order, so the surviving keys stay sorted
-    keys = np.searchsorted(keep, ends[0]) * k
-    keys += np.searchsorted(keep, ends[1])
-    ends = None  # masked here, the ends are freed before the build
-    keep_list = keep.tolist()
-    labels = tuple([g.labels[v] for v in keep_list]) if g.labels is not None else None
-    return Graph._from_keys(k, keys, labels, tuple(keep_list))
+        arcs = np.repeat(kept, np.diff(indptr))
+        arcs &= kept[indices]
+        indices = (np.cumsum(kept) - 1)[indices[arcs]]
+        # kept arcs per kept row: the span from one kept row with arcs to the next adds only rows
+        # with no kept arc; reduceat casts all of arcs first, and int32 holds a count below n
+        linked = np.flatnonzero(np.diff(indptr)[keep])  # places in keep of the kept rows with arcs
+        counts = np.zeros(k + 1, dtype=np.int64)
+        counts[linked + 1] = np.add.reduceat(arcs, indptr[keep[linked]], dtype=np.int32)
+        indptr = np.cumsum(counts, out=counts)
+        arcs = kept = linked = None  # freed before the node lists are made
+    origin = tuple(keep.tolist())  # made last: its int objects would outweigh the arrays
+    if k < g.node_count and labels is not None:
+        labels = [labels[v] for v in origin]
+    return Graph.__new__(Graph)._set(indptr, indices, labels, origin)
+
+
+def _component_graphs(g: Graph, cid: np.ndarray, sizes: np.ndarray) -> Iterator[Graph]:
+    """The subgraph of each component of ``g``, given as ``_component_ids`` labels them, in order.
+
+    The nodes are renumbered once into component order, each component's in
+    ascending order, so a component is a range of consecutive rows of one
+    renumbered copy and is cut from it in time linear in its own size.
+    """
+    order = np.argsort(cid, kind="stable")
+    ends = np.cumsum(sizes)
+    local = np.empty_like(order)
+    local[order] = np.arange(len(order)) - np.repeat(ends - sizes, sizes)  # each node's id in its component
+    deg = np.diff(g.indptr)[order]
+    ptr = np.concatenate(([0], np.cumsum(deg)))
+    at = np.repeat(g.indptr[order] - ptr[:-1], deg) + np.arange(ptr[-1])  # each renumbered arc's place in g
+    nbrs = local[g.indices[at]]
+    for a, b in zip((ends - sizes).tolist(), ends.tolist()):
+        nodes = order[a:b].tolist()
+        labels = None if g.labels is None else [g.labels[v] for v in nodes]
+        yield Graph.__new__(Graph)._set(ptr[a : b + 1] - ptr[a], nbrs[ptr[a] : ptr[b]], labels, tuple(nodes))
 
 
 def induced_subgraph(g: Graph, nodes: Sequence[int]) -> Graph:

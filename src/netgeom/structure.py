@@ -12,6 +12,7 @@ import numpy as np
 
 from .graph import (
     Graph,
+    _component_graphs,
     _component_ids,
     _core_blocks,
     _distance_blocks,
@@ -344,19 +345,8 @@ def depth_map_per_component(
 
     Each subgraph's ``origin_nodes`` maps its indices back to ``g``.
     """
-    cid, sizes = _component_ids(g)
-    lo, hi = g._ends()
-    # stable sorts keep each component's nodes ascending and its edges in sorted
-    # order, so the edges are split once for every component; the last pieces are empty
-    groups = np.split(np.argsort(cid, kind="stable"), np.cumsum(sizes))[:-1]
-    by_edge = np.argsort(cid[lo], kind="stable")
-    cuts = np.cumsum(np.bincount(cid[lo], minlength=len(sizes)))
-    los, his = np.split(lo[by_edge], cuts)[:-1], np.split(hi[by_edge], cuts)[:-1]
-    out: list[tuple[Graph, DepthMap]] = []
-    for nodes, ends in zip(groups, zip(los, his)):
-        sub = _induced(g, nodes, ends)
-        out.append((sub, _depth_map(sub, mode, anchors, seed)))  # each piece is one component
-    return out
+    # each piece is one component, so _depth_map need not check it
+    return [(sub, _depth_map(sub, mode, anchors, seed)) for sub in _component_graphs(g, *_component_ids(g))]
 
 
 def depth_density_profile(

@@ -730,7 +730,7 @@ def _induced(g: Graph, keep: np.ndarray) -> Graph:
 
     An arc is kept when both its ends are; a kept node's new id is the number of
     kept nodes before it, so the renumbering keeps every row sorted and no edge
-    key is made or sorted. With every node kept, ``g``'s arrays carry over.
+    key is made or sorted. With every node kept, ``g``'s arrays and labels carry over.
     """
     k, indptr, indices, labels = len(keep), g.indptr, g.indices, g.labels
     if k < g.node_count:
@@ -745,7 +745,7 @@ def _induced(g: Graph, keep: np.ndarray) -> Graph:
         counts = np.zeros(k + 1, dtype=np.int64)
         counts[linked + 1] = np.add.reduceat(arcs, indptr[keep[linked]], dtype=np.int32)
         indptr = np.cumsum(counts, out=counts)
-        arcs = kept = linked = None  # freed before the node lists are made
+        arcs = kept = linked = None  # freed before the node tuple is made
     origin = tuple(keep.tolist())  # made last: its int objects would outweigh the arrays
     if k < g.node_count and labels is not None:
         labels = [labels[v] for v in origin]

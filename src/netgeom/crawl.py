@@ -570,16 +570,21 @@ def read_trace_csv(path: str) -> CrawlTrace:
     non-integer P or D cell, a P, D or true_size outside the signed 64-bit
     range, or a P that does not exceed the previous row's.
 
-    The bytes are read in one numpy pass (``_trace_columns``); a file that pass
-    turns down is read by the line loop ``_trace_lines``, which names the
-    first bad line.
+    The file is read once. Its bytes go to one numpy pass (``_trace_columns``);
+    if that pass turns them down, they are decoded whole and go to the line loop
+    ``_trace_lines``, which names the first bad line. So a file that is not
+    UTF-8 anywhere raises UnicodeDecodeError, whatever bad line comes before,
+    as an edge list does.
     """
     with open(path, "rb") as fh:
         data = fh.read()
     meta = dict(_META)
     if (columns := _trace_columns(data, meta)) is None:
         meta = dict(_META)  # the numpy pass may have taken in part of the header
-        with open(path, newline="", encoding="utf-8-sig") as fh:
+        # every byte is checked before the first line is parsed; the lines are then decoded
+        # again a chunk at a time, as an io.StringIO of the text would hold 4 bytes a character
+        data.decode("utf-8-sig")
+        with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="") as fh:
             columns = _trace_lines(fh, meta)
     return CrawlTrace(*columns, **{**meta, "complete": bool(meta["complete"])})
 
@@ -600,7 +605,7 @@ def _trace_columns(data: bytes, meta: dict) -> tuple[tuple[int, ...], tuple[int,
     try:
         if b"\r" in data or _trace_lines(io.StringIO(data[:at].decode(), newline=""), meta)[0]:
             return None
-    except (UnicodeDecodeError, TraceParseError):
+    except TraceParseError:
         return None
     rows = data[at:].removesuffix(b"\n") + b"\n"  # a file with no row goes to the line loop
     kind = np.frombuffer(rows.translate(_ROW_BYTES), dtype=np.uint8)

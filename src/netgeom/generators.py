@@ -10,6 +10,10 @@ Two families:
 * two-segment power-law ("double-Pareto") degree sequences realized through an
   erased configuration model.
 
+Neither family makes edge keys or rows: the core's (k, 2) pairs u < v, the
+paths of the appendages and the matched stubs go, as int64 arrays of end-node
+pairs, to ``graph._from_pairs``, the builder the parser uses too.
+
 All randomness is driven by numpy PCG64 streams seeded from the spec, so equal
 seeds reproduce byte-identical graphs.
 """
@@ -20,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Graph, _component_ids, _sorted_unique
+from .graph import Graph, _component_ids, _from_pairs
 
 __all__ = [
     "ROLE_CORE",
@@ -106,17 +110,12 @@ class DoubleParetoSpec:
             raise ValueError("need 1 <= min_degree <= break_degree <= max_degree")
 
 
-def _upper_keys(mask: np.ndarray) -> np.ndarray:
-    """Sorted edge keys ``u * m + v`` of the pairs u < v set in the m×m ``mask``."""
-    return np.flatnonzero(np.triu(mask, 1))
-
-
-def _random_core_keys(m: int, p: float, rng: np.random.Generator) -> np.ndarray:
-    """Edge keys of G(m, p) repaired to be connected with min degree >= 3."""
+def _random_core(m: int, p: float, rng: np.random.Generator) -> np.ndarray:
+    """The (k, 2) edges u < v of G(m, p) repaired to be connected with min degree >= 3."""
     adj = np.triu(rng.random((m, m)) < p, 1)
     # connect components: link a random node of each later component to a random
     # node of the first one (component ids follow each component's smallest node)
-    cid, sizes = _component_ids(Graph.__new__(Graph)._fill(m, np.flatnonzero(adj)))
+    cid, sizes = _component_ids(_from_pairs(m, [np.argwhere(adj).ravel()]))
     comps = np.split(np.argsort(cid, kind="stable"), np.cumsum(sizes)[:-1])
     for comp in comps[1:]:
         u, v = rng.choice(comp), rng.choice(comps[0])
@@ -129,7 +128,12 @@ def _random_core_keys(m: int, p: float, rng: np.random.Generator) -> np.ndarray:
         while adj[u].sum() < 4:
             v = rng.choice(np.flatnonzero(~adj[u]))
             adj[u, v] = adj[v, u] = True
-    return _upper_keys(adj)
+    return np.argwhere(np.triu(adj, 1))
+
+
+def _path(nodes: np.ndarray) -> np.ndarray:
+    """The edges of the path through ``nodes``, their end nodes interleaved."""
+    return np.repeat(nodes, 2)[1:-1]
 
 
 def generate_appendage_graph(spec: AppendageSpec) -> tuple[Graph, tuple[str, ...]]:
@@ -139,50 +143,32 @@ def generate_appendage_graph(spec: AppendageSpec) -> tuple[Graph, tuple[str, ...
     (chain end of degree 1) and "fiber" (inner node of a both-ends-attached
     chain). Tentacles and fibers attach to uniformly chosen core nodes whose
     degree inside the core is at least 3; fibers use two distinct attachment
-    nodes unless ``allow_fiber_loops`` is set.
+    nodes unless ``allow_fiber_loops`` is set. Each appendage's nodes take the
+    next free ids, in order from its attachment node.
     """
     rng = np.random.default_rng(spec.seed)
     m = spec.core_size
     if spec.core_kind == "complete":
-        keys = _upper_keys(np.ones((m, m), dtype=bool))
+        core = np.argwhere(np.triu(np.ones((m, m), dtype=bool), 1))
     else:
-        keys = _random_core_keys(m, spec.edge_prob, rng)
+        core = _random_core(m, spec.edge_prob, rng)
     # attachments need core degree >= 3: every node of a core of m >= 4 nodes has
     # it (K_m gives m - 1, random cores are repaired to 3), no node of K3 does
     if (spec.tentacle_lengths or spec.fiber_inner_counts) and m < 4:
         raise ValueError("core too small to host attachments (no core node of degree >= 3)")
-    lo, hi = np.divmod(keys, m)
-
-    edges: list[tuple[int, int]] = list(zip(lo.tolist(), hi.tolist()))
-    roles: list[str] = [ROLE_CORE] * m
-    next_id = m
-
+    pieces, roles = [core.ravel()], [ROLE_CORE] * m
     for length in spec.tentacle_lengths:
-        attach = int(rng.choice(m))
-        prev = attach
-        for i in range(length):
-            node = next_id
-            next_id += 1
-            edges.append((prev, node))
-            roles.append(ROLE_LONER if i == length - 1 else ROLE_TENTACLE)
-            prev = node
-
+        pieces.append(_path(np.r_[int(rng.choice(m)), len(roles) : len(roles) + length]))
+        roles += [ROLE_TENTACLE] * (length - 1) + [ROLE_LONER]
     for inner in spec.fiber_inner_counts:
         if spec.allow_fiber_loops:
             a = int(rng.choice(m))
             b = int(rng.choice(m))
         else:
             a, b = rng.choice(m, size=2, replace=False).tolist()
-        prev = a
-        for _ in range(inner):
-            node = next_id
-            next_id += 1
-            edges.append((prev, node))
-            roles.append(ROLE_FIBER)
-            prev = node
-        edges.append((prev, b))
-
-    return Graph.from_edges(next_id, edges), tuple(roles)
+        pieces.append(_path(np.r_[a, len(roles) : len(roles) + inner, b]))
+        roles += [ROLE_FIBER] * inner
+    return _from_pairs(len(roles), pieces), tuple(roles)
 
 
 def generate_double_pareto_degrees(spec: DoubleParetoSpec) -> list[int]:
@@ -214,24 +200,20 @@ def configuration_model(degrees: list[int], seed: int = 0) -> Graph:
     (for example degrees [2, 2, 2]) realize their unique simple graph; once a
     matching carries many collisions the self-loops and duplicate edges are
     simply erased, which is the intended behavior for heavy-tailed sequences.
+    The graph counts the pairs it erased: ``self_loops_dropped`` plus
+    ``duplicate_edges_dropped`` is ``sum(degrees) // 2 - edge_count``.
     """
     if any(d < 0 for d in degrees):
         raise ValueError("degrees must be >= 0")
     total = sum(degrees)
     if total % 2 != 0:
         raise ValueError(f"degree sum must be even, got {total}")
-    n = len(degrees)
     rng = np.random.default_rng(seed)
-    stubs = np.repeat(np.arange(n, dtype=np.int64), degrees)
+    stubs = np.repeat(np.arange(len(degrees), dtype=np.int64), degrees)
     for _ in range(_MATCHING_ATTEMPTS):
         rng.shuffle(stubs)
-        u = stubs[0::2]
-        v = stubs[1::2]
-        lo = np.minimum(u, v)
-        hi = np.maximum(u, v)
-        nonself = lo != hi
-        keys = _sorted_unique(lo[nonself] * np.int64(n) + hi[nonself])
-        bad = int(len(u) - len(keys))
-        if bad == 0 or bad > _MATCHING_HOPELESS:
+        g = _from_pairs(len(degrees), [stubs])
+        erased = len(stubs) // 2 - g.edge_count
+        if erased == 0 or erased > _MATCHING_HOPELESS:
             break
-    return Graph.__new__(Graph)._fill(n, keys)
+    return g

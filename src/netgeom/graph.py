@@ -4,15 +4,18 @@ Nodes are dense integer ids 0..n-1. Graphs loaded from edge-list text keep the
 original string labels in first-appearance order; graphs derived from other
 graphs keep a mapping back to their parent's indices in ``origin_nodes``.
 
-A graph is stored as CSR arrays (``indptr``, ``indices``). Parsing,
-``from_edges`` and the configuration model reduce their input with numpy to
-sorted unique edge keys ``min * n + max``, which one builder, ``Graph._fill``,
-turns into rows, so no per-edge Python object is made on the way in.
-Subgraphs are cut from the parent's rows instead (``_induced``,
-``_component_graphs``): a kept node's new id is its rank among the kept nodes,
-so every row stays sorted and no edge key is made or sorted again. The edge
-walks, ``Graph.edges`` and the edge-file writer, read the u < v arcs of
-ranges of consecutive rows (``Graph._edge_slices``).
+A graph is stored as CSR arrays (``indptr``, ``indices``), and this module
+alone builds one, by one of two ways in. Raw edges go to ``_from_pairs``: the
+parser, ``from_edges`` and both generators hand it int64 arrays of end-node
+pairs, which it reduces with numpy to sorted unique edge keys
+``min * n + max`` and turns into rows, counting the self-loops and duplicates
+it drops, so no per-edge Python object is made on the way in. Rows that are
+already sorted go to ``Graph._set``: ``Graph(adjacency)`` sorts and checks its
+lists as arcs, which are its rows, and subgraphs are cut from the parent's rows
+(``_induced``, ``_component_graphs``): a kept node's new id is its rank among
+the kept nodes, so every row stays sorted and no edge key is made or sorted
+again. The edge walks, ``Graph.edges`` and the edge-file writer, read the
+u < v arcs of ranges of consecutive rows (``Graph._edge_slices``).
 
 An edge list is parsed by one loop over its pieces (``_pieces``): the blocks
 of whole lines of a binary file, their line ends made ``\\n``, or chunks of
@@ -91,8 +94,9 @@ class Graph:
 
     ``Graph(adjacency)`` takes one neighbour list per node and rejects ids out
     of range, self-loops, repeats and asymmetric lists with ``ValueError``.
-    ``from_edges`` and ``load_edge_list`` take raw edges instead, dropping and
-    counting self-loops and duplicates.
+    ``from_edges``, ``load_edge_list`` and the generators take raw edges
+    instead, dropping and counting self-loops and duplicates; a
+    configuration-model graph so counts the stub pairs it erased.
 
     Attributes
     ----------
@@ -103,7 +107,8 @@ class Graph:
     origin_nodes : tuple[int, ...] | None
         For induced subgraphs, the parent-graph index of each node.
     self_loops_dropped / duplicate_edges_dropped : int
-        Counts of input edges discarded during construction.
+        Counts of raw input edges discarded during construction, such as the
+        stub pairs a configuration model erased; 0 for a subgraph.
     """
 
     __slots__ = ("indptr", "indices", "labels", "origin_nodes", "self_loops_dropped", "duplicate_edges_dropped",
@@ -132,39 +137,16 @@ class Graph:
         if not np.array_equal(fwd, rev):
             a, b = divmod(int(np.setxor1d(fwd, rev)[0]), n)
             raise ValueError(f"edge ({a}, {b}) is listed by only one of its end nodes")
-        self._fill(n, fwd[u < v], labels, origin_nodes, self_loops_dropped, duplicate_edges_dropped)
-
-    def _fill(self, n: int, keys: np.ndarray, *args) -> "Graph":
-        """The one builder from edge keys: ``keys`` are the sorted unique edge keys ``min * n + max``.
-        Besides them it holds one 2m key array: the keys and their reverses ``max * n + min``, sorted
-        once into the arcs of every row, then made ``indices`` in place and handed, with ``args``, to
-        ``_set``. Subgraphs do not come here: ``_induced`` cuts them from the parent's rows."""
-        arcs = np.empty(2 * len(keys), dtype=np.int64)
-        # floor_divide by a scalar is several times faster than divmod or remainder
-        lo, rev = np.floor_divide(keys, n, out=arcs[: len(keys)]), arcs[len(keys) :]
-        np.subtract(keys, np.multiply(lo, n, out=rev), out=rev)  # rev holds max for now
-        rev *= n
-        rev += lo
-        lo[:] = keys
-        arcs.sort()
-        indptr = np.searchsorted(arcs, np.arange(n + 1, dtype=np.int64) * n)  # row v starts at key v * n
-        # arcs % n in place, a step at a time: the one temporary is a sixteenth of arcs, or 32 KiB,
-        # and few steps leave few small allocations behind the build's freed temporaries
-        step = max(1 << 12, len(arcs) >> 4)
-        quot = np.empty(min(step, len(arcs)), dtype=np.int64)
-        for at in range(0, len(arcs), step):
-            part = arcs[at : at + step]
-            q = np.floor_divide(part, n, out=quot[: len(part)])
-            part -= np.multiply(q, n, out=q)
-        # the labels tuple is made last, by _set: made before the build, a large one could sit
-        # above the build's freed temporaries in the malloc heap and keep them resident
-        return self._set(indptr, arcs, *args)
+        # fwd holds the arcs u * n + v sorted, so v is the rows' neighbours in order
+        self._set(np.concatenate(([0], np.cumsum(deg))), v, labels, origin_nodes, self_loops_dropped,
+                  duplicate_edges_dropped)
 
     def _set(self, indptr: np.ndarray, indices: np.ndarray, labels: Collection[str] | None = None,
              origin_nodes: tuple[int, ...] | None = None, self_loops_dropped: int = 0,
              duplicate_edges_dropped: int = 0) -> "Graph":
-        """Take int64 CSR arrays, made read-only here, and the other attributes, whose lengths are
-        checked against the node count; returns ``self``."""
+        """The way in for sorted CSR rows, which ``Graph(adjacency)`` and the subgraph cuts hold, and
+        the last step of ``_from_pairs``: take int64 CSR arrays, made read-only here, and the other
+        attributes, whose lengths are checked against the node count; returns ``self``."""
         for name, value in (("labels", labels), ("origin_nodes", origin_nodes)):
             if value is not None and len(value) != len(indptr) - 1:
                 raise ValueError(f"{name} length does not match node count")
@@ -265,9 +247,14 @@ def _sorted_unique(keys: np.ndarray) -> np.ndarray:
 
 def _from_pairs(n: int, pairs: list[np.ndarray], labels: Collection[str] | None = None,
                 origin_nodes: tuple[int, ...] | None = None) -> Graph:
-    """Graph on ``n`` nodes from int64 arrays that each interleave the end nodes of
-    their edges, counting dropped self-loops and duplicates. It empties ``pairs``,
-    freeing each array once its edges are keys, so it holds one key array at a time."""
+    """The one builder from raw edges: a graph on ``n`` nodes from int64 arrays that each
+    interleave the end nodes of their edges, self-loops and duplicates dropped and counted.
+
+    It empties ``pairs``, freeing each array once its edges are keys ``min * n + max``,
+    so it holds one key array at a time. Besides the sorted unique keys it holds one 2m
+    array: the keys and their reverses ``max * n + min``, sorted once into the arcs of
+    every row, then made ``indices`` in place and handed to ``Graph._set``.
+    """
     keys = np.empty(sum(map(len, pairs)) // 2, dtype=np.int64)
     at, loops = len(keys), 0
     while pairs:
@@ -283,7 +270,27 @@ def _from_pairs(n: int, pairs: list[np.ndarray], labels: Collection[str] | None 
     part = None  # a view of the unsorted keys, which would keep them alive
     keys, total = _sorted_unique(keys), len(keys)  # rebinding frees the sorted keys
     m = len(keys) - (loops > 0)  # all but the self-loops' sentinel
-    return Graph.__new__(Graph)._fill(n, keys[:m], labels, origin_nodes, loops, total - loops - m)
+    keys = keys[:m]
+    arcs = np.empty(2 * m, dtype=np.int64)
+    # floor_divide by a scalar is several times faster than divmod or remainder
+    lo, rev = np.floor_divide(keys, n, out=arcs[:m]), arcs[m:]
+    np.subtract(keys, np.multiply(lo, n, out=rev), out=rev)  # rev holds max for now
+    rev *= n
+    rev += lo
+    lo[:] = keys
+    arcs.sort()
+    indptr = np.searchsorted(arcs, np.arange(n + 1, dtype=np.int64) * n)  # row v starts at key v * n
+    # arcs % n in place, a step at a time: the one temporary is a sixteenth of arcs, or 32 KiB,
+    # and few steps leave few small allocations behind the build's freed temporaries
+    step = max(1 << 12, len(arcs) >> 4)
+    quot = np.empty(min(step, len(arcs)), dtype=np.int64)
+    for at in range(0, len(arcs), step):
+        part = arcs[at : at + step]
+        q = np.floor_divide(part, n, out=quot[: len(part)])
+        part -= np.multiply(q, n, out=q)
+    # the labels tuple is made last, by _set: made before the build, a large one could sit
+    # above the build's freed temporaries in the malloc heap and keep them resident
+    return Graph.__new__(Graph)._set(indptr, arcs, labels, origin_nodes, loops, total - loops - m)
 
 
 @dataclass(frozen=True)

@@ -394,6 +394,17 @@ class TestTextEncoding:
         [line] = error_lines(capsys)
         assert line.startswith(f"netgeom: error: {src}: not UTF-8 text")
 
+    @pytest.mark.parametrize("sub", ["estimate", "fit-rational"])
+    def test_trace_not_utf8_anywhere_wins_over_a_bad_row(self, tmp_path, capsys, sub):
+        # a bad row on line 3 and a byte that is not UTF-8 on the last line, some 300 KB on:
+        # as for an edge list, the file is named as not UTF-8 wherever that byte falls
+        src = tmp_path / "mixed.csv"
+        rows = "".join(f"{i},{i + 1},1\n" for i in range(2, 30_000))
+        src.write_bytes(b"sample_index,P,D\n0,1,1\n1,2,x\n" + rows.encode() + b"30000,30001,\xff\n")
+        assert run(sub, "--trace", str(src), "--out", str(tmp_path / "o")) == 1
+        [line] = error_lines(capsys)
+        assert line.startswith(f"netgeom: error: {src}: not UTF-8 text")
+
 
 def error_lines(capsys) -> list[str]:
     lines = capsys.readouterr().err.splitlines()

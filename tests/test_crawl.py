@@ -2,8 +2,10 @@
 from __future__ import annotations
 
 import codecs
+import io
 import random
 import statistics
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netgeom import crawl as crawl_module
+from netgeom.cli import main
 from netgeom.crawl import (
     POLICIES,
     CrawlTrace,
@@ -336,6 +339,33 @@ class TestTraceReaderOracle:
             assert crawl_module._trace_columns((tmp_path / "t.csv").read_bytes(), meta) == (tr.p, tr.d)
             assert meta == {"policy": policy, "stride": 2, "seed": 9, "start": 0, "true_size": g.node_count,
                             "complete": 1}
+
+
+# what a trace-like file is made of: digits, commas, header tokens, sample_index, line ends,
+# values past int64, a byte-order mark and bytes that are not UTF-8
+TRACE_PIECE = st.one_of(
+    st.integers(0, 10**6).map(str), st.integers(-(2**70), 2**70).map(str), HEADER_TOKEN.map("# {}".format),
+    st.sampled_from([",", ",", "\n", "\n", "\r\n", "\r", "#", " ", "sample_index,P,D"])).map(str.encode) | \
+    st.sampled_from([codecs.BOM_UTF8, b"\xff", b"\xc3", b"\xed\xa0\x80", "\u00e9".encode()])
+
+
+class TestTraceFuzzer:
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(["estimate", "fit-rational"]),
+           st.one_of(trace_file(), st.lists(TRACE_PIECE, max_size=60).map(b"".join)))
+    @example("estimate", b"0,1,5\n1,2,x\n2,3,0\n\xff\n")  # a bad row, then a byte that is not UTF-8
+    @example("fit-rational", b"".join(b"%d,%d,%d\n" % (i, 2 * i + 1, i % 5) for i in range(40)))
+    def test_any_bytes_exit_0_1_or_2_with_one_error_line(self, tmp_path_factory, sub, data):
+        work = tmp_path_factory.mktemp("fuzz")
+        (work / "trace.csv").write_bytes(data)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([sub, "--trace", str(work / "trace.csv"), "--out", str(work / "out")])
+        lines = err.getvalue().splitlines()
+        assert code in (0, 1, 2)
+        assert len(lines) == (code != 0)
+        assert all(line.startswith("netgeom: error: ") for line in lines)
+        assert "Traceback" not in out.getvalue() + err.getvalue()
 
 
 class TestRationalFit:

@@ -4,11 +4,12 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netgeom.generators import (
@@ -19,7 +20,7 @@ from netgeom.generators import (
     generate_double_pareto_degrees,
 )
 from netgeom.graph import components, induced_subgraph
-from util import uf_components
+from util import appendage_oracle, uf_components
 
 CORE_SIZES = st.integers(4, 40)
 EDGE_PROBS = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
@@ -154,6 +155,33 @@ class TestCoreProperties:
         assert min(core.degrees()) >= 3
 
 
+class TestAppendageOracle:
+    @settings(max_examples=150, deadline=None)
+    # sparse G(m, p) draws too, whose several components the repair joins in drawn order
+    @given(st.sampled_from(["complete", "random"]), st.integers(3, 25),
+           EDGE_PROBS | st.integers(0, 300).map(lambda k: k / 1000), SEEDS,
+           st.lists(st.integers(1, 5), max_size=4), st.lists(st.integers(1, 4), max_size=4), st.booleans())
+    @example("complete", 6, 0.0, 1, [1, 2], [3], False)  # test_twelve_node_example_has_exact_shape
+    @example("random", 4, 0.0, 0, [1], [1, 1, 1, 1], True)  # one-node fibers, some closing on one node
+    @example("complete", 3, 0.0, 0, [1], [], False)  # K3 hosts no attachment
+    def test_generator_equals_the_edge_list_loop(self, kind, m, p, seed, tentacles, fibers, loops):
+        if kind == "random":
+            m = max(m, 4)
+        spec = AppendageSpec(core_size=m, core_kind=kind, edge_prob=p, tentacle_lengths=tuple(tentacles),
+                             fiber_inner_counts=tuple(fibers), allow_fiber_loops=loops, seed=seed)
+        try:
+            want = appendage_oracle(spec)
+        except ValueError as e:
+            with pytest.raises(ValueError, match=re.escape(str(e))):
+                generate_appendage_graph(spec)
+            return
+        g, roles = generate_appendage_graph(spec)
+        assert (g, roles) == want
+        assert g.self_loops_dropped == want[0].self_loops_dropped == 0
+        # a one-node fiber that closes on its attachment node repeats that edge; nothing else does
+        assert g.duplicate_edges_dropped == want[0].duplicate_edges_dropped
+
+
 class TestDegreeSampler:
     def test_sum_is_always_even(self):
         for seed in range(10):
@@ -215,6 +243,14 @@ class TestConfigurationModel:
         g = configuration_model([2, 2, 2], seed=0)
         assert g.node_count == 3
         assert sorted(g.edges()) == [(0, 1), (0, 2), (1, 2)]
+
+    def test_a_repeated_edge_is_redrawn_like_a_self_loop(self):
+        # K4 is the one simple graph on [3, 3, 3, 3]; a matching that repeats an edge
+        # and has no self-loop is erased into fewer edges unless it is redrawn
+        for seed in range(20):
+            g = configuration_model([3, 3, 3, 3], seed=seed)
+            assert sorted(g.edges()) == list(itertools.combinations(range(4), 2))
+            assert g.self_loops_dropped == g.duplicate_edges_dropped == 0
 
     def test_forced_single_edge(self):
         g = configuration_model([1, 1], seed=5)

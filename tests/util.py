@@ -7,13 +7,17 @@ implementation.
 """
 from __future__ import annotations
 
+import io
 import itertools
 import math
 import random
 from collections import deque
 from fractions import Fraction
 
+import numpy as np
+
 from netgeom.crawl import CrawlTrace, TraceParseError
+from netgeom.generators import AppendageSpec
 from netgeom.graph import EdgeListParseError, Graph, load_edge_list
 
 INF = float("inf")
@@ -357,12 +361,14 @@ def crawl_oracle(g: Graph, start: int, policy: str, stride: int, seed: int) -> t
 
 
 def read_trace_oracle(path: str) -> CrawlTrace:
-    """A trace file read by one loop over its text lines, as ``read_trace_csv`` reads
-    the files its numpy pass turns down, with the same errors."""
+    """A trace file decoded whole, then read by one loop over its text lines, as
+    ``read_trace_csv`` reads the files its numpy pass turns down, with the same errors."""
     meta: dict = {"policy": "fifo", "stride": 1, "seed": 0, "start": 0, "true_size": 0, "complete": 1}
     ps: list[int] = []
     ds: list[int] = []
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    with open(path, "rb") as fh:
+        text = fh.read().decode("utf-8-sig")  # bytes that are not UTF-8 anywhere win over a bad line
+    with io.StringIO(text, newline="") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
@@ -398,6 +404,53 @@ def read_trace_oracle(path: str) -> CrawlTrace:
             ds.append(d)
     return CrawlTrace(p=tuple(ps), d=tuple(ds), policy=meta["policy"], stride=meta["stride"], seed=meta["seed"],
                       start=meta["start"], true_size=meta["true_size"], complete=bool(meta["complete"]))
+
+
+def appendage_oracle(spec: AppendageSpec) -> tuple[Graph, tuple[str, ...]]:
+    """``generate_appendage_graph`` by plain loops, with the same random draws in the same order:
+    the core's components by union-find and its edges read cell by cell off its adjacency matrix,
+    then each tentacle and fiber appended edge by edge to one Python list for ``Graph.from_edges``."""
+    rng = np.random.default_rng(spec.seed)
+    m = spec.core_size
+    if spec.core_kind == "complete":
+        edges = list(itertools.combinations(range(m), 2))
+    else:
+        adj = np.triu(rng.random((m, m)) < spec.edge_prob, 1)
+        pairs = [(u, v) for u in range(m) for v in range(m) if adj[u, v]]
+        comps = sorted(sorted(c) for c in uf_components(Graph.from_edges(m, pairs)))  # by smallest node
+        for comp in comps[1:]:
+            u, v = rng.choice(comp), rng.choice(comps[0])
+            adj[u, v] = True
+        adj |= adj.T
+        np.fill_diagonal(adj, True)
+        for u in range(m):
+            while adj[u].sum() < 4:
+                v = rng.choice(np.flatnonzero(~adj[u]))
+                adj[u, v] = adj[v, u] = True
+        edges = [(u, v) for u in range(m) for v in range(u + 1, m) if adj[u, v]]
+    if (spec.tentacle_lengths or spec.fiber_inner_counts) and m < 4:
+        raise ValueError("core too small to host attachments (no core node of degree >= 3)")
+    roles = ["core"] * m
+    next_id = m
+    for length in spec.tentacle_lengths:
+        prev = int(rng.choice(m))
+        for i in range(length):
+            edges.append((prev, next_id))
+            roles.append("loner" if i == length - 1 else "tentacle")
+            prev, next_id = next_id, next_id + 1
+    for inner in spec.fiber_inner_counts:
+        if spec.allow_fiber_loops:
+            a = int(rng.choice(m))
+            b = int(rng.choice(m))
+        else:
+            a, b = rng.choice(m, size=2, replace=False).tolist()
+        prev = a
+        for _ in range(inner):
+            edges.append((prev, next_id))
+            roles.append("fiber")
+            prev, next_id = next_id, next_id + 1
+        edges.append((prev, b))
+    return Graph.from_edges(next_id, edges), tuple(roles)
 
 
 def senior_neighbor_counts(g: Graph, threshold: int) -> list[int]:

@@ -17,8 +17,8 @@ Design notes:
   their own layers in their ``_cmd_*`` function; a bare ``stats --graph``
   loads graph.py and stats.py alone. ``estimate``, ``fit-rational`` and
   ``solve-ode`` load crawl.py and the line-fit kernel _linefit.py, never
-  graph.py or stats.py. The fifo crawl of ``crawl-sim`` is a fold over the
-  BFS levels from its start, not a node-by-node loop.
+  graph.py or stats.py. The fifo crawl of ``crawl-sim`` walks its queue in
+  gathers of CSR rows, not node by node or per level.
 - Exit codes: 0 success, 1 parse/config error (bad flags, out-of-range flag
   values, malformed edge lists, malformed trace headers or rows, invalid
   generator recipes: ``CliError`` or the library's ``InputError``), 2 analysis

@@ -107,10 +107,11 @@ def simulate_crawl(
     Each step processes one frontier node and adds its unseen neighbours to
     the frontier: "fifo" takes the oldest (breadth-first), "random" a
     uniformly random member (seeded). The trace is sampled every ``stride``
-    processed nodes, plus the final state. An empty graph is rejected before
-    ``start`` is checked.
+    processed nodes, plus the last step, whose frontier is always empty. An
+    empty graph is rejected before ``start`` is checked.
 
-    The fifo crawl is a fold over the BFS levels from ``start``
+    Both crawls give the frontier's size after every step, sampled at one
+    index set. The fifo crawl walks its queue in gathers of CSR rows
     (``_fifo_frontier``); the random crawl runs one frontier loop
     (``_random_frontier``), since each draw depends on the frontier's size one
     step earlier.
@@ -126,55 +127,47 @@ def simulate_crawl(
         raise ValueError("stride must be >= 1")
     frontier = _fifo_frontier(g, start) if policy == "fifo" else np.array(_random_frontier(g, start, seed))
     processed = len(frontier)
-    at = np.arange(stride, processed + 1, stride)
-    ps, ds = at.tolist(), frontier[at - 1].tolist()
-    if not ps or ps[-1] != processed:
-        ps.append(processed)
-        ds.append(0)
-    return CrawlTrace(tuple(ps), tuple(ds), policy, stride, seed, start, true_size=n, complete=processed == n)
+    at = np.r_[stride:processed:stride, processed]  # every stride-th step, and the last
+    ps, ds = tuple(at.tolist()), tuple(frontier[at - 1].tolist())
+    return CrawlTrace(ps, ds, policy, stride, seed, start, true_size=n, complete=processed == n)
 
 
 def _fifo_frontier(g: Graph, start: int) -> np.ndarray:
     """The frontier's size after each step of a fifo crawl from ``start``: the
     start and the nodes the first k processed nodes find, less those k.
 
-    Rows are sorted, so the crawl processes each BFS level in the order it
-    found it, and a node of the next level is found by the first of its
-    parents in that order, as its row comes. So the level's rows are gathered
-    in that order, about ``_ARC_BUDGET`` arcs at a time; of the arcs to nodes
-    not seen yet, those from each node's first parent (the least parent rank,
-    by ``np.minimum.at``) find the nodes in the order they come, and a
-    ``bincount`` per parent counts how many each finds.
+    The crawl's queue is ``order``, the nodes in the order they are found.
+    Each pass gathers the rows of the next queued nodes, up to
+    ``_ARC_BUDGET`` arcs and at least one row, in queue order. A node not
+    seen yet is found by the earliest node of the run whose row names it
+    (the least crawl position, by ``np.minimum.at``), which is the node that
+    finds it in a fifo crawl, and rows are sorted, so the fresh nodes join
+    the queue in the order the arcs come. Once every node is found no row
+    can find more, so the walk stops there; how many nodes each position
+    finds is one ``bincount`` of the first parents.
     """
-    indptr, indices, deg = g.indptr, g.indices, np.diff(g.indptr)
-    # the nodes in the order they are found, and how many each of them finds, at its place in
-    # that order; by node, the rank of its first parent in the gather that found it, -1 while unseen
-    order, finds = np.zeros(g.node_count, dtype=np.int64), np.zeros(g.node_count, dtype=np.int64)
-    first_parent = np.full(g.node_count, -1, dtype=np.int64)
-    first_parent[start], order[0] = 0, start
+    n, indptr, indices, deg = g.node_count, g.indptr, g.indices, np.diff(g.indptr)
+    # by crawl position, the node and the arcs of the rows up to and including it;
+    # by node, the crawl position of its first parent, -1 while unseen (the start's 0 only marks it seen)
+    order, ends = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    parent = np.full(n, -1, dtype=np.int64)
+    parent[start], order[0], ends[0] = 0, start, deg[start]
     done, found = 0, 1
-    while done < found:  # one BFS level, order[done:found], per pass
-        level = order[done:found]
-        ends = np.cumsum(deg[level])
-        lo = 0
-        while lo < len(level):
-            base = int(ends[lo - 1]) if lo else 0
-            hi = max(lo + 1, int(np.searchsorted(ends, base + _ARC_BUDGET, side="right")))
-            rows = level[lo:hi]
-            lens = deg[rows]
-            rank = np.repeat(np.arange(hi - lo), lens)  # each arc's parent, by its place in the gather
-            nbr = indices[np.arange(len(rank)) + np.repeat(indptr[rows] - ends[lo:hi] + lens + base, lens)]
-            fresh = first_parent[nbr] < 0
-            nbr, rank = nbr[fresh], rank[fresh]
-            first_parent[nbr] = hi - lo
-            np.minimum.at(first_parent, nbr, rank)
-            new = nbr[first := rank == first_parent[nbr]]
-            order[found : found + len(new)] = new
-            found += len(new)
-            finds[done + lo : done + hi] = np.bincount(rank[first], minlength=hi - lo)
-            lo = hi
-        done += len(level)
-    return np.cumsum(finds[:done]) - np.arange(done)
+    while done < found < n:
+        base = int(ends[done - 1]) if done else 0
+        hi = max(done + 1, int(np.searchsorted(ends[:found], base + _ARC_BUDGET, side="right")))
+        rows = order[done:hi]
+        lens = deg[rows]
+        pos = np.repeat(np.arange(done, hi), lens)  # each arc's parent, by its crawl position
+        nbr = indices[np.arange(len(pos)) + np.repeat(indptr[rows] - ends[done:hi] + lens + base, lens)]
+        nbr, pos = nbr[fresh := parent[nbr] < 0], pos[fresh]
+        parent[nbr] = hi
+        np.minimum.at(parent, nbr, pos)
+        new = nbr[pos == parent[nbr]]
+        order[found : found + len(new)] = new
+        ends[found : found + len(new)] = ends[found - 1] + np.cumsum(deg[new])
+        done, found = hi, found + len(new)
+    return np.cumsum(np.bincount(parent[order[1:found]], minlength=found)) - np.arange(found)
 
 
 def _random_frontier(g: Graph, start: int, seed: int) -> list[int]:
@@ -570,8 +563,9 @@ def read_trace_csv(path: str) -> CrawlTrace:
     non-integer P or D cell, a P, D or true_size outside the signed 64-bit
     range, or a P that does not exceed the previous row's.
 
-    The file is read once. Its bytes go to one numpy pass (``_trace_columns``);
-    if that pass turns them down, they are decoded whole and go to the line loop
+    The file is read once. Its bytes go to one numpy pass (``_trace_columns``),
+    whatever their line ends (LF, CRLF or a lone CR); if that pass turns them
+    down, they are decoded whole and go to the line loop
     ``_trace_lines``, which names the first bad line. So a file that is not
     UTF-8 anywhere raises UnicodeDecodeError, whatever bad line comes before,
     as an edge list does.
@@ -593,19 +587,21 @@ def _trace_columns(data: bytes, meta: dict) -> tuple[tuple[int, ...], tuple[int,
     """P and D of a trace file's bytes, read in one numpy pass, and its header
     lines taken into ``meta``.
 
-    The lines before the first that starts with a digit go through the line
-    loop, which must find no row in them; every line from there on must be
-    three cells of 1 to 18 digits, with P rising. Otherwise, or if the file
-    holds a CR, the result is None, and the caller reads the file with the
-    line loop, which names the first bad line. The P and D cells are read by
-    Horner's rule, one pass per digit place.
+    CRLF and lone-CR line ends become LF first, as the line loop splits at
+    each of them. The lines before the first that starts with a digit go
+    through the line loop, which must find no row in them; every line from
+    there on must be three cells of 1 to 18 digits, with P rising. Otherwise,
+    or if the header is not UTF-8, the result is None, and the caller reads
+    the file with the line loop, which names the first bad line (or byte).
+    The P and D cells are read by Horner's rule, one pass per digit place.
     """
     data = data.removeprefix(codecs.BOM_UTF8)
+    data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in data else data
     at = head.start() if (head := re.search(rb"^[0-9]", data, re.MULTILINE)) else len(data)
     try:
-        if b"\r" in data or _trace_lines(io.StringIO(data[:at].decode(), newline=""), meta)[0]:
+        if _trace_lines(io.StringIO(data[:at].decode(), newline=""), meta)[0]:
             return None
-    except TraceParseError:
+    except (TraceParseError, UnicodeDecodeError):
         return None
     rows = data[at:].removesuffix(b"\n") + b"\n"  # a file with no row goes to the line loop
     kind = np.frombuffer(rows.translate(_ROW_BYTES), dtype=np.uint8)

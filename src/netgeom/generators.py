@@ -143,8 +143,10 @@ def generate_appendage_graph(spec: AppendageSpec) -> tuple[Graph, tuple[str, ...
     (chain end of degree 1) and "fiber" (inner node of a both-ends-attached
     chain). Tentacles and fibers attach to uniformly chosen core nodes whose
     degree inside the core is at least 3; fibers use two distinct attachment
-    nodes unless ``allow_fiber_loops`` is set. Each appendage's nodes take the
-    next free ids, in order from its attachment node.
+    nodes unless ``allow_fiber_loops`` is set. A loop fiber has at least two
+    inner nodes: for a fiber of one, the second end is drawn again while it
+    equals the first, since its two edges would be one. Each appendage's nodes
+    take the next free ids, in order from its attachment node.
     """
     rng = np.random.default_rng(spec.seed)
     m = spec.core_size
@@ -162,8 +164,9 @@ def generate_appendage_graph(spec: AppendageSpec) -> tuple[Graph, tuple[str, ...
         roles += [ROLE_TENTACLE] * (length - 1) + [ROLE_LONER]
     for inner in spec.fiber_inner_counts:
         if spec.allow_fiber_loops:
-            a = int(rng.choice(m))
-            b = int(rng.choice(m))
+            a, b = int(rng.choice(m)), int(rng.choice(m))
+            while inner == 1 and b == a:  # its two edges would be one, leaving the node a loner
+                b = int(rng.choice(m))
         else:
             a, b = rng.choice(m, size=2, replace=False).tolist()
         pieces.append(_path(np.r_[a, len(roles) : len(roles) + inner, b]))

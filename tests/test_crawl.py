@@ -325,20 +325,24 @@ class TestTraceReaderOracle:
     @example(b"0,2,1\n1,2,0\n")  # P not rising
     @example(b"0,9223372036854775808,1\n")  # past int64: 19 digits go to the line loop
     @example(b"# stride=x\n0,1,2\n\xff\n")  # a bad header before a byte that is not UTF-8
+    @example(b"\xef\xbb\xbf#\r\n\xff")  # a byte that is not UTF-8, named where it is, not where CRLF made LF
     def test_random_files_read_like_the_line_loop(self, tmp_path_factory, data):
         path = tmp_path_factory.mktemp("trace") / "trace.csv"
         path.write_bytes(data)
         assert read_outcome(read_trace_csv, str(path)) == read_outcome(read_trace_oracle, str(path))
 
     def test_written_traces_take_the_numpy_pass(self, tmp_path):
+        # with the LF line ends write_trace_csv gives, and as CRLF and lone-CR copies
         g = giant_core(configuration_model([3] * 120, seed=4))
         for policy in POLICIES:
             tr = simulate_crawl(g, policy=policy, stride=2, seed=9)
             write_trace_csv(tr, str(tmp_path / "t.csv"))
-            meta = dict(crawl_module._META)
-            assert crawl_module._trace_columns((tmp_path / "t.csv").read_bytes(), meta) == (tr.p, tr.d)
-            assert meta == {"policy": policy, "stride": 2, "seed": 9, "start": 0, "true_size": g.node_count,
-                            "complete": 1}
+            for end in (b"\n", b"\r\n", b"\r"):
+                meta = dict(crawl_module._META)
+                data = (tmp_path / "t.csv").read_bytes().replace(b"\n", end)
+                assert crawl_module._trace_columns(data, meta) == (tr.p, tr.d)
+                assert meta == {"policy": policy, "stride": 2, "seed": 9, "start": 0, "true_size": g.node_count,
+                                "complete": 1}
 
 
 # what a trace-like file is made of: digits, commas, header tokens, sample_index, line ends,
@@ -531,10 +535,13 @@ class TestCrawlReference:
     @settings(max_examples=150, deadline=None)
     @given(g=small_graph(), stride=st.integers(1, 30), budget=st.sampled_from([1, 2, 3, 7, 1 << 16]),
            seed=st.integers(0, 2**32))
+    # from 0, with 3 arcs a gather, the fifo crawl gathers [0], [1], then [2, 3]: the last node of
+    # BFS level 1 and the first of level 2, which finds node 4 while node 5 is found already
+    @example(g=Graph.from_edges(6, [(0, 1), (0, 2), (1, 3), (1, 5), (3, 4)]), stride=1, budget=3, seed=0)
     def test_every_start_matches_the_plain_loop(self, policy, g, stride, budget, seed):
         # from every start, isolated ones too, with strides past n; small arc
-        # budgets split the fifo levels into many gathers, and a row over the
-        # budget is gathered alone; the random crawl draws from the seed
+        # budgets split the fifo queue into many gathers, some across a BFS level,
+        # and a row over the budget is gathered alone; the random crawl draws from the seed
         seed = seed if policy == "random" else 0
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(crawl_module, "_ARC_BUDGET", budget)

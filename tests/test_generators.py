@@ -20,6 +20,7 @@ from netgeom.generators import (
     generate_double_pareto_degrees,
 )
 from netgeom.graph import components, induced_subgraph
+from netgeom.structure import decompose
 from util import appendage_oracle, uf_components
 
 CORE_SIZES = st.integers(4, 40)
@@ -162,7 +163,7 @@ class TestAppendageOracle:
            EDGE_PROBS | st.integers(0, 300).map(lambda k: k / 1000), SEEDS,
            st.lists(st.integers(1, 5), max_size=4), st.lists(st.integers(1, 4), max_size=4), st.booleans())
     @example("complete", 6, 0.0, 1, [1, 2], [3], False)  # test_twelve_node_example_has_exact_shape
-    @example("random", 4, 0.0, 0, [1], [1, 1, 1, 1], True)  # one-node fibers, some closing on one node
+    @example("random", 4, 0.0, 0, [1], [1, 1, 1, 1], True)  # one-node loop fibers: a second end drawn again
     @example("complete", 3, 0.0, 0, [1], [], False)  # K3 hosts no attachment
     def test_generator_equals_the_edge_list_loop(self, kind, m, p, seed, tentacles, fibers, loops):
         if kind == "random":
@@ -178,8 +179,24 @@ class TestAppendageOracle:
         g, roles = generate_appendage_graph(spec)
         assert (g, roles) == want
         assert g.self_loops_dropped == want[0].self_loops_dropped == 0
-        # a one-node fiber that closes on its attachment node repeats that edge; nothing else does
-        assert g.duplicate_edges_dropped == want[0].duplicate_edges_dropped
+        # a one-node fiber never closes on its attachment node, so no edge repeats
+        assert g.duplicate_edges_dropped == want[0].duplicate_edges_dropped == 0
+
+
+class TestAppendageRoundTrip:
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(["complete", "random"]), st.integers(4, 14), EDGE_PROBS, SEEDS,
+           st.lists(st.integers(1, 6), max_size=5), st.lists(st.integers(1, 5), max_size=5), st.booleans())
+    @example("random", 6, 0.3, 0, [1, 2, 3], [1, 1, 2, 3], True)  # a one-node fiber drew b = a before
+    @example("complete", 4, 0.0, 10, [], [1], True)  # so did this one
+    def test_decompose_recovers_the_planted_roles(self, kind, m, p, seed, tentacles, fibers, loops):
+        spec = AppendageSpec(core_size=m, core_kind=kind, edge_prob=p, tentacle_lengths=tuple(tentacles),
+                             fiber_inner_counts=tuple(fibers), allow_fiber_loops=loops, seed=seed)
+        g, roles = generate_appendage_graph(spec)
+        d = decompose(g)
+        assert d.node_labels() == roles
+        assert Counter(len(t.nodes) for t in d.tentacles) == Counter(tentacles)
+        assert Counter(len(f.inner) for f in d.fibers) == Counter(fibers)
 
 
 class TestDegreeSampler:

@@ -442,6 +442,8 @@ def appendage_oracle(spec: AppendageSpec) -> tuple[Graph, tuple[str, ...]]:
         if spec.allow_fiber_loops:
             a = int(rng.choice(m))
             b = int(rng.choice(m))
+            while inner == 1 and b == a:
+                b = int(rng.choice(m))
         else:
             a, b = rng.choice(m, size=2, replace=False).tolist()
         prev = a

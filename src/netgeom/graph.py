@@ -40,6 +40,17 @@ depth, path lengths and the full embedding are folds over its blocks of
 distance rows. Analyses defined on one component call ``_require_connected``
 before any traversal, except on a giant core that ``_component_summary`` cut.
 
+No reduction over rows makes a temporary with one int64 per arc. A reduction
+over each node's neighbours (degree sums, the hooking minima of
+``_component_ids``, the kernel's level ORs) is one row fold, ``_row_fold``: a
+``reduceat`` over ranges of consecutive rows of at most ``_ARC_BUDGET`` arcs, a
+longer row in a range of its own, so what a fold gathers is bounded whatever
+the graph's size. The kernel's int32 blocks are counted a row at a time, since
+``bincount`` copies its input to intp. No plain ``np.unique``: numpy 2 imports
+``numpy.ma`` on its first call, which adds to every process that makes one.
+The subgraph cuts (``_induced``, ``_component_graphs``) still gather their
+kept arcs in one piece.
+
 Exact depth and exact path lengths traverse only the 2-core. ``_peel``, the
 one peel of degree-1 nodes, splits a graph into the core and the pendant
 trees hanging from it; ``_core_blocks`` runs the kernel from the core nodes
@@ -537,10 +548,41 @@ def _line_tokens(lines: list[str], first_line: int = 1) -> list[str]:
     return tokens
 
 
+# arcs a row fold gathers at a time, as many as a pass of the fifo crawl (crawl._ARC_BUDGET)
+_ARC_BUDGET = 1 << 16
+
+
+def _row_ranges(g: Graph) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+    """The rows of ``g`` that have arcs, in ranges of consecutive rows of at most
+    ``_ARC_BUDGET`` arcs, a longer row in a range of its own: per range, its first
+    arc, the arc past its last, its rows with arcs and where each starts in the range."""
+    indptr, n, a = g.indptr, g.node_count, 0
+    while a < n:
+        b = max(a + 1, int(np.searchsorted(indptr, indptr[a] + _ARC_BUDGET, side="right")) - 1)
+        ptr = indptr[a : b + 1]
+        if ptr[-1] > ptr[0]:
+            rows = a + np.flatnonzero(np.diff(ptr))
+            yield int(ptr[0]), int(ptr[-1]), rows, indptr[rows] - ptr[0]
+        a = b
+
+
+def _row_fold(g: Graph, ufunc: np.ufunc, values: np.ndarray, out: np.ndarray,
+              ranges: Iterable[tuple[int, int, np.ndarray, np.ndarray]] | None = None) -> np.ndarray:
+    """``out``, where each node v with neighbours now holds ``ufunc`` folded over ``values[w]``
+    of its neighbours w, in ``out``'s dtype; a node with none keeps its entry.
+
+    One ``reduceat`` per range of ``_row_ranges``, which a caller that folds many
+    times may pass as a list, so the gathered values and their cast to ``out``'s
+    dtype are at most ``_ARC_BUDGET`` long and no array as long as ``indices`` is made.
+    """
+    for lo, hi, rows, starts in _row_ranges(g) if ranges is None else ranges:
+        out[rows] = ufunc.reduceat(values[g.indices[lo:hi]], starts, dtype=out.dtype)
+    return out
+
+
 def _row_sums(g: Graph, values: np.ndarray) -> np.ndarray:
-    """Per node, the sum of ``values[w]`` over its neighbours w (0 for an isolated node)."""
-    total = np.concatenate(([0], np.cumsum(values[g.indices])))
-    return total[g.indptr[1:]] - total[g.indptr[:-1]]
+    """Per node, the sum of ``values[w]`` over its neighbours w (0 for an isolated node), as int64."""
+    return _row_fold(g, np.add, values, np.zeros(g.node_count, dtype=np.int64))
 
 
 def _sources(n: int, mode: str, k: int | None, seed: int, name: str) -> tuple[int, ...]:
@@ -560,16 +602,17 @@ def _distance_blocks(g: Graph, sources: Sequence[int]) -> Iterator[np.ndarray]:
     of up to 64 rows, UNREACHABLE where a source does not reach a node.
 
     Bit i of ``frontier[v]`` marks node v as reached at the current level from
-    the block's source i. A level ORs the words of each node's neighbours with
-    one ``reduceat`` over the CSR rows of the nodes that have neighbours, and
+    the block's source i. A level ORs the words of each node's neighbours by
+    one row fold (``_row_fold``) over the CSR rows, and
     records the level only as bit planes (``_distance_block``), so it costs
     O(m) plus O(|frontier|) word ORs per set bit of the level number.
     """
+    ranges = list(_row_ranges(g))
     for b in range(0, len(sources), 64):
-        yield _distance_block(g, np.asarray(sources[b : b + 64], dtype=np.intp))
+        yield _distance_block(g, np.asarray(sources[b : b + 64], dtype=np.intp), ranges)
 
 
-def _distance_block(g: Graph, block: np.ndarray) -> np.ndarray:
+def _distance_block(g: Graph, block: np.ndarray, ranges: list) -> np.ndarray:
     """One block of ``_distance_blocks``, from the sources ``block``.
 
     No distance is written while the BFS runs. Plane k is a uint64 word per
@@ -579,9 +622,6 @@ def _distance_block(g: Graph, block: np.ndarray) -> np.ndarray:
     words are all that is alive when it is yielded.
     """
     n = g.node_count
-    nbrs = g.indices
-    linked = np.flatnonzero(np.diff(g.indptr))
-    starts = g.indptr[linked]
     frontier = np.zeros(n, dtype=np.uint64)
     np.bitwise_or.at(frontier, block, np.uint64(1) << np.arange(len(block), dtype=np.uint64))
     seen, level, planes = frontier.copy(), 0, []
@@ -593,8 +633,7 @@ def _distance_block(g: Graph, block: np.ndarray) -> np.ndarray:
             for k, plane in enumerate(planes):
                 if level >> k & 1:
                     plane[hit] |= words
-        reach = np.zeros(n, dtype=np.uint64)
-        reach[linked] = np.bitwise_or.reduceat(frontier[nbrs], starts)
+        reach = _row_fold(g, np.bitwise_or, frontier, np.zeros(n, dtype=np.uint64), ranges)
         frontier = reach & ~seen
         seen |= frontier
         level += 1
@@ -692,24 +731,24 @@ def _component_ids(g: Graph) -> tuple[np.ndarray, np.ndarray]:
 
     Min-label hooking with pointer jumping (Shiloach and Vishkin, J. Algorithms 3(1), 1982) over the
     CSR rows: every round points each tree root at the smallest root across its nodes' rows, by one
-    ``minimum.reduceat``, then shortcuts every node to its root; round one is O(n), since a node's
+    row fold of ``minimum``, then shortcuts every node to its root; round one is O(n), since a node's
     smallest neighbour heads its sorted row. A tree hooks or is hooked within two rounds, so the trees
     per component at least halve every two rounds. Roots only point to smaller nodes, so a
     component's root is its smallest node.
     """
     n = g.node_count
     linked = np.flatnonzero(np.diff(g.indptr))
-    starts = g.indptr[linked]
     root = np.arange(n)
-    root[linked] = np.minimum(linked, g.indices[starts])
+    root[linked] = np.minimum(linked, g.indices[g.indptr[linked]])
+    ranges, linked = list(_row_ranges(g)), None
     while True:
         while not np.array_equal(jumped := root[root], root):
             root = jumped
-        low = np.minimum.reduceat(root[g.indices], starts)  # the smallest root across each row
-        hook = low < root[linked]
-        if not hook.any():
+        low = _row_fold(g, np.minimum, root, root.copy(), ranges)  # the smallest root across each row
+        hook = np.flatnonzero(low < root)
+        if not hook.size:
             break
-        np.minimum.at(root, root[linked[hook]], low[hook])
+        np.minimum.at(root, root[hook], low[hook])
     first = root == np.arange(n)
     cid = (np.cumsum(first) - 1)[root]
     return cid, np.bincount(cid, minlength=int(first.sum()))

@@ -296,7 +296,9 @@ def path_length_report(
         total, source_count = n * (n - 1) // 2, None
     else:
         chosen = _sources(n, mode, sources, seed, "sources")
-        counts = sum(np.bincount(block.ravel(), minlength=n) for block in _distance_blocks(g, chosen))
+        counts = np.zeros(n, dtype=np.int64)
+        for block in _distance_blocks(g, chosen):
+            _count_rows(counts, block)
         counts[0] -= len(chosen)  # drop each source's zero distance to itself
         total, source_count = len(chosen) * (n - 1), len(chosen)
     hist = Histogram(dict(enumerate(counts.tolist())))
@@ -338,7 +340,7 @@ def _pair_counts(g: Graph) -> np.ndarray:
     counts[0] -= len(core)  # each root's zero distance to itself
     start = 0
     for block in _core_blocks(g, forest):
-        counts[: block.max() + 1] += np.bincount(block.ravel())
+        _count_rows(counts, block)
         lo, hi = np.searchsorted(tree_column, (start, start + len(block)))
         if lo < hi:  # some of these roots carry trees
             roots, slot = np.unique(tree_column[lo:hi], return_inverse=True)
@@ -355,6 +357,14 @@ def _pair_counts(g: Graph) -> np.ndarray:
                 counts[h : h + width] += profile[:, h] @ line
         start += len(block)
     return counts[:n]
+
+
+def _count_rows(counts: np.ndarray, block: np.ndarray) -> None:
+    """Add to ``counts`` the count of each value of the non-negative int ``block``, a row
+    at a time: ``bincount`` copies int32 values to intp, and a row's copy is 1/64 of a block's."""
+    for row in block:
+        seen = np.bincount(row)
+        counts[: len(seen)] += seen
 
 
 def _row_histograms(rows: np.ndarray, width: int) -> np.ndarray:

@@ -414,8 +414,10 @@ def personality_report(g: Graph, tau: float = 0.05) -> PersonalityReport:
     score = log_mean - log_deg
     code = np.where(score < -tau, 0, np.where(score > tau, 2, 1))  # index into PERSONALITY_CLASSES
     counts = dict(zip(PERSONALITY_CLASSES, np.bincount(code, minlength=3).tolist()))
-    # pool[i][j]: neighbour endpoints of class j seen from the nodes of class i
-    pool = np.bincount(np.repeat(code, deg) * 3 + code[g.indices], minlength=9).reshape(3, 3).tolist()
+    # pool[i][j]: neighbour endpoints of class j seen from the nodes of class i, from the row sums of class j
+    members = [code == j for j in range(3)]
+    seen = [_row_sums(g, member) for member in members]
+    pool = [[int(s[member].sum()) for s in seen] for member in members]
     return PersonalityReport(
         tau=tau,
         degree=tuple(deg.tolist()),

@@ -1180,6 +1180,41 @@ class TestImports:
         layers = {name.removeprefix("netgeom.") for name in loaded_modules(child_env, self.RUN_MAIN, *argv)}
         assert uses <= layers and not layers & never
 
+    def test_no_graph_subcommand_loads_numpy_ma(self, tmp_path, child_env):
+        # numpy 2 imports numpy.ma lazily, on the first plain np.unique among others: about 1.6 MiB
+        # of resident memory in a process that needs none of it; numpy 1.x imports it with numpy
+        ring = tmp_path / "ring.txt"
+        ring.write_text("".join(f"{i} {(i + 1) % 60}\n{i} {(i + 7) % 60}\n" for i in range(60)))
+        gen = str(tmp_path / "gen" / "edges.txt")
+        jobs = [["generate", "--double-pareto", "n=300", "alpha-left=1", "alpha-right=3", "break=20", "min=2",
+                 "--seed", "3", "--out", str(tmp_path / "gen")],
+                ["generate", "--appendage", "core=R12:0.3", "tentacles=1,2,3", "fibers=1,2", "loops=1"],
+                ["stats", "--graph", gen, "--giant", "--degrees", "--fit", "--paths", "exact", "--seniors", "5"],
+                ["stats", "--graph", gen, "--giant", "--paths", "sampled:8"],
+                ["decompose", "--graph", gen, "--giant"],
+                ["depth", "--graph", gen, "--giant", "--profile-bin", "0.5"],
+                ["depth", "--graph", gen, "--mode", "sampled:8"],
+                ["personality", "--graph", gen, "--giant"],
+                ["embed", "--graph", str(ring)],
+                ["embed", "--graph", str(ring), "--refs", "0,7"],
+                ["reduce", "--graph", str(ring), "--tolerance", "1"],
+                ["crawl-sim", "--graph", gen, "--policy", "fifo"],
+                ["crawl-sim", "--graph", gen, "--policy", "random"]]
+        jobs = [argv if "--out" in argv else argv + ["--out", str(tmp_path / str(i))] for i, argv in enumerate(jobs)]
+        code = ("import json, sys\nimport numpy\nloaded = ['numpy.ma' in sys.modules]\n"
+                "from netgeom.cli import main\n"
+                "for argv in json.loads(sys.argv[1]):\n"
+                "    assert main(argv) == 0, argv\n"
+                "    loaded.append('numpy.ma' in sys.modules)\n"
+                "print(json.dumps(loaded))")
+        proc = subprocess.run([sys.executable, "-c", code, json.dumps(jobs)], capture_output=True, text=True,
+                              env=child_env)
+        assert proc.returncode == 0, proc.stderr
+        with_numpy, *after = json.loads(proc.stdout.splitlines()[-1])
+        if with_numpy:
+            pytest.skip("this numpy imports numpy.ma with numpy itself")
+        assert [argv[0] for argv, ma in zip(jobs, after) if ma][:1] == []  # names the first job that loads it
+
     def test_import_netgeom_loads_no_layer_and_every_public_name_resolves(self, child_env):
         assert loaded_modules(child_env, "import netgeom") == ["netgeom"]
         resolve = ("import netgeom\n"

@@ -30,8 +30,11 @@ from netgeom.graph import (
     induced_subgraph,
     load_edge_list,
     _byte_tokens,
+    _component_ids,
     _distance_blocks,
     _line_tokens,
+    _row_ranges,
+    _row_sums,
 )
 from netgeom.structure import decompose
 
@@ -874,6 +877,79 @@ class TestHookingEdgeCases:
         assert giant_core(g).origin_nodes == (2, 7, 9)
 
 
+HUB = Graph.from_edges(10, [(4, v) for v in range(9) if v != 4])  # a row of 8 arcs, then an isolated node
+
+
+class TestRowFold:
+    """Per-row folds over ranges of rows of at most ``_ARC_BUDGET`` arcs, a longer row in a range of
+    its own. Cut to 1, 2 or 3 arcs, the budget splits a graph into many ranges and hub rows exceed it;
+    every fold must equal its unsplit result and the plain oracle."""
+
+    @staticmethod
+    def split(budget: int, fold):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph_module, "_ARC_BUDGET", budget)
+            return fold()
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_graphs(), st.sampled_from([1, 2, 3]))
+    @example(Graph([]), 1)
+    @example(Graph.from_edges(4, []), 2)
+    @example(HUB, 3)
+    def test_ranges_hold_each_arc_once_within_the_budget(self, g, budget):
+        ranges = self.split(budget, lambda: list(_row_ranges(g)))
+        indptr = g.indptr
+        # each range starts where the last one ended, the first at arc 0, and the last ends with indices
+        assert [lo for lo, *_ in ranges] + [len(g.indices)] == [0] + [hi for _, hi, *_ in ranges]
+        rows = [v for *_, range_rows, _ in ranges for v in range_rows.tolist()]
+        assert rows == np.flatnonzero(np.diff(indptr)).tolist()  # every row with arcs, in order
+        for lo, hi, range_rows, starts in ranges:
+            assert hi - lo <= budget or len(range_rows) == 1
+            assert starts.tolist() == (indptr[range_rows] - lo).tolist()
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_graphs(), st.sampled_from([1, 2, 3]), st.integers(0, 2**32 - 1))
+    @example(Graph([]), 1, 0)
+    @example(Graph.from_edges(4, []), 2, 0)
+    @example(HUB, 3, 0)
+    def test_row_sums_match_the_plain_sums(self, g, budget, seed):
+        values = np.random.default_rng(seed).integers(-50, 50, size=g.node_count)
+        for v in (values, values > 0):  # int64, and a mask that sums as a count
+            want = [sum(int(v[w]) for w in g.neighbors(u)) for u in range(g.node_count)]
+            sums = self.split(budget, lambda: _row_sums(g, v))
+            assert sums.dtype == np.int64
+            assert sums.tolist() == _row_sums(g, v).tolist() == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_graphs(), st.sampled_from([1, 2, 3]))
+    @example(Graph([]), 1)
+    @example(Graph.from_edges(4, []), 2)
+    @example(HUB, 3)
+    @example(TIES, 1)
+    def test_component_ids_match_union_find(self, g, budget):
+        cid, sizes = self.split(budget, lambda: _component_ids(g))
+        plain_cid, plain_sizes = _component_ids(g)
+        assert (cid.tolist(), sizes.tolist()) == (plain_cid.tolist(), plain_sizes.tolist())
+        assert (tuple(cid.tolist()), tuple(sizes.tolist())) == exact_labeling(g)
+
+    @settings(max_examples=60, deadline=None)
+    @given(graphs_with_sources(), st.sampled_from([1, 2, 3]))
+    @example((HUB, [4, 9, 0]), 1)
+    @example((HUB, list(range(10))), 3)
+    @example((Graph.from_edges(3, []), [2, 0]), 1)
+    def test_distance_blocks_match_floyd_warshall(self, case, budget):
+        g, sources = case
+        blocks = self.split(budget, lambda: list(_distance_blocks(g, sources)))
+        assert np.array_equal(np.concatenate(blocks), np.concatenate(list(_distance_blocks(g, sources))))
+        oracle = oracle_rows(g)
+        assert np.concatenate(blocks).tolist() == [oracle[s] for s in sources]
+
+    def test_empty_graph(self):
+        assert list(_row_ranges(EMPTY)) == [] and list(_distance_blocks(EMPTY, [])) == []
+        assert _row_sums(EMPTY, np.zeros(0, dtype=bool)).tolist() == []
+        assert [a.tolist() for a in _component_ids(EMPTY)] == [[], []]
+
+
 class TestTransientMemory:
     """Traced bytes that the build, the giant core and the CLI's reduce path
     allocate beyond their input."""
@@ -926,6 +1002,45 @@ class TestTransientMemory:
         with open(path, "rb") as fh:
             peak = self.traced_peak(lambda: load_edge_list(fh))
         assert peak <= 48 * g.edge_count
+
+    @pytest.fixture
+    def small_budget(self, monkeypatch):
+        # with 256 arcs a range the row folds' own gathers are negligible, so any array as long as
+        # indices, which the 3 000-node graph's 118 146 arcs make 945 KB in int64, shows in full
+        monkeypatch.setattr(graph_module, "_ARC_BUDGET", 1 << 8)
+
+    # bytes per edge: the arc-length temporaries of the row sums, the personality pool, the hooking
+    # gather and the blocks counted whole took these to 34.1, 34.5, 36.1, 39.5 and 18.5; the row
+    # folds and the counts by row take them to 0.7, 14.1, 7.9, 22.6 and 5.6, mostly per-node arrays
+    @pytest.mark.parametrize("analysis, bound", [
+        (lambda g: stats_module.senior_stats(g, 25), 4),
+        (structure_module.personality_report, 20),
+        (decompose, 16),
+        (lambda g: stats_module.path_length_report(g, "sampled", sources=64), 30),
+        (_component_ids, 10),
+    ], ids=["senior_stats", "personality_report", "decompose", "path_length_report-sampled", "_component_ids"])
+    def test_analysis_per_edge(self, small_budget, analysis, bound):
+        g = self.heavy_tailed()
+        analysis(g)  # imports and caches stay out of the traced run
+        peak = self.traced_peak(lambda: analysis(g))
+        assert peak <= bound * g.edge_count
+
+    @pytest.mark.parametrize("mode", ["sampled", "exact"])
+    def test_path_lengths_count_blocks_by_row(self, small_budget, monkeypatch, mode):
+        # the kernel's blocks are made before the trace, so the figure is the counting alone: about
+        # 5.8 bytes per edge, where bincount's intp copy of each whole block took it to 26.5 and 28.9
+        g = self.heavy_tailed()
+        if mode == "sampled":
+            blocks = list(_distance_blocks(g, graph_module._sources(g.node_count, mode, 64, 0, "sources")))
+        else:
+            blocks = list(graph_module._core_blocks(g, graph_module._peel(g)))
+        monkeypatch.setattr(stats_module, "_distance_blocks", lambda g, sources: iter(blocks))
+        monkeypatch.setattr(stats_module, "_core_blocks", lambda g, forest: iter(blocks))
+        report = stats_module.path_length_report(g, mode, sources=64)
+        peak = self.traced_peak(lambda: stats_module.path_length_report(g, mode, sources=64))
+        assert peak <= 12 * g.edge_count
+        monkeypatch.undo()
+        assert stats_module.path_length_report(g, mode, sources=64) == report
 
     def test_distance_block_holds_two_blocks(self):
         # a block of 64 int32 rows is 256 bytes per node

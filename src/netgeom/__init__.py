@@ -20,6 +20,10 @@ that the trace reader raises it without loading ``graph``, which re-exports it.
 """
 from importlib import import_module
 
+# arcs one bounded pass over CSR rows gathers at a time (a row fold, an edge slice, a pass of the
+# fifo crawl); defined here, like InputError, so that crawl.py shares it without loading graph.py
+_ARC_BUDGET = 1 << 16
+
 
 class InputError(ValueError):
     """Base of the errors raised for malformed input: edge lists and trace files."""

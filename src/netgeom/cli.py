@@ -74,8 +74,8 @@ if TYPE_CHECKING:
 # analysis is done and has freed its memory
 
 OUT_DIR_ENV = "NETGEOM_OUT"
-_EDGE_SLICE = 1 << 16  # edges formatted per write of an edge file
 _PAD = b"\xff"  # pads a byte-table cell; str.encode() never makes this byte
+_NUMBER = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)  # a token that starts a negative float
 
 
 class CliError(Exception):
@@ -88,6 +88,11 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str):  # noqa: A003 - argparse API
         raise CliError(message)
+
+    def _parse_optional(self, arg_string: str):
+        """A token that starts a number, as ``-5e-1``, ``-1E3``, ``-.5`` and ``-inf`` do, is a value:
+        argparse's own pattern takes only ``-5`` and ``-.5``, and no option starts like a number."""
+        return None if _NUMBER.match(arg_string) else super()._parse_optional(arg_string)
 
     def _print_message(self, message: str, file=None) -> None:
         """argparse drops the OSError of a failed write of help or version text.
@@ -183,7 +188,7 @@ def _cells(texts: Iterable[str]) -> np.ndarray:
 
 
 def _write_edges(out: str, name: str, g: Graph) -> None:
-    """Write one "u v" line per edge, in sorted edge order, about ``_EDGE_SLICE`` edges at a time.
+    """Write one "u v" line per edge, in sorted edge order, a slice of edges at a time.
 
     The cells come from one ``_cells`` table: each label followed by a space,
     then each label followed by a newline. A slice's edges come from a range of
@@ -192,7 +197,7 @@ def _write_edges(out: str, name: str, g: Graph) -> None:
     """
     cells = _cells(label + end for end in " \n" for label in _names(g))
     with open(os.path.join(out, name), "wb") as fh:
-        for lo, hi in g._edge_slices(_EDGE_SLICE):
+        for lo, hi in g._edge_slices():
             # the newline cells follow the space cells
             fh.write(cells.take(np.stack((lo, hi + g.node_count), axis=1)).tobytes().translate(None, _PAD))
 

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from . import InputError
+from . import _ARC_BUDGET, InputError
 from ._linefit import _line_fits
 
 if TYPE_CHECKING:
@@ -49,9 +49,6 @@ __all__ = [
 ]
 
 POLICIES = ("fifo", "random")
-
-# arcs the fifo crawl gathers at a time
-_ARC_BUDGET = 1 << 16
 
 # the most Runge-Kutta steps solve_acquisition_ode takes; at 10**7 a run already takes
 # about a minute and 1.2 GB, held by its three lists of floats
@@ -487,19 +484,19 @@ def solve_acquisition_ode(
     which ``p + step == p`` and P would never advance, and at most
     ``_MAX_ODE_STEPS`` steps from p0 to p_max.
     """
-    if d0 <= 0:
+    if not d0 > 0:  # NaN fails each guard
         raise ValueError("d0 must be > 0")
-    if step <= 0:
+    if not math.isfinite(p0 + d0 + (dprime0 + 1.0) * d0):
+        raise ValueError("the implied size P + D + (D' + 1)*D of the start is not finite")
+    if not step > 0:
         raise ValueError("step must be > 0")
-    if p_max < p0:
+    if not p_max >= p0:
         raise ValueError("p_max must be >= p0")
     if step < (spacing := math.ulp(max(abs(p0), abs(p_max)))):
         raise ValueError(f"step {step!r} cannot advance P: it is below the float spacing {spacing!r} of P")
     if (steps := (p_max - p0) / step) > _MAX_ODE_STEPS:  # checked before any list grows
         count = math.ceil(steps) if math.isfinite(steps) else steps
         raise ValueError(f"{count} Runge-Kutta steps from p0 to p_max exceed the limit of {_MAX_ODE_STEPS}")
-    if not math.isfinite(p0 + d0 + (dprime0 + 1.0) * d0):
-        raise ValueError("the implied size P + D + (D' + 1)*D of the start is not finite")
 
     ps = [p0]
     ds = [d0]

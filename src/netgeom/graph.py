@@ -15,7 +15,7 @@ lists as arcs, which are its rows, and subgraphs are cut from the parent's rows
 (``_induced``, ``_component_graphs``): a kept node's new id is its rank among
 the kept nodes, so every row stays sorted and no edge key is made or sorted
 again. The edge walks, ``Graph.edges`` and the edge-file writer, read the
-u < v arcs of ranges of consecutive rows (``Graph._edge_slices``).
+u < v arcs of the row folds' ranges of rows (``Graph._edge_slices``).
 
 An edge list is parsed by one loop over its pieces (``_pieces``): the blocks
 of whole lines of a binary file, their line ends made ``\\n``, or chunks of
@@ -63,13 +63,14 @@ from __future__ import annotations
 
 import codecs
 import io
+import operator
 from dataclasses import dataclass
 from itertools import chain, islice
 from typing import BinaryIO, Callable, Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from . import InputError
+from . import _ARC_BUDGET, InputError
 
 __all__ = [
     "Graph",
@@ -103,8 +104,8 @@ class Graph:
     neighbours node by node (``_peel``, the random crawl) slices one row out
     of ``indices`` at a time and makes only that row a list.
 
-    ``Graph(adjacency)`` takes one neighbour list per node and rejects ids out
-    of range, self-loops, repeats and asymmetric lists with ``ValueError``.
+    ``Graph(adjacency)`` takes one neighbour list per node and rejects ids that are
+    not integers or out of range, self-loops, repeats and asymmetric lists with ``ValueError``.
     ``from_edges``, ``load_edge_list`` and the generators take raw edges
     instead, dropping and counting self-loops and duplicates; a
     configuration-model graph so counts the stub pairs it erased.
@@ -130,7 +131,7 @@ class Graph:
                  duplicate_edges_dropped: int = 0):
         rows = [tuple(row) for row in adjacency]
         n = len(rows)
-        flat = list(chain.from_iterable(rows))
+        flat = list(_node_ids(chain.from_iterable(rows)))
         if flat and not (0 <= min(flat) and max(flat) < n):  # checked before any int64 conversion
             for u, row in enumerate(rows):
                 if bad := [w for w in row if not 0 <= w < n]:
@@ -181,7 +182,7 @@ class Graph:
         if any(len(e) != 2 for e in edges):
             raise ValueError("edges must be (u, v) pairs")
         try:
-            flat = np.fromiter(chain.from_iterable(edges), dtype=np.int64, count=2 * len(edges))
+            flat = np.fromiter(_node_ids(chain.from_iterable(edges)), dtype=np.int64, count=2 * len(edges))
             fits = flat.size == 0 or (flat.min() >= 0 and flat.max() < node_count)
         except OverflowError:
             fits = False
@@ -212,21 +213,14 @@ class Graph:
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield each undirected edge once, as (u, v) with u < v, in sorted order."""
-        for lo, hi in self._edge_slices(1 << 16):
+        for lo, hi in self._edge_slices():
             yield from zip(lo.tolist(), hi.tolist())
 
-    def _edge_slices(self, size: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """The edges (u, v), u < v, in sorted order, as array pairs of about ``size`` edges each.
-
-        A pair holds the edges of a range of consecutive rows. The row that holds
-        arc ``2 * size * t`` starts a range, so a range spans about ``2 * size``
-        arcs, or one longer row; rows with no arcs before the first range hold no edge.
-        """
-        starts = np.searchsorted(self.indptr, np.arange(0, len(self.indices), 2 * size), side="right") - 1
-        cuts = _sorted_unique(np.append(starts, self.node_count)).tolist()
-        for a, b in zip(cuts, cuts[1:]):
-            u = np.repeat(np.arange(a, b), np.diff(self.indptr[a : b + 1]))
-            v = self.indices[self.indptr[a] : self.indptr[b]]
+    def _edge_slices(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """The edges (u, v), u < v, in sorted order, as array pairs: per range of ``_row_ranges``,
+        the u < v arcs of its rows, of at most ``_ARC_BUDGET`` arcs or one longer row."""
+        for lo, hi, rows, starts in _row_ranges(self):
+            u, v = np.repeat(rows, np.diff(starts, append=hi - lo)), self.indices[lo:hi]
             up = u < v
             yield u[up], v[up]
 
@@ -244,6 +238,16 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.node_count}, m={self.edge_count})"
+
+
+def _node_ids(ids: Iterable) -> Iterator[int]:
+    """Each of ``ids`` through ``operator.index``, so that an id that is not an integer, which an
+    int64 cast would truncate or parse (a float, a string), raises ``ValueError`` naming it."""
+    for v in ids:
+        try:
+            yield operator.index(v)
+        except TypeError:
+            raise ValueError(f"node id {v!r} is not an integer") from None
 
 
 def _sorted_unique(keys: np.ndarray) -> np.ndarray:
@@ -548,10 +552,6 @@ def _line_tokens(lines: list[str], first_line: int = 1) -> list[str]:
     return tokens
 
 
-# arcs a row fold gathers at a time, as many as a pass of the fifo crawl (crawl._ARC_BUDGET)
-_ARC_BUDGET = 1 << 16
-
-
 def _row_ranges(g: Graph) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
     """The rows of ``g`` that have arcs, in ranges of consecutive rows of at most
     ``_ARC_BUDGET`` arcs, a longer row in a range of its own: per range, its first
@@ -825,7 +825,7 @@ def induced_subgraph(g: Graph, nodes: Sequence[int]) -> Graph:
     The result's ``origin_nodes`` maps each new index to its index in ``g``;
     labels are inherited where ``g`` has them.
     """
-    keep = sorted(set(nodes))
+    keep = sorted(set(_node_ids(nodes)))
     for v in keep:
         if not 0 <= v < g.node_count:
             raise ValueError(f"node {v} out of range 0..{g.node_count - 1}")

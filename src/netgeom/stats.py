@@ -253,7 +253,7 @@ def senior_stats(g: Graph, threshold: int = 25) -> SeniorReport:
     The fraction is relative to ``g``'s node count, so pass the giant core (or
     whatever population the cohort should be measured against) directly.
     """
-    if threshold < 0:
+    if not threshold >= 0:  # NaN fails it
         raise ValueError("threshold must be >= 0")
     if g.node_count == 0:
         raise ValueError("senior stats of an empty graph are undefined")

@@ -357,8 +357,8 @@ def depth_density_profile(
     Returns rows (bin start, mean degree of nodes in the bin, node count),
     sorted by bin start. Bin b covers depths [b, b + bin_width).
     """
-    if bin_width <= 0:
-        raise ValueError("bin_width must be > 0")
+    if not 0 < bin_width < math.inf:  # NaN fails it
+        raise ValueError(f"bin_width must be finite and > 0, got {bin_width!r}")
     if len(dm.depths) != g.node_count:
         raise ValueError("depth map does not match graph")
     if not math.isfinite(max(dm.depths, default=0.0) / bin_width):
@@ -400,7 +400,7 @@ def personality_report(g: Graph, tau: float = 0.05) -> PersonalityReport:
     Requires minimum degree 1 (every node needs at least one neighbor) and
     tau >= 0.
     """
-    if tau < 0:
+    if not tau >= 0:  # NaN fails it
         raise ValueError("tau must be >= 0")
     if g.node_count == 0:
         raise ValueError("personality of an empty graph is undefined")

@@ -20,6 +20,7 @@ import pytest
 
 import netgeom
 import netgeom.cli as cli_module
+import netgeom.graph as graph_module
 from netgeom.cli import main
 from netgeom.generators import DoubleParetoSpec, configuration_model, generate_double_pareto_degrees
 from netgeom.graph import Graph, load_edge_list
@@ -733,16 +734,16 @@ class TestEdgeFiles:
         # labels with a NUL, with 2- and 3-byte UTF-8 and with more than 8 bytes, in every slice
         g = load_edge_list(["b a", "c a", "é b", "d c", "a d", "b c", "x y", "n\0l a", "узел n\0l",
                             "日本 x", "a_label_of_many_bytes b", "\0 日本", "y \0\0", "é a_label_of_many_bytes"])
-        monkeypatch.setattr(cli_module, "_EDGE_SLICE", 3)  # four full slices and one short
+        monkeypatch.setattr(graph_module, "_ARC_BUDGET", 6)  # ranges of rows of up to 6 arcs
         cli_module._write_edges(str(tmp_path), "edges.txt", g)
         want = "".join(f"{g.label_of(u)} {g.label_of(v)}\n" for u, v in g.edges())
         assert (tmp_path / "edges.txt").read_bytes() == want.encode()
 
     def test_peak_per_edge(self, tmp_path, monkeypatch):
-        # slices of about 4 096 edges, each from a range of CSR rows: only the label tables span the
+        # slices from ranges of CSR rows of up to 8 192 arcs: only the label tables span the
         # write, at about 11 bytes per edge, where an end array of every edge took it to 34.8
         g = self.heavy_tailed()
-        monkeypatch.setattr(cli_module, "_EDGE_SLICE", 1 << 12)
+        monkeypatch.setattr(graph_module, "_ARC_BUDGET", 1 << 13)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -815,6 +816,25 @@ class TestFlagValues:
         [line] = error_lines(capsys)
         assert line.endswith(f"argument {flag}: must be finite, got {value!r}")
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("value", ["-5e-1", "-1E3", "-.5", "-inf"])
+    @pytest.mark.parametrize("flag", ["--p0", "--d0", "--dprime0", "--step", "--pmax"])
+    def test_negative_number_after_a_space_is_a_value(self, tmp_path, capsys, flag, value):
+        # argparse's own pattern reads -5e-1 and -inf as options; as values they must give what
+        # the "=" form gives: the same code, the same error line or the same ode.csv
+        runs = []
+        for form, tail in (("space", [flag, value]), ("equals", [f"{flag}={value}"])):
+            code = run(*self.SOLVE, *tail, "--out", str(tmp_path / form))
+            ode = tmp_path / form / "ode.csv"
+            runs.append((code, capsys.readouterr().err, ode.read_bytes() if code == 0 else None))
+        assert runs[0] == runs[1]
+        code, err, _ = runs[0]
+        if value == "-inf":
+            assert err.splitlines() == [f"netgeom: error: argument {flag}: must be finite, got '-inf'"]
+        elif flag in ("--p0", "--dprime0"):
+            assert code == 0 and err == ""
+        else:
+            assert code != 0 and "expected one argument" not in err
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("key", ["alpha-left", "alpha-right"])

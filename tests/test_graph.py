@@ -18,6 +18,7 @@ import netgeom.graph as graph_module
 import netgeom.stats as stats_module
 import netgeom.structure as structure_module
 from netgeom.cli import main
+from netgeom.crawl import solve_acquisition_ode
 from netgeom.embedding import embed, embed_full, embedding_distortion
 from netgeom.generators import DoubleParetoSpec, configuration_model, generate_double_pareto_degrees
 from netgeom.graph import (
@@ -642,6 +643,8 @@ class TestConnectedPrecondition:
 
 
 EMPTY = Graph([])
+P3 = Graph.from_edges(3, [(0, 1), (1, 2)])
+NAN, INF = float("nan"), float("inf")
 
 
 class TestGuardMessages:
@@ -659,13 +662,41 @@ class TestGuardMessages:
         (lambda: stats_module.path_length_report(Graph([[]])), "path lengths need at least 2 nodes"),
         (lambda: Graph.from_edges(3, [(0, 1), (0, 1, 2)]), "edges must be (u, v) pairs"),
         (lambda: Graph([[1], [0]], labels=("a",)), "labels length does not match node count"),
+        # node ids are taken by operator.index: a float is not truncated, a string not parsed
+        (lambda: Graph.from_edges(3, [(0.5, 1.7)]), "node id 0.5 is not an integer"),
+        (lambda: Graph.from_edges(3, [(0, 1), ("0", "1")]), "node id '0' is not an integer"),
+        (lambda: Graph([[1.5], [0]]), "node id 1.5 is not an integer"),
+        (lambda: Graph([["1"], [0]]), "node id '1' is not an integer"),
+        (lambda: induced_subgraph(P3, [2, 0.5]), "node id 0.5 is not an integer"),
+        # NaN fails every guard, as the CLI's flag types already make it
+        (lambda: structure_module.personality_report(P3, tau=NAN), "tau must be >= 0"),
+        (lambda: stats_module.senior_stats(P3, threshold=NAN), "threshold must be >= 0"),
+        (lambda: structure_module.depth_density_profile(P3, structure_module.depth_map(P3), bin_width=NAN),
+         "bin_width must be finite and > 0, got nan"),
+        (lambda: structure_module.depth_density_profile(P3, structure_module.depth_map(P3), bin_width=INF),
+         "bin_width must be finite and > 0, got inf"),
+        (lambda: structure_module.depth_density_profile(P3, structure_module.depth_map(P3), bin_width=0),
+         "bin_width must be finite and > 0, got 0"),
+        (lambda: solve_acquisition_ode(0, NAN, -0.5, 0.5, 50), "d0 must be > 0"),
+        (lambda: solve_acquisition_ode(NAN, 100, -0.5, 0.5, 50),
+         "the implied size P + D + (D' + 1)*D of the start is not finite"),
+        (lambda: solve_acquisition_ode(0, 100, -0.5, NAN, 50), "step must be > 0"),
+        (lambda: solve_acquisition_ode(0, 100, -0.5, 0.5, NAN), "p_max must be >= p0"),
     ], ids=["decompose", "depth_map", "personality_report", "senior_stats", "embed", "embed_full",
             "embed_full-consume", "path_length_report-0", "path_length_report-1", "from_edges-pairs",
-            "labels-length"])
+            "labels-length", "from_edges-float", "from_edges-str", "adjacency-float", "adjacency-str",
+            "induced_subgraph-float", "personality_report-nan", "senior_stats-nan", "profile-nan",
+            "profile-inf", "profile-0", "ode-d0-nan", "ode-p0-nan", "ode-step-nan", "ode-pmax-nan"])
     def test_message(self, call, message):
         with pytest.raises(ValueError) as e:
             call()
         assert str(e.value) == message
+
+    def test_numpy_integers_and_bools_are_node_ids(self):
+        want = Graph.from_edges(3, [(0, 1), (1, 2)])
+        assert Graph.from_edges(3, [(np.int32(0), True), (True, np.uint8(2))]) == want
+        assert Graph([[True], [np.int64(0), 2], [np.int16(1)]]) == want
+        assert induced_subgraph(want, [False, True, np.intp(1)]).origin_nodes == (0, 1)
 
 
 class TestSubgraphs:
@@ -781,12 +812,21 @@ class TestComponentsOnCsr:
         assert_csr_contract(sub)
 
     @settings(max_examples=100, deadline=None)
-    @given(small_graphs(), st.integers(1, 4))
-    @example(Graph.from_edges(9, [(4, v) for v in range(9) if v != 4]), 1)  # a hub row of 8 arcs in slices of 2
-    def test_edge_slices_are_the_sorted_edges(self, g, size):
-        # ranges of rows spanning about 2 * size arcs, a longer row alone, join to the plain edge list
+    @given(small_graphs(), st.sampled_from([1, 2, 3]))
+    @example(Graph.from_edges(9, [(4, v) for v in range(9) if v != 4]), 2)  # a hub row of 8 arcs, budget 2
+    def test_edge_slices_are_the_sorted_edges(self, g, budget):
+        # a slice per range of rows of at most the arc budget, a longer row alone, joined to the plain edge list
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph_module, "_ARC_BUDGET", budget)
+            slices, ranges = list(g._edge_slices()), list(_row_ranges(g))
+        assert len(slices) == len(ranges)
+        for (lo, hi), (a, b, rows, _) in zip(slices, ranges):
+            # the slice holds the u < v arcs of its range's rows
+            want = [(u, w) for u in rows.tolist() for w in g.neighbors(u) if u < w]
+            assert list(zip(lo.tolist(), hi.tolist())) == want
+            assert b - a <= budget or len(rows) == 1
         want = [(u, w) for u in range(g.node_count) for w in g.neighbors(u) if u < w]
-        pairs = [(u, w) for lo, hi in g._edge_slices(size) for u, w in zip(lo.tolist(), hi.tolist())]
+        pairs = [(u, w) for lo, hi in slices for u, w in zip(lo.tolist(), hi.tolist())]
         assert pairs == want == list(g.edges())
 
     @staticmethod

@@ -13,10 +13,13 @@ Core pieces:
               reduction with distortion guarantees
 * crawl:      frontier-crawl simulation and size estimation from traces
 
-Each public name below is imported from its module on first access (PEP 562),
-so ``import netgeom`` loads no module, and a process loads only the modules
-it uses. ``InputError`` is defined here, at the root every module imports, so
-that the trace reader raises it without loading ``graph``, which re-exports it.
+``_PUBLIC`` below is the one list of public names, by module: each module's
+``__all__`` is its entry plus the module's upper-case constants, which have no
+``__name__``. Each public name is imported from its module on first access
+(PEP 562), so ``import netgeom`` loads no module, and a process loads only the
+modules it uses. ``InputError`` is defined here, at the root every module
+imports, so that the trace reader raises it without loading ``graph``, which
+re-exports it.
 """
 from importlib import import_module
 

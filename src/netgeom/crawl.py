@@ -26,27 +26,13 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from . import _ARC_BUDGET, InputError
+from . import _ARC_BUDGET, _PUBLIC, InputError
 from ._linefit import _line_fits
 
 if TYPE_CHECKING:
     from .graph import Graph
 
-__all__ = [
-    "CrawlTrace",
-    "SizeEstimate",
-    "RationalFit",
-    "OdeSolution",
-    "simulate_crawl",
-    "estimate_derivative",
-    "estimate_size",
-    "fit_rational",
-    "solve_acquisition_ode",
-    "write_trace_csv",
-    "read_trace_csv",
-    "TraceParseError",
-    "default_window",
-]
+__all__ = list(_PUBLIC["crawl"])
 
 POLICIES = ("fifo", "random")
 
@@ -124,7 +110,8 @@ def simulate_crawl(
         raise ValueError("stride must be >= 1")
     frontier = _fifo_frontier(g, start) if policy == "fifo" else np.array(_random_frontier(g, start, seed))
     processed = len(frontier)
-    at = np.r_[stride:processed:stride, processed]  # every stride-th step, and the last
+    step = min(stride, processed)  # a stride past the step count, even one past int64, samples the last alone
+    at = np.r_[step:processed:step, processed]  # every stride-th step, and the last
     ps, ds = tuple(at.tolist()), tuple(frontier[at - 1].tolist())
     return CrawlTrace(ps, ds, policy, stride, seed, start, true_size=n, complete=processed == n)
 

@@ -39,24 +39,13 @@ from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
+from . import _PUBLIC
 from .graph import Graph, _distance_blocks, _require_connected
 from .stats import Histogram
 
 T = TypeVar("T")
 
-__all__ = [
-    "Embedding",
-    "CoverMatrix",
-    "ReductionResult",
-    "DistortionReport",
-    "embed",
-    "embed_full",
-    "chebyshev_distance",
-    "chebyshev_matrix",
-    "build_cover_matrix",
-    "reduce_references",
-    "embedding_distortion",
-]
+__all__ = list(_PUBLIC["embedding"])
 
 
 @dataclass(frozen=True)

@@ -24,24 +24,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _PUBLIC
 from .graph import Graph, _component_ids, _from_pairs
 
-__all__ = [
-    "ROLE_CORE",
-    "ROLE_TENTACLE",
-    "ROLE_LONER",
-    "ROLE_FIBER",
-    "AppendageSpec",
-    "DoubleParetoSpec",
-    "generate_appendage_graph",
-    "generate_double_pareto_degrees",
-    "configuration_model",
-]
+__all__ = ["ROLE_CORE", "ROLE_TENTACLE", "ROLE_LONER", "ROLE_FIBER", *_PUBLIC["generators"]]
 
 ROLE_CORE = "core"
 ROLE_TENTACLE = "tentacle"
 ROLE_LONER = "loner"
 ROLE_FIBER = "fiber"
+
+# most nodes a graph can hold: graph._from_pairs keys an edge as min * n + max in int64
+_MAX_NODES = math.isqrt(2**63 - 1)
 
 # Stub-matching retry policy: retry while a simple matching is plausibly near,
 # otherwise fall back to erasing the offending pairs (see configuration_model).
@@ -82,6 +76,9 @@ class AppendageSpec:
             raise ValueError("tentacle lengths must be >= 1")
         if any(f < 1 for f in self.fiber_inner_counts):
             raise ValueError("fiber inner-node counts must be >= 1")
+        nodes = self.core_size + sum(self.tentacle_lengths) + sum(self.fiber_inner_counts)
+        if nodes > _MAX_NODES:
+            raise ValueError(f"core, tentacle and fiber nodes must total <= {_MAX_NODES}, got {nodes}")
 
 
 @dataclass(frozen=True)
@@ -102,12 +99,12 @@ class DoubleParetoSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.size < 1:
-            raise ValueError("size must be >= 1")
+        if not 1 <= self.size <= _MAX_NODES:
+            raise ValueError(f"size must be in 1..{_MAX_NODES}, got {self.size}")
         if not all(math.isfinite(a) and a > 0 for a in (self.alpha_left, self.alpha_right)):
             raise ValueError("exponents must be finite and > 0")
-        if not 1 <= self.min_degree <= self.break_degree <= self.max_degree:
-            raise ValueError("need 1 <= min_degree <= break_degree <= max_degree")
+        if not 1 <= self.min_degree <= self.break_degree <= self.max_degree <= _MAX_NODES:
+            raise ValueError(f"need 1 <= min_degree <= break_degree <= max_degree <= {_MAX_NODES}")
 
 
 def _random_core(m: int, p: float, rng: np.random.Generator) -> np.ndarray:

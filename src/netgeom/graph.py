@@ -70,20 +70,9 @@ from typing import BinaryIO, Callable, Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from . import _ARC_BUDGET, InputError
+from . import _ARC_BUDGET, _PUBLIC, InputError
 
-__all__ = [
-    "Graph",
-    "InputError",
-    "EdgeListParseError",
-    "ComponentLabeling",
-    "DistanceMap",
-    "load_edge_list",
-    "components",
-    "giant_core",
-    "induced_subgraph",
-    "bfs",
-]
+__all__ = list(_PUBLIC["graph"])
 
 UNREACHABLE = -1
 

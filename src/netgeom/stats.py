@@ -9,6 +9,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from . import _PUBLIC
 from .graph import (
     Graph,
     _core_blocks,
@@ -20,16 +21,7 @@ from .graph import (
     _sources,
 )
 
-__all__ = [
-    "Histogram",
-    "DoubleParetoFit",
-    "SeniorReport",
-    "PathLengthReport",
-    "degree_histogram",
-    "fit_double_pareto",
-    "senior_stats",
-    "path_length_report",
-]
+__all__ = list(_PUBLIC["stats"])
 
 
 class Histogram:

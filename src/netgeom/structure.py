@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _PUBLIC
 from .graph import (
     Graph,
     _component_graphs,
@@ -25,22 +26,7 @@ from .graph import (
 )
 from .stats import Histogram
 
-__all__ = [
-    "Tentacle",
-    "Fiber",
-    "Decomposition",
-    "GeometricFit",
-    "DepthMap",
-    "PersonalityReport",
-    "PERSONALITY_CLASSES",
-    "decompose",
-    "tentacle_histogram",
-    "fiber_histogram",
-    "depth_map",
-    "depth_map_per_component",
-    "depth_density_profile",
-    "personality_report",
-]
+__all__ = ["PERSONALITY_CLASSES", *_PUBLIC["structure"]]
 
 PERSONALITY_CLASSES = ("popular", "neutral", "marginal")
 
@@ -162,17 +148,20 @@ def _split_chains(forest: _Forest) -> list[Tentacle]:
     return tentacles
 
 
-def _find_fibers(g: Graph, core: np.ndarray) -> tuple[list[Fiber], list[tuple[int, ...]]]:
-    """Locate degree-2 chains and pure cycles inside the core subgraph.
+def _find_fibers(core: Graph) -> tuple[list[Fiber], list[tuple[int, ...]]]:
+    """Locate degree-2 chains and pure cycles in ``core``, the dense core that
+    ``decompose`` cuts, and list them by the ids of its ``origin_nodes``.
 
-    From each unseen core node of core degree 2, one walk runs to a terminal
-    (a node of another core degree) or all the way round a pure cycle; from
-    that terminal, one walk runs back across the whole chain. A fiber is
-    listed from whichever end gives the smaller (endpoint, inner nodes).
+    From each unseen node of degree 2, one walk runs to a terminal (a node of
+    another degree) or all the way round a pure cycle; from that terminal, one
+    walk runs back across the whole chain. A fiber is listed from whichever
+    end gives the smaller (endpoint, inner nodes). The cut numbers its nodes
+    in the order of their origin ids, so every walk and comparison goes the
+    same way in either numbering.
     """
-    cdeg_array = _row_sums(g, core)
-    cdeg, inside = cdeg_array.tolist(), core.tolist()
-    seen: set[int] = set()
+    deg_array = np.diff(core.indptr)
+    deg, origin = deg_array.tolist(), core.origin_nodes
+    seen = bytearray(core.node_count)
     fibers: list[Fiber] = []
     cycles: list[tuple[int, ...]] = []
 
@@ -181,28 +170,28 @@ def _find_fibers(g: Graph, core: np.ndarray) -> tuple[list[Fiber], list[tuple[in
         those nodes and where the walk stops: at a terminal, or back at the
         first node after a pure cycle."""
         run: list[int] = []
-        while cdeg[cur] == 2:
+        while deg[cur] == 2:
             run.append(cur)
-            a, b = (w for w in g.neighbors(cur) if inside[w])
+            a, b = core.neighbors(cur)
             prev, cur = cur, b if a == prev else a
             if cur == run[0]:
                 break
         return run, cur
 
-    for v in np.flatnonzero(core & (cdeg_array == 2)).tolist():
-        if v in seen:
+    for v in np.flatnonzero(deg_array == 2).tolist():
+        if seen[v]:
             continue
-        _, right = (w for w in g.neighbors(v) if inside[w])
+        _, right = core.neighbors(v)
         run, end = walk(right, v)  # from v toward its smaller core neighbour
         if end == v:
-            cycles.append(tuple(run))
-            seen.update(run)
-            continue
-        inner, far = walk(end, run[-1])
-        if (far, inner[::-1]) < (end, inner):
-            end, far, inner = far, end, inner[::-1]
-        fibers.append(Fiber(inner=tuple(inner), endpoints=(end, far)))
-        seen.update(inner)
+            cycles.append(tuple(origin[u] for u in run))
+        else:  # the walk back from the terminal runs the whole chain
+            run, far = walk(end, run[-1])
+            if (far, run[::-1]) < (end, run):
+                end, far, run = far, end, run[::-1]
+            fibers.append(Fiber(inner=tuple(origin[u] for u in run), endpoints=(origin[end], origin[far])))
+        for u in run:
+            seen[u] = 1
     fibers.sort(key=lambda f: f.inner)
     return fibers, cycles
 
@@ -226,13 +215,14 @@ def decompose(gc: Graph) -> Decomposition:
     forest = _peel(gc)
     core = np.ones(n, dtype=bool)
     core[forest.order] = False
-    fibers, cycles = _find_fibers(gc, core)
+    dense = _induced(gc, np.flatnonzero(core))
+    fibers, cycles = _find_fibers(dense)
     return Decomposition(
         roles=tuple(np.where(core, "core", "tentacle").tolist()),
         tentacles=tuple(_split_chains(forest)),
         fibers=tuple(fibers),
         cycles=tuple(cycles),
-        dense_core=_induced(gc, np.flatnonzero(core)),
+        dense_core=dense,
     )
 
 

@@ -860,6 +860,43 @@ class TestFlagValues:
         [line] = error_lines(capsys)
         assert line.endswith("argument --profile-bin: must be > 0, got '0'")
 
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--appendage", "core=K4", "--seed", "{huge}"],
+        ["stats", "--graph", "{p5}", "--paths", "sampled:2", "--seed", "{huge}"],
+        ["stats", "--graph", "{p5}", "--seniors", "{huge}"],
+        ["stats", "--graph", "{p5}", "--paths", "sampled:{huge}"],
+        ["depth", "--graph", "{p5}", "--mode", "sampled:{huge}"],
+        ["depth", "--graph", "{p5}", "--mode", "sampled:2", "--seed", "{huge}"],
+        ["reduce", "--graph", "{p5}", "--tolerance", "{huge}"],
+        ["reduce", "--graph", "{p5}", "--max-pairs", "{huge}"],
+        ["crawl-sim", "--graph", "{p5}", "--stride", "{huge}"],
+        ["crawl-sim", "--graph", "{p5}", "--policy", "random", "--seed", "{huge}"],
+        ["estimate", "--trace", "{trace}", "--window", "{huge}"],
+    ], ids=lambda argv: f"{argv[0]} {argv[-2]}")
+    def test_integer_flag_past_int64_is_a_result_or_one_error_line(self, tmp_path, capsys, argv):
+        # 2**64 fits no numpy integer type: main must return a code, never raise
+        src = write_p5(tmp_path)
+        assert run("crawl-sim", "--graph", str(src), "--out", str(tmp_path / "c")) == 0
+        argv = [a.format(p5=src, trace=tmp_path / "c" / "trace.csv", huge=2**64) for a in argv]
+        assert run(*argv, "--out", str(tmp_path / "o")) in (0, 1, 2)
+        assert len(capsys.readouterr().err.splitlines()) <= 1
+
+    @pytest.mark.parametrize("recipe, message", [
+        (["--appendage", "core=K99999999999999999999"], "core, tentacle and fiber nodes must total <= "),
+        (["--appendage", "core=K4", "tentacles=99999999999999999999"], "core, tentacle and fiber nodes must total <= "),
+        (["--appendage", "core=K4", "fibers=1,99999999999999999999"], "core, tentacle and fiber nodes must total <= "),
+        (["--double-pareto", "n=99999999999999999999", "alpha-left=1", "alpha-right=3", "break=5"],
+         "size must be in 1.."),
+        (["--double-pareto", "n=10", "alpha-left=1", "alpha-right=3", "break=5", "max=99999999999999999999"],
+         "need 1 <= min_degree <= break_degree <= max_degree <= "),
+    ], ids=["core", "tentacles", "fibers", "n", "max"])
+    def test_recipe_past_the_node_bound_is_1(self, tmp_path, capsys, recipe, message):
+        # numpy would refuse these arrays with its own text; the recipe's check names the field first
+        assert run("generate", *recipe, "--out", str(tmp_path / "o")) == 1
+        [line] = error_lines(capsys)
+        assert line.startswith(f"netgeom: error: {message}")
+        assert not (tmp_path / "o").exists()
+
     def test_boundary_values_are_accepted(self, tmp_path):
         src = write_p5(tmp_path)
         out = str(tmp_path / "b")
@@ -1249,10 +1286,12 @@ class TestImports:
 
 
     def test_public_table_lists_every_name_of_each_module_all(self):
-        # the constants stay out: they have no __name__, which the test above requires
+        # each module reads its __all__ from the table and adds only its constants, which stay out
+        # of the table: they have no __name__, which the test above requires
         for module, names in netgeom._PUBLIC.items():
-            exported = import_module(f"netgeom.{module}").__all__
-            assert set(names) == {name for name in exported if not name.isupper()}, module
+            layer = import_module(f"netgeom.{module}")
+            assert set(names) == {name for name in layer.__all__ if not name.isupper()}, module
+            assert [name for name in layer.__all__ if not hasattr(layer, name)] == [], module
 
 
 class TestRuntimeDependencies:

@@ -82,6 +82,13 @@ class TestSimulateCrawl:
         assert tr.p == (7, 14, 21, 28, 30)
         assert tr.stride == 7
 
+    @pytest.mark.parametrize("policy", ["fifo", "random"])
+    @pytest.mark.parametrize("stride", [30, 2**63 - 1, 2**63, 2**64])
+    def test_stride_past_the_step_count_samples_the_last_step_only(self, policy, stride):
+        # numpy takes no step past int64, so a stride of 2**63 or more must not reach it as one
+        tr = simulate_crawl(complete_graph(30), policy=policy, stride=stride)
+        assert (tr.p, tr.d, tr.stride) == ((30,), (0,), stride)
+
     def test_same_seed_same_random_walk(self):
         g = giant_core(configuration_model([3] * 200, seed=2))
         a = simulate_crawl(g, policy="random", seed=5)

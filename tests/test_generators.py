@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 import re
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -253,6 +254,46 @@ class TestDegreeSampler:
             generate_double_pareto_degrees(DoubleParetoSpec(size=5, alpha_left=1,
                                                             alpha_right=3, break_degree=5,
                                                             min_degree=10, max_degree=4))
+
+
+class TestNodeBound:
+    """A spec whose graph would hold more nodes than an int64 edge key allows,
+    min * n + max, is rejected by its constructor, before anything is allocated."""
+
+    BOUND = math.isqrt(2**63 - 1)
+
+    @staticmethod
+    def traced_peak(make) -> int:
+        tracemalloc.start()
+        try:
+            make()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("fields", [
+        {"core_size": BOUND},
+        {"core_size": BOUND - 9, "tentacle_lengths": (2, 3), "fiber_inner_counts": (4,)},
+        {"core_size": 4, "tentacle_lengths": (BOUND - 4,)},
+        {"core_size": 4, "fiber_inner_counts": (1, BOUND - 5)},
+    ], ids=["core", "all three", "tentacles", "fibers"])
+    def test_appendage_nodes_up_to_the_bound(self, fields):
+        assert self.traced_peak(lambda: AppendageSpec(**fields)) < 10_000
+        one_more = dict(fields, core_size=fields["core_size"] + 1)
+        with pytest.raises(ValueError, match=f"^core, tentacle and fiber nodes must total <= {self.BOUND}, "
+                                             f"got {self.BOUND + 1}$"):
+            AppendageSpec(**one_more)
+
+    @pytest.mark.parametrize("field, message", [
+        ("size", "size must be in 1..{bound}, got {got}"),
+        ("max_degree", "need 1 <= min_degree <= break_degree <= max_degree <= {bound}"),
+    ], ids=["size", "max_degree"])
+    def test_double_pareto_size_and_max_degree_up_to_the_bound(self, field, message):
+        fields = {"size": 10, "alpha_left": 1.0, "alpha_right": 3.0, "break_degree": 5}
+        assert self.traced_peak(lambda: DoubleParetoSpec(**dict(fields, **{field: self.BOUND}))) < 10_000
+        message = message.format(bound=self.BOUND, got=self.BOUND + 1)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            DoubleParetoSpec(**dict(fields, **{field: self.BOUND + 1}))
 
 
 class TestConfigurationModel:

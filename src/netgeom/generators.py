@@ -11,7 +11,7 @@ Two families:
   erased configuration model.
 
 Neither family makes edge keys or rows: the core's (k, 2) pairs u < v, the
-paths of the appendages and the matched stubs go, as int64 arrays of end-node
+paths of the appendages and the matched stubs go, as integer arrays of end-node
 pairs, to ``graph._from_pairs``, the builder the parser uses too.
 
 All randomness is driven by numpy PCG64 streams seeded from the spec, so equal
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _PUBLIC
-from .graph import Graph, _component_ids, _from_pairs
+from .graph import Graph, _component_ids, _from_pairs, _id_dtype
 
 __all__ = ["ROLE_CORE", "ROLE_TENTACLE", "ROLE_LONER", "ROLE_FIBER", *_PUBLIC["generators"]]
 
@@ -209,7 +209,8 @@ def configuration_model(degrees: list[int], seed: int = 0) -> Graph:
     if total % 2 != 0:
         raise ValueError(f"degree sum must be even, got {total}")
     rng = np.random.default_rng(seed)
-    stubs = np.repeat(np.arange(len(degrees), dtype=np.int64), degrees)
+    # int32 stubs, as the parser's ids: shuffle draws the same swaps whatever the dtype
+    stubs = np.repeat(np.arange(len(degrees), dtype=_id_dtype(len(degrees))), degrees)
     for _ in range(_MATCHING_ATTEMPTS):
         rng.shuffle(stubs)
         g = _from_pairs(len(degrees), [stubs])

@@ -6,7 +6,7 @@ graphs keep a mapping back to their parent's indices in ``origin_nodes``.
 
 A graph is stored as CSR arrays (``indptr``, ``indices``), and this module
 alone builds one, by one of two ways in. Raw edges go to ``_from_pairs``: the
-parser, ``from_edges`` and both generators hand it int64 arrays of end-node
+parser, ``from_edges`` and both generators hand it integer arrays of end-node
 pairs, which it reduces with numpy to sorted unique edge keys
 ``min * n + max`` and turns into rows, counting the self-loops and duplicates
 it drops, so no per-edge Python object is made on the way in. Rows that are
@@ -30,26 +30,26 @@ the tokenizer again. Both paths number labels in first-appearance order through
 one table, so they may alternate. A malformed line is reported only once the
 whole source is read, so input that is not UTF-8 anywhere is named as such.
 
-Every hop distance comes from one kernel, ``_distance_blocks``: a
+Every hop distance comes from one kernel, ``_level_blocks``: a
 level-synchronous BFS that runs 64 sources at once, one bit per source in a
 uint64 word per node (Then et al., *The More the Merrier: Efficient Multi-Source
-Graph Traversal*, PVLDB 8(4), 2014). It writes no distance while it runs: a
-node's levels go into uint64 bit planes, one per bit of the level number, and
-each block's int32 rows are built from them once, when its BFS ends. ``bfs``,
-depth, path lengths and the full embedding are folds over its blocks of
-distance rows. Analyses defined on one component call ``_require_connected``
-before any traversal, except on a giant core that ``_component_summary`` cut.
+Graph Traversal*, PVLDB 8(4), 2014), and yields its levels. Sampled depth and
+path lengths add up the popcounts of each level's words; ``_distance_block``
+folds the levels into bit planes, one per bit of the level number, and builds
+int32 rows from them once, for ``bfs``, the exact modes and the embeddings.
+Analyses defined on one component call ``_require_connected`` before any
+traversal, except on a giant core that ``_component_summary`` cut.
 
-No reduction over rows makes a temporary with one int64 per arc. A reduction
-over each node's neighbours (degree sums, the hooking minima of
-``_component_ids``, the kernel's level ORs) is one row fold, ``_row_fold``: a
-``reduceat`` over ranges of consecutive rows of at most ``_ARC_BUDGET`` arcs, a
-longer row in a range of its own, so what a fold gathers is bounded whatever
-the graph's size. The kernel's int32 blocks are counted a row at a time, since
-``bincount`` copies its input to intp. No plain ``np.unique``: numpy 2 imports
-``numpy.ma`` on its first call, which adds to every process that makes one.
-The subgraph cuts (``_induced``, ``_component_graphs``) still gather their
-kept arcs in one piece.
+Node ids are int32 up to ``_ID32_NODES`` nodes, from the parse to ``indices``.
+No reduction over rows makes a temporary with one int64 per arc, and a gather
+through ids (``_take``) casts them to intp a piece at a time. A reduction over
+each node's neighbours (degree sums, the hooking minima of ``_component_ids``,
+the kernel's level ORs) is one row fold, ``_row_fold``: a ``reduceat`` over
+ranges of consecutive rows of at most ``_ARC_BUDGET`` arcs, a longer row in a
+range of its own, so what a fold gathers is bounded whatever the graph's size.
+The kernel's int32 blocks are counted a row at a time, since ``bincount`` copies
+its input to intp. No plain ``np.unique``: numpy 2 imports ``numpy.ma`` on its
+first call, which adds to every process that makes one.
 
 Exact depth and exact path lengths traverse only the 2-core. ``_peel``, the
 one peel of degree-1 nodes, splits a graph into the core and the pendant
@@ -76,6 +76,8 @@ __all__ = list(_PUBLIC["graph"])
 
 UNREACHABLE = -1
 
+_ID32_NODES = 1 << 31  # most nodes whose ids a graph holds in int32
+
 
 class EdgeListParseError(InputError):
     """Raised for malformed edge-list text; carries the 1-based line number."""
@@ -89,7 +91,8 @@ class Graph:
     """Undirected simple graph in CSR form, immutable after construction.
 
     The neighbours of node v are ``indices[indptr[v]:indptr[v + 1]]``, in
-    increasing order. Both arrays are read-only int64. A loop that walks
+    increasing order. Both arrays are read-only: ``indptr`` int64, ``indices``
+    int32 up to 2**31 nodes, else int64. A loop that walks
     neighbours node by node (``_peel``, the random crawl) slices one row out
     of ``indices`` at a time and makes only that row a list.
 
@@ -139,15 +142,15 @@ class Graph:
             a, b = divmod(int(np.setxor1d(fwd, rev)[0]), n)
             raise ValueError(f"edge ({a}, {b}) is listed by only one of its end nodes")
         # fwd holds the arcs u * n + v sorted, so v is the rows' neighbours in order
-        self._set(np.concatenate(([0], np.cumsum(deg))), v, labels, origin_nodes, self_loops_dropped,
-                  duplicate_edges_dropped)
+        self._set(np.concatenate(([0], np.cumsum(deg))), v.astype(_id_dtype(n)), labels, origin_nodes,
+                  self_loops_dropped, duplicate_edges_dropped)
 
     def _set(self, indptr: np.ndarray, indices: np.ndarray, labels: Collection[str] | None = None,
              origin_nodes: tuple[int, ...] | None = None, self_loops_dropped: int = 0,
              duplicate_edges_dropped: int = 0) -> "Graph":
         """The way in for sorted CSR rows, which ``Graph(adjacency)`` and the subgraph cuts hold, and
-        the last step of ``_from_pairs``: take int64 CSR arrays, made read-only here, and the other
-        attributes, whose lengths are checked against the node count; returns ``self``."""
+        the last step of ``_from_pairs``: take int64 ``indptr`` and ``indices`` of ``_id_dtype``, made
+        read-only here, and the other attributes, whose lengths are checked; returns ``self``."""
         for name, value in (("labels", labels), ("origin_nodes", origin_nodes)):
             if value is not None and len(value) != len(indptr) - 1:
                 raise ValueError(f"{name} length does not match node count")
@@ -171,10 +174,14 @@ class Graph:
         if any(len(e) != 2 for e in edges):
             raise ValueError("edges must be (u, v) pairs")
         try:
-            flat = np.fromiter(_node_ids(chain.from_iterable(edges)), dtype=np.int64, count=2 * len(edges))
+            ids = map(operator.index, chain.from_iterable(edges))
+            flat = np.fromiter(ids, dtype=np.int64, count=2 * len(edges))
             fits = flat.size == 0 or (flat.min() >= 0 and flat.max() < node_count)
         except OverflowError:
             fits = False
+        except TypeError:
+            list(_node_ids(chain.from_iterable(edges)))  # raises ValueError naming the id
+            raise
         if not fits:
             for u, v in edges:
                 if not (0 <= u < node_count and 0 <= v < node_count):
@@ -209,7 +216,7 @@ class Graph:
         """The edges (u, v), u < v, in sorted order, as array pairs: per range of ``_row_ranges``,
         the u < v arcs of its rows, of at most ``_ARC_BUDGET`` arcs or one longer row."""
         for lo, hi, rows, starts in _row_ranges(self):
-            u, v = np.repeat(rows, np.diff(starts, append=hi - lo)), self.indices[lo:hi]
+            u, v = np.repeat(rows, np.diff(starts, append=hi - lo)), self.indices[lo:hi].astype(np.intp)
             up = u < v
             yield u[up], v[up]
 
@@ -239,6 +246,21 @@ def _node_ids(ids: Iterable) -> Iterator[int]:
             raise ValueError(f"node id {v!r} is not an integer") from None
 
 
+def _id_dtype(n: int) -> type:
+    """The dtype of the node ids of a graph of ``n`` nodes."""
+    return np.int32 if n <= _ID32_NODES else np.int64
+
+
+def _take(values: np.ndarray, ids: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``values[ids]``, into ``out`` (which may be ``ids``), ``ids`` cast to intp in pieces: numpy
+    gathers by int32 several times slower."""
+    out = np.empty(len(ids), dtype=values.dtype) if out is None else out
+    step = max(1, _ARC_BUDGET >> 3)
+    for at in range(0, len(ids), step):
+        np.take(values, ids[at : at + step].astype(np.intp), out=out[at : at + step], mode="clip")
+    return out
+
+
 def _sorted_unique(keys: np.ndarray) -> np.ndarray:
     """Sort ``keys`` in place and return its distinct values.
 
@@ -251,13 +273,13 @@ def _sorted_unique(keys: np.ndarray) -> np.ndarray:
 
 def _from_pairs(n: int, pairs: list[np.ndarray], labels: Collection[str] | None = None,
                 origin_nodes: tuple[int, ...] | None = None) -> Graph:
-    """The one builder from raw edges: a graph on ``n`` nodes from int64 arrays that each
+    """The one builder from raw edges: a graph on ``n`` nodes from integer arrays that each
     interleave the end nodes of their edges, self-loops and duplicates dropped and counted.
 
-    It empties ``pairs``, freeing each array once its edges are keys ``min * n + max``,
+    It empties ``pairs``, freeing each array once its edges are int64 keys ``min * n + max``,
     so it holds one key array at a time. Besides the sorted unique keys it holds one 2m
     array: the keys and their reverses ``max * n + min``, sorted once into the arcs of
-    every row, then made ``indices`` in place and handed to ``Graph._set``.
+    every row, whose remainders by n become ``indices``.
     """
     keys = np.empty(sum(map(len, pairs)) // 2, dtype=np.int64)
     at, loops = len(keys), 0
@@ -282,19 +304,24 @@ def _from_pairs(n: int, pairs: list[np.ndarray], labels: Collection[str] | None 
     rev *= n
     rev += lo
     lo[:] = keys
+    keys = lo = rev = None  # rev views arcs, which is resized below
     arcs.sort()
     indptr = np.searchsorted(arcs, np.arange(n + 1, dtype=np.int64) * n)  # row v starts at key v * n
     # arcs % n in place, a step at a time: the one temporary is a sixteenth of arcs, or 32 KiB,
-    # and few steps leave few small allocations behind the build's freed temporaries
-    step = max(1 << 12, len(arcs) >> 4)
+    # and few steps leave few small allocations behind the build's freed temporaries; int32 ids
+    # are written over the front of arcs, whose keys there are all read, and arcs is cut to them
+    dtype = np.dtype(_id_dtype(n))
+    ids, step = arcs.view(dtype), max(1 << 12, len(arcs) >> 4)
     quot = np.empty(min(step, len(arcs)), dtype=np.int64)
     for at in range(0, len(arcs), step):
         part = arcs[at : at + step]
         q = np.floor_divide(part, n, out=quot[: len(part)])
-        part -= np.multiply(q, n, out=q)
+        ids[at : at + len(part)] = np.subtract(part, np.multiply(q, n, out=q), out=q)
+    ids = part = None
+    arcs.resize(len(arcs) * dtype.itemsize // 8, refcheck=False)  # no view of it is left
     # the labels tuple is made last, by _set: made before the build, a large one could sit
     # above the build's freed temporaries in the malloc heap and keep them resident
-    return Graph.__new__(Graph)._set(indptr, arcs, labels, origin_nodes, loops, total - loops - m)
+    return Graph.__new__(Graph)._set(indptr, arcs.view(dtype), labels, origin_nodes, loops, total - loops - m)
 
 
 @dataclass(frozen=True)
@@ -448,7 +475,8 @@ class _Labels:
     def of_tokens(self, tokens: list[str]) -> np.ndarray:
         for label in dict.fromkeys(tokens):
             self.index.setdefault(label, len(self.index))
-        return np.fromiter(map(self.index.__getitem__, tokens), dtype=np.int64, count=len(tokens))
+        ids = map(self.index.__getitem__, tokens)
+        return np.fromiter(ids, dtype=_id_dtype(len(self.index)), count=len(tokens))
 
     def of_keys(self, keys: np.ndarray) -> np.ndarray:
         """Ids of the tokens whose keys are ``keys``, which it sorts in place as ``key << shift | index``
@@ -481,8 +509,8 @@ class _Labels:
             uid[seen] = [self.index.setdefault(label, len(self.index)) for label in labels]
             at = at[new]  # distinct is sorted, so inserting each new key before at keeps the table sorted
             self.keys, self.ids = np.insert(self.keys, at, distinct[new]), np.insert(self.ids, at, uid[new])
-        out = ranked.view(np.int64)  # spent: its buffer takes each token's id
-        out[order] = np.repeat(uid, np.diff(heads, append=len(keys)))
+        out = np.empty(len(keys), dtype=_id_dtype(len(self.index)))
+        out[order] = np.repeat(uid.astype(out.dtype), np.diff(heads, append=len(keys)))
         return out
 
 
@@ -565,7 +593,7 @@ def _row_fold(g: Graph, ufunc: np.ufunc, values: np.ndarray, out: np.ndarray,
     dtype are at most ``_ARC_BUDGET`` long and no array as long as ``indices`` is made.
     """
     for lo, hi, rows, starts in _row_ranges(g) if ranges is None else ranges:
-        out[rows] = ufunc.reduceat(values[g.indices[lo:hi]], starts, dtype=out.dtype)
+        out[rows] = ufunc.reduceat(_take(values, g.indices[lo:hi]), starts, dtype=out.dtype)
     return out
 
 
@@ -586,23 +614,35 @@ def _sources(n: int, mode: str, k: int | None, seed: int, name: str) -> tuple[in
     return tuple(sorted(np.random.default_rng(seed).choice(n, size=min(k, n), replace=False).tolist()))
 
 
-def _distance_blocks(g: Graph, sources: Sequence[int]) -> Iterator[np.ndarray]:
-    """Yield hop distances from ``sources`` in order, as C-contiguous int32 blocks
-    of up to 64 rows, UNREACHABLE where a source does not reach a node.
-
-    Bit i of ``frontier[v]`` marks node v as reached at the current level from
-    the block's source i. A level ORs the words of each node's neighbours by
-    one row fold (``_row_fold``) over the CSR rows, and
-    records the level only as bit planes (``_distance_block``), so it costs
-    O(m) plus O(|frontier|) word ORs per set bit of the level number.
-    """
+def _level_blocks(g: Graph, sources: Sequence[int]) -> Iterator[tuple[int, Iterator]]:
+    """Per block of up to 64 of ``sources``, in order, its size and its ``_levels``."""
     ranges = list(_row_ranges(g))
     for b in range(0, len(sources), 64):
-        yield _distance_block(g, np.asarray(sources[b : b + 64], dtype=np.intp), ranges)
+        yield min(64, len(sources) - b), _levels(g, np.asarray(sources[b : b + 64], dtype=np.intp), ranges)
 
 
-def _distance_block(g: Graph, block: np.ndarray, ranges: list) -> np.ndarray:
-    """One block of ``_distance_blocks``, from the sources ``block``.
+def _levels(g: Graph, block: np.ndarray, ranges: list) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The BFS levels from ``block``, from 0: per level, the nodes it reaches and their words, bit i
+    set if source i reaches the node at that level. A level is one ``_row_fold`` of ORs, O(m)."""
+    frontier = np.zeros(g.node_count, dtype=np.uint64)
+    np.bitwise_or.at(frontier, block, np.uint64(1) << np.arange(len(block), dtype=np.uint64))
+    seen = frontier.copy()
+    while (hit := np.flatnonzero(frontier)).size:
+        yield hit, frontier[hit]
+        frontier = _row_fold(g, np.bitwise_or, frontier, np.zeros(g.node_count, dtype=np.uint64), ranges)
+        frontier &= ~seen
+        seen |= frontier
+
+
+def _distance_blocks(g: Graph, sources: Sequence[int]) -> Iterator[np.ndarray]:
+    """Yield hop distances from ``sources`` in order, as C-contiguous int32 blocks
+    of up to 64 rows, UNREACHABLE where a source does not reach a node."""
+    for rows, levels in _level_blocks(g, sources):
+        yield _distance_block(g.node_count, rows, levels)
+
+
+def _distance_block(n: int, rows: int, levels: Iterator) -> np.ndarray:
+    """One block of ``_distance_blocks``, from its ``levels``; ``n`` nodes, ``rows`` sources.
 
     No distance is written while the BFS runs. Plane k is a uint64 word per
     node whose bit i says that bit k of the level at which source i reached
@@ -610,23 +650,14 @@ def _distance_block(g: Graph, block: np.ndarray, ranges: list) -> np.ndarray:
     set bits only. The block is built once at the end, so that it and the O(n)
     words are all that is alive when it is yielded.
     """
-    n = g.node_count
-    frontier = np.zeros(n, dtype=np.uint64)
-    np.bitwise_or.at(frontier, block, np.uint64(1) << np.arange(len(block), dtype=np.uint64))
-    seen, level, planes = frontier.copy(), 0, []
-    while (hit := np.flatnonzero(frontier)).size:
-        if level:
-            if level & (level - 1) == 0:
-                planes.append(np.zeros(n, dtype=np.uint64))
-            words = frontier[hit]
-            for k, plane in enumerate(planes):
-                if level >> k & 1:
-                    plane[hit] |= words
-        reach = _row_fold(g, np.bitwise_or, frontier, np.zeros(n, dtype=np.uint64), ranges)
-        frontier = reach & ~seen
-        seen |= frontier
-        level += 1
-    rows = len(block)
+    seen, planes = np.zeros(n, dtype=np.uint64), []
+    for level, (hit, words) in enumerate(levels):
+        seen[hit] |= words
+        if level and level & (level - 1) == 0:
+            planes.append(np.zeros(n, dtype=np.uint64))
+        for k, plane in enumerate(planes):
+            if level >> k & 1:
+                plane[hit] |= words
     # the levels in the narrowest unsigned dtype that holds the top one, node-major
     acc = np.zeros((n, rows), dtype=np.min_scalar_type((1 << len(planes)) - 1))
     for k, plane in enumerate(planes):
@@ -772,15 +803,18 @@ def _induced(g: Graph, keep: np.ndarray) -> Graph:
         kept = np.zeros(g.node_count, dtype=bool)
         kept[keep] = True
         arcs = np.repeat(kept, np.diff(indptr))
-        arcs &= kept[indices]
-        indices = (np.cumsum(kept) - 1)[indices[arcs]]
+        arcs &= _take(kept, indices)
+        rank = np.cumsum(kept, dtype=_id_dtype(k))
+        rank -= 1
+        indices = indices[arcs].astype(rank.dtype, copy=False)
+        _take(rank, indices, out=indices)  # the kept arcs renumbered in place
         # kept arcs per kept row: the span from one kept row with arcs to the next adds only rows
         # with no kept arc; reduceat casts all of arcs first, and int32 holds a count below n
         linked = np.flatnonzero(np.diff(indptr)[keep])  # places in keep of the kept rows with arcs
         counts = np.zeros(k + 1, dtype=np.int64)
         counts[linked + 1] = np.add.reduceat(arcs, indptr[keep[linked]], dtype=np.int32)
         indptr = np.cumsum(counts, out=counts)
-        arcs = kept = linked = None  # freed before the node tuple is made
+        arcs = kept = linked = rank = None  # freed before the node tuple is made
     origin = tuple(keep.tolist())  # made last: its int objects would outweigh the arrays
     if k < g.node_count and labels is not None:
         labels = [labels[v] for v in origin]
@@ -796,16 +830,18 @@ def _component_graphs(g: Graph, cid: np.ndarray, sizes: np.ndarray) -> Iterator[
     """
     order = np.argsort(cid, kind="stable")
     ends = np.cumsum(sizes)
-    local = np.empty_like(order)
+    local = np.empty(len(order), dtype=g.indices.dtype)
     local[order] = np.arange(len(order)) - np.repeat(ends - sizes, sizes)  # each node's id in its component
     deg = np.diff(g.indptr)[order]
     ptr = np.concatenate(([0], np.cumsum(deg)))
     at = np.repeat(g.indptr[order] - ptr[:-1], deg) + np.arange(ptr[-1])  # each renumbered arc's place in g
-    nbrs = local[g.indices[at]]
+    nbrs = g.indices[at]
+    _take(local, nbrs, out=nbrs)
     for a, b in zip((ends - sizes).tolist(), ends.tolist()):
         nodes = order[a:b].tolist()
         labels = None if g.labels is None else [g.labels[v] for v in nodes]
-        yield Graph.__new__(Graph)._set(ptr[a : b + 1] - ptr[a], nbrs[ptr[a] : ptr[b]], labels, tuple(nodes))
+        ids = nbrs[ptr[a] : ptr[b]].astype(_id_dtype(b - a), copy=False)
+        yield Graph.__new__(Graph)._set(ptr[a : b + 1] - ptr[a], ids, labels, tuple(nodes))
 
 
 def induced_subgraph(g: Graph, nodes: Sequence[int]) -> Graph:

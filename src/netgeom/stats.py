@@ -15,6 +15,7 @@ from .graph import (
     _core_blocks,
     _distance_blocks,
     _Forest,
+    _level_blocks,
     _peel,
     _require_connected,
     _row_sums,
@@ -289,8 +290,9 @@ def path_length_report(
     else:
         chosen = _sources(n, mode, sources, seed, "sources")
         counts = np.zeros(n, dtype=np.int64)
-        for block in _distance_blocks(g, chosen):
-            _count_rows(counts, block)
+        for _, levels in _level_blocks(g, chosen):
+            for level, (_, words) in enumerate(levels):
+                counts[level] += _popcounts(words).sum()
         counts[0] -= len(chosen)  # drop each source's zero distance to itself
         total, source_count = len(chosen) * (n - 1), len(chosen)
     hist = Histogram(dict(enumerate(counts.tolist())))
@@ -349,6 +351,14 @@ def _pair_counts(g: Graph) -> np.ndarray:
                 counts[h : h + width] += profile[:, h] @ line
         start += len(block)
     return counts[:n]
+
+
+_BYTE_BITS = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)  # set bits per byte value
+
+
+def _popcounts(words: np.ndarray) -> np.ndarray:
+    """The set bits of each of the contiguous uint64 ``words``, as int64; numpy 1.24 has no popcount."""
+    return _BYTE_BITS[words.view(np.uint8)].reshape(-1, 8).sum(axis=1, dtype=np.int64)
 
 
 def _count_rows(counts: np.ndarray, block: np.ndarray) -> None:

@@ -19,12 +19,13 @@ from .graph import (
     _distance_blocks,
     _Forest,
     _induced,
+    _level_blocks,
     _peel,
     _require_connected,
     _row_sums,
     _sources,
 )
-from .stats import Histogram
+from .stats import Histogram, _popcounts
 
 __all__ = ["PERSONALITY_CLASSES", *_PUBLIC["structure"]]
 
@@ -287,7 +288,10 @@ def _depth_map(g: Graph, mode: str, anchors: int | None, seed: int) -> DepthMap:
         depths = tuple((_distance_sums(g) / max(n - 1, 1)).tolist())
         return DepthMap(depths=depths, mean_depth=sum(depths) / n, mode=mode)
     chosen = _sources(n, mode, anchors, seed, "anchors")
-    sums = sum(block.sum(axis=0, dtype=np.int64) for block in _distance_blocks(g, chosen))
+    sums = np.zeros(n, dtype=np.int64)
+    for _, levels in _level_blocks(g, chosen):
+        for level, (hit, words) in enumerate(levels):
+            sums[hit] += level * _popcounts(words)
     depths = tuple((sums / len(chosen)).tolist())
     return DepthMap(depths=depths, mean_depth=sum(depths) / n, mode=mode, anchors=chosen, seed=seed)
 

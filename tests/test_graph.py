@@ -7,6 +7,7 @@ import os
 import random
 import tempfile
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,10 +18,16 @@ import netgeom.embedding as embedding_module
 import netgeom.graph as graph_module
 import netgeom.stats as stats_module
 import netgeom.structure as structure_module
-from netgeom.cli import main
-from netgeom.crawl import solve_acquisition_ode
+from netgeom.cli import _write_edges, main
+from netgeom.crawl import simulate_crawl, solve_acquisition_ode
 from netgeom.embedding import embed, embed_full, embedding_distortion
-from netgeom.generators import DoubleParetoSpec, configuration_model, generate_double_pareto_degrees
+from netgeom.generators import (
+    AppendageSpec,
+    DoubleParetoSpec,
+    configuration_model,
+    generate_appendage_graph,
+    generate_double_pareto_degrees,
+)
 from netgeom.graph import (
     UNREACHABLE,
     EdgeListParseError,
@@ -41,6 +48,7 @@ from netgeom.structure import decompose
 
 from util import (
     INF,
+    crawl_oracle,
     edge_list_tokens_oracle,
     from_edges,
     fw_distances,
@@ -434,7 +442,7 @@ class TestGraphBasics:
         g = Graph([[2, 1], [0], [0]])
         assert g.indptr.tolist() == [0, 2, 3, 4]
         assert g.indices.tolist() == [1, 2, 0, 0]
-        # every builder gives the adjacency constructor's read-only int64 arrays
+        # every builder gives the adjacency constructor's read-only arrays: int64 offsets, int32 ids
         edges = [(3, 1), (1, 0), (0, 3), (1, 3), (2, 2), (4, 5), (6, 5), (5, 4)]  # a loop, a repeat, 2 parts
         text = [f"{a} {b}" for a, b in edges]
         ids = {v: i for i, v in enumerate(dict.fromkeys(v for e in edges for v in e))}  # first appearance
@@ -463,8 +471,8 @@ class TestGraphBasics:
         }
         for name, (g, adjacency) in builds.items():
             want = Graph(adjacency)
-            for got, expected in ((g.indptr, want.indptr), (g.indices, want.indices)):
-                assert got.dtype == np.int64 and got.tolist() == expected.tolist(), name
+            for got, expected, dtype in ((g.indptr, want.indptr, np.int64), (g.indices, want.indices, np.int32)):
+                assert got.dtype == dtype and got.tolist() == expected.tolist(), name
                 with pytest.raises(ValueError, match="read-only"):
                     got[:1] = 7
 
@@ -751,9 +759,10 @@ def restricted_graph(g: Graph, nodes) -> Graph:
 
 
 def assert_csr_contract(g: Graph) -> None:
-    """``Graph.__eq__`` compares values only: the CSR arrays must also be read-only int64."""
-    for a in (g.indptr, g.indices):
-        assert a.dtype == np.int64 and not a.flags.writeable
+    """``Graph.__eq__`` compares values only: the CSR arrays must also be read-only, ``indptr``
+    int64 and ``indices`` int32 up to ``_ID32_NODES`` nodes, int64 beyond."""
+    assert g.indptr.dtype == np.int64 and g.indices.dtype == graph_module._id_dtype(g.node_count)
+    assert not g.indptr.flags.writeable and not g.indices.flags.writeable
 
 
 TIES = Graph.from_edges(8, [(4, 5), (5, 6), (1, 2), (2, 3)])  # isolated 0 and 7, equal paths
@@ -1051,19 +1060,32 @@ class TestTransientMemory:
 
     # bytes per edge: the arc-length temporaries of the row sums, the personality pool, the hooking
     # gather and the blocks counted whole took these to 34.1, 34.5, 36.1, 39.5 and 18.5; the row
-    # folds and the counts by row take them to 0.7, 14.1, 7.9, 22.6 and 5.6, mostly per-node arrays
+    # folds and the counts by row take them to 0.7, 14.1, 7.9, 22.6 and 5.6, mostly per-node arrays.
+    # Sampled paths and depth fold the BFS levels with no block of distances: 7.5 and 7.9, where a
+    # block and its build took them to 22.6 and 22.2, most of the rest the ranges of 256 arcs
     @pytest.mark.parametrize("analysis, bound", [
         (lambda g: stats_module.senior_stats(g, 25), 4),
         (structure_module.personality_report, 20),
         (decompose, 16),
-        (lambda g: stats_module.path_length_report(g, "sampled", sources=64), 30),
+        (lambda g: stats_module.path_length_report(g, "sampled", sources=64), 10),
+        (lambda g: structure_module.depth_map(g, "sampled", anchors=64), 10),
         (_component_ids, 10),
-    ], ids=["senior_stats", "personality_report", "decompose", "path_length_report-sampled", "_component_ids"])
+    ], ids=["senior_stats", "personality_report", "decompose", "path_length_report-sampled", "depth_map-sampled",
+            "_component_ids"])
     def test_analysis_per_edge(self, small_budget, analysis, bound):
         g = self.heavy_tailed()
         analysis(g)  # imports and caches stay out of the traced run
         peak = self.traced_peak(lambda: analysis(g))
         assert peak <= bound * g.edge_count
+
+    def test_configuration_model_per_edge(self):
+        # int32 stubs, then the edge keys and the arcs, whose front the int32 ids are written over: about
+        # 33.4 bytes per edge, where int64 stubs took it to 43.1
+        degrees = generate_double_pareto_degrees(DoubleParetoSpec(size=3000, alpha_left=1, alpha_right=3,
+                                                                  break_degree=50, min_degree=10, seed=0))
+        edges = configuration_model(degrees, seed=0).edge_count  # imports and caches stay out of the trace
+        peak = self.traced_peak(lambda: configuration_model(degrees, seed=0))
+        assert peak <= 36 * edges
 
     @pytest.mark.parametrize("mode", ["sampled", "exact"])
     def test_path_lengths_count_blocks_by_row(self, small_budget, monkeypatch, mode):
@@ -1172,3 +1194,127 @@ class TestOneBuilder:
         assert g.self_loops_dropped >= 0 and g.duplicate_edges_dropped >= 0
         assert g.self_loops_dropped + g.duplicate_edges_dropped == sum(degrees) // 2 - g.edge_count
         assert all(d <= want for d, want in zip(g.degrees(), degrees))
+
+
+def id_builds(n: int, edges: list[tuple[int, int]], seed: int) -> dict[str, list[Graph]]:
+    """The graphs every way in makes from the raw edges ``edges`` on ``n`` nodes: the text and
+    binary parse, in pieces of a few lines, from_edges, the adjacency constructor, both
+    generators, and the subgraph cuts of the from_edges graph. Each piece of a parse must
+    hold its ids in the dtype of the labels met so far, so the last one in the graph's."""
+    text, real, dtypes = [f"{a} {b}" for a, b in edges], graph_module._from_pairs, []
+
+    def spy(node_count, pairs, *args, **kwargs):
+        dtypes.append([ids.dtype for ids in pairs])
+        return real(node_count, pairs, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph_module, "_CHUNK_LINES", 3)
+        mp.setattr(graph_module, "_BLOCK_BYTES", 8)
+        mp.setattr(graph_module, "_from_pairs", spy)
+        parsed = [load_edge_list(text), load_edge_list(io.BytesIO("\n".join(text).encode()))]
+    for g, pieces in zip(parsed, dtypes):
+        assert pieces == sorted(pieces, key=lambda dtype: dtype.itemsize)  # int32 until the bound is passed
+        assert not pieces or pieces[-1] == graph_module._id_dtype(g.node_count)
+    g = Graph.from_edges(n, edges)
+    spec = AppendageSpec(core_size=4 + n % 3, tentacle_lengths=(1 + n % 2,), fiber_inner_counts=(1 + len(edges) % 2,),
+                         seed=seed)
+    return {
+        "text": parsed[:1],
+        "binary": parsed[1:],
+        "from_edges": [g],
+        "adjacency": [Graph(adjacency_of(n, edges)[0])],
+        "configuration_model": [configuration_model(g.degrees(), seed=seed)],
+        "appendage": [generate_appendage_graph(spec)[0]],
+        "giant_core": [giant_core(g)],
+        "induced_subgraph": [induced_subgraph(g, range(0, n, 2))],
+        "component_graphs": list(graph_module._component_graphs(g, *_component_ids(g))),
+    }
+
+
+def assert_oracle_analyses(g: Graph) -> None:
+    """Components, the peel, the kernel, both crawls and the edge writer on ``g``, against the oracles."""
+    n = g.node_count
+    cid, sizes = _component_ids(g)
+    assert (tuple(cid.tolist()), tuple(sizes.tolist())) == exact_labeling(g)
+    # the peel's roots: the 2-core of each component that has one, one node of each tree
+    roots, two_core = set(graph_module._peel(g).core.tolist()), oracle_two_core(g)
+    for group in uf_components(g):
+        assert group & roots == group & two_core if group & two_core else len(group & roots) == 1
+    assert [row for block in _distance_blocks(g, range(n)) for row in block.tolist()] == oracle_rows(g)
+    for start in {0, n // 2, n - 1} if n else ():
+        for policy in ("fifo", "random"):
+            trace = simulate_crawl(g, start=start, policy=policy, stride=1, seed=start)
+            assert (list(trace.p), list(trace.d)) == crawl_oracle(g, start, policy, 1, start)
+    with tempfile.TemporaryDirectory() as out:
+        _write_edges(out, "edges.txt", g)
+        with open(os.path.join(out, "edges.txt"), "rb") as fh:
+            written = fh.read().decode()
+    edges = sorted((u, w) for u in range(n) for w in g.neighbors(u) if u < w)
+    assert written == "".join(f"{g.label_of(u)} {g.label_of(w)}\n" for u, w in edges)
+
+
+class TestNodeIdDtypes:
+    """Node ids are int32 in a graph of at most ``_ID32_NODES`` nodes and int64 beyond. With that
+    bound cut to a drawn size, small graphs are built both ways, a parse switching as its labels
+    pass the bound and a cut of an int64 graph giving int32 ones, and with an arc budget that
+    makes every gather through ids cast them one at a time; every build must equal its all-int32
+    build, keep the CSR contract and give the oracles' analyses."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(RAW_EDGES, st.integers(0, 26), st.integers(0, 2**32 - 1))
+    @example((7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (2, 3), (6, 6)]), 0, 0)  # every id int64
+    @example((7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (2, 3), (6, 6)]), 4, 0)  # both within a build
+    def test_every_builder_both_ways(self, case, bound, seed):
+        n, edges = case
+        narrow = id_builds(n, edges, seed)
+        for graphs in narrow.values():
+            for g in graphs:
+                assert g.indices.dtype == np.int32
+                assert_csr_contract(g)
+                assert_oracle_analyses(g)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph_module, "_ID32_NODES", bound)
+            mp.setattr(graph_module, "_ARC_BUDGET", 8)  # gathers through ids cast them one at a time
+            wide = id_builds(n, edges, seed)
+            for name, graphs in wide.items():
+                assert len(graphs) == len(narrow[name]), name
+                for g, want in zip(graphs, narrow[name]):
+                    assert g == want, name
+                    assert (g.labels, g.origin_nodes) == (want.labels, want.origin_nodes), name
+                    assert (g.self_loops_dropped, g.duplicate_edges_dropped) == (
+                        want.self_loops_dropped, want.duplicate_edges_dropped), name
+                    assert_csr_contract(g)
+                    assert_oracle_analyses(g)
+
+
+@st.composite
+def connected_graphs(draw, max_nodes: int = 140) -> Graph:
+    """A random spanning tree on 2 to ``max_nodes`` nodes plus a few random edges."""
+    n = draw(st.integers(2, max_nodes))
+    links = draw(st.lists(st.integers(0, 2**16), min_size=n - 1, max_size=n - 1))
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n // 2))
+    return Graph.from_edges(n, [(v, x % v) for v, x in enumerate(links, start=1)] + extra)
+
+
+class TestLevelFold:
+    """Sampled path lengths and depth add up the kernel's per-level popcounts with no block of
+    distances; both must equal per-source sums of Floyd-Warshall distances, with 1, 64, 65 and
+    129 sources, so that several blocks of 64 are folded."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(connected_graphs(), st.integers(0, 2**32 - 1))
+    @example(Graph.from_edges(131, [(v, v + 1) for v in range(130)]), 0)  # 129 sources: three blocks, 130 levels
+    @example(Graph.from_edges(2, [(0, 1)]), 1)
+    def test_sampled_modes_match_floyd_warshall(self, g, seed):
+        n, rows = g.node_count, oracle_rows(g)
+        for k in (1, 64, 65, 129):
+            chosen = graph_module._sources(n, "sampled", k, seed, "sources")
+            pairs = Counter(d for s in chosen for v, d in enumerate(rows[s]) if v != s)
+            report = stats_module.path_length_report(g, "sampled", sources=k, seed=seed)
+            assert report.histogram.bins == dict(sorted(pairs.items()))
+            assert report.total_pairs == len(chosen) * (n - 1) and report.source_count == len(chosen)
+            assert report.diameter == max(pairs)
+            assert report.mean == float(np.dot(np.arange(n), [pairs[d] for d in range(n)]) / report.total_pairs)
+            depth = structure_module.depth_map(g, "sampled", anchors=k, seed=seed)
+            assert depth.anchors == chosen
+            assert depth.depths == tuple(sum(rows[s][v] for s in chosen) / len(chosen) for v in range(n))

@@ -292,15 +292,19 @@ class TestPrunedTraversal:
 
     @pytest.fixture
     def kernel_graph_sizes(self, monkeypatch) -> list[int]:
+        # the exact modes read distance rows; the sampled modes fold the BFS levels themselves
         sizes: list[int] = []
-        real = graph_module._distance_blocks
 
-        def spy(g, sources):
-            sizes.append(g.node_count)
-            return real(g, sources)
+        def spy(real):
+            def call(g, sources):
+                sizes.append(g.node_count)
+                return real(g, sources)
+            return call
 
         for module in (graph_module, structure_module, stats_module):
-            monkeypatch.setattr(module, "_distance_blocks", spy)
+            monkeypatch.setattr(module, "_distance_blocks", spy(graph_module._distance_blocks))
+        for module in (structure_module, stats_module):  # graph_module's rows are built from its own levels
+            monkeypatch.setattr(module, "_level_blocks", spy(graph_module._level_blocks))
         return sizes
 
     def test_exact_modes_traverse_only_the_core(self, kernel_graph_sizes):

@@ -55,7 +55,7 @@ import shutil
 import sys
 import tempfile
 from contextlib import contextmanager
-from itertools import chain
+from itertools import chain, islice
 from typing import TYPE_CHECKING, Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
@@ -75,6 +75,7 @@ if TYPE_CHECKING:
 
 OUT_DIR_ENV = "NETGEOM_OUT"
 _PAD = b"\xff"  # pads a byte-table cell; str.encode() never makes this byte
+_ROW_CHUNK = 1 << 12  # report rows joined into one string per write
 _NUMBER = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)  # a token that starts a negative float
 
 
@@ -126,9 +127,11 @@ def _write_json(out: str, name: str, obj) -> None:
     _write_text(out, name, text + "\n")
 
 
-def _write_text(out: str, name: str, text: str) -> None:
+def _write_text(out: str, name: str, *texts: str | Iterable[str]) -> None:
+    """Write ``texts`` in order, each a string or an iterable of strings such as ``_rows``."""
     with open(os.path.join(out, name), "w", encoding="utf-8", newline="") as fh:  # \n on every platform
-        fh.write(text)
+        for text in texts:
+            fh.writelines([text] if isinstance(text, str) else text)
 
 
 def _write_hist(out: str, name: str, header: str, hist: Histogram) -> None:
@@ -173,10 +176,13 @@ def _names(g: Graph) -> Sequence[str]:
     return g.labels if g.labels is not None else [str(v) for v in range(g.node_count)]
 
 
-def _rows(sep: str, *columns: Iterable) -> str:
+def _rows(sep: str, *columns: Iterable) -> Iterator[str]:
     """One line per row: the row's cells, each written as ``format(x, "")``
-    (``repr`` for a float), joined by ``sep``."""
-    return "".join(map((sep.join(["{}"] * len(columns)) + "\n").format, *columns))
+    (``repr`` for a float), joined by ``sep``. The lines come joined ``_ROW_CHUNK``
+    at a time, so a report of a row per node holds no string per row of it all."""
+    lines = map((sep.join(["{}"] * len(columns)) + "\n").format, *columns)
+    while chunk := "".join(islice(lines, _ROW_CHUNK)):
+        yield chunk
 
 
 def _cells(texts: Iterable[str]) -> np.ndarray:
@@ -424,7 +430,7 @@ def _cmd_depth(args, out: str, g: Graph) -> None:
     from .structure import depth_density_profile, depth_map
 
     dm = depth_map(g, mode=args.mode.mode, anchors=args.mode.k, seed=args.seed)
-    _write_text(out, "depth.csv", "node,depth\n" + _rows(",", _names(g), dm.depths))
+    _write_text(out, "depth.csv", "node,depth\n", _rows(",", _names(g), dm.depths))
     summary = {
         "mean_depth": dm.mean_depth,
         "min_depth": min(dm.depths),
@@ -435,7 +441,7 @@ def _cmd_depth(args, out: str, g: Graph) -> None:
     }
     if args.profile_bin is not None:
         columns = zip(*depth_density_profile(g, dm, bin_width=args.profile_bin))
-        _write_text(out, "profile.txt", "# depth bin start, mean degree, node count\n" + _rows(" ", *columns))
+        _write_text(out, "profile.txt", "# depth bin start, mean degree, node count\n", _rows(" ", *columns))
         summary["profile_bin"] = args.profile_bin
     _write_json(out, "summary.json", summary)
 
@@ -450,8 +456,8 @@ def _cmd_personality(args, out: str, g: Graph) -> None:
     pr = personality_report(g, tau=args.tau)
     _write_text(
         out, "personality.csv",
-        "node,degree,neighbor_mean_degree,score,class\n"
-        + _rows(",", _names(g), pr.degree, pr.neighbor_mean_degree, pr.score, pr.classes),
+        "node,degree,neighbor_mean_degree,score,class\n",
+        _rows(",", _names(g), pr.degree, pr.neighbor_mean_degree, pr.score, pr.classes),
     )
     lines = ["class,popular_pct,neutral_pct,marginal_pct\n"]
     for cls in PERSONALITY_CLASSES:
@@ -560,8 +566,8 @@ def _cmd_estimate(args, out: str, trace: CrawlTrace) -> None:
     columns = (est.dprime, est.link_rate, est.size, est.clamped.astype(np.int64))
     _write_text(
         out, "estimate.csv",
-        "sample_index,P,D,dprime,L_hat,S_hat,clamped_flag\n"
-        + _rows(",", range(trace.samples), trace.p, trace.d, *(c.tolist() for c in columns)),
+        "sample_index,P,D,dprime,L_hat,S_hat,clamped_flag\n",
+        _rows(",", range(trace.samples), trace.p, trace.d, *(c.tolist() for c in columns)),
     )
     summary = {
         "window": est.window,
@@ -584,7 +590,7 @@ def _cmd_fit_rational(args, out: str, trace: CrawlTrace) -> None:
     summary.update(max_d=d_max, rmse_over_max_d=fit.rmse / d_max if d_max else None)
     _write_json(out, "rational.json", summary)
     curve = fit.evaluate(trace.p).tolist()
-    _write_text(out, "curve.txt", "# P, D observed, D fitted\n" + _rows(" ", trace.p, trace.d, curve))
+    _write_text(out, "curve.txt", "# P, D observed, D fitted\n", _rows(" ", trace.p, trace.d, curve))
 
 
 def _cmd_solve_ode(args, out: str, _) -> None:
@@ -593,7 +599,7 @@ def _cmd_solve_ode(args, out: str, _) -> None:
     sol = solve_acquisition_ode(
         p0=args.p0, d0=args.d0, dprime0=args.dprime0, step=args.step, p_max=args.pmax
     )
-    _write_text(out, "ode.csv", "P,D,dprime\n" + _rows(",", *(c.tolist() for c in (sol.p, sol.d, sol.dprime))))
+    _write_text(out, "ode.csv", "P,D,dprime\n", _rows(",", *(c.tolist() for c in (sol.p, sol.d, sol.dprime))))
     implied = sol.implied_size()
     _write_json(
         out, "ode.json",

@@ -36,6 +36,9 @@ ROLE_FIBER = "fiber"
 
 # most nodes a graph can hold: graph._from_pairs keys an edge as min * n + max in int64
 _MAX_NODES = math.isqrt(2**63 - 1)
+# most float64 values generate_double_pareto_degrees makes at once, for its size draws or for its
+# table of the max_degree - min_degree + 1 degrees' weights: 2**26 of them are 512 MiB
+_MAX_DRAWS = 1 << 26
 
 # Stub-matching retry policy: retry while a simple matching is plausibly near,
 # otherwise fall back to erasing the offending pairs (see configuration_model).
@@ -88,6 +91,8 @@ class DoubleParetoSpec:
     P(k) is proportional to k^-alpha_left on [min_degree, break_degree] and to
     break_degree^(alpha_right - alpha_left) * k^-alpha_right above the break,
     truncated at max_degree so the table stays finite for any exponents.
+    ``size`` and the table's ``max_degree - min_degree + 1`` entries are each
+    at most ``_MAX_DRAWS`` (2**26), checked before anything is allocated.
     """
 
     size: int
@@ -105,6 +110,10 @@ class DoubleParetoSpec:
             raise ValueError("exponents must be finite and > 0")
         if not 1 <= self.min_degree <= self.break_degree <= self.max_degree <= _MAX_NODES:
             raise ValueError(f"need 1 <= min_degree <= break_degree <= max_degree <= {_MAX_NODES}")
+        table = self.max_degree - self.min_degree + 1
+        for name, count in (("size", self.size), ("max_degree - min_degree + 1", table)):
+            if count > _MAX_DRAWS:  # each is the length of a float64 array
+                raise ValueError(f"{name} must be <= {_MAX_DRAWS}, got {count}")
 
 
 def _random_core(m: int, p: float, rng: np.random.Generator) -> np.ndarray:

@@ -7,28 +7,16 @@ graphs keep a mapping back to their parent's indices in ``origin_nodes``.
 A graph is stored as CSR arrays (``indptr``, ``indices``), and this module
 alone builds one, by one of two ways in. Raw edges go to ``_from_pairs``: the
 parser, ``from_edges`` and both generators hand it integer arrays of end-node
-pairs, which it reduces with numpy to sorted unique edge keys
-``min * n + max`` and turns into rows, counting the self-loops and duplicates
-it drops, so no per-edge Python object is made on the way in. Rows that are
-already sorted go to ``Graph._set``: ``Graph(adjacency)`` sorts and checks its
-lists as arcs, which are its rows, and subgraphs are cut from the parent's rows
-(``_induced``, ``_component_graphs``): a kept node's new id is its rank among
-the kept nodes, so every row stays sorted and no edge key is made or sorted
-again. The edge walks, ``Graph.edges`` and the edge-file writer, read the
-u < v arcs of the row folds' ranges of rows (``Graph._edge_slices``).
+pairs, whose sorted unique edge keys ``min * n + max`` it writes as arcs
+straight into their rows, counting the self-loops and duplicates it drops.
+Sorted rows go to ``Graph._set``: ``Graph(adjacency)`` sorts and checks its
+lists, and subgraphs are cut from the parent's rows (``_induced``,
+``_component_graphs``), a kept node's new id its rank among the kept nodes, so
+no edge key is made or sorted again. The edge walks, ``Graph.edges`` and the
+edge-file writer, read the u < v arcs of ranges of rows (``Graph._edge_slices``).
 
-An edge list is parsed by one loop over its pieces (``_pieces``): the blocks
-of whole lines of a binary file, their line ends made ``\\n``, or chunks of
-text lines joined by NUL. Each is offered to one tokenizer, ``_byte_tokens``:
-it splits ASCII bytes into tokens in numpy and tells labels apart by a uint64
-key of each token's bytes. ``_Labels.of_keys`` ranks a piece's keys with one
-sort, and only a label not seen before becomes a Python string, read from its
-key. A piece it cannot take (non-ASCII text, a NUL, a token over 8 bytes, a
-malformed line) is decoded alone and split as Python strings by one line loop,
-``_line_tokens``, which also names a malformed line; the next piece goes to
-the tokenizer again. Both paths number labels in first-appearance order through
-one table, so they may alternate. A malformed line is reported only once the
-whole source is read, so input that is not UTF-8 anywhere is named as such.
+An edge list is parsed by ``_edgelist``, a module of its own, which hands
+``_from_pairs`` one array of node ids per piece of the text.
 
 Every hop distance comes from one kernel, ``_level_blocks``: a
 level-synchronous BFS that runs 64 sources at once, one bit per source in a
@@ -61,12 +49,10 @@ Sampled modes and the embeddings traverse every node.
 """
 from __future__ import annotations
 
-import codecs
-import io
 import operator
 from dataclasses import dataclass
-from itertools import chain, islice
-from typing import BinaryIO, Callable, Collection, Iterable, Iterator, Sequence
+from itertools import chain
+from typing import BinaryIO, Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -261,25 +247,17 @@ def _take(values: np.ndarray, ids: np.ndarray, out: np.ndarray | None = None) ->
     return out
 
 
-def _sorted_unique(keys: np.ndarray) -> np.ndarray:
-    """Sort ``keys`` in place and return its distinct values.
-
-    Not ``np.unique``: on int64 keys it takes a hash path that is about 40x
-    slower than one sort plus an adjacent-difference mask.
-    """
-    keys.sort()
-    return keys[np.r_[True, keys[1:] != keys[:-1]]] if keys.size else keys
-
-
 def _from_pairs(n: int, pairs: list[np.ndarray], labels: Collection[str] | None = None,
                 origin_nodes: tuple[int, ...] | None = None) -> Graph:
     """The one builder from raw edges: a graph on ``n`` nodes from integer arrays that each
     interleave the end nodes of their edges, self-loops and duplicates dropped and counted.
 
     It empties ``pairs``, freeing each array once its edges are int64 keys ``min * n + max``,
-    so it holds one key array at a time. Besides the sorted unique keys it holds one 2m
-    array: the keys and their reverses ``max * n + min``, sorted once into the arcs of
-    every row, whose remainders by n become ``indices``.
+    which it sorts and deduplicates in place. Row v holds the mins of the keys whose max is v,
+    then the maxes of those whose min is v, so key i's forward arc goes straight to ``indices``
+    at i plus the reverse arcs of rows up to its min; reversed in place to ``max * n + min`` and
+    sorted, key j's reverse arc goes to j plus the forward arcs of rows before its max. No arc
+    array is made: 16 bytes per edge with int32 ids, and pieces of at most ``_ARC_BUDGET`` keys.
     """
     keys = np.empty(sum(map(len, pairs)) // 2, dtype=np.int64)
     at, loops = len(keys), 0
@@ -293,35 +271,37 @@ def _from_pairs(n: int, pairs: list[np.ndarray], labels: Collection[str] | None 
         part += v  # min * n + max, with no array for the max
         loops += int(np.count_nonzero(loop := u == v))
         part[loop] = n * n  # past every edge key, so it sorts last
-    part = None  # a view of the unsorted keys, which would keep them alive
-    keys, total = _sorted_unique(keys), len(keys)  # rebinding frees the sorted keys
-    m = len(keys) - (loops > 0)  # all but the self-loops' sentinel
-    keys = keys[:m]
-    arcs = np.empty(2 * m, dtype=np.int64)
-    # floor_divide by a scalar is several times faster than divmod or remainder
-    lo, rev = np.floor_divide(keys, n, out=arcs[:m]), arcs[m:]
-    np.subtract(keys, np.multiply(lo, n, out=rev), out=rev)  # rev holds max for now
-    rev *= n
-    rev += lo
-    lo[:] = keys
-    keys = lo = rev = None  # rev views arcs, which is resized below
-    arcs.sort()
-    indptr = np.searchsorted(arcs, np.arange(n + 1, dtype=np.int64) * n)  # row v starts at key v * n
-    # arcs % n in place, a step at a time: the one temporary is a sixteenth of arcs, or 32 KiB,
-    # and few steps leave few small allocations behind the build's freed temporaries; int32 ids
-    # are written over the front of arcs, whose keys there are all read, and arcs is cut to them
-    dtype = np.dtype(_id_dtype(n))
-    ids, step = arcs.view(dtype), max(1 << 12, len(arcs) >> 4)
-    quot = np.empty(min(step, len(arcs)), dtype=np.int64)
-    for at in range(0, len(arcs), step):
-        part = arcs[at : at + step]
-        q = np.floor_divide(part, n, out=quot[: len(part)])
-        ids[at : at + len(part)] = np.subtract(part, np.multiply(q, n, out=q), out=q)
-    ids = part = None
-    arcs.resize(len(arcs) * dtype.itemsize // 8, refcheck=False)  # no view of it is left
+    u = v = ends = part = loop = None  # views of the pairs and the keys, which would keep them alive
+    keys.sort()
+    # pieces of at most a sixteenth of the keys, so that a small build's temporaries stay small
+    total, m, step = len(keys), 0, max(1, min(_ARC_BUDGET, max(1 << 10, len(keys) >> 4)))
+    for at in range(0, total, step):  # the distinct keys of each piece move down to keys[:m]
+        part = keys[at : at + step]
+        kept = part[part != np.r_[keys[m - 1] if m else -1, part[:-1]]]
+        keys[m : m + len(kept)] = kept
+        m += len(kept)
+    m -= loops > 0  # the self-loops' sentinel
+    keys, indices = keys[:m], np.empty(2 * m, dtype=_id_dtype(n))
+    fwd = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)  # forward arcs of the rows before v
+    rev = np.zeros(n + 1, dtype=np.int64)  # reverse arcs of the rows before v
+    span = max(step, n)  # a bincount is O(n), so in pieces of at least n keys
+    for at in range(0, m, span):
+        rev[1:] += np.bincount(keys[at : at + span] % n, minlength=n)
+    np.cumsum(rev, out=rev)
+    for reverse, rows in enumerate((rev[1:], fwd)):
+        if reverse:
+            keys.sort()
+        for at in range(0, m, step):
+            part = keys[at : at + step]
+            lo = part // n  # floor division by a scalar is several times faster than divmod
+            hi = part - lo * n
+            indices[rows[lo] + np.arange(at, at + len(part))] = hi
+            if not reverse:  # the key reversed in place: max * n + min
+                part[:] = hi * n + lo
+    keys = part = lo = hi = None
     # the labels tuple is made last, by _set: made before the build, a large one could sit
     # above the build's freed temporaries in the malloc heap and keep them resident
-    return Graph.__new__(Graph)._set(indptr, arcs.view(dtype), labels, origin_nodes, loops, total - loops - m)
+    return Graph.__new__(Graph)._set(fwd + rev, indices, labels, origin_nodes, loops, total - loops - m)
 
 
 @dataclass(frozen=True)
@@ -353,16 +333,6 @@ class DistanceMap:
         return sum(1 for d in self.dist if d != UNREACHABLE)
 
 
-_CHUNK_LINES = 1 << 16  # text lines parsed per step; bounds the token strings alive at once
-_BLOCK_BYTES = 1 << 20  # bytes read per step from a binary file, then cut back to its last line end
-
-# translation of a piece's bytes to 0 where a token cannot be: ASCII whitespace as
-# str.split() sees it (\x1c-\x1f included) and NUL, which joins the lines of a text chunk
-_IN_TOKEN = bytes(0 if c == 0 or (c < 128 and chr(c).isspace()) else 1 for c in range(256))
-# _LOW_BYTES[k] keeps the k low bytes of a little-endian key
-_LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
-
-
 def load_edge_list(source: Iterable[str] | BinaryIO) -> Graph:
     """Parse whitespace-separated edge-list text into a Graph.
 
@@ -374,18 +344,9 @@ def load_edge_list(source: Iterable[str] | BinaryIO) -> Graph:
     One edge per line as two tokens. Lines starting with '#' and blank lines are
     ignored. Node labels map to dense integer ids in first-appearance order.
     Self-loop lines and duplicate edges are dropped but counted on the result.
-
-    One loop reads the pieces of ``_pieces``: the blocks of whole lines of a
-    binary file, or chunks of ``_CHUNK_LINES`` text lines. A piece of ASCII with
-    no NUL inside a line goes to the byte tokenizer ``_byte_tokens``, each token
-    read as one uint64 key, so only labels not seen before become Python strings.
-    Any other piece, or one the tokenizer turns down (a data token over 8 bytes,
-    a malformed line), is decoded alone and goes to the line loop
-    ``_line_tokens``, which also names a malformed line; the next piece is
-    offered to the tokenizer again. Both number labels through one ``_Labels``.
-
-    The id arrays of the pieces are freed one by one as ``_from_pairs`` turns
-    them into edge keys, so the build holds one 2m key array at a time.
+    The parser is ``_edgelist.parse``: a 1 MiB block's tokens take about 20
+    bytes each while it is read, and its id arrays are freed one by one as
+    ``_from_pairs`` turns them into edge keys.
 
     Raises UnicodeDecodeError if the source is not UTF-8, and otherwise
     EdgeListParseError, with its line number, for the first data line that does
@@ -393,180 +354,9 @@ def load_edge_list(source: Iterable[str] | BinaryIO) -> Graph:
     whole source is read, every later piece decoded but not parsed, so a binary
     file and its text read name the same error.
     """
-    labels, ids, error = _Labels(), [], None
-    for first_line, data, sep, lines in _pieces(source):
-        if error is None and data is not None and (keys := _byte_tokens(data, sep)) is not None:
-            ids.append(labels.of_keys(keys))
-        elif error is None:
-            try:
-                ids.append(labels.of_tokens(_line_tokens(lines(), first_line=first_line)))
-            except EdgeListParseError as e:
-                error = e
-        else:
-            lines()  # decodes a binary block, so that bytes that are not UTF-8 win
-    if error is not None:
-        raise error
-    return _from_pairs(len(labels.index), ids, labels=labels.index)
+    from ._edgelist import parse
 
-
-def _pieces(source: Iterable[str] | BinaryIO) -> Iterator[tuple[int, bytes | None, int, Callable]]:
-    """The pieces of ``source`` in order, each as (the number of its first line,
-    its bytes for ``_byte_tokens`` or None if a NUL is inside a line, the byte
-    that ends its lines there, a call that gives its lines as strings).
-
-    A binary file's pieces are its blocks of ``_whole_lines`` as a ``utf-8-sig``
-    text read sees them before decoding: a leading byte-order mark dropped (a
-    file that is only the start of one reads as empty) and ``\\r\\n`` and a lone
-    ``\\r`` made ``\\n``. No block splits a ``\\r\\n``, and ``\\r`` is in no
-    multi-byte UTF-8 sequence, so bytes that are not UTF-8 stay as they were and
-    a block decodes alone. Text lines come ``_CHUNK_LINES`` at a time, joined by NUL.
-    """
-    line = 1
-    if isinstance(source, (io.RawIOBase, io.BufferedIOBase)):
-        lead = codecs.BOM_UTF8
-        for block in _whole_lines(source):
-            block, lead = (b"" if lead.startswith(block) else block.removeprefix(lead)), b""
-            block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in block else block
-            yield (line, None if b"\0" in block else block, ord("\n"),
-                   lambda block=block: block.decode().removesuffix("\n").split("\n"))
-            line += block.count(b"\n")
-        return
-    lines = iter(source)
-    while chunk := list(islice(lines, _CHUNK_LINES)):
-        data = "\0".join(chunk).encode()
-        yield line, data if data.count(b"\0") == len(chunk) - 1 else None, 0, chunk.copy
-        line += len(chunk)
-
-
-def _whole_lines(fh: BinaryIO) -> Iterator[bytes]:
-    """The bytes of ``fh`` in blocks that end where a line does: each read of
-    ``_BLOCK_BYTES`` ends at its last ``\\r`` or ``\\n``, so lone-CR line ends bound
-    a block as ``\\n`` does, and the rest starts the next block. A ``\\r`` that is
-    the last byte of a read waits for the next one, which may start with its
-    ``\\n``. A line longer than a read spans as many reads as it needs."""
-    parts: list[bytes | memoryview] = []  # what was read since the last line end
-    while block := fh.read(_BLOCK_BYTES):
-        end = max(block.rfind(b"\n"), block.rfind(b"\r", 0, len(block) - 1)) + 1
-        if not end:
-            parts.append(block)
-            continue
-        rest = block[end:]
-        parts.append(block if end == len(block) else memoryview(block)[:end])
-        # one bytes part joins to itself, uncopied; the read is dropped before the
-        # yield, so it does not live on beside the block the caller parses
-        whole, parts, block = b"".join(parts), [rest], b""
-        yield whole
-    if tail := b"".join(parts):
-        yield tail
-
-
-class _Labels:
-    """Label -> id numbering in first-appearance order, shared by every parsing path.
-
-    ``index`` holds every label. ``keys`` (sorted) and ``ids`` cache the ids of
-    the labels the byte tokenizer has met, by their uint64 key.
-    """
-
-    def __init__(self) -> None:
-        self.index: dict[str, int] = {}
-        self.keys = np.zeros(0, dtype=np.uint64)
-        self.ids = np.zeros(0, dtype=np.int64)
-
-    def of_tokens(self, tokens: list[str]) -> np.ndarray:
-        for label in dict.fromkeys(tokens):
-            self.index.setdefault(label, len(self.index))
-        ids = map(self.index.__getitem__, tokens)
-        return np.fromiter(ids, dtype=_id_dtype(len(self.index)), count=len(tokens))
-
-    def of_keys(self, keys: np.ndarray) -> np.ndarray:
-        """Ids of the tokens whose keys are ``keys``, which it sorts in place as ``key << shift | index``
-        if the largest key leaves the index room (labels of up to 5 bytes in a 1 MiB block), else
-        by ``argsort``. A label not met before is read from its key: its bytes, NUL-padded."""
-        if not keys.size:
-            return np.zeros(0, dtype=np.int64)
-        shift = (len(keys) - 1).bit_length()
-        if packed := int(keys.max()).bit_length() + shift <= 64:
-            keys <<= np.uint64(shift)
-            keys |= np.arange(len(keys), dtype=np.uint64)
-            keys.sort()
-            ranked = keys >> np.uint64(shift)
-            order = np.bitwise_and(keys, np.uint64((1 << shift) - 1), out=keys).view(np.int64)
-        else:
-            order = np.argsort(keys)
-            ranked = keys[order]
-        heads = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])  # where each run of a key starts
-        distinct, first = ranked[heads], order[heads] if packed else np.minimum.reduceat(order, heads)
-        at = np.searchsorted(self.keys, distinct)
-        known = np.zeros(len(distinct), dtype=bool)
-        if self.keys.size:
-            known = self.keys[np.minimum(at, len(self.keys) - 1)] == distinct
-        uid = np.zeros(len(distinct), dtype=np.int64)
-        uid[known] = self.ids[at[known]]
-        if (new := np.flatnonzero(~known)).size:
-            seen = new[np.argsort(first[new])]  # in first-appearance order
-            # "S8" drops the NUL padding, no token holds a space, and the line loop may have numbered a label
-            labels = b" ".join(distinct[seen].astype("<u8", copy=False).view("S8").tolist()).decode().split(" ")
-            uid[seen] = [self.index.setdefault(label, len(self.index)) for label in labels]
-            at = at[new]  # distinct is sorted, so inserting each new key before at keeps the table sorted
-            self.keys, self.ids = np.insert(self.keys, at, distinct[new]), np.insert(self.ids, at, uid[new])
-        out = np.empty(len(keys), dtype=_id_dtype(len(self.index)))
-        out[order] = np.repeat(uid.astype(out.dtype), np.diff(heads, append=len(keys)))
-        return out
-
-
-def _byte_tokens(data: bytes, sep: int) -> np.ndarray | None:
-    """The data tokens of the lines of ``data`` that byte ``sep`` separates,
-    in order, as uint64 keys; None unless ``data`` is ASCII, every data token
-    has at most 8 bytes and each data line has exactly two tokens. The caller
-    sees to it that ``sep`` is the only line break in ``data`` and that no NUL
-    is inside a line.
-
-    A key is the token's bytes read little-endian from a zero-padded 8-byte
-    window, so distinct tokens of 1 to 8 non-NUL bytes have distinct keys.
-    """
-    if not data.isascii():
-        return None
-    padded = b"\0" + data + bytes(8)  # a NUL before the first token, and room for the last window
-    # a block of long labels is turned down by its first 4 KiB alone, before its lines are counted;
-    # a comment's tokens may be longer, and a long data token further on fails the last check
-    if b"#" not in data and _token_spans(padded[:4096] + b"\0")[1].max(initial=0) > 8:
-        return None
-    starts, width = _token_spans(padded)
-    raw = np.frombuffer(padded, dtype=np.uint8, offset=1)
-    breaks = np.flatnonzero(raw[: len(data)] == sep)
-    tokens = np.diff(np.searchsorted(starts, breaks), prepend=0, append=len(starts))  # per line
-    if b"#" in data:  # drop the lines whose first token starts with '#'
-        has = tokens > 0
-        lead = (np.cumsum(tokens) - tokens)[has]  # the first token of each line that has one
-        comment = np.zeros(len(tokens), dtype=bool)
-        comment[has] = raw[starts[lead]] == ord("#")
-        keep = ~np.repeat(comment, tokens)
-        starts, width, tokens = starts[keep], width[keep], np.where(comment, 0, tokens)
-    if not ((tokens == 0) | (tokens == 2)).all() or width.max(initial=0) > 8:
-        return None
-    windows = np.ndarray(len(data), dtype="<u8", buffer=raw, strides=(1,))
-    keys = windows[starts]
-    return np.bitwise_and(keys, _LOW_BYTES[width], out=keys)
-
-
-def _token_spans(padded: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """The start and the width of each token of ``padded``, whose first and last bytes are NUL."""
-    inside = np.frombuffer(padded.translate(_IN_TOKEN), dtype=bool)
-    flips = np.flatnonzero(inside[1:] != inside[:-1])
-    return flips[0::2], flips[1::2] - flips[0::2]
-
-
-def _line_tokens(lines: list[str], first_line: int = 1) -> list[str]:
-    """Every data token in order, raising EdgeListParseError at the first data
-    line that does not have exactly two tokens."""
-    tokens: list[str] = []
-    for line_no, pair in enumerate(map(str.split, lines), start=first_line):
-        if len(pair) == 2 and pair[0][0] != "#":
-            tokens += pair
-        elif pair and pair[0][0] != "#":  # a data line, neither blank nor a comment
-            raw = lines[line_no - first_line]
-            raise EdgeListParseError(line_no, f"expected 2 tokens, got {len(pair)}: {raw.rstrip()!r}")
-    return tokens
+    return parse(source)
 
 
 def _row_ranges(g: Graph) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:

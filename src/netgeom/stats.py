@@ -13,7 +13,6 @@ from . import _PUBLIC
 from .graph import (
     Graph,
     _core_blocks,
-    _distance_blocks,
     _Forest,
     _level_blocks,
     _peel,

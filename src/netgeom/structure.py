@@ -16,7 +16,6 @@ from .graph import (
     _component_graphs,
     _component_ids,
     _core_blocks,
-    _distance_blocks,
     _Forest,
     _induced,
     _level_blocks,

@@ -1,14 +1,40 @@
-"""Hypothesis profiles.
+"""Hypothesis profiles, and the CSR check of every graph a test builds.
 
 ``ci`` prints the ``@reproduce_failure`` blob of a failing property test, so
 a failure seen in CI can be replayed locally. It is loaded when the ``CI``
 environment variable is set, as it is on GitHub Actions; local runs keep the
 default profile.
+
+Every graph that a test builds, by any way in (the parse, ``from_edges``,
+``Graph(adjacency)``, the generators, the subgraph cuts), passes through
+``Graph._set``, which the autouse fixture ``checked_csr`` wraps with
+``util.check_csr``. A test marked ``unchecked_csr`` runs without it, so that
+the traced-memory budgets measure the program alone.
 """
 import os
 
+import pytest
 from hypothesis import settings
+
+from netgeom.graph import Graph
+from util import check_csr
 
 settings.register_profile("ci", print_blob=True)
 if os.environ.get("CI"):
     settings.load_profile("ci")
+
+
+def pytest_configure(config):
+    config.addinivalue_line("markers", "unchecked_csr: build graphs without the CSR check of every Graph._set")
+
+
+@pytest.fixture(autouse=True)
+def checked_csr(request, monkeypatch):
+    if request.node.get_closest_marker("unchecked_csr") is None:
+        real = Graph._set
+
+        def checked(self, indptr, indices, *args, **kwargs):
+            check_csr(indptr, indices)
+            return real(self, indptr, indices, *args, **kwargs)
+
+        monkeypatch.setattr(Graph, "_set", checked)

@@ -897,6 +897,18 @@ class TestFlagValues:
         assert line.startswith(f"netgeom: error: {message}")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("recipe, message", [
+        (["n=101", "break=5"], "size must be <= 100, got 101"),
+        (["n=10", "break=5", "min=2", "max=102"], "max_degree - min_degree + 1 must be <= 100, got 101"),
+    ], ids=["n", "max"])
+    def test_recipe_past_the_draw_limit_is_1(self, monkeypatch, tmp_path, capsys, recipe, message):
+        # the limit is cut small, so nothing large is allocated here
+        monkeypatch.setattr("netgeom.generators._MAX_DRAWS", 100)
+        argv = ["generate", "--double-pareto", "alpha-left=1", "alpha-right=3", *recipe, "--out", str(tmp_path / "o")]
+        assert run(*argv) == 1
+        assert error_lines(capsys) == [f"netgeom: error: {message}"]
+        assert not (tmp_path / "o").exists()
+
     def test_boundary_values_are_accepted(self, tmp_path):
         src = write_p5(tmp_path)
         out = str(tmp_path / "b")
@@ -1196,7 +1208,7 @@ class TestImports:
         assert loaded_modules(
             child_env, self.RUN_MAIN, "stats", "--graph", str(src), "--giant", "--degrees",
             "--paths", "sampled:2", "--seniors", "1", "--out", str(tmp_path / "s"),
-        ) == ["netgeom", "netgeom.cli", "netgeom.graph", "netgeom.stats"]
+        ) == ["netgeom", "netgeom._edgelist", "netgeom.cli", "netgeom.graph", "netgeom.stats"]
 
     def test_bare_stats_loads_no_module_beyond_graph_and_stats(self, tmp_path, child_env):
         # the line-fit kernel, which --fit needs, and the root pieces of the trace
@@ -1204,7 +1216,7 @@ class TestImports:
         src = tmp_path / "g.txt"
         src.write_text("0 1\n1 2\n2 0\n3 4\n")
         assert loaded_modules(child_env, self.RUN_MAIN, "stats", "--graph", str(src), "--out", str(tmp_path / "s")) == [
-            "netgeom", "netgeom.cli", "netgeom.graph", "netgeom.stats"]
+            "netgeom", "netgeom._edgelist", "netgeom.cli", "netgeom.graph", "netgeom.stats"]
 
     def test_fit_rational_loads_no_structure_embedding_or_generators(self, tmp_path, child_env):
         # nor graph.py or stats.py: the crawl layer and the line-fit kernel alone

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import netgeom.generators as generators_module
 from netgeom.generators import (
     AppendageSpec,
     DoubleParetoSpec,
@@ -288,12 +289,35 @@ class TestNodeBound:
         ("size", "size must be in 1..{bound}, got {got}"),
         ("max_degree", "need 1 <= min_degree <= break_degree <= max_degree <= {bound}"),
     ], ids=["size", "max_degree"])
-    def test_double_pareto_size_and_max_degree_up_to_the_bound(self, field, message):
+    def test_double_pareto_size_and_max_degree_up_to_the_bound(self, monkeypatch, field, message):
+        monkeypatch.setattr(generators_module, "_MAX_DRAWS", self.BOUND)  # so the node bound is checked alone
         fields = {"size": 10, "alpha_left": 1.0, "alpha_right": 3.0, "break_degree": 5}
         assert self.traced_peak(lambda: DoubleParetoSpec(**dict(fields, **{field: self.BOUND}))) < 10_000
         message = message.format(bound=self.BOUND, got=self.BOUND + 1)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             DoubleParetoSpec(**dict(fields, **{field: self.BOUND + 1}))
+
+
+class TestDrawLimit:
+    """``generate_double_pareto_degrees`` draws ``size`` floats and weighs a table of
+    ``max_degree - min_degree + 1`` degrees; a spec past ``_MAX_DRAWS`` for either is rejected
+    by its constructor, naming the field. The limit is cut small here, so nothing large is made."""
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"size": 101}, "size must be <= 100, got 101"),
+        ({"min_degree": 5, "break_degree": 5, "max_degree": 105}, "max_degree - min_degree + 1 must be <= 100, got 101"),
+    ], ids=["size", "table"])
+    def test_one_past_the_limit(self, monkeypatch, fields, message):
+        monkeypatch.setattr(generators_module, "_MAX_DRAWS", 100)
+        spec = {"size": 10, "alpha_left": 1.0, "alpha_right": 3.0, "break_degree": 5, "max_degree": 50, **fields}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            DoubleParetoSpec(**spec)
+        at_limit = {k: v - 1 if k in ("size", "max_degree") else v for k, v in spec.items()}
+        assert len(generate_double_pareto_degrees(DoubleParetoSpec(**at_limit))) == at_limit["size"]
+
+    def test_the_default_table_is_within_the_limit(self):
+        assert DoubleParetoSpec(size=10, alpha_left=1.0, alpha_right=3.0, break_degree=5).max_degree < (
+            generators_module._MAX_DRAWS)
 
 
 class TestConfigurationModel:

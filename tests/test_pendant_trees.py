@@ -301,8 +301,7 @@ class TestPrunedTraversal:
                 return real(g, sources)
             return call
 
-        for module in (graph_module, structure_module, stats_module):
-            monkeypatch.setattr(module, "_distance_blocks", spy(graph_module._distance_blocks))
+        monkeypatch.setattr(graph_module, "_distance_blocks", spy(graph_module._distance_blocks))
         for module in (structure_module, stats_module):  # graph_module's rows are built from its own levels
             monkeypatch.setattr(module, "_level_blocks", spy(graph_module._level_blocks))
         return sizes

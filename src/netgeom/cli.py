@@ -521,20 +521,16 @@ def _cmd_embed(args, out: str, g: Graph) -> None:
 
 
 def _cmd_reduce(args, out: str, g: Graph) -> None:
-    from .embedding import (Embedding, _check_max_pairs, _narrow_rows, build_cover_matrix, embed_full,
-                            reduce_references)
+    from .embedding import _check_max_pairs, build_cover_matrix, embed_full, reduce_references
 
-    n = g.node_count
-    _check_max_pairs(n, args.max_pairs)  # before the n x n table is allocated
-    # the traversal's blocks go straight into a table of one or two bytes a cell,
-    # which reduce_references takes as it is: no int32 n x n matrix is built
-    e = Embedding(references=tuple(range(n)), coords=embed_full(g, _narrow_rows), full=True)
-    r = reduce_references(build_cover_matrix(e, tolerance=args.tolerance), max_pairs=args.max_pairs)
+    _check_max_pairs(g.node_count, args.max_pairs)  # before the n x n table is allocated
+    # embed_full fills a table of one or two bytes a cell, which reduce_references reads as it is
+    r = reduce_references(build_cover_matrix(embed_full(g), tolerance=args.tolerance), max_pairs=args.max_pairs)
     names = _names(g)
     _write_text(out, "refs.txt", _rows("", [names[v] for v in r.kept]))
     _write_hist(out, "distortion_hist.txt", "hop shortfall, pair count", r.distortion_histogram)
     summary = {
-        "initial_references": n,
+        "initial_references": g.node_count,
         "kept": len(r.kept),
         "essential": [names[v] for v in r.essential],
         "greedy": [names[v] for v in r.greedy],

@@ -12,34 +12,39 @@ The cover table is over the full embedding, where pair (p, q) is always covered
 by both column p and column q, so no reference is ever a pair's sole cover and
 greedy selection alone decides the kept set.
 
-The pass runs on the distance matrix in the narrowest signed dtype that holds
-the diameter (int8 up to 127 hops, then int16), where a coordinate difference
-cannot overflow. Library callers hand it an int32 ``Embedding`` and it narrows
-a copy; the CLI fills the narrow table straight from the traversal's blocks
-(``_narrow_rows``), so it never holds an int32 n x n matrix. Cover counts sum
-the 0/1 bytes of at most 255 pair rows at a time in uint8, which cannot
-overflow and is about three times as fast as a sum into int32. Pair index
-arrays use the smallest unsigned dtype that holds n - 1, and every gather
-through them is a ``take`` of at most 32 K indices: numpy turns a narrow index
-array into an intp copy, and the chunks bound that copy. A pendant leaf's
-column equals its neighbour's plus one on every row but its own, so it covers
-every pair its neighbour covers except the pairs it is an end of: only the
-other columns are counted cell by cell, and a leaf's count is its neighbour's
-plus a correction over its own pairs (the degree-1 removal of Sariyuce et al.,
-TKDD 11(3), 2017, which exact depth and paths use too). The identity is checked
-on the matrix, so a matrix that is no graph metric is still counted exactly.
-The closing distortion check, ``embedding_distortion`` and ``chebyshev_matrix``
-compare each node's coordinate row with the rows after it (``_chebyshev_rows``),
-so they hold no pair index arrays and no per-pair temporaries.
+There is one distance table: ``embed``, and through it ``embed_full(g)``,
+writes the traversal's blocks straight into a table of the narrowest signed
+dtype that holds the largest distance so far (int8 up to 127 hops, then int16),
+widened when a later block reaches past it, so no int32 n x n matrix is held
+and a coordinate difference cannot overflow. The pass reads that table as it
+is; a table a library caller builds in another dtype goes through ``_narrow``,
+which copies it. Only ``embed_full(g, consume)`` streams the kernel's int32
+blocks, for a consumer that never holds the table. Cover counts sum the 0/1
+bytes of at most 255 pair rows at a time in uint8, which cannot overflow and is
+about three times as fast as a sum into int32. Pair index arrays use the
+smallest unsigned dtype that holds n - 1, and every gather through them is a
+``take`` of at most 32 K indices: numpy turns a narrow index array into an intp
+copy, and the chunks bound that copy. A pendant leaf's column equals its
+neighbour's plus one on every row but its own, so it covers every pair its
+neighbour covers except the pairs it is an end of: only the other columns are
+counted cell by cell, and a leaf's count is its neighbour's plus a correction
+over its own pairs (the degree-1 removal of Sariyuce et al., TKDD 11(3), 2017,
+which exact depth and paths use too). The identity is checked on the matrix, so
+a matrix that is no graph metric is still counted exactly. The closing
+distortion check of ``reduce_references`` and the report of
+``embedding_distortion`` are one function, ``_distortion``; it and
+``chebyshev_matrix`` compare each node's coordinate row with the rows after it
+(``_chebyshev_rows``), so they hold no pair index arrays and no per-pair
+temporaries.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
-from . import _PUBLIC
+from . import _PUBLIC, _node_ids
 from .graph import Graph, _distance_blocks, _require_connected
 from .stats import Histogram
 
@@ -86,14 +91,20 @@ def embed(g: Graph, references: Sequence[int]) -> Embedding:
 
     References keep their order and repeats; the embedding is full when they
     name every node. One traversal runs from each reference, so no n x n
-    matrix is built for a short list. Raises ValueError if the graph is empty
-    or disconnected, or the references are empty or out of range.
+    matrix is built for a short list. Each block of the traversal is written
+    as columns into coords, which is int8 while every distance so far fits and
+    is widened (int16 past 127 hops) when a block reaches past its dtype: the
+    dtype ``_narrow`` gives the whole table. Raises ValueError if the graph is
+    empty or disconnected, or the references are empty, out of range or not
+    integers.
     """
     refs = _connected_references(g, references)
     n = g.node_count
-    coords = np.empty((n, len(refs)), dtype=np.int32)
+    coords = np.empty((n, len(refs)), dtype=np.int8)
     col = 0
     for block in _distance_blocks(g, refs):
+        if (top := int(block.max(initial=0))) > np.iinfo(coords.dtype).max:
+            coords = coords.astype(_narrow_dtype(top))
         coords[:, col : col + len(block)] = block.T
         col += len(block)
     return Embedding(references=refs, coords=coords, full=set(refs) == set(range(n)))
@@ -104,7 +115,7 @@ def _references(g: Graph, references: Sequence[int]) -> tuple[int, ...]:
     n = g.node_count
     if n == 0:
         raise ValueError("cannot embed an empty graph")
-    refs = tuple(int(r) for r in references)
+    refs = tuple(_node_ids(references))
     if not refs:
         raise ValueError("an embedding needs at least one reference")
     if bad := [r for r in refs if not 0 <= r < n]:
@@ -123,12 +134,12 @@ def embed_full(g: Graph,
                consume: Callable[[Iterator[np.ndarray]], T] | None = None) -> Embedding | T:
     """Full embedding of a connected graph: every node is a reference.
 
-    coords is the complete hop-distance matrix. Given ``consume``, the matrix is
-    never built: ``consume`` is called once with an iterator over its rows in
-    node order, as the kernel's int32 blocks of up to 64 rows (the graph is
-    undirected, so row v is the distance row from source v), and its result is
-    returned. Raises ValueError, before any traversal, if the graph is empty or
-    disconnected.
+    coords is the complete hop-distance matrix, in the narrow dtype that
+    ``embed`` gives it. Given ``consume``, the matrix is never built:
+    ``consume`` is called once with an iterator over its rows in node order, as
+    the kernel's int32 blocks of up to 64 rows (the graph is undirected, so row
+    v is the distance row from source v), and its result is returned. Raises
+    ValueError, before any traversal, if the graph is empty or disconnected.
     """
     if consume is None:
         return embed(g, range(g.node_count))
@@ -249,28 +260,6 @@ def _narrow(coords: np.ndarray) -> np.ndarray:
     """
     span = int(coords.max(initial=0)) - min(int(coords.min(initial=0)), 0)
     return coords.astype(_narrow_dtype(span), copy=False)
-
-
-def _narrow_rows(blocks: Iterable[np.ndarray]) -> np.ndarray:
-    """The full embedding's distance matrix, from its row blocks in node order,
-    in the dtype ``_narrow`` gives the whole matrix.
-
-    This is how the CLI hands ``reduce_references`` its table: as the consumer
-    of ``embed_full(g, consume)``, so no int32 n x n matrix is held. The table
-    is widened when a block holds a distance past its dtype, which the blocks
-    before it could not show.
-    """
-    table = None
-    s = top = 0
-    for block in blocks:
-        top = max(top, int(block.max(initial=0)))  # hop distances are never negative
-        if table is None:
-            table = np.empty((block.shape[1],) * 2, dtype=_narrow_dtype(top))
-        elif np.iinfo(table.dtype).max < top:
-            table = table.astype(_narrow_dtype(top))
-        table[s : s + len(block)] = block
-        s += len(block)
-    return table
 
 
 def _upper(m: np.ndarray) -> np.ndarray:
@@ -404,8 +393,8 @@ def _covered_pairs(row: np.ndarray, I: np.ndarray, J: np.ndarray,
 
 def _greedy_picks(coords: np.ndarray, tolerance: int) -> list[int]:
     """The references that greedy set cover picks, in pick order (see
-    ``reduce_references``), on a symmetric table from ``_narrow`` or
-    ``_narrow_rows`` at a tolerance that the table's dtype holds.
+    ``reduce_references``), on a symmetric table from ``_narrow`` at a
+    tolerance that the table's dtype holds.
 
     The columns that ``_derived_columns`` names get their counts each round
     from their neighbour's count and their correction; the others lose, each
@@ -460,14 +449,13 @@ def reduce_references(cm: CoverMatrix, max_pairs: int | None = None) -> Reductio
     pair is always covered by its own two endpoints. No reference is ever the
     sole cover of a pair for the same reason, so there is no essential phase
     and ``essential`` is always empty. The final max distortion is verified
-    against the tolerance before returning, from the kept columns as they are:
-    node by node, the kept coordinates of the nodes after it are compared with
-    its own, and each shortfall is counted into one histogram.
+    against the tolerance before returning, by ``_distortion`` on the kept
+    columns, the check ``embedding_distortion`` runs too.
 
-    All of it runs on the coordinates as ``_narrow`` gives them (see the module
-    docstring): a copy of an int32 embedding, or as they are when they are
-    narrow already, as the table the CLI fills from the traversal's blocks with
-    ``_narrow_rows`` is; ``cm.embedding`` is unchanged. Cover counts sum 0/1
+    All of it runs on the one distance table (see the module docstring): the
+    table ``embed_full`` fills is narrow already and is read as it is; a table
+    in a wider dtype is copied by ``_narrow``. ``cm.embedding`` is unchanged.
+    Cover counts sum 0/1
     bytes in uint8 over at most ``_SUM_ROWS`` pair rows at a time. Only the
     columns that ``_derived_columns`` does not derive (all but the pendant
     leaves) are counted cell by cell, from a table of those columns; a derived
@@ -484,22 +472,17 @@ def reduce_references(cm: CoverMatrix, max_pairs: int | None = None) -> Reductio
     coords = _narrow(cm.embedding.coords)
     # A tolerance beyond the diameter changes nothing, and clamped it fits the
     # narrow dtype: under numpy 2 casting, int8 - 1000 raises OverflowError.
-    top = int(coords.max())
-    kept = tuple(sorted(_greedy_picks(coords, min(cm.tolerance, top))))
-    counts = np.zeros(top + 1, dtype=np.int64)  # of each shortfall, which is at most the diameter
-    sub = np.ascontiguousarray(coords[:, list(kept)])  # a column gather is laid out F-order
-    for p, row in enumerate(_chebyshev_rows(sub)):
-        counts += np.bincount(np.subtract(coords[p, p + 1 :], row, out=row), minlength=counts.size)
-    max_d = int(np.flatnonzero(counts).max(initial=0))
-    if max_d > cm.tolerance:
-        raise AssertionError(f"reduction exceeded tolerance: {max_d} > {cm.tolerance}")
+    kept = tuple(sorted(_greedy_picks(coords, min(cm.tolerance, int(coords.max())))))
+    report = _distortion(coords, kept)
+    if report.max_hops > cm.tolerance:
+        raise AssertionError(f"reduction exceeded tolerance: {report.max_hops} > {cm.tolerance}")
     return ReductionResult(
         kept=kept,
         essential=(),
         greedy=kept,
         tolerance=cm.tolerance,
-        max_distortion=max_d,
-        distortion_histogram=Histogram(dict(enumerate(counts.tolist()))),
+        max_distortion=report.max_hops,
+        distortion_histogram=report.histogram,
     )
 
 
@@ -520,20 +503,33 @@ def embedding_distortion(g: Graph, references: Sequence[int]) -> DistortionRepor
     computed over pairs with a nonzero estimate, None if there are none.
     """
     refs = _references(g, references)  # before the n x n table is built
-    table = embed_full(g, _narrow_rows)
-    counts = np.zeros(int(table.max()) + 1, dtype=np.int64)
-    ratios = []  # the largest d_true / d_estimate of each row with a nonzero estimate
+    return _distortion(embed_full(g).coords, refs)
+
+
+def _distortion(table: np.ndarray, refs: Sequence[int]) -> DistortionReport:
+    """The shortfalls below the full distance ``table`` (from ``_narrow``) of the
+    Chebyshev estimates from its columns ``refs``, over the pairs p < q.
+
+    Node by node, the reference coordinates of the nodes after it are compared
+    with its own (``_chebyshev_rows``). Each row's shortfalls are counted into
+    one histogram, and the largest true distance met at each estimate is kept,
+    which gives the largest ratio after the loop. Raises AssertionError if an
+    estimate exceeds its true distance.
+    """
+    top = int(table.max(initial=0))
+    counts = np.zeros(top + 1, dtype=np.int64)
+    reach = np.zeros(top + 1, dtype=table.dtype)  # the largest true distance at each estimate
     for p, row in enumerate(_chebyshev_rows(np.ascontiguousarray(table[:, list(refs)]))):
-        true, nz = table[p, p + 1 :], row > 0
-        if nz.any():
-            ratios.append((true[nz] / row[nz]).max())
-        shortfall = np.subtract(true, row, out=row)
+        true = table[p, p + 1 :]
+        shortfall = true - row
         if shortfall.min(initial=0) < 0:
             raise AssertionError("estimate exceeded true distance; embedding is corrupt")
+        np.maximum.at(reach, row, true)
         counts += np.bincount(shortfall, minlength=counts.size)
+    est = np.flatnonzero(reach[1:]) + 1
     return DistortionReport(
         max_hops=int(np.flatnonzero(counts).max(initial=0)),
         histogram=Histogram(dict(enumerate(counts.tolist()))),
         # subtracting 1 rounds monotonically, so it commutes with the max
-        max_relative=float(max(ratios) - 1.0) if ratios else None,
+        max_relative=float((reach[est] / est).max() - 1.0) if est.size else None,
     )

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 import netgeom.embedding as embedding_module
 from netgeom.embedding import (
     Embedding,
-    _narrow_rows,
     build_cover_matrix,
     chebyshev_distance,
     chebyshev_matrix,
@@ -20,7 +19,7 @@ from netgeom.embedding import (
     embedding_distortion,
     reduce_references,
 )
-from netgeom.graph import Graph
+from netgeom.graph import Graph, bfs
 
 from util import (
     brute_force_min_cover,
@@ -55,7 +54,7 @@ class TestEmbedding:
         oracle = [[int(x) for x in row] for row in fw_distances(g)]
         e = embed_full(g)
         assert e.full and e.references == tuple(range(n))
-        assert e.coords.dtype == np.int32
+        assert e.coords.dtype == np.int8  # the table is narrow; the streamed blocks are the kernel's
         assert e.coords.tolist() == oracle
         blocks = embed_full(g, list)  # the rows streamed to a consumer, in node order
         assert [len(b) for b in blocks] == [min(64, n - s) for s in range(0, n, 64)]
@@ -116,7 +115,7 @@ class TestEmbedding:
                 sub = full.subset(refs)
                 assert e.references == sub.references
                 assert e.full == sub.full
-                assert e.coords.dtype == np.int32
+                assert e.coords.dtype == np.int8
                 assert np.array_equal(e.coords, sub.coords)
 
     def test_reference_embedding_rejects_bad_input(self):
@@ -253,6 +252,12 @@ class TestReduction:
         r = reduce_references(build_cover_matrix(e, 1))
         assert r.distortion_histogram.total == 25 * 24 // 2
 
+    def test_reduction_past_its_tolerance_is_refused(self, monkeypatch):
+        # the middle of P5 alone estimates d(0, 4) = 4 as 0
+        monkeypatch.setattr(embedding_module, "_greedy_picks", lambda coords, tolerance: [2])
+        with pytest.raises(AssertionError, match=r"^reduction exceeded tolerance: 4 > 1$"):
+            reduce_references(build_cover_matrix(embed_full(path_graph(5)), 1))
+
     def test_max_pairs_budget_aborts(self):
         e = embed_full(path_graph(30))
         with pytest.raises(ValueError, match="max_pairs"):
@@ -342,21 +347,23 @@ class TestNarrowDtype:
             report = embedding_distortion(g, r.kept)
             assert report.max_hops == r.max_distortion
             assert report.histogram == r.distortion_histogram
-        assert e.coords.dtype == np.int32
+        assert e.coords.dtype == (np.int8 if diameter == 127 else np.int16)
         assert np.array_equal(e.coords, coords)
 
     @pytest.mark.parametrize("diameter", [127, 128])
     def test_table_from_the_kernel_blocks(self, diameter):
         g = pendant_triangle_path(diameter)
-        table = embed_full(g, _narrow_rows)
+        table = embed_full(g).coords
         assert table.dtype == (np.int8 if diameter == 127 else np.int16)
-        assert np.array_equal(table, embed_full(g).coords)
+        assert np.array_equal(table, np.vstack(embed_full(g, list)))
 
     def test_table_is_widened_by_a_later_block(self):
-        blocks = [np.array([[0, 1, 2], [1, 0, 1]], dtype=np.int32), np.array([[2, 1, 300]], dtype=np.int32)]
-        table = _narrow_rows(iter(blocks))
-        assert table.dtype == np.int16
-        assert np.array_equal(table, np.concatenate(blocks))
+        # the first block of 64 sources reaches 100 hops, the second 200
+        g, refs = path_graph(201), (100,) * 64 + (0,)
+        assert embed(g, refs[:64]).coords.dtype == np.int8
+        e = embed(g, refs)
+        assert e.coords.dtype == np.int16
+        assert all(e.coords[:, i].tolist() == list(bfs(g, r).dist) for i, r in enumerate(refs))
 
 
 class TestGreedyOracle:
@@ -460,7 +467,7 @@ class TestDistortionReport:
 
     def test_path_beyond_int8_matches_the_oracle(self):
         g = path_graph(129)  # diameter 128: the table is int16
-        assert embed_full(g, _narrow_rows).dtype == np.int16
+        assert embed_full(g).coords.dtype == np.int16
         for refs in ([64], [100, 3, 128, 3], [128, 0]):
             assert_distortion_matches_oracle(g, refs)
 
@@ -483,6 +490,12 @@ class TestDistortionReport:
         assert report.max_hops == 2
         assert report.histogram.bins == {0: 4, 2: 6}
         assert report.max_relative is None or report.max_relative >= 0
+
+    def test_estimate_above_the_true_distance_is_refused(self):
+        # the table says d(0, 1) = 0, but column 2 tells nodes 0 and 1 one hop apart
+        table = np.array([[0, 0, 2], [0, 0, 1], [2, 1, 0]], dtype=np.int8)
+        with pytest.raises(AssertionError, match="estimate exceeded true distance"):
+            embedding_module._distortion(table, [2])
 
     def test_references_are_checked_before_the_embedding(self, monkeypatch):
         def no_embedding(g):

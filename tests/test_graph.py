@@ -21,7 +21,7 @@ import netgeom.stats as stats_module
 import netgeom.structure as structure_module
 from netgeom.cli import _write_edges, main
 from netgeom.crawl import simulate_crawl, solve_acquisition_ode
-from netgeom.embedding import embed, embed_full, embedding_distortion
+from netgeom.embedding import build_cover_matrix, embed, embed_full, embedding_distortion, reduce_references
 from netgeom.generators import (
     AppendageSpec,
     DoubleParetoSpec,
@@ -723,6 +723,11 @@ class TestGuardMessages:
         (lambda: Graph([[1.5], [0]]), "node id 1.5 is not an integer"),
         (lambda: Graph([["1"], [0]]), "node id '1' is not an integer"),
         (lambda: induced_subgraph(P3, [2, 0.5]), "node id 0.5 is not an integer"),
+        (lambda: embed(P3, [1.9]), "node id 1.9 is not an integer"),
+        (lambda: embed(P3, ["2"]), "node id '2' is not an integer"),
+        (lambda: embedding_distortion(P3, [0, 2.5]), "node id 2.5 is not an integer"),
+        (lambda: bfs(P3, 1.5), "node id 1.5 is not an integer"),
+        (lambda: simulate_crawl(P3, start=1.5), "node id 1.5 is not an integer"),
         # NaN fails every guard, as the CLI's flag types already make it
         (lambda: structure_module.personality_report(P3, tau=NAN), "tau must be >= 0"),
         (lambda: stats_module.senior_stats(P3, threshold=NAN), "threshold must be >= 0"),
@@ -740,7 +745,8 @@ class TestGuardMessages:
     ], ids=["decompose", "depth_map", "personality_report", "senior_stats", "embed", "embed_full",
             "embed_full-consume", "path_length_report-0", "path_length_report-1", "from_edges-pairs",
             "labels-length", "from_edges-float", "from_edges-str", "adjacency-float", "adjacency-str",
-            "induced_subgraph-float", "personality_report-nan", "senior_stats-nan", "profile-nan",
+            "induced_subgraph-float", "embed-float", "embed-str", "embedding_distortion-float", "bfs-float",
+            "simulate_crawl-float", "personality_report-nan", "senior_stats-nan", "profile-nan",
             "profile-inf", "profile-0", "ode-d0-nan", "ode-p0-nan", "ode-step-nan", "ode-pmax-nan"])
     def test_message(self, call, message):
         with pytest.raises(ValueError) as e:
@@ -752,6 +758,8 @@ class TestGuardMessages:
         assert Graph.from_edges(3, [(np.int32(0), True), (True, np.uint8(2))]) == want
         assert Graph([[True], [np.int64(0), 2], [np.int16(1)]]) == want
         assert induced_subgraph(want, [False, True, np.intp(1)]).origin_nodes == (0, 1)
+        assert bfs(want, np.int32(2)).source == 2 and simulate_crawl(want, start=np.uint8(1)).start == 1
+        assert embed(want, [np.int16(2), True]).references == (2, 1)
 
 
 class TestSubgraphs:
@@ -1245,6 +1253,22 @@ class TestTransientMemory:
         assert main(argv) == 0  # imports and caches stay out of the traced run
         peak = self.traced_peak(lambda: main(argv))
         assert peak <= 11 * g.node_count ** 2
+
+    def test_full_embedding_is_a_one_byte_table(self):
+        # the blocks go straight into a one-byte table: about 2.1 bytes a cell with one
+        # int32 block, where the int32 table and its narrowed copy took 5.1
+        g = self.reduce_core()
+        embed_full(g)  # imports and caches stay out of the traced run
+        peak = self.traced_peak(lambda: embed_full(g))
+        assert peak <= 3 * g.node_count ** 2
+
+    def test_library_reduce_reads_the_one_byte_table(self):
+        # about 7.6 bytes a cell at tolerance 2, where narrowing an int32 table by copy took 11.6
+        g = self.reduce_core()
+        run = lambda: reduce_references(build_cover_matrix(embed_full(g), 2))  # noqa: E731
+        run()  # imports and caches stay out of the traced run
+        peak = self.traced_peak(run)
+        assert peak <= 9 * g.node_count ** 2
 
     @pytest.mark.parametrize("k", [16, None], ids=["16-references", "all-references"])
     def test_distortion_holds_no_int32_table(self, k):

@@ -19,11 +19,9 @@ Core pieces:
 (PEP 562), so ``import netgeom`` loads no module, and a process loads only the
 modules it uses. ``InputError`` is defined here, at the root every module
 imports, so that the trace reader raises it without loading ``graph``, which
-re-exports it; so is ``_node_ids``, the one check of a node id.
+re-exports it.
 """
-import operator
 from importlib import import_module
-from typing import Iterable, Iterator
 
 # arcs one bounded pass over CSR rows gathers at a time (a row fold, an edge slice, a pass of the
 # fifo crawl); defined here, like InputError, so that crawl.py shares it without loading graph.py
@@ -32,16 +30,6 @@ _ARC_BUDGET = 1 << 16
 
 class InputError(ValueError):
     """Base of the errors raised for malformed input: edge lists and trace files."""
-
-
-def _node_ids(ids: Iterable) -> Iterator[int]:
-    """Each of ``ids`` through ``operator.index``, so that an id that is not an integer, which an
-    int64 cast would truncate or parse (a float, a string), raises ``ValueError`` naming it."""
-    for v in ids:
-        try:
-            yield operator.index(v)
-        except TypeError:
-            raise ValueError(f"node id {v!r} is not an integer") from None
 
 
 _PUBLIC = {

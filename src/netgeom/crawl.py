@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from . import _ARC_BUDGET, _PUBLIC, InputError, _node_ids
+from . import _ARC_BUDGET, _PUBLIC, InputError
 from ._linefit import _line_fits
 
 if TYPE_CHECKING:
@@ -102,6 +102,8 @@ def simulate_crawl(
     n = g.node_count
     if n == 0:
         raise ValueError("cannot crawl an empty graph")
+    from .graph import _node_ids  # loaded already: g is a Graph
+
     (start,) = _node_ids((start,))
     if not 0 <= start < n:
         raise ValueError(f"start {start} out of range 0..{n - 1}")

@@ -44,8 +44,8 @@ from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
-from . import _PUBLIC, _node_ids
-from .graph import Graph, _distance_blocks, _require_connected
+from . import _PUBLIC
+from .graph import Graph, _distance_blocks, _node_ids, _require_connected
 from .stats import Histogram
 
 T = TypeVar("T")
@@ -455,16 +455,15 @@ def reduce_references(cm: CoverMatrix, max_pairs: int | None = None) -> Reductio
     All of it runs on the one distance table (see the module docstring): the
     table ``embed_full`` fills is narrow already and is read as it is; a table
     in a wider dtype is copied by ``_narrow``. ``cm.embedding`` is unchanged.
-    Cover counts sum 0/1
-    bytes in uint8 over at most ``_SUM_ROWS`` pair rows at a time. Only the
-    columns that ``_derived_columns`` does not derive (all but the pendant
-    leaves) are counted cell by cell, from a table of those columns; a derived
-    column's count is its neighbour's plus a correction over the pairs it is an
-    end of, kept exact round by round, so every count is exact. Every gather,
-    the per-round scan and the selection of a round's covered pairs take at
-    most ``_TAKE`` indices at once; a covered pair is marked in place, and the
-    pairs still uncovered are packed to the front once they fill at most half
-    of the pair arrays.
+    Cover counts sum 0/1 bytes in uint8 over at most ``_SUM_ROWS`` pair rows at
+    a time. Only the columns that ``_derived_columns`` does not derive (all but
+    the pendant leaves) are counted cell by cell, from a table of those
+    columns; a derived column's count is its neighbour's plus a correction over
+    the pairs it is an end of, kept exact round by round, so every count is
+    exact. Every gather, the per-round scan and the selection of a round's
+    covered pairs take at most ``_TAKE`` indices at once; a covered pair is
+    marked in place, and the pairs still uncovered are packed to the front once
+    they fill at most half of the pair arrays.
 
     ``max_pairs`` aborts up front when the pair count exceeds the budget.
     """

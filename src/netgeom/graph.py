@@ -56,7 +56,7 @@ from typing import BinaryIO, Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from . import _ARC_BUDGET, _PUBLIC, InputError, _node_ids
+from . import _ARC_BUDGET, _PUBLIC, InputError
 
 __all__ = list(_PUBLIC["graph"])
 
@@ -220,6 +220,16 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.node_count}, m={self.edge_count})"
+
+
+def _node_ids(ids: Iterable) -> Iterator[int]:
+    """Each of ``ids`` through ``operator.index``, so that an id that is not an integer, which an
+    int64 cast would truncate or parse (a float, a string), raises ``ValueError`` naming it."""
+    for v in ids:
+        try:
+            yield operator.index(v)
+        except TypeError:
+            raise ValueError(f"node id {v!r} is not an integer") from None
 
 
 def _id_dtype(n: int) -> type:

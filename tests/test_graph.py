@@ -1256,7 +1256,7 @@ class TestTransientMemory:
 
     def test_full_embedding_is_a_one_byte_table(self):
         # the blocks go straight into a one-byte table: about 2.1 bytes a cell with one
-        # int32 block, where the int32 table and its narrowed copy took 5.1
+        # int32 block, where an int32 table took 5.1
         g = self.reduce_core()
         embed_full(g)  # imports and caches stay out of the traced run
         peak = self.traced_peak(lambda: embed_full(g))

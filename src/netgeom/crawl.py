@@ -104,9 +104,7 @@ def simulate_crawl(
         raise ValueError("cannot crawl an empty graph")
     from .graph import _node_ids  # loaded already: g is a Graph
 
-    (start,) = _node_ids((start,))
-    if not 0 <= start < n:
-        raise ValueError(f"start {start} out of range 0..{n - 1}")
+    (start,) = _node_ids((start,), n, "start")
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; choose from {POLICIES}")
     if stride < 1:

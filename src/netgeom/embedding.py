@@ -115,11 +115,9 @@ def _references(g: Graph, references: Sequence[int]) -> tuple[int, ...]:
     n = g.node_count
     if n == 0:
         raise ValueError("cannot embed an empty graph")
-    refs = tuple(_node_ids(references))
+    refs = tuple(_node_ids(references, n, "reference"))
     if not refs:
         raise ValueError("an embedding needs at least one reference")
-    if bad := [r for r in refs if not 0 <= r < n]:
-        raise ValueError(f"reference {bad[0]} out of range 0..{n - 1}")
     return refs
 
 
@@ -507,7 +505,9 @@ def embedding_distortion(g: Graph, references: Sequence[int]) -> DistortionRepor
 
 def _distortion(table: np.ndarray, refs: Sequence[int]) -> DistortionReport:
     """The shortfalls below the full distance ``table`` (from ``_narrow``) of the
-    Chebyshev estimates from its columns ``refs``, over the pairs p < q.
+    Chebyshev estimates from its columns ``refs``, over the pairs p < q. With
+    ``refs`` every node in order, those columns are the table itself, read with
+    no copy: the table is symmetric.
 
     Node by node, the reference coordinates of the nodes after it are compared
     with its own (``_chebyshev_rows``). Each row's shortfalls are counted into
@@ -518,7 +518,9 @@ def _distortion(table: np.ndarray, refs: Sequence[int]) -> DistortionReport:
     top = int(table.max(initial=0))
     counts = np.zeros(top + 1, dtype=np.int64)
     reach = np.zeros(top + 1, dtype=table.dtype)  # the largest true distance at each estimate
-    for p, row in enumerate(_chebyshev_rows(np.ascontiguousarray(table[:, list(refs)]))):
+    refs = list(refs)
+    cols = table if refs == list(range(len(table))) else table[:, refs]  # every node in order: no copy
+    for p, row in enumerate(_chebyshev_rows(np.ascontiguousarray(cols))):
         true = table[p, p + 1 :]
         shortfall = true - row
         if shortfall.min(initial=0) < 0:

@@ -9,11 +9,13 @@ alone builds one, by one of two ways in. Raw edges go to ``_from_pairs``: the
 parser, ``from_edges`` and both generators hand it integer arrays of end-node
 pairs, whose sorted unique edge keys ``min * n + max`` it writes as arcs
 straight into their rows, counting the self-loops and duplicates it drops.
-Sorted rows go to ``Graph._set``: ``Graph(adjacency)`` sorts and checks its
-lists, and subgraphs are cut from the parent's rows (``_induced``,
-``_component_graphs``), a kept node's new id its rank among the kept nodes, so
-no edge key is made or sorted again. The edge walks, ``Graph.edges`` and the
-edge-file writer, read the u < v arcs of ranges of rows (``Graph._edge_slices``).
+Sorted rows go to ``Graph._set``: ``Graph(adjacency)`` sorts its lists and
+checks them with ``_csr._check_csr``, the one check of the CSR invariants, in a
+module that no CLI subcommand loads; and subgraphs are cut from the parent's
+rows (``_induced``, ``_component_graphs``), a kept node's new id its rank among
+the kept nodes, so no edge key is made or sorted again. The edge walks,
+``Graph.edges`` and the edge-file writer, read the u < v arcs of ranges of rows
+(``Graph._edge_slices``).
 
 An edge list is parsed by ``_edgelist``, a module of its own, which hands
 ``_from_pairs`` one array of node ids per piece of the text.
@@ -83,7 +85,8 @@ class Graph:
     of ``indices`` at a time and makes only that row a list.
 
     ``Graph(adjacency)`` takes one neighbour list per node and rejects ids that are
-    not integers or out of range, self-loops, repeats and asymmetric lists with ``ValueError``.
+    not integers or out of range, self-loops, repeats and asymmetric lists with ``ValueError``:
+    the range before any int64 cast, the rest by ``_check_csr`` on the sorted rows.
     ``from_edges``, ``load_edge_list`` and the generators take raw edges
     instead, dropping and counting self-loops and duplicates; a
     configuration-model graph so counts the stub pairs it erased.
@@ -115,21 +118,13 @@ class Graph:
                 if bad := [w for w in row if not 0 <= w < n]:
                     raise ValueError(f"neighbor {min(bad)} of node {u} is out of range 0..{n - 1}")
         deg = np.fromiter(map(len, rows), dtype=np.int64, count=n)
-        fwd = np.repeat(np.arange(n, dtype=np.int64), deg) * n + np.array(flat, dtype=np.int64)
-        fwd.sort()  # sorts each row
-        u, v = np.divmod(fwd, n)
-        for bad, what in ((u == v, "a self-loop"), (np.r_[False, fwd[1:] == fwd[:-1]], "repeated")):
-            if bad.any():
-                i = np.argmax(bad)
-                raise ValueError(f"neighbor {v[i]} of node {u[i]} is {what}")
-        rev = v * n + u
-        rev.sort()
-        if not np.array_equal(fwd, rev):
-            a, b = divmod(int(np.setxor1d(fwd, rev)[0]), n)
-            raise ValueError(f"edge ({a}, {b}) is listed by only one of its end nodes")
-        # fwd holds the arcs u * n + v sorted, so v is the rows' neighbours in order
-        self._set(np.concatenate(([0], np.cumsum(deg))), v.astype(_id_dtype(n)), labels, origin_nodes,
-                  self_loops_dropped, duplicate_edges_dropped)
+        arcs = np.repeat(np.arange(n, dtype=np.int64), deg) * n + np.array(flat, dtype=np.int64)
+        arcs.sort()  # sorts each row: the arcs u * n + v, so v is the rows' neighbours in order
+        indptr, indices = np.concatenate(([0], np.cumsum(deg))), (arcs % n).astype(_id_dtype(n))
+        from ._csr import _check_csr  # a module apart, which no CLI subcommand loads
+
+        _check_csr(indptr, indices)
+        self._set(indptr, indices, labels, origin_nodes, self_loops_dropped, duplicate_edges_dropped)
 
     def _set(self, indptr: np.ndarray, indices: np.ndarray, labels: Collection[str] | None = None,
              origin_nodes: tuple[int, ...] | None = None, self_loops_dropped: int = 0,
@@ -222,14 +217,18 @@ class Graph:
         return f"Graph(n={self.node_count}, m={self.edge_count})"
 
 
-def _node_ids(ids: Iterable) -> Iterator[int]:
+def _node_ids(ids: Iterable, n: int | None = None, name: str = "node") -> Iterator[int]:
     """Each of ``ids`` through ``operator.index``, so that an id that is not an integer, which an
-    int64 cast would truncate or parse (a float, a string), raises ``ValueError`` naming it."""
+    int64 cast would truncate or parse (a float, a string), raises ``ValueError`` naming it; given
+    ``n``, so does an id outside 0..n-1, called ``name`` in the message."""
     for v in ids:
         try:
-            yield operator.index(v)
+            v = operator.index(v)
         except TypeError:
             raise ValueError(f"node id {v!r} is not an integer") from None
+        if n is not None and not 0 <= v < n:
+            raise ValueError(f"{name} {v} out of range 0..{n - 1}")
+        yield v
 
 
 def _id_dtype(n: int) -> type:
@@ -530,9 +529,7 @@ def _core_blocks(g: Graph, forest: _Forest) -> Iterator[np.ndarray]:
 
 def bfs(g: Graph, source: int) -> DistanceMap:
     """Breadth-first hop distances from ``source``."""
-    (source,) = _node_ids((source,))
-    if not 0 <= source < g.node_count:
-        raise ValueError(f"source {source} out of range 0..{g.node_count - 1}")
+    (source,) = _node_ids((source,), g.node_count, "source")
     (dist,) = next(_distance_blocks(g, [source]))
     return DistanceMap(source=source, dist=tuple(dist.tolist()))
 
@@ -641,10 +638,7 @@ def induced_subgraph(g: Graph, nodes: Sequence[int]) -> Graph:
     The result's ``origin_nodes`` maps each new index to its index in ``g``;
     labels are inherited where ``g`` has them.
     """
-    keep = sorted(set(_node_ids(nodes)))
-    for v in keep:
-        if not 0 <= v < g.node_count:
-            raise ValueError(f"node {v} out of range 0..{g.node_count - 1}")
+    keep = sorted(set(_node_ids(nodes, g.node_count)))
     return _induced(g, np.array(keep, dtype=np.int64))
 
 

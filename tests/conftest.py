@@ -8,16 +8,20 @@ default profile.
 Every graph that a test builds, by any way in (the parse, ``from_edges``,
 ``Graph(adjacency)``, the generators, the subgraph cuts), passes through
 ``Graph._set``, which the autouse fixture ``checked_csr`` wraps with
-``util.check_csr``. A test marked ``unchecked_csr`` runs without it, so that
-the traced-memory budgets measure the program alone.
+``netgeom._csr._check_csr``, the one check of the CSR invariants, which
+``Graph(adjacency)`` runs too. The fixture turns its ``ValueError`` into an
+``AssertionError``, which no ``except ValueError`` of the package, and so no
+exit code of ``cli.main``, can take for a rejected input. A test marked
+``unchecked_csr`` runs without it, so that the traced-memory budgets measure
+the program alone.
 """
 import os
 
 import pytest
 from hypothesis import settings
 
+from netgeom._csr import _check_csr
 from netgeom.graph import Graph
-from util import check_csr
 
 settings.register_profile("ci", print_blob=True)
 if os.environ.get("CI"):
@@ -34,7 +38,10 @@ def checked_csr(request, monkeypatch):
         real = Graph._set
 
         def checked(self, indptr, indices, *args, **kwargs):
-            check_csr(indptr, indices)
+            try:
+                _check_csr(indptr, indices)
+            except ValueError as e:
+                raise AssertionError(f"a builder broke the CSR invariants: {e}") from None
             return real(self, indptr, indices, *args, **kwargs)
 
         monkeypatch.setattr(Graph, "_set", checked)

@@ -12,48 +12,31 @@ import itertools
 import math
 import random
 from collections import deque
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import numpy as np
 
+from netgeom.cli import main
 from netgeom.crawl import CrawlTrace, TraceParseError
 from netgeom.generators import AppendageSpec
-from netgeom.graph import EdgeListParseError, Graph, _id_dtype, load_edge_list
+from netgeom.graph import EdgeListParseError, Graph, load_edge_list
 
 INF = float("inf")
 
 
-def check_csr(indptr: np.ndarray, indices: np.ndarray) -> None:
-    """Raise AssertionError naming the first CSR invariant that ``indptr`` and ``indices`` break.
-
-    ``indptr`` is int64, starts at 0, never falls and ends at ``len(indices)``;
-    the ids have ``_id_dtype(n)`` and lie in 0..n-1; each row is strictly
-    increasing and does not hold its own node; and every arc (u, v) has its
-    reverse (v, u). The reversed arcs, sorted, must equal the arcs, which the
-    row order already sorts: O(m log m) for one sort.
-    """
-    n = len(indptr) - 1
-    if indptr.dtype != np.int64 or n < 0:
-        raise AssertionError(f"indptr is {indptr.dtype} of length {len(indptr)}, not int64 of length n + 1")
-    if indptr[0] != 0 or indptr[-1] != len(indices):
-        raise AssertionError(f"indptr runs from {indptr[0]} to {indptr[-1]}, not from 0 to {len(indices)}")
-    deg = np.diff(indptr)
-    if (deg < 0).any():
-        raise AssertionError(f"indptr falls: row {int(np.argmax(deg < 0))} ends before it starts")
-    if indices.dtype != _id_dtype(n):
-        raise AssertionError(f"indices are {indices.dtype}, not {np.dtype(_id_dtype(n))}, for {n} nodes")
-    rows, cols = np.repeat(np.arange(n, dtype=np.int64), deg), indices.astype(np.int64)
-    later = np.r_[False, rows[1:] == rows[:-1]]  # an arc after another of its row
-    for bad, what in (((cols < 0) | (cols >= n), f"is out of range 0..{n - 1}"), (cols == rows, "is its own node"),
-                      (later & np.r_[False, cols[1:] <= cols[:-1]], "does not exceed the neighbor before it")):
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise AssertionError(f"neighbor {cols[i]} of node {rows[i]} {what}")
-    arcs, reversed_arcs = rows * n + cols, np.sort(cols * n + rows)
-    if not np.array_equal(arcs, reversed_arcs):
-        i = int(np.argmax(arcs != reversed_arcs))  # the smaller of the two keys there is missing from the other
-        u, v = divmod(int(arcs[i]), n) if arcs[i] < reversed_arcs[i] else divmod(int(reversed_arcs[i]), n)[::-1]
-        raise AssertionError(f"arc ({u}, {v}) has no reverse ({v}, {u})")
+def main_in_contract(argv: list[str]) -> int:
+    """``cli.main(argv)`` in-process, held to the CLI's error contract: an exit code of 0, 1 or 2,
+    one ``netgeom: error: `` line on stderr when it is not 0 and none when it is, and no traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    lines = err.getvalue().splitlines()
+    assert code in (0, 1, 2)
+    assert len(lines) == (code != 0)
+    assert all(line.startswith("netgeom: error: ") for line in lines)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    return code
 
 
 def from_edges(pairs) -> Graph:

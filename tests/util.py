@@ -1,4 +1,4 @@
-"""Shared test helpers: graph builders and independent oracles.
+"""Shared test helpers: graph builders, independent oracles and the CLI's error contract.
 
 The oracles here deliberately use different algorithms than the package
 (Floyd-Warshall instead of BFS, union-find instead of traversal, naive

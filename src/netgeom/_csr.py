@@ -39,7 +39,8 @@ def _check_csr(indptr: np.ndarray, indices: np.ndarray) -> None:
     rise = np.diff(cols, prepend=0)  # each arc less the one before it
     rise[indptr[:-1][deg > 0]] = 1  # the first arc of a row, which has none before it in its row
     for bad, what in (((cols < 0) | (cols >= n), f"is out of range 0..{n - 1}"),
-                      (cols == rows, "is a self-loop"), (rise == 0, "is repeated"), (rise < 0, "is out of order")):
+                      (cols == rows, "is a self-loop"),
+                      (rise == 0, "is repeated"), (rise < 0, "is out of order")):
         if bad.any():
             i = int(np.argmax(bad))
             raise ValueError(f"neighbor {cols[i]} of node {rows[i]} {what}")

@@ -70,12 +70,12 @@ if TYPE_CHECKING:
 
 # the layers, graph.py too, are imported inside _read_input and the _cmd_*
 # functions, so that a process compiles and runs only the modules of its own
-# subcommand; hashlib, which maps in libcrypto, is imported by _sha256 once the
-# analysis is done and has freed its memory
+# subcommand
 
 OUT_DIR_ENV = "NETGEOM_OUT"
 _PAD = b"\xff"  # pads a byte-table cell; str.encode() never makes this byte
 _ROW_CHUNK = 1 << 12  # report rows joined into one string per write
+_OWN_SHA_MAX = 1 << 20  # bytes where hashlib's import time meets its speed
 _NUMBER = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)  # a token that starts a negative float
 
 
@@ -113,10 +113,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _sha256(path: str) -> str:
-    import hashlib
-
-    h = hashlib.sha256()
+    """The file's SHA-256, by the interpreter's own code up to _OWN_SHA_MAX bytes: hashlib maps libcrypto."""
     with open(path, "rb") as fh:
+        for name in ("_sha2", "_sha256") if os.fstat(fh.fileno()).st_size <= _OWN_SHA_MAX else ():
+            try:
+                h = __import__(name).sha256()  # _sha2 on 3.12+
+                break
+            except ImportError:
+                pass
+        else:  # a larger file, or neither module built
+            import hashlib
+
+            h = hashlib.sha256()
         for chunk in iter(lambda: fh.read(1 << 16), b""):
             h.update(chunk)
     return h.hexdigest()
@@ -752,6 +760,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             base = os.path.dirname(base)
         stage = tempfile.mkdtemp(prefix=".netgeom-", dir=base)
         args.func(args, stage, data)
+        del data  # freed before the digest, which may map libcrypto
         _write_meta(stage, args, inputs)
         os.makedirs(out, exist_ok=True)
         for name in os.listdir(stage):

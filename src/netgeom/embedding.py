@@ -146,9 +146,7 @@ def embed_full(g: Graph,
 
 def chebyshev_distance(e: Embedding, p: int, q: int) -> int:
     """Max coordinate difference between nodes p and q (a hop-distance lower bound)."""
-    n = e.node_count
-    if not (0 <= p < n and 0 <= q < n):
-        raise ValueError(f"node out of range 0..{n - 1}")
+    p, q = _node_ids((p, q), e.node_count)  # a bool would index coords as a mask
     return int(np.max(np.abs(np.subtract(e.coords[p], e.coords[q], dtype=np.int64))))
 
 

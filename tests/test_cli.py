@@ -11,8 +11,10 @@ import random
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from contextlib import contextmanager
 from importlib import import_module
+from importlib.util import find_spec
 from pathlib import Path
 from typing import Iterator
 
@@ -168,6 +170,63 @@ class TestStats:
         digest = hashlib.sha256(src.read_bytes()).hexdigest()
         assert meta["inputs"] == {"p5.txt": digest}
         assert meta["config"]["graph"] == "p5.txt"
+
+
+class TestDigest:
+    """meta.json's input digest is the SHA-256 of the file's bytes, from the interpreter's own
+    SHA-256 up to _OWN_SHA_MAX bytes and from hashlib beyond, or where neither module is built."""
+
+    OWN = ("_sha2", "_sha256")  # 3.12+, 3.10-3.11
+
+    def digest(self, tmp_path, size: int) -> tuple[str, str, list[str]]:
+        """``_sha256`` and hashlib's digest of ``size`` seeded bytes, and the modules ``_sha256`` imports."""
+        data = random.Random(size).randbytes(size)
+        path = tmp_path / "input.bin"
+        path.write_bytes(data)
+        seen, real_import = [], builtins.__import__
+
+        def spy(name, *args, **kwargs):
+            seen.append(name)
+            return real_import(name, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(builtins, "__import__", spy)
+            digest = cli_module._sha256(str(path))
+        return digest, hashlib.sha256(data).hexdigest(), seen
+
+    @pytest.mark.parametrize("size", [0, cli_module._OWN_SHA_MAX, cli_module._OWN_SHA_MAX + 1],
+                             ids=["empty", "own-max", "hashlib"])
+    def test_digest_is_the_sha256_of_the_bytes(self, tmp_path, size):
+        digest, expected, seen = self.digest(tmp_path, size)
+        assert digest == expected
+        if any(find_spec(name) for name in self.OWN):
+            assert ("hashlib" in seen) == (size > cli_module._OWN_SHA_MAX), seen
+
+    def test_hashlib_digests_where_neither_own_module_is_built(self, tmp_path, monkeypatch):
+        for name in self.OWN:
+            monkeypatch.setitem(sys.modules, name, None)  # import raises ImportError
+        digest, expected, seen = self.digest(tmp_path, 1000)
+        assert digest == expected
+        assert seen == [*self.OWN, "hashlib"]
+
+
+    def test_the_graph_is_freed_before_the_digest(self, tmp_path, monkeypatch):
+        # hashlib maps 3.4 MiB of libcrypto: taken on top of a graph still resident, it set the peak
+        # of decompose on heavy20k's 4.5 MB edge list
+        read, sha256, arrays = cli_module._read_input, cli_module._sha256, []
+
+        def read_input(args):
+            g, inputs = read(args)
+            arrays.append(weakref.ref(g.indices))
+            return g, inputs
+
+        def digest(path):
+            assert arrays and arrays[0]() is None, "the graph is still alive"
+            return sha256(path)
+
+        monkeypatch.setattr(cli_module, "_read_input", read_input)
+        monkeypatch.setattr(cli_module, "_sha256", digest)
+        assert run("decompose", "--graph", str(write_p5(tmp_path)), "--out", str(tmp_path / "d")) == 0
 
 
 class TestPipeline:
@@ -1283,6 +1342,43 @@ class TestImports:
         if with_numpy:
             pytest.skip("this numpy imports numpy.ma with numpy itself")
         assert [argv[0] for argv, ma in zip(jobs, after) if ma][:1] == []  # names the first job that loads it
+
+    def test_no_rng_free_job_on_a_small_input_loads_libcrypto(self, tmp_path, child_env):
+        # meta.json digests an input of at most 1 MiB with the interpreter's own SHA-256, so these
+        # jobs never load _hashlib, whose import maps 3.4 MiB of libcrypto. generate, the sampled
+        # modes and the random crawl are left out: numpy.random imports secrets -> hmac -> hashlib
+        # (import numpy.random reads 33.1 MiB against 26.7 MiB for import numpy), so they map
+        # libcrypto whatever the digest does
+        if not any(find_spec(name) for name in TestDigest.OWN):
+            pytest.skip("this interpreter has neither _sha2 nor _sha256")
+        ring = tmp_path / "ring.txt"
+        ring.write_text("".join(f"{i} {(i + 1) % 60}\n{i} {(i + 7) % 60}\n" for i in range(60)))
+        ring, trace = str(ring), str(tmp_path / "crawl" / "trace.csv")
+        jobs = {"stats --paths exact": ["stats", "--graph", ring, "--paths", "exact"],
+                "decompose": ["decompose", "--graph", ring],
+                "depth --mode exact": ["depth", "--graph", ring, "--mode", "exact"],
+                "personality": ["personality", "--graph", ring],
+                "embed": ["embed", "--graph", ring],
+                "embed --refs": ["embed", "--graph", ring, "--refs", "0,7"],
+                "reduce": ["reduce", "--graph", ring, "--tolerance", "1"],
+                "crawl-sim --policy fifo": ["crawl-sim", "--graph", ring, "--policy", "fifo"],
+                "estimate": ["estimate", "--trace", trace],
+                "fit-rational": ["fit-rational", "--trace", trace]}
+        argvs = [argv + ["--out", str(tmp_path / ("crawl" if argv[0] == "crawl-sim" else str(i)))]
+                 for i, argv in enumerate(jobs.values())]
+        code = ("import json, sys\nimport numpy\nloaded = ['_hashlib' in sys.modules]\n"
+                "from netgeom.cli import main\n"
+                "for argv in json.loads(sys.argv[1]):\n"
+                "    assert main(argv) == 0, argv\n"
+                "    loaded.append('_hashlib' in sys.modules)\n"
+                "print(json.dumps(loaded))")
+        proc = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], capture_output=True, text=True,
+                              env=child_env)
+        assert proc.returncode == 0, proc.stderr
+        with_numpy, *after = json.loads(proc.stdout.splitlines()[-1])
+        if with_numpy:
+            pytest.skip("this numpy imports numpy.random, and so hashlib, with numpy itself")
+        assert [job for job, crypto in zip(jobs, after) if crypto][:1] == []  # names the first job that loads it
 
     def test_import_netgeom_loads_no_layer_and_every_public_name_resolves(self, child_env):
         assert loaded_modules(child_env, "import netgeom") == ["netgeom"]

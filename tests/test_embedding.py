@@ -103,6 +103,17 @@ class TestEmbedding:
         assert chebyshev_matrix(e).tolist() == oracle
         assert [[chebyshev_distance(e, p, q) for q in range(12)] for p in range(12)] == oracle
 
+    def test_chebyshev_distance_takes_node_ids_only(self):
+        # True is node 1, not a mask over the coordinate rows; a float or a string is refused by name
+        e = embed(path_graph(3), [0, 1])
+        assert chebyshev_distance(e, True, 0) == chebyshev_distance(e, 1, 0) == 1
+        for bad, message in ((1.5, "node id 1.5 is not an integer"), ("1", "node id '1' is not an integer"),
+                             (3, "node 3 out of range 0..2"), (-1, "node -1 out of range 0..2")):
+            for p, q in ((bad, 0), (0, bad)):
+                with pytest.raises(ValueError) as err:
+                    chebyshev_distance(e, p, q)
+                assert str(err.value) == message
+
     def test_reference_embedding_equals_the_full_subset(self):
         rng = random.Random(11)
         for _ in range(10):

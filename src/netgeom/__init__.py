@@ -26,6 +26,8 @@ from importlib import import_module
 # arcs one bounded pass over CSR rows gathers at a time (a row fold, an edge slice, a pass of the
 # fifo crawl); defined here, like InputError, so that crawl.py shares it without loading graph.py
 _ARC_BUDGET = 1 << 16
+# cells a piece of an all-pairs block holds (coords.csv rows, exact-path roots): about one L1 of int16
+_CELL_BUDGET = 1 << 14
 
 
 class InputError(ValueError):

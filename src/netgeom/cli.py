@@ -60,7 +60,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
-from . import InputError, __version__
+from . import _CELL_BUDGET, InputError, __version__
 
 if TYPE_CHECKING:
     from .crawl import CrawlTrace
@@ -489,26 +489,29 @@ def _write_coords(out: str, names: Sequence[str], ref_names: Sequence[str],
 
     Cells come from a ``_cells`` table: ",d" for each distance d, then a
     newline. It is rebuilt whenever a block reaches past it, since the diameter
-    is known only after the last block. A block's rows, each ended by the
-    newline cell, are taken from the table at once, their ``_PAD`` bytes
-    dropped with ``bytes.translate``, and the lines written after the UTF-8
-    labels. One block is formatted at a time, so the writer
-    holds 64 x k cells and one block's bytes, never the n x k matrix or the
-    whole file. A run that fails part-way leaves its truncated coords.csv in
-    the staging directory, which ``main`` removes.
+    is known only after the last block. A piece of ``_CELL_BUDGET // (k + 1)``
+    rows of a block, at least one, each ended by the newline cell, is taken
+    from the table at once into one reused buffer, its ``_PAD`` bytes dropped
+    with ``bytes.translate``, and the lines written after the UTF-8 labels. So
+    the writer holds ``_CELL_BUDGET`` cells and one piece's bytes besides the
+    block, never the n x k matrix. A run that fails part-way leaves its
+    truncated coords.csv in the staging directory, which ``main`` removes.
     """
+    step = max(1, _CELL_BUDGET // (len(ref_names) + 1))  # rows a piece
     with open(os.path.join(out, "coords.csv"), "wb") as fh:
         fh.write(("node," + ",".join(ref_names) + "\n").encode())
-        cells, s = np.zeros(0, dtype="S2"), 0  # s: the first row of the next block
+        cells, s = np.zeros(0, dtype="S2"), 0  # s: the first row of the next piece
         for block in blocks:
             if (top := int(block.max(initial=0))) >= len(cells) - 1:
                 cells = _cells([f",{d}" for d in range(top + 1)] + ["\n"])
-            rows = np.empty((len(block), block.shape[1] + 1), dtype=cells.dtype)
-            np.take(cells, block, out=rows[:, :-1])
-            rows[:, -1] = cells[-1]
-            lines = rows.tobytes().translate(None, _PAD).splitlines(keepends=True)
-            fh.write(b"".join(chain.from_iterable(zip(map(str.encode, names[s : s + len(block)]), lines))))
-            s += len(block)
+                buffer = np.empty((step, len(ref_names) + 1), dtype=cells.dtype)
+                buffer[:, -1] = cells[-1]
+            for piece in (block[i : i + step] for i in range(0, len(block), step)):
+                rows = buffer[: len(piece)]
+                np.take(cells, piece, out=rows[:, :-1])
+                lines = rows.tobytes().translate(None, _PAD).splitlines(keepends=True)
+                fh.write(b"".join(chain.from_iterable(zip(map(str.encode, names[s : s + len(piece)]), lines))))
+                s += len(piece)
 
 
 def _cmd_embed(args, out: str, g: Graph) -> None:

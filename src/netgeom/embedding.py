@@ -16,7 +16,9 @@ There is one distance table: ``embed``, and through it ``embed_full(g)``,
 writes the traversal's blocks straight into a table of the narrowest signed
 dtype that holds the largest distance so far (int8 up to 127 hops, then int16),
 widened when a later block reaches past it, so no int32 n x n matrix is held
-and a coordinate difference cannot overflow. The pass reads that table as it
+and a coordinate difference cannot overflow. A block is written as columns of
+the table, or as contiguous rows when the references are every node in node
+order: the full table is symmetric. The pass reads that table as it
 is; a table a library caller builds in another dtype goes through ``_narrow``,
 which copies it. Only ``embed_full(g, consume)`` streams the kernel's int32
 blocks, for a consumer that never holds the table. Cover counts sum the 0/1
@@ -92,20 +94,24 @@ def embed(g: Graph, references: Sequence[int]) -> Embedding:
     References keep their order and repeats; the embedding is full when they
     name every node. One traversal runs from each reference, so no n x n
     matrix is built for a short list. Each block of the traversal is written
-    as columns into coords, which is int8 while every distance so far fits and
-    is widened (int16 past 127 hops) when a block reaches past its dtype: the
-    dtype ``_narrow`` gives the whole table. Raises ValueError if the graph is
-    empty or disconnected, or the references are empty, out of range or not
-    integers.
+    as columns into coords, or as rows when the references are every node in
+    node order, since that table is symmetric. coords is int8 while every
+    distance so far fits and is widened (int16 past 127 hops) when a block
+    reaches past its dtype: the dtype ``_narrow`` gives the whole table.
+    Raises ValueError if the graph is empty or disconnected, or the references
+    are empty, out of range or not integers.
     """
     refs = _connected_references(g, references)
     n = g.node_count
     coords = np.empty((n, len(refs)), dtype=np.int8)
-    col = 0
+    in_order, col = refs == tuple(range(n)), 0
     for block in _distance_blocks(g, refs):
         if (top := int(block.max(initial=0))) > np.iinfo(coords.dtype).max:
             coords = coords.astype(_narrow_dtype(top))
-        coords[:, col : col + len(block)] = block.T
+        if in_order:  # the full table is symmetric: its rows are the blocks' rows
+            coords[col : col + len(block)] = block
+        else:
+            coords[:, col : col + len(block)] = block.T
         col += len(block)
     return Embedding(references=refs, coords=coords, full=set(refs) == set(range(n)))
 

@@ -9,7 +9,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from . import _PUBLIC
+from . import _CELL_BUDGET, _PUBLIC
 from .graph import (
     Graph,
     _core_blocks,
@@ -319,7 +319,9 @@ def _pair_counts(g: Graph) -> np.ndarray:
     and the pairs of two tree nodes. Per root a with a tree, the last two are
     a's profile of heights convolved with a's distances to the other roots
     (twice) and to the tree nodes outside a's tree. Pairs inside one tree come
-    from ``_tree_pairs``.
+    from ``_tree_pairs``. Roots with trees go in chunks, of at least one
+    root, whose distances to the roots and to the tree nodes each hold at
+    most ``_CELL_BUDGET`` cells.
     """
     n = g.node_count
     forest = _peel(g)
@@ -331,6 +333,7 @@ def _pair_counts(g: Graph) -> np.ndarray:
     counts = np.zeros(n + int(height.max()), dtype=np.int64)
     counts[:n] = 2 * _tree_pairs(forest, n)
     counts[0] -= len(core)  # each root's zero distance to itself
+    step = max(1, _CELL_BUDGET // max(len(core), len(tree)))  # roots a chunk
     start = 0
     for block in _core_blocks(g, forest):
         _count_rows(counts, block)
@@ -340,14 +343,15 @@ def _pair_counts(g: Graph) -> np.ndarray:
             tall = int(tree_height[lo:hi].max()) + 1
             profile = np.bincount(slot * tall + tree_height[lo:hi], minlength=len(roots) * tall)
             profile = profile.reshape(len(roots), tall)
-            to_roots = block[roots - start]
-            to_trees = to_roots[:, tree_column] + tree_height
-            width = int(max(to_roots.max(), to_trees.max())) + 1
-            line = 2 * _row_histograms(to_roots, width) + _row_histograms(to_trees, width)
-            line[:, 0] -= 2  # not the root itself
-            line[:, :tall] -= profile  # nor its own tree
-            for h in range(1, tall):
-                counts[h : h + width] += profile[:, h] @ line
+            for i in range(0, len(roots), step):
+                to_roots, share = block[roots[i : i + step] - start], profile[i : i + step]
+                to_trees = to_roots[:, tree_column] + tree_height
+                width = int(max(to_roots.max(), to_trees.max())) + 1
+                line = 2 * _row_histograms(to_roots, width) + _row_histograms(to_trees, width)
+                line[:, 0] -= 2  # not the root itself
+                line[:, :tall] -= share  # nor its own tree
+                for h in range(1, tall):
+                    counts[h : h + width] += share[:, h] @ line
         start += len(block)
     return counts[:n]
 

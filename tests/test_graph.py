@@ -1265,6 +1265,21 @@ class TestTransientMemory:
         monkeypatch.undo()
         assert stats_module.path_length_report(g, mode, sources=64) == report
 
+    def test_exact_path_lengths_count_tree_pairs_in_chunks(self, small_budget, monkeypatch):
+        # the 4 750-node giant of a min-1 graph, 2 240 nodes in pendant trees, its kernel blocks made
+        # before the trace: about 194 bytes per node, where the int64 distances of a whole block's
+        # roots with trees to every tree node, and their histograms, took it to 541
+        spec = DoubleParetoSpec(size=5000, alpha_left=1.5, alpha_right=2.5, break_degree=10, min_degree=1,
+                                seed=7)
+        g = giant_core(configuration_model(generate_double_pareto_degrees(spec), seed=7))
+        blocks = list(graph_module._core_blocks(g, graph_module._peel(g)))
+        monkeypatch.setattr(stats_module, "_core_blocks", lambda g, forest: iter(blocks))
+        report = stats_module.path_length_report(g)
+        peak = self.traced_peak(lambda: stats_module.path_length_report(g))
+        assert peak <= 300 * g.node_count
+        monkeypatch.undo()
+        assert stats_module.path_length_report(g) == report
+
     def test_distance_block_holds_two_blocks(self):
         # a block of 64 int32 rows is 256 bytes per node
         g = self.heavy_tailed()

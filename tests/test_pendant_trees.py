@@ -176,8 +176,14 @@ def assert_matches_floyd_warshall(g: Graph) -> None:
     n = g.node_count
     dist = [[int(d) for d in row] for row in fw_distances(g)]
     assert depth_map(g).depths == tuple(sum(row) / max(n - 1, 1) for row in dist)
+    assert_paths_match_floyd_warshall(g, dist)
+
+
+def assert_paths_match_floyd_warshall(g: Graph, dist: list[list[int]] | None = None) -> None:
+    n = g.node_count
     if n < 2:
         return
+    dist = dist or [[int(d) for d in row] for row in fw_distances(g)]
     pairs = Counter(dist[u][v] for u in range(n) for v in range(u + 1, n))
     total = n * (n - 1) // 2
     rep = path_length_report(g)
@@ -211,14 +217,35 @@ class TestExactWithPendantTrees:
     def test_paths_stars_cycles_and_cliques(self, g):
         assert_matches_floyd_warshall(g)
 
-    def test_core_of_several_kernel_blocks_with_tall_trees(self):
-        # a 70-node core takes two 64-source blocks; the trees carry long chains
+    @staticmethod
+    def several_blocks_with_tall_trees() -> Graph:
+        """A 70-node core, which takes two 64-source blocks, whose trees carry long chains."""
         rng = random.Random(3)
         edges = list(random_connected(70, 40, rng).edges())
         forest = [(5, chain(20)), (5, [0] * 6), (66, [rng.randrange(99) for _ in range(15)]),
                   (69, chain(9)), (0, [0])]
         n = hang_trees(edges, 70, forest)
-        assert_matches_floyd_warshall(Graph.from_edges(n, edges))
+        return Graph.from_edges(n, edges)
+
+    def test_core_of_several_kernel_blocks_with_tall_trees(self):
+        assert_matches_floyd_warshall(self.several_blocks_with_tall_trees())
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(graphs_with_trees(), trees(), cycles_with_trees()))
+    def test_paths_one_root_a_chunk_match_floyd_warshall(self, g):
+        # a cell budget of 1 counts each root's tree pairs in a chunk of its own
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(stats_module, "_CELL_BUDGET", 1)
+            assert_paths_match_floyd_warshall(g)
+
+    @pytest.mark.parametrize("chunk", [1, 3])
+    def test_core_of_several_kernel_blocks_in_chunks(self, monkeypatch, chunk):
+        # chunks of 1 or 3 roots across the two blocks of a 70-node core with tall trees
+        g = self.several_blocks_with_tall_trees()
+        forest = graph_module._peel(g)
+        cells = max(len(forest.core), int((forest.height > 0).sum()))
+        monkeypatch.setattr(stats_module, "_CELL_BUDGET", chunk * cells)
+        assert_paths_match_floyd_warshall(g)
 
     @settings(max_examples=60, deadline=None)
     @given(graphs_with_trees())

@@ -113,7 +113,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _sha256(path: str) -> str:
-    """The file's SHA-256, by the interpreter's own code up to _OWN_SHA_MAX bytes: hashlib maps libcrypto."""
+    """The file's SHA-256, by the interpreter's own code up to _OWN_SHA_MAX bytes: hashlib maps libcrypto,
+    so glibc's freed heap is trimmed first, or libcrypto lands on top of it."""
     with open(path, "rb") as fh:
         for name in ("_sha2", "_sha256") if os.fstat(fh.fileno()).st_size <= _OWN_SHA_MAX else ():
             try:
@@ -122,6 +123,9 @@ def _sha256(path: str) -> str:
             except ImportError:
                 pass
         else:  # a larger file, or neither module built
+            import ctypes  # loaded with numpy
+
+            getattr(ctypes.CDLL(None), "malloc_trim", lambda pad: 0)(ctypes.c_size_t(0))  # no-op without glibc
             import hashlib
 
             h = hashlib.sha256()
@@ -193,27 +197,33 @@ def _rows(sep: str, *columns: Iterable) -> Iterator[str]:
         yield chunk
 
 
-def _cells(texts: Iterable[str]) -> np.ndarray:
+def _cells(texts: Sequence[str]) -> np.ndarray:
     """A fixed-width byte table of ``texts`` in UTF-8, each cell padded with ``_PAD``
-    to the widest cell rounded up to a power of two, for ``take``."""
+    to the widest cell rounded up to a power of two, for ``take``; numpy pads
+    with NUL, which a text may hold, so the pads are set by length."""
     raw = [text.encode() for text in texts]
-    width = 1 << (max(map(len, raw), default=1) - 1).bit_length()
-    return np.array([cell.ljust(width, _PAD) for cell in raw], dtype=f"S{width}")
+    lens = np.fromiter(map(len, raw), dtype=np.intp, count=len(raw))
+    width = 1 << (int(lens.max(initial=1)) - 1).bit_length()
+    table = np.array(raw, dtype=f"S{width}")
+    table.view(np.uint8).reshape(-1, width)[np.arange(width) >= lens[:, None]] = _PAD[0]
+    return table
 
 
 def _write_edges(out: str, name: str, g: Graph) -> None:
-    """Write one "u v" line per edge, in sorted edge order, a slice of edges at a time.
-
-    The cells come from one ``_cells`` table: each label followed by a space,
-    then each label followed by a newline. A slice's edges come from a range of
-    CSR rows (``Graph._edge_slices``); their cells are taken at once and written
-    with their ``_PAD`` bytes dropped, so no Python object is made per edge.
-    """
-    cells = _cells(label + end for end in " \n" for label in _names(g))
+    """Write one "u v" line per edge, in sorted edge order, ``_CELL_BUDGET // 4`` edges at a time: per
+    range of CSR rows (``Graph._edge_slices``), cells of a ``_cells`` table of the labels are taken into
+    one reused buffer of (label, space, label, newline) records, written with the ``_PAD`` bytes dropped."""
+    cells = _cells(_names(g))
+    rows = np.empty(max(1, _CELL_BUDGET // 4), [("u", cells.dtype), ("s", "S1"), ("v", cells.dtype),
+                                                ("n", "S1")])
+    rows["s"], rows["n"] = b" ", b"\n"
     with open(os.path.join(out, name), "wb") as fh:
         for lo, hi in g._edge_slices():
-            # the newline cells follow the space cells
-            fh.write(cells.take(np.stack((lo, hi + g.node_count), axis=1)).tobytes().translate(None, _PAD))
+            for s in range(0, len(lo), len(rows)):
+                piece = rows[: len(lo) - s]
+                np.take(cells, lo[s : s + len(piece)], out=piece["u"])
+                np.take(cells, hi[s : s + len(piece)], out=piece["v"])
+                fh.write(piece.tobytes().translate(None, _PAD))
 
 
 def _parse_kv(tokens: Sequence[str], allowed: Sequence[str]) -> dict[str, str]:
@@ -763,7 +773,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             base = os.path.dirname(base)
         stage = tempfile.mkdtemp(prefix=".netgeom-", dir=base)
         args.func(args, stage, data)
-        del data  # freed before the digest, which may map libcrypto
+        del data  # freed before the digest, which may trim the heap and map libcrypto
         _write_meta(stage, args, inputs)
         os.makedirs(out, exist_ok=True)
         for name in os.listdir(stage):

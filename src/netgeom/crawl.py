@@ -158,23 +158,25 @@ def _fifo_frontier(g: Graph, start: int) -> np.ndarray:
 
 def _random_frontier(g: Graph, start: int, seed: int) -> list[int]:
     """The frontier's size after each step of a random crawl from ``start``: each
-    step swaps a uniformly random frontier node to the end and processes it."""
+    step swaps a uniformly random frontier node to the end and processes it. Once
+    every node is found no row can add to the pool, so each later step only pops
+    one node, whichever is drawn, and the draws stop there."""
     rng = random.Random(seed)
     seen = bytearray(g.node_count)
     seen[start] = 1
     unseen, sizes, pool = g.node_count - 1, [], [start]
     ptr, nbrs = g.indptr.tolist(), g.indices
-    while pool:
+    while pool and unseen:
         i = rng.randrange(len(pool))
         pool[i], pool[-1] = pool[-1], pool[i]
         u = pool.pop()
-        if unseen:  # once every node is found, no row can add to the pool
-            for w in nbrs[ptr[u] : ptr[u + 1]].tolist():
-                if not seen[w]:
-                    seen[w] = 1
-                    pool.append(w)
-                    unseen -= 1
+        for w in nbrs[ptr[u] : ptr[u + 1]].tolist():
+            if not seen[w]:
+                seen[w] = 1
+                pool.append(w)
+                unseen -= 1
         sizes.append(len(pool))
+    sizes.extend(range(len(pool) - 1, -1, -1))
     return sizes
 
 

@@ -14,8 +14,8 @@ Neither family makes edge keys or rows: the core's (k, 2) pairs u < v, the
 paths of the appendages and the matched stubs go, as integer arrays of end-node
 pairs, to ``graph._from_pairs``, the builder the parser uses too.
 
-All randomness is driven by numpy PCG64 streams seeded from the spec, so equal
-seeds reproduce byte-identical graphs.
+All randomness is driven by numpy PCG64 streams seeded from the spec, made by
+``graph._rng``, so equal seeds reproduce byte-identical graphs.
 """
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _PUBLIC
-from .graph import Graph, _component_ids, _from_pairs, _id_dtype
+from .graph import Graph, _component_ids, _from_pairs, _id_dtype, _rng
 
 __all__ = ["ROLE_CORE", "ROLE_TENTACLE", "ROLE_LONER", "ROLE_FIBER", *_PUBLIC["generators"]]
 
@@ -154,7 +154,7 @@ def generate_appendage_graph(spec: AppendageSpec) -> tuple[Graph, tuple[str, ...
     equals the first, since its two edges would be one. Each appendage's nodes
     take the next free ids, in order from its attachment node.
     """
-    rng = np.random.default_rng(spec.seed)
+    rng = _rng(spec.seed)
     m = spec.core_size
     if spec.core_kind == "complete":
         core = np.argwhere(np.triu(np.ones((m, m), dtype=bool), 1))
@@ -185,7 +185,7 @@ def generate_double_pareto_degrees(spec: DoubleParetoSpec) -> list[int]:
 
     If the raw sum is odd the first sample is incremented by one.
     """
-    rng = np.random.default_rng(spec.seed)
+    rng = _rng(spec.seed)
     ks = np.arange(spec.min_degree, spec.max_degree + 1, dtype=np.float64)
     weights = ks ** (-spec.alpha_left)
     right = ks > spec.break_degree
@@ -217,7 +217,7 @@ def configuration_model(degrees: list[int], seed: int = 0) -> Graph:
     total = sum(degrees)
     if total % 2 != 0:
         raise ValueError(f"degree sum must be even, got {total}")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     # int32 stubs, as the parser's ids: shuffle draws the same swaps whatever the dtype
     stubs = np.repeat(np.arange(len(degrees), dtype=_id_dtype(len(degrees))), degrees)
     for _ in range(_MATCHING_ATTEMPTS):

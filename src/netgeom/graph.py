@@ -52,6 +52,7 @@ Sampled modes and the embeddings traverse every node.
 from __future__ import annotations
 
 import operator
+import sys
 from dataclasses import dataclass
 from itertools import chain
 from typing import BinaryIO, Collection, Iterable, Iterator, Sequence
@@ -400,7 +401,29 @@ def _sources(n: int, mode: str, k: int | None, seed: int, name: str) -> tuple[in
         raise ValueError(f"unknown mode {mode!r}")
     if k is None or k < 1:
         raise ValueError(f"sampled mode needs {name} >= 1")
-    return tuple(sorted(np.random.default_rng(seed).choice(n, size=min(k, n), replace=False).tolist()))
+    return tuple(sorted(_rng(seed).choice(n, size=min(k, n), replace=False).tolist()))
+
+
+def _rng(seed: int) -> np.random.Generator:
+    """``np.random.default_rng(seed)``: the one place netgeom makes a numpy generator.
+
+    numpy.random imports secrets -> hmac -> hashlib, and hashlib's ``_hashlib`` maps 3.4 MiB of
+    libcrypto that no draw uses. So when neither numpy.random nor ``_hashlib`` is loaded yet, the
+    first ``import numpy.random`` runs with ``_hashlib`` blocked, and the hashlib and hmac modules
+    it made are dropped again: a later ``import hashlib`` loads OpenSSL as usual. In any other
+    state nothing is touched, so a caller's own hashlib and hmac stay the modules they are.
+    """
+    mods = sys.modules
+    if "numpy.random" not in mods and "_hashlib" not in mods:
+        made = {"hashlib", "hmac"} - mods.keys()
+        mods["_hashlib"] = None  # import _hashlib raises ImportError, which both modules handle
+        try:
+            import numpy.random  # noqa: F401
+        finally:
+            del mods["_hashlib"]
+            for name in made:
+                mods.pop(name, None)
+    return np.random.default_rng(seed)
 
 
 def _level_blocks(g: Graph, sources: Sequence[int]) -> Iterator[tuple[int, Iterator]]:

@@ -10,6 +10,7 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import weakref
 from contextlib import contextmanager
@@ -19,6 +20,8 @@ from pathlib import Path
 from typing import Iterator
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import netgeom
 import netgeom.cli as cli_module
@@ -178,12 +181,13 @@ class TestDigest:
 
     OWN = ("_sha2", "_sha256")  # 3.12+, 3.10-3.11
 
-    def digest(self, tmp_path, size: int) -> tuple[str, str, list[str]]:
-        """``_sha256`` and hashlib's digest of ``size`` seeded bytes, and the modules ``_sha256`` imports."""
+    def digest(self, tmp_path, size: int, seen: list | None = None) -> tuple[str, str, list[str]]:
+        """``_sha256`` and hashlib's digest of ``size`` seeded bytes, and the modules ``_sha256`` imports,
+        appended to ``seen``."""
         data = random.Random(size).randbytes(size)
         path = tmp_path / "input.bin"
         path.write_bytes(data)
-        seen, real_import = [], builtins.__import__
+        seen, real_import = [] if seen is None else seen, builtins.__import__
 
         def spy(name, *args, **kwargs):
             seen.append(name)
@@ -207,7 +211,32 @@ class TestDigest:
             monkeypatch.setitem(sys.modules, name, None)  # import raises ImportError
         digest, expected, seen = self.digest(tmp_path, 1000)
         assert digest == expected
-        assert seen == [*self.OWN, "hashlib"]
+        assert seen == [*self.OWN, "ctypes", "hashlib"]
+
+    @pytest.mark.parametrize("size", [cli_module._OWN_SHA_MAX, cli_module._OWN_SHA_MAX + 1],
+                             ids=["own-max", "hashlib"])
+    @pytest.mark.parametrize("has_trim", [True, False], ids=["glibc", "no-malloc-trim"])
+    def test_heap_is_trimmed_before_hashlib_only(self, tmp_path, monkeypatch, size, has_trim):
+        # the trim hands glibc's freed heap back before libcrypto maps: it cut the resident size of
+        # depth on heavy20k's 4.5 MB edge list from 42.8 to 36.2 MiB before the digest; a C library
+        # with no malloc_trim, as musl or macOS's, makes it a no-op
+        import ctypes
+
+        seen = []
+
+        class LibC:
+            def __init__(self, name):
+                assert name is None  # the process's own symbols: the C library it runs on
+
+        if has_trim:
+            LibC.malloc_trim = staticmethod(lambda pad: seen.append(f"malloc_trim({pad.value})"))
+        monkeypatch.setattr(ctypes, "CDLL", LibC)
+        digest, expected, seen = self.digest(tmp_path, size, seen)
+        assert digest == expected
+        if size > cli_module._OWN_SHA_MAX:
+            assert seen == ["ctypes", *["malloc_trim(0)"] * has_trim, "hashlib"]
+        elif any(find_spec(name) for name in self.OWN):
+            assert not {"ctypes", "malloc_trim(0)", "hashlib"} & set(seen), seen
 
 
     def test_the_graph_is_freed_before_the_digest(self, tmp_path, monkeypatch):
@@ -827,18 +856,56 @@ class TestEdgeFiles:
         g = configuration_model(generate_double_pareto_degrees(spec), seed=0)
         return load_edge_list([f"{u} {v}" for u, v in g.edges()])  # labelled, as decompose writes it
 
+    # labels with a NUL, with 2- and 3-byte UTF-8 and with more than 8 bytes
+    LINES = ["b a", "c a", "é b", "d c", "a d", "b c", "x y", "n\0l a", "узел n\0l", "日本 x",
+             "a_label_of_many_bytes b", "\0 日本", "y \0\0", "é a_label_of_many_bytes"]
+
+    @staticmethod
+    def oracle(g: Graph) -> bytes:
+        return "".join(f"{g.label_of(u)} {g.label_of(v)}\n" for u, v in g.edges()).encode()
+
     def test_slices_join_to_one_line_per_edge(self, tmp_path, monkeypatch):
-        # labels with a NUL, with 2- and 3-byte UTF-8 and with more than 8 bytes, in every slice
-        g = load_edge_list(["b a", "c a", "é b", "d c", "a d", "b c", "x y", "n\0l a", "узел n\0l",
-                            "日本 x", "a_label_of_many_bytes b", "\0 日本", "y \0\0", "é a_label_of_many_bytes"])
+        # the labels above in every slice
+        g = load_edge_list(self.LINES)
         monkeypatch.setattr(graph_module, "_ARC_BUDGET", 6)  # ranges of rows of up to 6 arcs
         cli_module._write_edges(str(tmp_path), "edges.txt", g)
-        want = "".join(f"{g.label_of(u)} {g.label_of(v)}\n" for u, v in g.edges())
-        assert (tmp_path / "edges.txt").read_bytes() == want.encode()
+        assert (tmp_path / "edges.txt").read_bytes() == self.oracle(g)
+
+    @pytest.mark.parametrize("budget", [1, 3, 12])
+    def test_pieces_keep_the_bytes(self, tmp_path, monkeypatch, budget):
+        # decompose writes dense_core_edges.txt of a graph that is its own 2-core: the labels above
+        # on a ring, with their edges as chords; a budget of 1 or 3 cells takes one edge a piece, 12
+        # takes 3, so the slices of up to 6 arcs split into pieces unevenly
+        labels = sorted({label for line in self.LINES for label in line.split(" ")})
+        lines = self.LINES + [f"{a} {b}" for a, b in zip(labels, labels[1:] + labels[:1])]
+        src = tmp_path / "g.txt"
+        src.write_bytes("".join(line + "\n" for line in lines).encode())
+        assert run("decompose", "--graph", str(src), "--out", str(tmp_path / "whole")) == 0
+        monkeypatch.setattr(graph_module, "_ARC_BUDGET", 6)
+        monkeypatch.setattr(cli_module, "_CELL_BUDGET", budget)
+        assert run("decompose", "--graph", str(src), "--out", str(tmp_path / "pieces")) == 0
+        edges = [(tmp_path / out / "dense_core_edges.txt").read_bytes() for out in ("pieces", "whole")]
+        assert edges[0] == edges[1] == self.oracle(load_edge_list(lines))
+
+    LABEL = st.lists(st.sampled_from(["a", "é", "日本", "\0", "7", "узел"]), min_size=1, max_size=5).map("".join)
+
+    @settings(max_examples=100, deadline=None)
+    @given(labels=st.lists(LABEL, min_size=1, max_size=30, unique=True), data=st.data(),
+           budget=st.sampled_from([1, 3, 4, 12, 1 << 14]), arcs=st.sampled_from([1, 5, 1 << 16]))
+    def test_random_labelled_graphs(self, labels, data, budget, arcs):
+        # labels of 1 to 40 bytes, NULs and multi-byte UTF-8 among them, through edge pieces of every size
+        pairs = st.tuples(st.sampled_from(labels), st.sampled_from(labels))
+        g = load_edge_list([f"{a} {b}" for a, b in data.draw(st.lists(pairs, min_size=1, max_size=60))])
+        with tempfile.TemporaryDirectory() as out, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph_module, "_ARC_BUDGET", arcs)
+            mp.setattr(cli_module, "_CELL_BUDGET", budget)
+            cli_module._write_edges(out, "edges.txt", g)
+            assert Path(out, "edges.txt").read_bytes() == self.oracle(g)
 
     def test_peak_per_edge(self, tmp_path, monkeypatch):
-        # slices from ranges of CSR rows of up to 8 192 arcs: only the label tables span the
-        # write, at about 11 bytes per edge, where an end array of every edge took it to 34.8
+        # slices from ranges of CSR rows of up to 8 192 arcs, written in pieces of 4 096 edges: the
+        # label table and one slice span the write, at about 7.7 bytes per edge, where a table of
+        # every label with each end and its padded copies took it to 10.6
         g = self.heavy_tailed()
         monkeypatch.setattr(graph_module, "_ARC_BUDGET", 1 << 13)
         tracemalloc.start()
@@ -848,7 +915,7 @@ class TestEdgeFiles:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert peak <= 16 * g.edge_count
+        assert peak <= 9 * g.edge_count, f"peak {peak / g.edge_count:.1f} bytes per edge"
 
 
 class TestFlagValues:
@@ -1383,10 +1450,9 @@ class TestImports:
 
     def test_no_rng_free_job_on_a_small_input_loads_libcrypto(self, tmp_path, child_env):
         # meta.json digests an input of at most 1 MiB with the interpreter's own SHA-256, so these
-        # jobs never load _hashlib, whose import maps 3.4 MiB of libcrypto. generate, the sampled
-        # modes and the random crawl are left out: numpy.random imports secrets -> hmac -> hashlib
-        # (import numpy.random reads 33.1 MiB against 26.7 MiB for import numpy), so they map
-        # libcrypto whatever the digest does
+        # jobs never load _hashlib, whose import maps 3.4 MiB of libcrypto. The random crawl draws
+        # with the standard random module and loads no numpy.random; generate and the sampled modes,
+        # which do, are the next test's
         if not any(find_spec(name) for name in TestDigest.OWN):
             pytest.skip("this interpreter has neither _sha2 nor _sha256")
         ring = tmp_path / "ring.txt"
@@ -1400,6 +1466,7 @@ class TestImports:
                 "embed --refs": ["embed", "--graph", ring, "--refs", "0,7"],
                 "reduce": ["reduce", "--graph", ring, "--tolerance", "1"],
                 "crawl-sim --policy fifo": ["crawl-sim", "--graph", ring, "--policy", "fifo"],
+                "crawl-sim --policy random": ["crawl-sim", "--graph", ring, "--policy", "random"],
                 "estimate": ["estimate", "--trace", trace],
                 "fit-rational": ["fit-rational", "--trace", trace]}
         argvs = [argv + ["--out", str(tmp_path / ("crawl" if argv[0] == "crawl-sim" else str(i)))]
@@ -1417,6 +1484,45 @@ class TestImports:
         if with_numpy:
             pytest.skip("this numpy imports numpy.random, and so hashlib, with numpy itself")
         assert [job for job, crypto in zip(jobs, after) if crypto][:1] == []  # names the first job that loads it
+
+    def test_seeded_jobs_load_numpy_random_without_libcrypto(self, tmp_path, child_env):
+        # numpy.random imports secrets -> hmac -> hashlib, whose _hashlib maps 3.4 MiB of libcrypto;
+        # graph._rng imports it with _hashlib blocked, then drops the hashlib and hmac it made, so an
+        # import of hashlib after the jobs gets OpenSSL's sha256, and of hmac OpenSSL's too
+        gen = str(tmp_path / "gen" / "edges.txt")
+        jobs = [["generate", "--double-pareto", "n=300", "alpha-left=1", "alpha-right=3", "break=20", "min=2",
+                 "--out", str(tmp_path / "gen")],
+                ["generate", "--appendage", "core=R12:0.3", "tentacles=1,2", "fibers=1", "--out", str(tmp_path / "a")],
+                ["stats", "--graph", gen, "--paths", "sampled:2", "--out", str(tmp_path / "s")],
+                ["depth", "--graph", gen, "--giant", "--mode", "sampled:2", "--out", str(tmp_path / "d")]]
+        code = ("import json, sys\nimport numpy\nloaded = ['numpy.random' in sys.modules]\n"
+                "from netgeom.cli import main\n"
+                "for argv in json.loads(sys.argv[1]):\n"
+                "    assert main(argv) == 0, argv\n"
+                "    loaded.append('_hashlib' in sys.modules)\n"
+                "import hashlib, hmac\n"
+                "loaded.append([hashlib.sha256.__name__, hmac._hashopenssl is sys.modules['_hashlib']])\n"
+                "print(json.dumps(loaded))")
+        proc = subprocess.run([sys.executable, "-c", code, json.dumps(jobs)], capture_output=True, text=True,
+                              env=child_env)
+        assert proc.returncode == 0, proc.stderr
+        with_numpy, *after, later = json.loads(proc.stdout.splitlines()[-1])
+        if with_numpy:
+            pytest.skip("this numpy imports numpy.random, and so hashlib, with numpy itself")
+        assert [argv[0] for argv, crypto in zip(jobs, after) if crypto][:1] == []
+        assert later == ["openssl_sha256", True]
+
+    def test_hashlib_imported_before_netgeom_keeps_its_modules(self, tmp_path, child_env):
+        # with _hashlib loaded, _rng touches no module: the caller's hashlib and hmac stay in place
+        code = ("import hashlib, hmac, sys\nbefore = [sys.modules[m] for m in ('hashlib', 'hmac', '_hashlib')]\n"
+                "from netgeom.cli import main\n"
+                "assert main(sys.argv[1:]) == 0\n"
+                "assert 'numpy.random' in sys.modules\n"
+                "assert [sys.modules[m] for m in ('hashlib', 'hmac', '_hashlib')] == before\n"
+                "assert hashlib.sha256.__name__ == 'openssl_sha256'")
+        proc = subprocess.run([sys.executable, "-c", code, "generate", "--appendage", "core=K5", "--out",
+                               str(tmp_path / "a")], capture_output=True, text=True, env=child_env)
+        assert proc.returncode == 0, proc.stderr
 
     def test_import_netgeom_loads_no_layer_and_every_public_name_resolves(self, child_env):
         assert loaded_modules(child_env, "import netgeom") == ["netgeom"]

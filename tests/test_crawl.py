@@ -4,6 +4,7 @@ from __future__ import annotations
 import codecs
 import random
 import statistics
+import types
 
 import numpy as np
 import pytest
@@ -527,6 +528,13 @@ def small_graph(draw) -> Graph:
     return Graph.from_edges(n, draw(st.lists(pairs, max_size=3 * n)))
 
 
+@st.composite
+def connected_graph(draw) -> Graph:
+    """A connected graph of 2 to 30 nodes: a random spanning tree and up to 2n more edges."""
+    n = draw(st.integers(2, 30))
+    return random_connected(n, draw(st.integers(0, 2 * n)), random.Random(draw(st.integers(0, 2**32))))
+
+
 class TestCrawlReference:
     @pytest.mark.parametrize("policy", POLICIES)
     @settings(max_examples=150, deadline=None)
@@ -545,6 +553,27 @@ class TestCrawlReference:
             for start in range(g.node_count):
                 tr = simulate_crawl(g, start=start, policy=policy, stride=stride, seed=seed)
                 assert (list(tr.p), list(tr.d)) == crawl_oracle(g, start, policy, stride, seed)
+
+    @settings(max_examples=150, deadline=None)
+    @given(g=st.one_of(connected_graph(), small_graph()), seed=st.integers(0, 2**32), data=st.data())
+    def test_random_draws_stop_once_every_node_is_found(self, g, seed, data):
+        # after the step that finds the last node, each step pops one node and adds none, so the
+        # frontier loop stops drawing there and its sizes are those of the full loop
+        start = data.draw(st.integers(0, g.node_count - 1))
+        sizes = crawl_oracle(g, start, "random", 1, seed)[1]
+        # seen after k steps: the k processed nodes and the frontier
+        full = next((k for k in range(len(sizes) + 1) if (k + sizes[k - 1] if k else 1) == g.node_count), len(sizes))
+        draws = []
+
+        class Counting(random.Random):
+            def randrange(self, *args):
+                draws.append(args)
+                return super().randrange(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(crawl_module, "random", types.SimpleNamespace(Random=Counting))
+            assert crawl_module._random_frontier(g, start, seed) == sizes
+        assert len(draws) == full
 
     def test_traces_match_the_plain_loop(self):
         # connected graphs, and graphs with isolated nodes and several components
